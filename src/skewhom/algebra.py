@@ -20,9 +20,11 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
+from ._kernel import Kernel
 from .errors import BackendMismatchError, DimensionError, FileFormatError
 from .linalg import (
     Mat,
@@ -144,6 +146,11 @@ class HomAlgebra:
         """Image of the i-th basis vector under the twist."""
         return mat_col(self.twist, i)
 
+    @cached_property
+    def kernel(self) -> Kernel:
+        """Bracket and twist as sparse integer pairs, for exact backends."""
+        return Kernel(self.dim, self.bracket, self.twist)
+
 
 def bracket_eval(g: HomAlgebra, x: Vec, y: Vec) -> Vec:
     """Bilinear extension of the structure-constant table."""
@@ -173,22 +180,71 @@ def hom_jacobi_residual(g: HomAlgebra, x: Vec, y: Vec, z: Vec) -> Vec:
     return out
 
 
+def _sparse(g: HomAlgebra) -> bool:
+    """Whether the sparse kernel decides where ``g``'s identities first fail.
+
+    Exact backends use it.  The float backend keeps the dense scans, because
+    a tolerance zero test does not survive reordering; with this turned off,
+    the dense scans are the reference the tests compare the kernel against.
+    """
+    return g.backend.exact
+
+
+def _first_failure(g: HomAlgebra, positions, residual: Callable[..., Vec]):
+    """Dense scan: the first of ``positions`` whose residual is not zero."""
+    return next((at for at in positions if not vec_is_zero(residual(*at), g.backend)), None)
+
+
+def _jacobi_residual(g: HomAlgebra) -> Callable[[int, int, int], Vec]:
+    beta = [g.twist_col(i) for i in range(g.dim)]
+
+    def residual(i: int, j: int, k: int) -> Vec:
+        res = bracket_eval(g, g.bracket[j][k], beta[i])
+        res = vec_add(res, bracket_eval(g, g.bracket[k][i], beta[j]))
+        return vec_add(res, bracket_eval(g, g.bracket[i][j], beta[k]))
+
+    return residual
+
+
 def check_hom_jacobi(g: HomAlgebra) -> CheckReport:
     """Twisted Jacobi identity on all ordered basis triples.
 
-    Multilinearity makes basis triples sufficient; all n**3 ordered triples
-    are scanned rather than only i<j<k, so no symmetry argument is assumed.
-    The witness is the lexicographically first failing triple.
+    Multilinearity makes basis triples sufficient.  The witness is the
+    lexicographically first failing ordered triple.  Exact backends find it
+    with the sparse kernel, which scans only i<j<k triples: the twisted
+    cyclic sum is alternating, since the bracket is antisymmetric, so it
+    vanishes on repeated indices and the sorted rearrangement of a failing
+    triple fails too and comes first (the proof is in
+    ``Kernel.first_jacobi_failure``).  The float backend scans all n**3
+    ordered triples.  Either way the residual reported is the dense one.
     """
-    n = g.dim
-    beta = [g.twist_col(i) for i in range(n)]
-    for i, j, k in itertools.product(range(n), repeat=3):
-        res = bracket_eval(g, g.bracket[j][k], beta[i])
-        res = vec_add(res, bracket_eval(g, g.bracket[k][i], beta[j]))
-        res = vec_add(res, bracket_eval(g, g.bracket[i][j], beta[k]))
-        if not vec_is_zero(res, g.backend):
-            return CheckReport(False, Witness((i, j, k), res))
-    return CheckReport(True)
+    residual = _jacobi_residual(g)
+    if _sparse(g):
+        at = g.kernel.first_jacobi_failure()
+    else:
+        at = _first_failure(g, itertools.product(range(g.dim), repeat=3), residual)
+    return CheckReport(True) if at is None else CheckReport(False, Witness(at, residual(*at)))
+
+
+def _twist_sides(g: HomAlgebra) -> Callable[[int, int], Tuple[Vec, Vec]]:
+    beta = [g.twist_col(i) for i in range(g.dim)]
+    return lambda i, j: (twist_apply(g, g.bracket[i][j]), bracket_eval(g, beta[i], beta[j]))
+
+
+def _twist_sign_candidates(g: HomAlgebra, sides) -> Tuple[set, Optional[tuple]]:
+    """Dense scan of all ordered pairs: the signs left, and the pair that left none."""
+    candidates = {1, -1}
+    for i, j in itertools.product(range(g.dim), repeat=2):
+        lhs, rhs = sides(i, j)
+        if vec_is_zero(lhs, g.backend) and vec_is_zero(rhs, g.backend):
+            continue
+        if not vec_is_zero(vec_sub(lhs, rhs), g.backend):
+            candidates.discard(1)
+        if not vec_is_zero(vec_add(lhs, rhs), g.backend):
+            candidates.discard(-1)
+        if not candidates:
+            return candidates, (i, j)
+    return candidates, None
 
 
 def check_twist_sign(g: HomAlgebra) -> TwistSign:
@@ -196,48 +252,50 @@ def check_twist_sign(g: HomAlgebra) -> TwistSign:
 
     Pairs where both sides vanish carry no information and are skipped; for
     the all-zero bracket every constant is consistent and +1 is reported with
-    the abelian flag set.
+    the abelian flag set.  The witness is the first ordered pair after which
+    no constant is left; exact backends find it with the sparse kernel over
+    i<j pairs, which is the same pair because both sides are antisymmetric
+    (see ``Kernel.twist_sign_candidates``).
     """
     n = g.dim
-    beta = [g.twist_col(i) for i in range(n)]
-    candidates = {1, -1}
+    sides = _twist_sides(g)
     abelian = all(
         vec_is_zero(g.bracket[i][j], g.backend) for i in range(n) for j in range(n)
     )
-    for i, j in itertools.product(range(n), repeat=2):
-        lhs = twist_apply(g, g.bracket[i][j])
-        rhs = bracket_eval(g, beta[i], beta[j])
-        if vec_is_zero(lhs, g.backend) and vec_is_zero(rhs, g.backend):
-            continue
-        local = set()
+    if _sparse(g):
+        candidates, at = g.kernel.twist_sign_candidates()
+    else:
+        candidates, at = _twist_sign_candidates(g, sides)
+    if at is not None:
+        lhs, rhs = sides(*at)
         plus = vec_sub(lhs, rhs)
-        minus = vec_add(lhs, rhs)
-        if vec_is_zero(plus, g.backend):
-            local.add(1)
-        if vec_is_zero(minus, g.backend):
-            local.add(-1)
-        candidates &= local
-        if not candidates:
-            residual = plus if not vec_is_zero(plus, g.backend) else minus
-            return TwistSign(None, Witness((i, j), residual), abelian)
+        residual = plus if not vec_is_zero(plus, g.backend) else vec_add(lhs, rhs)
+        return TwistSign(None, Witness(at, residual), abelian)
     if abelian or candidates == {1, -1}:
         return TwistSign(1, None, abelian=True)
     return TwistSign(candidates.pop())
 
 
-def classify(g: HomAlgebra) -> Classification:
+def classify(
+    g: HomAlgebra,
+    twist_sign: Optional[TwistSign] = None,
+    jacobi: Optional[CheckReport] = None,
+) -> Classification:
     """Sort the triple into Lie / HomLie / SkewHomLie / Neither.
 
     SkewHomLie needs twist sign -1 plus the twisted Jacobi identity; HomLie
     needs sign +1 plus the identity; Lie additionally requires the twist to
     be the identity map.  ``regular`` reports whether the twist is a linear
-    automorphism.
+    automorphism.  A caller that already ran ``check_twist_sign`` or
+    ``check_hom_jacobi`` on ``g`` may pass the result; the Jacobi scan is
+    not run at all when no twist sign exists.
     """
-    sign = check_twist_sign(g)
-    jacobi = check_hom_jacobi(g)
+    sign = twist_sign if twist_sign is not None else check_twist_sign(g)
     regular = not g.backend.is_zero(det(g.twist, g.backend))
     if sign.sign is None:
         return Classification(Verdict.NEITHER, regular, sign.witness)
+    if jacobi is None:
+        jacobi = check_hom_jacobi(g)
     if not jacobi.passed:
         return Classification(Verdict.NEITHER, regular, jacobi.witness)
     if sign.sign == -1:
@@ -251,20 +309,27 @@ def check_power_sign_law(g: HomAlgebra, m: int) -> CheckReport:
     """Check beta^m([e_i,e_j]) = (-1)^m * [beta^m e_i, beta^m e_j] on all pairs.
 
     For a skew twist the sign alternates with the power: odd powers
-    anti-commute with the bracket, even powers commute.
+    anti-commute with the bracket, even powers commute.  The witness is the
+    first failing ordered pair; both sides are antisymmetric, so exact
+    backends find it with the sparse kernel over i<j pairs.
     """
     if m < 1:
         raise ValueError("power must be a positive integer")
     tw = mat_pow(g.twist, m, g.backend)
-    sign = Fraction(-1) ** m
+    sign = (-1) ** m
     cols = [mat_col(tw, i) for i in range(g.dim)]
-    for i, j in itertools.product(range(g.dim), repeat=2):
-        lhs = mat_vec(tw, g.bracket[i][j])
+
+    def residual(i: int, j: int) -> Vec:
         rhs = bracket_eval(g, cols[i], cols[j])
-        res = vec_sub(lhs, vec_scale(sign, rhs))
-        if not vec_is_zero(res, g.backend):
-            return CheckReport(False, Witness((i, j), res, note=f"m={m}"))
-    return CheckReport(True)
+        return vec_sub(mat_vec(tw, g.bracket[i][j]), vec_scale(Fraction(sign), rhs))
+
+    if _sparse(g):
+        at = g.kernel.first_sign_failure(tw, sign)
+    else:
+        at = _first_failure(g, itertools.product(range(g.dim), repeat=2), residual)
+    if at is None:
+        return CheckReport(True)
+    return CheckReport(False, Witness(at, residual(*at), note=f"m={m}"))
 
 
 def check_morphism(f: Mat, g: HomAlgebra, h: HomAlgebra, sign: int) -> CheckReport:
@@ -302,6 +367,10 @@ def check_morphism(f: Mat, g: HomAlgebra, h: HomAlgebra, sign: int) -> CheckRepo
 # Algebra file format (UTF-8 JSON): {"dim", "backend", "bracket", "twist"}
 # with bracket entries {"i", "j", "value"} for i < j; missing pairs are zero.
 
+# Largest "dim" a file may declare (gl(R^11) has dimension 121); the loader
+# allocates a dense dim x dim x dim table, so a larger one is refused first.
+MAX_DIM = 128
+
 
 def algebra_to_dict(g: HomAlgebra) -> dict:
     entries = []
@@ -330,6 +399,10 @@ def algebra_from_dict(obj: dict) -> HomAlgebra:
         raise FileFormatError(f"bad header: {exc}", location="dim/backend") from exc
     if dim < 1:
         raise FileFormatError("dimension must be positive", location="dim")
+    if dim > MAX_DIM:
+        raise FileFormatError(
+            f"dimension {dim} exceeds the limit of {MAX_DIM}", location="dim"
+        )
 
     table = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
     seen: set = set()

@@ -317,29 +317,38 @@ def cmd_verify(config: SuiteConfig) -> SuiteReport:
     return suite.report()
 
 
+def _timed(fn: Callable[[], object]) -> Tuple[object, float]:
+    start = time.perf_counter()
+    return fn(), time.perf_counter() - start
+
+
 def cmd_check_algebra(path: str, timings: bool = False) -> SuiteReport:
-    """Load, validate, and classify an algebra file."""
+    """Load, validate, and classify an algebra file.
+
+    The twist-sign and Jacobi scans run once each; the verdict row is
+    derived from their results.
+    """
     g = load_algebra(path)
-    suite = _Suite(timings)
-    c = classify(g)
-    suite.results.append(
+    sign, sign_s = _timed(lambda: check_twist_sign(g))
+    jacobi, jacobi_s = _timed(lambda: check_hom_jacobi(g))
+    c = classify(g, sign, jacobi)
+    if sign.sign is None:
+        sign_row = (False, _witness_str(sign.witness))
+    else:
+        sign_row = (True, f"sign {sign.sign:+d}{' (abelian)' if sign.abelian else ''}")
+    return SuiteReport((
         CheckResult(
             f"{path}: verdict {c.verdict.value} (regular={c.regular})",
             c.verdict != Verdict.NEITHER,
             _witness_str(c.witness),
-        )
-    )
-    suite.run(f"{path}: twisted Jacobi identity", lambda: _from_report(check_hom_jacobi(g)))
-
-    def twist_sign_check():
-        ts = check_twist_sign(g)
-        if ts.sign is None:
-            return False, _witness_str(ts.witness)
-        note = " (abelian)" if ts.abelian else ""
-        return True, f"sign {ts.sign:+d}{note}"
-
-    suite.run(f"{path}: bracket/twist sign", twist_sign_check)
-    return suite.report()
+        ),
+        CheckResult(
+            f"{path}: twisted Jacobi identity",
+            *_from_report(jacobi),
+            jacobi_s if timings else None,
+        ),
+        CheckResult(f"{path}: bracket/twist sign", *sign_row, sign_s if timings else None),
+    ))
 
 
 def _resolve_algebra_arg(ref: str) -> HomAlgebra:

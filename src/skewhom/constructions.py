@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Tuple, Union
 
-from .algebra import CheckReport, HomAlgebra, Witness, bracket_eval
+from .algebra import CheckReport, HomAlgebra, Witness, bracket_eval, check_hom_jacobi
 from .errors import (
     BackendMismatchError,
     ConstructionError,
@@ -46,9 +46,7 @@ from .linalg import (
     mat_vec,
     matrix_unit,
     transpose,
-    vec_add,
     vec_eq,
-    vec_is_zero,
     vec_neg,
     vec_sub,
     wedge3,
@@ -190,25 +188,20 @@ def ad_alpha_squared_matrix(ctx: GlContext) -> Mat:
 def ad_alpha_squared_counterexample(ctx: GlContext) -> Tuple[tuple, Vec]:
     """First basis triple where the Ad_a**2-twisted Jacobi identity fails.
 
-    Scans all ordered triples of distinct matrix units in lexicographic
-    order (repeated arguments vanish identically) and returns the triple and
-    its residual; an empty scan raises, since silence would hide an
-    inconsistency.
+    This is the first Jacobi failure of the algebra with the same bracket
+    and the squared twist (``check_hom_jacobi``), returned as the triple
+    and its residual; triples with a repeated index never fail, because the
+    twisted cyclic sum is alternating.  An empty scan raises, since silence
+    would hide an inconsistency.
     """
     base = build_gl_alpha(ctx)
     g = HomAlgebra(base.dim, base.bracket, ad_alpha_squared_matrix(ctx), ctx.backend)
-    beta = [g.twist_col(i) for i in range(g.dim)]
-    for i, j, k in itertools.product(range(g.dim), repeat=3):
-        if len({i, j, k}) < 3:
-            continue
-        res = bracket_eval(g, g.bracket[j][k], beta[i])
-        res = vec_add(res, bracket_eval(g, g.bracket[k][i], beta[j]))
-        res = vec_add(res, bracket_eval(g, g.bracket[i][j], beta[k]))
-        if not vec_is_zero(res, g.backend):
-            return (i, j, k), res
-    raise CounterexampleNotFoundError(
-        "every Ad_alpha**2-twisted Jacobi residual vanished"
-    )
+    report = check_hom_jacobi(g)
+    if report.passed:
+        raise CounterexampleNotFoundError(
+            "every Ad_alpha**2-twisted Jacobi residual vanished"
+        )
+    return report.witness.at, report.witness.residual
 
 
 def build_r3_cross(A: Mat, backend: Optional[ScalarBackend] = None) -> HomAlgebra:

@@ -220,7 +220,9 @@ def mat_inv(a: Mat, backend: Optional[ScalarBackend] = None) -> Mat:
     return tuple(tuple(row[n:]) for row in rows)
 
 
-@lru_cache(maxsize=None)
+# Bounded, because keys are whole matrices; one benchmark round of any
+# workload uses at most 25 entries.
+@lru_cache(maxsize=128)
 def _mat_pow_cached(a: Mat, exponent: int, backend: Optional[ScalarBackend]) -> Mat:
     if exponent == 0:
         return identity(len(a))

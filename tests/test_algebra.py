@@ -291,3 +291,30 @@ def test_classify_invariant_under_basis_permutation(perm):
     )
     permuted = HomAlgebra(n, bracket, twist, g.backend)
     assert classify(permuted).verdict == classify(g).verdict
+
+
+def test_classify_skips_the_jacobi_scan_without_a_twist_sign(monkeypatch):
+    from skewhom import algebra
+
+    alpha, be = alpha_block(4, 0)
+    gl4 = build_gl_alpha(GlContext(4, alpha, be))
+    g = HomAlgebra(16, gl4.bracket, mat_scale(F(2), gl4.twist), be)
+    sign = check_twist_sign(g)
+    assert sign.sign is None
+
+    def no_scan(g):
+        raise AssertionError("the Jacobi scan ran")
+
+    monkeypatch.setattr(algebra, "check_hom_jacobi", no_scan)
+    c = classify(g)
+    assert c.verdict == Verdict.NEITHER and c.witness == sign.witness
+
+
+def test_loader_refuses_a_dimension_over_the_limit(se4_algebras):
+    from skewhom.algebra import MAX_DIM
+
+    doc = algebra_to_dict(se4_algebras[0][0])
+    doc["dim"] = MAX_DIM + 1
+    with pytest.raises(FileFormatError, match=f"limit of {MAX_DIM}") as info:
+        algebra_from_dict(doc)
+    assert info.value.location == "dim"

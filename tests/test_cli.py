@@ -1,6 +1,7 @@
 import json
+from fractions import Fraction as F
 
-from skewhom.algebra import save_algebra
+from skewhom.algebra import HomAlgebra, save_algebra
 from skewhom.cli import (
     CheckResult,
     SuiteConfig,
@@ -153,3 +154,58 @@ def test_counterexample_exit_codes(capsys):
     assert main(["counterexample", "gl4"]) == 0
     out = capsys.readouterr().out
     assert "(0, 1, 2)" in out
+
+
+def test_check_algebra_scans_once_and_keeps_its_report(tmp_path, capsys, monkeypatch):
+    from skewhom import algebra, cli
+    from skewhom.algebra import (
+        Verdict,
+        check_hom_jacobi,
+        check_twist_sign,
+        classify,
+        load_algebra,
+    )
+    from skewhom.cli import _witness_str
+
+    g, _ = build_semi_euclidean(F(1, 2))
+    table = [list(row) for row in g.bracket]
+    table[2][3] = table[2][3][:3] + (table[2][3][3] + 1,)
+    table[3][2] = tuple(-x for x in table[2][3])
+    mutated = HomAlgebra(4, tuple(map(tuple, table)), g.twist, g.backend)
+    files = {"pass.json": g, "mut.json": mutated}
+
+    def expected(path):
+        # the report as built from three independent scans
+        g = load_algebra(path)
+        c, jac, ts = classify(g), check_hom_jacobi(g), check_twist_sign(g)
+        sign_row = (False, _witness_str(ts.witness)) if ts.sign is None else (True, f"sign {ts.sign:+d}")
+        return SuiteReport((
+            CheckResult(f"{path}: verdict {c.verdict.value} (regular={c.regular})",
+                        c.verdict != Verdict.NEITHER, _witness_str(c.witness)),
+            CheckResult(f"{path}: twisted Jacobi identity", jac.passed, _witness_str(jac.witness)),
+            CheckResult(f"{path}: bracket/twist sign", *sign_row),
+        ))
+
+    calls = {"check_hom_jacobi": 0, "check_twist_sign": 0}
+    for name in calls:
+        original = getattr(algebra, name)
+
+        def counted(g, name=name, original=original):
+            calls[name] += 1
+            return original(g)
+
+        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(algebra, name, counted)
+
+    for name, alg in files.items():
+        path = tmp_path / name
+        save_algebra(alg, path)
+        want = expected(str(path))
+        for fmt in ("text", "json", "csv"):
+            for key in calls:
+                calls[key] = 0
+            code = main(["check-algebra", str(path), "--format", fmt])
+            assert code == (0 if name == "pass.json" else 1)
+            assert capsys.readouterr().out == want.render(fmt)
+            assert calls == {"check_hom_jacobi": 1, "check_twist_sign": 1}
+    assert "verdict Neither" in want.to_text()

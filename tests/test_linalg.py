@@ -151,3 +151,9 @@ def test_mixed_quadratic_and_rational_entries():
     m = mat([[F(1), s], [s, F(3)]])
     inv = mat_inv(m, be)
     assert mat_mul(inv, m) == identity(2)
+
+
+def test_mat_pow_cache_is_bounded():
+    from skewhom.linalg import _mat_pow_cached
+
+    assert _mat_pow_cached.cache_info().maxsize is not None
