@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -33,10 +34,8 @@ from .algebra import (
     check_twist_sign,
     classify,
     load_algebra,
-    vec_is_zero,
 )
 from .cohomology import (
-    basis_cochains,
     check_d_squared,
     coboundary,
     load_cochain,
@@ -49,12 +48,11 @@ from .constructions import (
     build_gl_alpha,
     build_r3_cross,
     build_semi_euclidean,
-    builtin_algebra,
     check_pseudo_adjoint_identity,
 )
 from .errors import CounterexampleNotFoundError, FileFormatError, SkewhomError
 from .linalg import identity, mat, mat_eq, mat_mul, mat_vec, vec_neg
-from .representation import load_representation, zero_representation
+from .representation import load_representation, resolve_algebra, zero_representation
 from .se4geometry import check_vstar_closure, in_v_star, vstar_defect, vstar_samples
 from .scalars import as_rational
 
@@ -351,12 +349,6 @@ def cmd_check_algebra(path: str, timings: bool = False) -> SuiteReport:
     ))
 
 
-def _resolve_algebra_arg(ref: str) -> HomAlgebra:
-    if Path(ref).exists():
-        return load_algebra(ref)
-    return builtin_algebra(ref)[1]
-
-
 def cmd_cohomology(
     algebra_ref: str,
     k: int,
@@ -366,9 +358,12 @@ def cmd_cohomology(
     timings: bool = False,
     out=None,
 ) -> SuiteReport:
-    """Coboundary nilpotency for one algebra, degree, and operator index."""
+    """Coboundary nilpotency for one algebra, degree, and operator index.
+
+    One scan gives both the check row and the residual table.
+    """
     out = out if out is not None else sys.stdout
-    g = _resolve_algebra_arg(algebra_ref)
+    g = resolve_algebra(algebra_ref)
     if rep_path:
         rep = load_representation(rep_path, g)
     else:
@@ -381,18 +376,13 @@ def cmd_cohomology(
             print(f"  {key}: {image.table[key]}", file=out)
 
     suite = _Suite(timings)
+    residuals: list = []
     suite.run(
         f"{algebra_ref}: coboundary nilpotency k={k} s={s}",
-        lambda: _from_report(check_d_squared(g, rep, k, s)),
+        lambda: _from_report(check_d_squared(g, rep, k, s, residuals)),
     )
     print(f"squared-coboundary residual table (k={k}, s={s}):", file=out)
-    for key, axis, eta in basis_cochains(g.dim, rep.m, k):
-        twice = coboundary(coboundary(eta, rep, s), rep, s)
-        nonzero = {
-            out_key: value
-            for out_key, value in sorted(twice.table.items())
-            if not vec_is_zero(value, g.backend)
-        }
+    for key, axis, nonzero in residuals:
         status = "0" if not nonzero else str(nonzero)
         print(f"  basis cochain {key} axis {axis}: {status}", file=out)
     return suite.report()
@@ -411,8 +401,6 @@ def cmd_nullspace(
 
     print("theta,z,inner,cross_diff,Pz,z_in_vstar,Pz_in_vstar", file=out)
     failures = 0
-    from random import Random
-
     rng = Random(seed)
     probes = [tuple(backend.coerce(rng.randint(-9, 9)) for _ in range(4)) for _ in range(samples)]
     members = vstar_samples(ctx, samples, seed=seed + 1)
@@ -555,6 +543,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0 if report.all_passed else 1
 
         if args.command == "cohomology":
+            if args.k < 0:
+                print("error: --k must be non-negative", file=sys.stderr)
+                return 2
             report = cmd_cohomology(
                 args.algebra, args.k, args.s, rep_path=args.rep, cochain_path=args.cochain
             )

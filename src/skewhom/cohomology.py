@@ -182,25 +182,39 @@ def coboundary(eta: Cochain, rep: Representation, s: int) -> Cochain:
     return Cochain(k + 1, n, eta.m, table)
 
 
-def check_d_squared(g: HomAlgebra, rep: Representation, k: int, s: int) -> CheckReport:
+def check_d_squared(
+    g: HomAlgebra,
+    rep: Representation,
+    k: int,
+    s: int,
+    residuals: Optional[list] = None,
+) -> CheckReport:
     """Verify d^s(d^s(eta)) = 0 exactly on every degree-k basis cochain.
 
     Linearity of the operator extends the verdict to all degree-k cochains.
     The witness names the basis cochain (key, axis), the output tuple, and
-    the residual vector.
+    the residual vector.  Given a list as ``residuals``, the scan goes on
+    past the first failure and appends ``(key, axis, nonzero)`` for every
+    basis cochain, ``nonzero`` mapping each output tuple whose residual is
+    not zero to that residual, in sorted order; the report is the same.
     """
     if rep.g != g:
         rep = replace(rep, g=g)
+    witness = None
     for key, axis, eta in basis_cochains(g.dim, rep.m, k):
         twice = coboundary(coboundary(eta, rep, s), rep, s)
+        nonzero = {}
         for out_key in sorted(twice.table):
             value = twice.table[out_key]
             if not vec_is_zero(value, g.backend):
-                return CheckReport(
-                    False,
-                    Witness((key, axis, out_key), value, note=f"k={k} s={s}"),
-                )
-    return CheckReport(True)
+                if witness is None:
+                    witness = Witness((key, axis, out_key), value, note=f"k={k} s={s}")
+                if residuals is None:
+                    return CheckReport(False, witness)
+                nonzero[out_key] = value
+        if residuals is not None:
+            residuals.append((key, axis, nonzero))
+    return CheckReport(witness is None, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +240,8 @@ def cochain_from_dict(obj: dict, n: int, m: int, backend) -> Cochain:
         k = int(obj["k"])
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"bad degree: {exc}", location="k") from exc
+    if not 0 <= k <= n:
+        raise FileFormatError(f"degree {k} is outside 0..{n}", location="k")
     entries = {}
     for idx, entry in enumerate(obj.get("entries", [])):
         where = f"entries[{idx}]"

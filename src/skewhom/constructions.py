@@ -161,28 +161,96 @@ def ad_alpha(ctx: GlContext, b: Mat) -> Mat:
     return mat_mul(mat_mul(ctx.alpha, b), ctx.alpha)
 
 
+def _typed_zero(entries) -> object:
+    """The zero a dense product over ``entries`` comes out as.
+
+    ``mat_mul`` starts every sum at ``Fraction(0)``, so one ``QuadExt`` or
+    float factor turns a whole sum into that type (and ``-0.0`` into
+    ``0.0``).  Adding this zero to a closed-form value gives it the type and
+    the text form the dense products would have given it.
+    """
+    return sum((x * 0 for x in entries), Fraction(0))
+
+
+def _conjugation_matrix(a: Mat) -> Mat:
+    """Matrix of B -> aBa in the row-major matrix-unit basis, read off ``a``.
+
+    Entry ((r, s), (p, q)) is ``a_rp * a_qs``.  In the dense product
+    ``(a E_pq) a`` that entry is a ``QuadExt`` (or float) exactly when row r
+    or column s of ``a`` holds one, so its zero is the sum of the typed
+    zeros of that row and that column.
+    """
+    m = len(a)
+    row_zero = [_typed_zero(row) for row in a]
+    col_zero = [_typed_zero(col) for col in transpose(a)]
+    rows = []
+    for r in range(m):
+        for s in range(m):
+            z = row_zero[r] + col_zero[s]
+            rows.append(tuple(
+                z + a[r][p] * a[q][s] if a[r][p] and a[q][s] else z
+                for p in range(m)
+                for q in range(m)
+            ))
+    return tuple(rows)
+
+
 def ad_alpha_matrix(ctx: GlContext) -> Mat:
     """Matrix of B -> aBa in the row-major matrix-unit basis."""
-    cols = [flatten(ad_alpha(ctx, unit)) for unit in ctx.basis]
-    return transpose(mat(cols))
+    return _conjugation_matrix(ctx.alpha)
 
 
 def build_gl_alpha(ctx: GlContext) -> HomAlgebra:
-    """The m**2-dimensional skew-Hom-Lie algebra on matrix units."""
-    n = ctx.m * ctx.m
-    units = ctx.basis
-    table = tuple(
-        tuple(flatten(gl_bracket(ctx, units[i], units[j])) for j in range(n))
-        for i in range(n)
-    )
+    """The m**2-dimensional skew-Hom-Lie algebra on matrix units.
+
+    Each structure constant is read straight from the entries of a:
+
+        [E_pq, E_uv]_rs = a_qu a_rp a_vs - a_vp a_ru a_qs,
+
+    visiting only the nonzero entries of column p (or u) and row v (or q),
+    for i < j; the diagonal is zero and (j, i) is the negation of (i, j).
+    Every product is formed in the order ``gl_bracket`` forms it and every
+    entry gets the type of the dense result, so floats agree bit for bit and
+    exact entries have the same text form.
+    """
+    m, a = ctx.m, ctx.alpha
+    n = m * m
+    # the dense bracket has a QuadExt (or float) in every entry once a does
+    zero = _typed_zero(flatten(a))
+    col_nz = [[(r, a[r][p]) for r in range(m) if a[r][p]] for p in range(m)]
+    row_nz = [[(s, a[v][s]) for s in range(m) if a[v][s]] for v in range(m)]
+    zeros = (zero,) * n
+    table = [[zeros] * n for _ in range(n)]
+    for i in range(n):
+        p, q = divmod(i, m)
+        for j in range(i + 1, n):
+            u, v = divmod(j, m)
+            acc = {}
+            c = a[q][u]
+            if c:
+                for r, x in col_nz[p]:
+                    xc = x * c
+                    for s, y in row_nz[v]:
+                        acc[r * m + s] = xc * y
+            c = a[v][p]
+            if c:
+                for r, x in col_nz[u]:
+                    xc = x * c
+                    for s, y in row_nz[q]:
+                        acc[r * m + s] = acc.get(r * m + s, 0) - xc * y
+            if not acc:
+                continue
+            value = [zero] * n
+            for at, x in acc.items():
+                value[at] = zero + x
+            table[i][j] = tuple(value)
+            table[j][i] = tuple(zero - x for x in value)
     return HomAlgebra(n, table, ad_alpha_matrix(ctx), ctx.backend)
 
 
 def ad_alpha_squared_matrix(ctx: GlContext) -> Mat:
     """Matrix of B -> a**2 B a**2 (the identity map whenever a**2 = -id)."""
-    a2 = mat_mul(ctx.alpha, ctx.alpha)
-    cols = [flatten(mat_mul(mat_mul(a2, unit), a2)) for unit in ctx.basis]
-    return transpose(mat(cols))
+    return _conjugation_matrix(mat_mul(ctx.alpha, ctx.alpha))
 
 
 def ad_alpha_squared_counterexample(ctx: GlContext) -> Tuple[tuple, Vec]:

@@ -139,6 +139,87 @@ def test_cohomology_with_cochain_file(tmp_path, capsys):
     assert "coboundary of degree-1 cochain" in out
 
 
+def test_cohomology_negative_degree_is_usage_error(capsys):
+    assert main(["cohomology", "se4:theta=1", "--k", "-1", "--s", "0"]) == 2
+    assert capsys.readouterr().err == "error: --k must be non-negative\n"
+
+
+def test_cohomology_bad_cochain_degree_is_located(tmp_path, capsys):
+    path = tmp_path / "eta.json"
+    path.write_text(json.dumps({"k": -1, "entries": []}))
+    args = ["cohomology", "se4:theta=0", "--cochain", str(path), "--k", "1", "--s", "0"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: degree -1 is outside 0..4 (k)\n"
+
+
+def test_cohomology_scans_once_and_keeps_its_report(tmp_path, capsys, monkeypatch):
+    from skewhom import cohomology
+    from skewhom.cli import _witness_str
+    from skewhom.cohomology import basis_cochains, check_d_squared, coboundary
+    from skewhom.linalg import vec_is_zero
+    from skewhom.representation import zero_representation
+
+    g, _ = build_semi_euclidean(F(1, 2))
+    table = [list(row) for row in g.bracket]
+    table[0][1] = table[0][1][:1] + (table[0][1][1] + 1,) + table[0][1][2:]
+    table[1][0] = tuple(-x for x in table[0][1])
+    mutated = HomAlgebra(4, tuple(map(tuple, table)), g.twist, g.backend)
+    path = tmp_path / "mut.json"
+    save_algebra(mutated, path)
+    rep = zero_representation(mutated, 4, identity(4))
+    k, s = 1, 0
+    # the check row and the residual table as built from two separate scans
+    report = check_d_squared(mutated, rep, k, s)
+    assert not report.passed
+    table_text = f"squared-coboundary residual table (k={k}, s={s}):\n"
+    for key, axis, eta in basis_cochains(4, 4, k):
+        twice = coboundary(coboundary(eta, rep, s), rep, s)
+        nonzero = {
+            out_key: value
+            for out_key, value in sorted(twice.table.items())
+            if not vec_is_zero(value, g.backend)
+        }
+        table_text += f"  basis cochain {key} axis {axis}: {nonzero or 0}\n"
+    want = SuiteReport((
+        CheckResult(f"{path}: coboundary nilpotency k={k} s={s}", False,
+                    _witness_str(report.witness)),
+    ))
+
+    calls = []
+    original = cohomology.coboundary
+
+    def counted(eta, rep, s):
+        calls.append(eta.k)
+        return original(eta, rep, s)
+
+    monkeypatch.setattr(cohomology, "coboundary", counted)
+    for fmt in ("text", "json"):
+        argv = ["cohomology", str(path), "--k", str(k), "--s", str(s), "--format", fmt]
+        calls.clear()
+        assert main(argv) == 1
+        assert capsys.readouterr().out == table_text + want.render(fmt)
+        # d on each of the 16 basis cochains and on its image, once
+        assert calls == [k, k + 1] * 16
+        out_path = tmp_path / f"report.{fmt}"
+        assert main(argv + ["--output", str(out_path)]) == 1
+        assert capsys.readouterr().out == table_text
+        assert out_path.read_text() == want.render(fmt)
+
+
+def test_cohomology_records_a_raising_scan(capsys, monkeypatch):
+    from skewhom import cli
+    from skewhom.errors import SingularMatrixError
+
+    def broken(*args, **kwargs):
+        raise SingularMatrixError("phi lost its inverse")
+
+    monkeypatch.setattr(cli, "check_d_squared", broken)
+    assert main(["cohomology", "se4:theta=1", "--k", "1", "--s", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  se4:theta=1: coboundary nilpotency k=1 s=0" in out
+    assert "witness: phi lost its inverse" in out
+
+
 def test_nullspace_csv(capsys):
     assert main(["nullspace", "--theta", "1/2", "--samples", "6"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -243,3 +243,16 @@ def test_cochain_loader_rejects_duplicates():
     }
     with pytest.raises(FileFormatError, match="duplicate"):
         cochain_from_dict(doc, 4, 4, SE4_ZERO.backend)
+
+
+@pytest.mark.parametrize("k", [-1, 5])
+def test_cochain_loader_rejects_degree_out_of_range(k):
+    doc = {"k": k, "entries": []}
+    with pytest.raises(FileFormatError, match="degree") as info:
+        cochain_from_dict(doc, 4, 4, SE4_ZERO.backend)
+    assert info.value.location == "k"
+
+
+def test_cochain_loader_accepts_top_and_bottom_degree():
+    assert cochain_from_dict({"k": 0, "entries": []}, 4, 4, SE4_ZERO.backend).k == 0
+    assert cochain_from_dict({"k": 4, "entries": []}, 4, 4, SE4_ZERO.backend).k == 4

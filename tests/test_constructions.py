@@ -9,6 +9,7 @@ from skewhom.constructions import (
     ad_alpha,
     ad_alpha_matrix,
     ad_alpha_squared_counterexample,
+    ad_alpha_squared_matrix,
     alpha_block,
     alpha_theta,
     build_gl_alpha,
@@ -18,6 +19,7 @@ from skewhom.constructions import (
     check_pseudo_adjoint_identity,
     check_pseudo_adjoint_morphism,
     closed_form_bracket,
+    gl_bracket,
     p_matrix,
     pseudo_adjoint,
 )
@@ -153,6 +155,77 @@ def test_gl2_classifies_skew(gl2_zero):
 def test_ad_alpha_is_involutive(gl2_zero):
     _, g = gl2_zero
     assert mat_eq(mat_mul(g.twist, g.twist), identity(4), g.backend)
+
+
+def _dense_gl(ctx):
+    """Bracket table, twist and squared twist of gl(V) by dense matrix products."""
+    units = ctx.basis
+    n = len(units)
+    table = tuple(
+        tuple(flatten(gl_bracket(ctx, units[i], units[j])) for j in range(n))
+        for i in range(n)
+    )
+    twist = transpose(mat(flatten(ad_alpha(ctx, unit)) for unit in units))
+    a2 = mat_mul(ctx.alpha, ctx.alpha)
+    squared = transpose(mat(flatten(mat_mul(mat_mul(a2, unit), a2)) for unit in units))
+    return table, twist, squared
+
+
+def _assert_same_entries(got, want):
+    # repr tells Fraction(0) from QuadExt(0, 0, d) and 0.0 from -0.0
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert x == y and repr(x) == repr(y) and type(x) is type(y)
+
+
+def _assert_matches_dense(ctx):
+    g = build_gl_alpha(ctx)
+    table, twist, squared = _dense_gl(ctx)
+    for i in range(g.dim):
+        for j in range(g.dim):
+            _assert_same_entries(g.bracket[i][j], table[i][j])
+    _assert_same_entries(flatten(g.twist), flatten(twist))
+    _assert_same_entries(flatten(ad_alpha_squared_matrix(ctx)), flatten(squared))
+
+
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("theta", [0, F(1, 2), F(3, 4), 1, 0.5, 0.3])
+def test_closed_form_gl_matches_dense_products(m, theta):
+    # at 0.3 no factor is a power of two, so float rounding shows the order
+    # in which each triple product is formed
+    alpha, backend = alpha_block(m, theta)
+    _assert_matches_dense(GlContext(m, alpha, backend))
+
+
+def test_closed_form_gl_needs_no_block_structure():
+    alpha, backend = alpha_block(4, F(1, 2))
+    q = mat([[1, 2, 0, 1], [0, 1, 3, 0], [1, 0, 1, 0], [0, 0, 1, 1]])
+    q = mat(tuple(F(x) for x in row) for row in q)
+    conjugate = mat_mul(mat_mul(q, alpha), mat_inv(q))
+    assert any(conjugate[r][c] != 0 for r in range(4) for c in range(4) if r // 2 != c // 2)
+    _assert_matches_dense(GlContext(4, conjugate, backend))
+
+
+def test_closed_form_gl_keeps_mixed_entry_types():
+    # a rational block beside a quadratic one: the dense twist has Fraction
+    # entries where both the row and the column of alpha are rational
+    backend = quadratic_backend(F(1, 2))
+    block, _ = alpha_theta(F(1, 2), backend)
+    z = F(0)
+    alpha = (
+        (z, F(1), z, z),
+        (F(-1), z, z, z),
+        (z, z, block[0][0], block[0][1]),
+        (z, z, block[1][0], block[1][1]),
+    )
+    _assert_matches_dense(GlContext(4, alpha, backend))
+
+
+@settings(max_examples=25, deadline=None)
+@given(rationals(5, 12))
+def test_closed_form_gl2_matches_dense_at_random_theta(theta):
+    alpha, backend = alpha_theta(theta)
+    _assert_matches_dense(GlContext(2, alpha, backend))
 
 
 def _direct_cyclic_residual(A, B, C, alpha):
