@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import BackendMismatchError
 from .scalars import QuadExt
@@ -82,21 +82,24 @@ class Kernel:
 
     Antisymmetry of ``bracket`` is assumed; :class:`skewhom.algebra.HomAlgebra`
     validates it exactly on construction.  Mixed discriminants raise
-    :class:`BackendMismatchError`.
+    :class:`BackendMismatchError`; ``extra`` scalars (a representation's,
+    say) take part in that test and can supply the discriminant of a
+    rational algebra.
     """
 
-    def __init__(self, dim: int, bracket: tuple, twist: tuple) -> None:
+    def __init__(self, dim: int, bracket: tuple, twist: tuple, extra: Iterable = ()) -> None:
         self.dim = n = dim
         upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
         self.d = _discriminant(
             itertools.chain(
                 (x for i, j in upper for x in bracket[i][j]),
                 (x for row in twist for x in row),
+                extra,
             )
         )
         self.dd = self.d.denominator if self.d is not None else 1
         self.rr = self.d.numerator * self.d.denominator if self.d is not None else 0
-        pairs, _ = self.pairs(x for i, j in upper for x in bracket[i][j])
+        pairs, self.scale = self.pairs(x for i, j in upper for x in bracket[i][j])
         self.rows: List[Dict[int, Sparse]] = [{} for _ in range(n)]
         for idx, (i, j) in enumerate(upper):
             value = {k: pairs[idx * n + k] for k in range(n) if pairs[idx * n + k] is not None}
@@ -127,6 +130,10 @@ class Kernel:
     def bracket(self, i: int, j: int) -> Sparse:
         """``[e_i, e_j]`` for ``i < j`` (empty when it is zero)."""
         return self.rows[i].get(j, {})
+
+    def _mul(self, x: Pair, y: Pair) -> Pair:
+        (a, b), (c, e) = x, y
+        return a * c + b * e * self.rr, a * e + b * c
 
     def _add(self, acc: Sparse, coeff: Pair, v: Sparse, factor: int) -> None:
         """``acc += factor * coeff * v`` in the ring with ``R*R = rr``."""
@@ -216,3 +223,103 @@ class Kernel:
             if not candidates:
                 return candidates, (i, j)
         return candidates, None
+
+
+class Coboundary:
+    """The matrix of ``D^s_k : C^k -> C^{k+1}`` as sparse integer-pair columns.
+
+    Column ``K_index * m + b`` is the image of the basis cochain with value
+    ``e_b`` at ``K = sources[K_index]``; row ``u_index * m + a`` is component
+    ``a`` at ``u = targets[u_index]``.  Both index lists are the increasing
+    tuples in ``itertools.combinations`` order, which is sorted order.  With
+    0-based positions, ``beta[K; v]`` the twist's minor with rows ``K`` and
+    columns ``v``, and ``M_t`` the entries of ``conj[t]``, the entries are
+
+        D[(u,a),(K,b)] = sum_i (-1)^i M_{u_i}[a][b] det beta[K; u - u_i]
+                       + [a = b] sum_{i<j} (-1)^(i+j)
+                             det [ [e_{u_i}, e_{u_j}]|_K | beta[K; u - {u_i, u_j}] ]
+
+    since a basis cochain evaluates at ``(y_1, ..., y_k)`` to the determinant
+    of the rows ``K`` of those vectors times ``e_b``.  ``conj`` is scaled by
+    ``L_M``, the bracket by ``L_C`` and the twist by ``L_t``; the first sum is
+    multiplied by ``L_C`` and the second by ``L_M * L_t``, so every entry is
+    ``scale = L_C * L_M * L_t**k`` times its true value.
+    """
+
+    def __init__(self, kernel: Kernel, k: int, m: int, conj: List) -> None:
+        n = kernel.dim
+        self.kernel, self.m = kernel, m
+        self.sources = list(itertools.combinations(range(n), k))
+        self.targets = list(itertools.combinations(range(n), k + 1))
+        values, conj_scale = kernel.pairs(x for mt in conj for row in mt for x in row)
+        blocks: List[Dict[Tuple[int, int], Pair]] = [
+            {
+                (a, b): values[(t * m + a) * m + b]
+                for a in range(m)
+                for b in range(m)
+                if values[(t * m + a) * m + b] is not None
+            }
+            for t in range(n)
+        ]
+        t_scale = kernel.twist.scale
+        self.scale = kernel.scale * conj_scale * t_scale**k
+        minors: Dict[Tuple[tuple, tuple], Pair] = {}
+
+        def minor(rows: tuple, cols: tuple) -> Pair:
+            """``det beta[rows; cols]`` times ``L_t**len(rows)``, by its first column."""
+            if not rows:
+                return (1, 0)
+            got = minors.get((rows, cols))
+            if got is None:
+                x = y = 0
+                column = kernel.twist.cols[cols[0]]
+                for r, row in enumerate(rows):
+                    if row in column:
+                        a, b = kernel._mul(column[row], minor(rows[:r] + rows[r + 1 :], cols[1:]))
+                        x, y = (x + a, y + b) if r % 2 == 0 else (x - a, y - b)
+                got = minors[(rows, cols)] = (x, y)
+            return got
+
+        self.cols: List[Sparse] = [{} for _ in range(len(self.sources) * m)]
+        for kk, K in enumerate(self.sources):
+            for uu, u in enumerate(self.targets):
+                entries: Dict[Tuple[int, int], Pair] = {}
+                for i, t in enumerate(u):
+                    det = minor(K, u[:i] + u[i + 1 :])
+                    if blocks[t] and det != _ZERO:
+                        factor = kernel.scale if i % 2 == 0 else -kernel.scale
+                        c, e = det[0] * factor, det[1] * factor
+                        for ab, value in blocks[t].items():
+                            a, b = kernel._mul(value, (c, e))
+                            x, y = entries.get(ab, _ZERO)
+                            entries[ab] = (x + a, y + b)
+                x = y = 0
+                for i, j in itertools.combinations(range(k + 1), 2):
+                    head = kernel.bracket(u[i], u[j])
+                    rest = tuple(u[p] for p in range(k + 1) if p not in (i, j))
+                    for r, row in enumerate(K):
+                        if row in head:
+                            a, b = kernel._mul(head[row], minor(K[:r] + K[r + 1 :], rest))
+                            x, y = (x + a, y + b) if (i + j + r) % 2 == 0 else (x - a, y - b)
+                if x or y:
+                    x, y = x * conj_scale * t_scale, y * conj_scale * t_scale
+                    for a in range(m):
+                        c, e = entries.get((a, a), _ZERO)
+                        entries[(a, a)] = (c + x, e + y)
+                for (a, b), value in entries.items():
+                    if value != _ZERO:
+                        self.cols[kk * m + b][uu * m + a] = value
+
+    def squared_failures(self, after: "Coboundary") -> Iterator[Tuple[tuple, int, tuple]]:
+        """``(key, axis, out_key)`` for every nonzero column of ``after . self``.
+
+        Columns come in basis-cochain order, and ``out_key`` is the first
+        target of ``after`` with a nonzero entry in that column.  Both scales
+        are positive, so they do not change which entries are zero.
+        """
+        m = self.m
+        for c, column in enumerate(self.cols):
+            image = self.kernel._combine({}, column, after.cols, 1)
+            rows = [r for r, (a, b) in image.items() if a or b]
+            if rows:
+                yield self.sources[c // m], c % m, after.targets[min(rows) // m]

@@ -20,15 +20,19 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
 
+from . import algebra
+from ._kernel import Coboundary, Kernel
 from .algebra import CheckReport, HomAlgebra, Witness, bracket_eval
 from .errors import DimensionError, FileFormatError
 from .linalg import (
     Vec,
     basis_vec,
+    mat_mul,
     mat_pow,
     mat_vec,
     vec,
@@ -36,10 +40,24 @@ from .linalg import (
     vec_is_zero,
     vec_scale,
     vec_sub,
+    zero_mat,
     zero_vec,
 )
 from .representation import Representation, rho_eval
-from .scalars import format_scalar, parse_scalar
+from .scalars import QuadExt, format_scalar, parse_scalar
+
+# Largest C(n, k) * m a degree-k cochain on n generators with values in
+# dimension m may have.  A cochain holds one value vector per increasing
+# k-tuple, so a larger degree is refused before anything is allocated.
+MAX_COCHAIN_ENTRIES = 1 << 16
+
+
+def _check_size(n: int, k: int, m: int) -> None:
+    if k >= 0 and math.comb(n, k) * m > MAX_COCHAIN_ENTRIES:
+        raise ValueError(
+            f"degree-{k} cochains on {n} generators with values in dimension {m} "
+            f"have {math.comb(n, k) * m} entries, over the limit of {MAX_COCHAIN_ENTRIES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -70,6 +88,7 @@ class Cochain:
 
 def cochain(k: int, n: int, m: int, entries: Optional[dict] = None) -> Cochain:
     """Build a cochain; index tuples absent from ``entries`` get zero."""
+    _check_size(n, k, m)
     table = {key: zero_vec(m) for key in itertools.combinations(range(n), k)}
     for key, value in (entries or {}).items():
         key = tuple(int(i) for i in key)
@@ -182,6 +201,29 @@ def coboundary(eta: Cochain, rep: Representation, s: int) -> Cochain:
     return Cochain(k + 1, n, eta.m, table)
 
 
+def _operator(g: HomAlgebra, rep: Representation, k: int, s: int) -> Coboundary:
+    """The matrix of ``d^s`` on degree-k cochains, for an exact backend.
+
+    ``M_t = phi^(k+1+s) rho(e_t) phi^(-(k+2+s))`` is formed once per basis
+    index; the entries are in :class:`skewhom._kernel.Coboundary`.
+    """
+    if s < 0:
+        raise ValueError("the operator family is indexed by s >= 0")
+    for degree in (k, k + 1):
+        _check_size(g.dim, degree, rep.m)
+    zero = zero_mat(rep.m, rep.m)
+    conj = [zero] * g.dim
+    if any(x != 0 for r in rep.rho for row in r for x in row):
+        pre = mat_pow(rep.phi, k + 1 + s, g.backend)
+        post = mat_pow(rep.phi, -(k + 2 + s), g.backend)
+        conj = [zero if r == zero else mat_mul(mat_mul(pre, r), post) for r in rep.rho]
+    kernel = g.kernel
+    values = [x for mt in conj for row in mt for x in row]
+    if kernel.d is None and any(isinstance(x, QuadExt) and x for x in values):
+        kernel = Kernel(g.dim, g.bracket, g.twist, values)
+    return Coboundary(kernel, k, rep.m, conj)
+
+
 def check_d_squared(
     g: HomAlgebra,
     rep: Representation,
@@ -192,26 +234,65 @@ def check_d_squared(
     """Verify d^s(d^s(eta)) = 0 exactly on every degree-k basis cochain.
 
     Linearity of the operator extends the verdict to all degree-k cochains.
-    The witness names the basis cochain (key, axis), the output tuple, and
-    the residual vector.  Given a list as ``residuals``, the scan goes on
+    The witness names the first failing basis cochain (key, axis), in
+    ``basis_cochains`` order, the first output tuple in sorted order where
+    its residual is not zero, and that residual vector, computed with
+    :func:`coboundary`.  Given a list as ``residuals``, the scan goes on
     past the first failure and appends ``(key, axis, nonzero)`` for every
     basis cochain, ``nonzero`` mapping each output tuple whose residual is
     not zero to that residual, in sorted order; the report is the same.
+
+    Exact backends decide this on the matrices of ``D_k = d^s`` on degree k
+    and ``D_{k+1}``, built once each: the check fails exactly where a column
+    of the product ``D_{k+1} D_k`` is not zero.  With 0-based positions,
+    ``u = (u_0 < ... < u_k)``, ``beta[K; v]`` the k x k minor of the twist
+    with rows K and columns v, and
+    ``M_t = phi^(k+1+s) rho(e_t) phi^(-(k+2+s))``,
+
+        D_k[(u,a),(K,b)] = sum_i (-1)^i M_{u_i}[a][b] det beta[K; u - u_i]
+                         + [a = b] sum_{i<j} (-1)^(i+j)
+                               det [ [e_{u_i}, e_{u_j}]|_K | beta[K; u - {u_i, u_j}] ].
+
+    Dense :func:`coboundary` then runs only for the failing basis cochains,
+    to report their residuals; without ``residuals`` it runs once, for the
+    witness, and :func:`coboundary_at` gives the residual at its one output
+    tuple.  The float backend applies :func:`coboundary` twice to every
+    basis cochain.  For ``k + 2 > n`` the target degree is empty, so the
+    check passes for any rho.  Cochains over ``MAX_COCHAIN_ENTRIES`` raise
+    ``ValueError`` before anything is built.
     """
     if rep.g != g:
         rep = replace(rep, g=g)
+    n, m = g.dim, rep.m
+    for degree in (k, k + 1, k + 2):
+        _check_size(n, degree, m)
+    note = f"k={k} s={s}"
+    failing = None
+    if algebra._sparse(g):
+        failures = _operator(g, rep, k, s).squared_failures(_operator(g, rep, k + 1, s))
+        if residuals is None:
+            first = next(failures, None)
+            if first is None:
+                return CheckReport(True)
+            key, axis, out_key = first
+            eta = cochain(k, n, m, {key: basis_vec(m, axis)})
+            at = [basis_vec(n, t) for t in out_key]
+            value = coboundary_at(coboundary(eta, rep, s), rep, s, at)
+            return CheckReport(False, Witness(first, value, note=note))
+        failing = {(key, axis) for key, axis, _ in failures}
     witness = None
-    for key, axis, eta in basis_cochains(g.dim, rep.m, k):
-        twice = coboundary(coboundary(eta, rep, s), rep, s)
+    for key, axis, eta in basis_cochains(n, m, k):
         nonzero = {}
-        for out_key in sorted(twice.table):
-            value = twice.table[out_key]
-            if not vec_is_zero(value, g.backend):
-                if witness is None:
-                    witness = Witness((key, axis, out_key), value, note=f"k={k} s={s}")
-                if residuals is None:
-                    return CheckReport(False, witness)
-                nonzero[out_key] = value
+        if failing is None or (key, axis) in failing:
+            twice = coboundary(coboundary(eta, rep, s), rep, s)
+            for out_key in sorted(twice.table):
+                if not vec_is_zero(twice.table[out_key], g.backend):
+                    nonzero[out_key] = twice.table[out_key]
+        if nonzero and witness is None:
+            out_key = next(iter(nonzero))
+            witness = Witness((key, axis, out_key), nonzero[out_key], note=note)
+            if residuals is None:
+                return CheckReport(False, witness)
         if residuals is not None:
             residuals.append((key, axis, nonzero))
     return CheckReport(witness is None, witness)
@@ -242,6 +323,10 @@ def cochain_from_dict(obj: dict, n: int, m: int, backend) -> Cochain:
         raise FileFormatError(f"bad degree: {exc}", location="k") from exc
     if not 0 <= k <= n:
         raise FileFormatError(f"degree {k} is outside 0..{n}", location="k")
+    try:
+        _check_size(n, k, m)
+    except ValueError as exc:
+        raise FileFormatError(str(exc), location="k") from exc
     entries = {}
     for idx, entry in enumerate(obj.get("entries", [])):
         where = f"entries[{idx}]"

@@ -20,7 +20,9 @@ from pathlib import Path
 from random import Random
 from typing import Optional, Tuple, Union
 
+from . import algebra
 from .algebra import (
+    MAX_DIM,
     CheckReport,
     HomAlgebra,
     Witness,
@@ -92,7 +94,19 @@ def rho_eval(rep: Representation, x: Vec) -> Mat:
 
 
 def check_representation(rep: Representation) -> CheckReport:
-    """Verify both defining equations on all basis vectors and pairs."""
+    """Verify both defining equations on all basis vectors and pairs.
+
+    The witness is the first failing basis vector of the compatibility
+    equation, else the first failing ordered pair of the bracket equation.
+    Exact backends scan only the pairs i < j there: the residual
+    ``rho([e_i,e_j]) phi - rho(beta e_i) rho(e_j) + rho(beta e_j) rho(e_i)``
+    changes sign when i and j are swapped, because the bracket is
+    antisymmetric and the other two terms trade places, and it vanishes for
+    i = j.  So a failing ordered pair has i != j, its swap fails too, and
+    ``(j, i)`` comes after ``(i, j)`` in lexicographic order for i < j: the
+    first failing ordered pair is the first failing i < j pair.  The float
+    backend scans all ordered pairs, since its zero test has a tolerance.
+    """
     g, phi = rep.g, rep.phi
     backend = g.backend
     rho_beta = [rho_eval(rep, g.twist_col(i)) for i in range(g.dim)]
@@ -100,7 +114,11 @@ def check_representation(rep: Representation) -> CheckReport:
         res = mat_add(mat_mul(rho_beta[i], phi), mat_mul(phi, rep.rho[i]))
         if not mat_is_zero(res, backend):
             return CheckReport(False, Witness(("compat", i), res))
-    for i, j in itertools.product(range(g.dim), repeat=2):
+    if algebra._sparse(g):
+        pairs = itertools.combinations(range(g.dim), 2)
+    else:
+        pairs = itertools.product(range(g.dim), repeat=2)
+    for i, j in pairs:
         lhs = mat_mul(rho_eval(rep, g.bracket[i][j]), phi)
         rhs = mat_sub(
             mat_mul(rho_beta[i], rep.rho[j]), mat_mul(rho_beta[j], rep.rho[i])
@@ -216,6 +234,8 @@ def representation_from_dict(obj: dict, g: Optional[HomAlgebra] = None) -> Repre
         phi = mat(tuple(parse_scalar(x, backend) for x in row) for row in obj["phi"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad representation: {exc}", location="rho/phi") from exc
+    if m > MAX_DIM:
+        raise FileFormatError(f"dimension {m} exceeds the limit of {MAX_DIM}", location="m")
     try:
         return Representation(g, m, rho, phi)
     except (DimensionError, PreconditionError) as exc:

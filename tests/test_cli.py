@@ -144,6 +144,25 @@ def test_cohomology_negative_degree_is_usage_error(capsys):
     assert capsys.readouterr().err == "error: --k must be non-negative\n"
 
 
+def test_cohomology_refuses_oversized_cochains(tmp_path, capsys):
+    from skewhom.scalars import rational_backend
+
+    n = 20
+    g = HomAlgebra.from_pairs(n, {}, identity(n), rational_backend())
+    path = tmp_path / "big.json"
+    save_algebra(g, path)
+    # C(20, 10) * 20 = 3,695,120 entries, over the limit of 65,536
+    assert main(["cohomology", str(path), "--k", "10", "--s", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: degree-10 cochains on 20 generators")
+    eta = tmp_path / "eta.json"
+    eta.write_text(json.dumps({"k": 10, "entries": []}))
+    assert main(["cohomology", str(path), "--cochain", str(eta), "--k", "0", "--s", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "over the limit of 65536" in err and err.endswith("(k)\n")
+
+
 def test_cohomology_bad_cochain_degree_is_located(tmp_path, capsys):
     path = tmp_path / "eta.json"
     path.write_text(json.dumps({"k": -1, "entries": []}))
@@ -164,26 +183,7 @@ def test_cohomology_scans_once_and_keeps_its_report(tmp_path, capsys, monkeypatc
     table[0][1] = table[0][1][:1] + (table[0][1][1] + 1,) + table[0][1][2:]
     table[1][0] = tuple(-x for x in table[0][1])
     mutated = HomAlgebra(4, tuple(map(tuple, table)), g.twist, g.backend)
-    path = tmp_path / "mut.json"
-    save_algebra(mutated, path)
-    rep = zero_representation(mutated, 4, identity(4))
     k, s = 1, 0
-    # the check row and the residual table as built from two separate scans
-    report = check_d_squared(mutated, rep, k, s)
-    assert not report.passed
-    table_text = f"squared-coboundary residual table (k={k}, s={s}):\n"
-    for key, axis, eta in basis_cochains(4, 4, k):
-        twice = coboundary(coboundary(eta, rep, s), rep, s)
-        nonzero = {
-            out_key: value
-            for out_key, value in sorted(twice.table.items())
-            if not vec_is_zero(value, g.backend)
-        }
-        table_text += f"  basis cochain {key} axis {axis}: {nonzero or 0}\n"
-    want = SuiteReport((
-        CheckResult(f"{path}: coboundary nilpotency k={k} s={s}", False,
-                    _witness_str(report.witness)),
-    ))
 
     calls = []
     original = cohomology.coboundary
@@ -192,18 +192,44 @@ def test_cohomology_scans_once_and_keeps_its_report(tmp_path, capsys, monkeypatc
         calls.append(eta.k)
         return original(eta, rep, s)
 
-    monkeypatch.setattr(cohomology, "coboundary", counted)
-    for fmt in ("text", "json"):
-        argv = ["cohomology", str(path), "--k", str(k), "--s", str(s), "--format", fmt]
-        calls.clear()
-        assert main(argv) == 1
-        assert capsys.readouterr().out == table_text + want.render(fmt)
-        # d on each of the 16 basis cochains and on its image, once
-        assert calls == [k, k + 1] * 16
-        out_path = tmp_path / f"report.{fmt}"
-        assert main(argv + ["--output", str(out_path)]) == 1
-        assert capsys.readouterr().out == table_text
-        assert out_path.read_text() == want.render(fmt)
+    for name, alg, code in (("mut.json", mutated, 1), ("pass.json", g, 0)):
+        path = tmp_path / name
+        save_algebra(alg, path)
+        rep = zero_representation(alg, 4, identity(4))
+        # the check row and the residual table as built from two separate scans
+        report = check_d_squared(alg, rep, k, s)
+        assert report.passed == (code == 0)
+        table_text = f"squared-coboundary residual table (k={k}, s={s}):\n"
+        failing = 0
+        for key, axis, eta in basis_cochains(4, 4, k):
+            twice = coboundary(coboundary(eta, rep, s), rep, s)
+            nonzero = {
+                out_key: value
+                for out_key, value in sorted(twice.table.items())
+                if not vec_is_zero(value, g.backend)
+            }
+            failing += bool(nonzero)
+            table_text += f"  basis cochain {key} axis {axis}: {nonzero or 0}\n"
+        want = SuiteReport((
+            CheckResult(f"{path}: coboundary nilpotency k={k} s={s}", report.passed,
+                        _witness_str(report.witness)),
+        ))
+        assert (failing > 0) == (code == 1)
+
+        monkeypatch.setattr(cohomology, "coboundary", counted)
+        for fmt in ("text", "json"):
+            argv = ["cohomology", str(path), "--k", str(k), "--s", str(s), "--format", fmt]
+            calls.clear()
+            assert main(argv) == code
+            assert capsys.readouterr().out == table_text + want.render(fmt)
+            # dense d runs on a basis cochain and on its image only where the
+            # column of the operator product is not zero
+            assert calls == [k, k + 1] * failing
+            out_path = tmp_path / f"report.{fmt}"
+            assert main(argv + ["--output", str(out_path)]) == code
+            assert capsys.readouterr().out == table_text
+            assert out_path.read_text() == want.render(fmt)
+        monkeypatch.setattr(cohomology, "coboundary", original)
 
 
 def test_cohomology_records_a_raising_scan(capsys, monkeypatch):

@@ -1,0 +1,205 @@
+"""The matrices of the coboundary operator against the dense reference.
+
+For exact backends ``check_d_squared`` builds the matrices of d^s on degrees
+k and k+1 once each and decides nilpotency from their product; with
+``algebra._sparse`` turned off it applies the dense ``coboundary`` twice to
+every basis cochain.  Every column of an operator must be the dense image of
+its basis cochain, and both paths must give the same verdict, witness and
+residual table.
+"""
+
+from dataclasses import replace
+from fractions import Fraction as F
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from skewhom import algebra
+from skewhom.algebra import HomAlgebra
+from skewhom.cohomology import _operator, basis_cochains, check_d_squared, coboundary
+from skewhom.constructions import alpha_block
+from skewhom.errors import BackendMismatchError
+from skewhom.linalg import identity, mat, zero_mat
+from skewhom.representation import Representation, zero_representation
+from skewhom.scalars import QuadExt, rational_backend
+
+from test_kernel import FAMILIES as KERNEL_FAMILIES, HALF, mutated
+
+# theta = 0 computes over Q, theta = 1/2 over Q(sqrt 5), and at theta = 3/4
+# s = 5/4 is rational, so that backend computes in rationals too.
+FAMILIES = {key: g for key, g in KERNEL_FAMILIES.items() if key[1] in (F(0), F(1, 2), F(3, 4))}
+
+
+def adjoint(g):
+    """rho(x) = [x, .] with phi = beta; column c of rho(e_i) is [e_i, e_c]."""
+    n = g.dim
+    rho = tuple(
+        tuple(tuple(g.bracket[i][c][r] for c in range(n)) for r in range(n)) for i in range(n)
+    )
+    return Representation(g, n, rho, g.twist)
+
+
+def corrupt(rep):
+    """The same representation with one entry of rho(e_last) raised by 1."""
+    rho = [list(map(list, r)) for r in rep.rho]
+    rho[-1][0][-1] = rho[-1][0][-1] + 1
+    return Representation(rep.g, rep.m, tuple(mat(r) for r in rho), rep.phi)
+
+
+def representation(g, kind, theta):
+    if kind == "zero":
+        return zero_representation(g, 4, alpha_block(4, theta, g.backend)[0])
+    rep = adjoint(g)
+    return corrupt(rep) if kind == "corrupt" else rep
+
+
+def as_pair(x, scale, dd):
+    """The integer pair the operator stores for the scalar ``x`` at ``scale``."""
+    if isinstance(x, QuadExt):
+        return x.a * scale, x.b * scale / dd
+    return F(x) * scale, F(0)
+
+
+def assert_columns_match(g, rep, k, s):
+    op = _operator(g, rep, k, s)
+    m = rep.m
+    for c, (key, axis, eta) in enumerate(basis_cochains(g.dim, m, k)):
+        assert (op.sources[c // m], c % m) == (key, axis)
+        image = coboundary(eta, rep, s)
+        assert sorted(image.table) == op.targets
+        want = {}
+        for uu, u in enumerate(op.targets):
+            for a, x in enumerate(image.table[u]):
+                if x != 0:
+                    want[uu * m + a] = as_pair(x, op.scale, op.kernel.dd)
+        assert op.cols[c] == want
+
+
+def outcome(g, rep, k, s, table=None):
+    """Verdict and witness of ``check_d_squared``, comparably."""
+    report = check_d_squared(g, rep, k, s, table)
+    w = report.witness
+    return report.passed, None if w is None else (w.at, repr(w.residual), w.note)
+
+
+def both_outcomes(g, rep, k, s):
+    """Sparse without and with a residual table, then dense with one."""
+    sparse_table, dense_table = [], []
+    sparse = outcome(g, rep, k, s)
+    assert outcome(g, rep, k, s, sparse_table) == sparse
+    with mock.patch.object(algebra, "_sparse", lambda g: False):
+        dense = outcome(g, rep, k, s, dense_table)
+    return (sparse, repr(sparse_table)), (dense, repr(dense_table))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.sampled_from(sorted(FAMILIES, key=str)),
+    st.sampled_from(("zero", "adjoint", "corrupt")),
+    st.one_of(
+        st.none(),
+        st.tuples(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda p: p[0] < p[1]),
+            st.integers(0, 3),
+            st.sampled_from((-1, 1, F(1, 2))),
+        ),
+    ),
+    st.integers(0, 3),
+    st.integers(0, 2),
+)
+def test_operator_matches_dense_coboundary(family, kind, mutation, k, s):
+    g = FAMILIES[family]
+    rep = representation(g, kind, family[1])
+    if mutation is not None:
+        (i, j), axis, delta = mutation
+        g = mutated(g, i, j, axis, delta)
+        rep = replace(rep, g=g)
+    assert_columns_match(g, rep, k, s)
+    assert_columns_match(g, rep, k + 1, s)
+    sparse, dense = both_outcomes(g, rep, k, s)
+    assert sparse == dense
+
+
+@st.composite
+def random_cases(draw):
+    """A random small table, twist and representation over Q or Q(sqrt 5)."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(1, 3))
+    backend = draw(st.sampled_from((rational_backend(), HALF)))
+    small = (F(0), F(0), F(0), F(1), F(-1), F(2), F(1, 2))
+    if backend is HALF:
+        small += (QuadExt(0, 1, HALF.d), QuadExt(1, F(-1, 2), HALF.d))
+    entry = st.sampled_from(small)
+    pairs = {
+        (i, j): tuple(draw(entry) for _ in range(n))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if draw(st.booleans())
+    }
+    twist = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
+    g = HomAlgebra.from_pairs(n, pairs, twist, backend)
+    rho = tuple(tuple(tuple(draw(entry) for _ in range(m)) for _ in range(m)) for _ in range(n))
+    scale = draw(st.sampled_from((F(1), F(2), F(-1, 3))))
+    phi = tuple(
+        tuple(scale if r == c else (F(1) if c == r + 1 and r % 2 == 0 else F(0)) for c in range(m))
+        for r in range(m)
+    )
+    return Representation(g, m, rho, phi), draw(st.integers(0, n)), draw(st.integers(0, 2))
+
+
+@settings(max_examples=50, deadline=None)
+@given(random_cases())
+def test_operator_matches_dense_on_random_tables(case):
+    rep, k, s = case
+    assert_columns_match(rep.g, rep, k, s)
+    sparse, dense = both_outcomes(rep.g, rep, k, s)
+    assert sparse == dense
+
+
+def test_mixed_discriminants_raise():
+    g = FAMILIES[("se4", F(1, 2))]
+    rep = adjoint(g)
+    other = QuadExt(0, 1, F(2))
+    rho = tuple(mat(r) for r in rep.rho[:-1]) + (
+        tuple(tuple(other if (r, c) == (0, 3) else x for c, x in enumerate(row))
+              for r, row in enumerate(rep.rho[-1])),
+    )
+    broken = Representation(g, 4, rho, rep.phi)
+    for k in (0, 1):
+        with pytest.raises(BackendMismatchError, match="mixed discriminants"):
+            check_d_squared(g, broken, k, 0)
+        with mock.patch.object(algebra, "_sparse", lambda g: False):
+            with pytest.raises(BackendMismatchError, match="mixed discriminants"):
+                check_d_squared(g, broken, k, 0)
+
+
+def test_rational_algebra_takes_a_quadratic_representation():
+    g = FAMILIES[("se4", F(0))]
+    phi = alpha_block(4, F(1, 2))[0]
+    x = QuadExt(1, 1, F(5, 4))
+    rho = (mat([[x, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]),) + (zero_mat(4, 4),) * 3
+    rep = Representation(g, 4, rho, phi)
+    for k in (0, 1):
+        sparse, dense = both_outcomes(g, rep, k, 1)
+        assert sparse == dense
+    assert_columns_match(g, rep, 1, 1)
+
+
+def test_vacuous_degree_passes_for_any_rho():
+    # on 4 generators d^s d^s from degree 3 lands in degree 5, which is empty
+    g = FAMILIES[("gl2", F(0))]
+    rep = corrupt(adjoint(g))
+    assert not check_d_squared(g, rep, 1, 0).passed
+    assert check_d_squared(g, rep, 3, 0).passed
+    assert _operator(g, rep, 4, 0).cols == [{} for _ in range(4)]
+
+
+def test_identity_phi_and_zero_rho_give_the_bracket_part_only():
+    g = FAMILIES[("se4", F(1, 2))]
+    rep = zero_representation(g, 4, identity(4))
+    op = _operator(g, rep, 1, 0)
+    # column (e_0, axis b): only rows (u, b) can be nonzero
+    for c, column in enumerate(op.cols):
+        assert all(r % 4 == c % 4 for r in column)
+    assert_columns_match(g, rep, 1, 0)

@@ -137,7 +137,7 @@ def test_degree_overflow_returns_empty_cochain():
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("s", [0, 1, 2])
-def test_d_squared_vanishes_zero_action(k, s):
+def test_d_squared_vanishes_zero_action(k, s, both_paths):
     for g, phi in (
         (SE4_ONE, alpha_block(4, 1, SE4_ONE.backend)[0]),
         (SE4_ONE, identity(4)),
@@ -145,19 +145,19 @@ def test_d_squared_vanishes_zero_action(k, s):
         (GL2, alpha_block(4, 0, GL2.backend)[0]),
     ):
         rep = zero_representation(g, 4, phi)
-        assert check_d_squared(g, rep, k, s).passed
+        assert all(r.passed for r in both_paths(check_d_squared, g, rep, k, s))
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("s", [0, 1, 2])
-def test_d_squared_vanishes_nonzero_action(k, s):
+def test_d_squared_vanishes_nonzero_action(k, s, both_paths):
     x = mat([[1, 0], [0, -1]])
     phi = mat([[0, 1], [-1, 0]])
     rep = Representation(SE4_ZERO, 2, (x, x, x, mat_neg(x)), phi)
-    assert check_d_squared(SE4_ZERO, rep, k, s).passed
+    assert all(r.passed for r in both_paths(check_d_squared, SE4_ZERO, rep, k, s))
 
 
-def test_d_squared_detects_broken_bracket():
+def test_d_squared_detects_broken_bracket(both_paths):
     table = [list(row) for row in SE4_ONE.bracket]
     value = list(table[0][1])
     value[1] = value[1] + 1
@@ -165,9 +165,13 @@ def test_d_squared_detects_broken_bracket():
     table[1][0] = vec_neg(tuple(value))
     broken = HomAlgebra(4, tuple(tuple(r) for r in table), SE4_ONE.twist, SE4_ONE.backend)
     rep = zero_representation(broken, 4, identity(4))
-    report = check_d_squared(broken, rep, 1, 0)
-    assert not report.passed
-    assert report.witness is not None
+    sparse, dense = both_paths(check_d_squared, broken, rep, 1, 0)
+    assert not sparse.passed
+    assert sparse.witness is not None
+    assert (sparse.witness.at, repr(sparse.witness.residual)) == (
+        dense.witness.at,
+        repr(dense.witness.residual),
+    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -256,3 +260,43 @@ def test_cochain_loader_rejects_degree_out_of_range(k):
 def test_cochain_loader_accepts_top_and_bottom_degree():
     assert cochain_from_dict({"k": 0, "entries": []}, 4, 4, SE4_ZERO.backend).k == 0
     assert cochain_from_dict({"k": 4, "entries": []}, 4, 4, SE4_ZERO.backend).k == 4
+
+
+def _large_algebra(n):
+    from skewhom.scalars import rational_backend
+
+    return HomAlgebra.from_pairs(n, {(0, 1): basis_vec(n, 2)}, identity(n), rational_backend())
+
+
+def test_cochain_size_is_refused_before_allocating():
+    import tracemalloc
+
+    from skewhom.cohomology import MAX_COCHAIN_ENTRIES
+
+    # C(20, 10) * 20 = 3,695,120 entries
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"limit of {MAX_COCHAIN_ENTRIES}"):
+            cochain(10, 20, 20)
+        with pytest.raises(FileFormatError, match="3695120 entries") as info:
+            cochain_from_dict({"k": 10, "entries": []}, 20, 20, SE4_ZERO.backend)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.location == "k"
+    assert peak < 1 << 20
+    # at the limit itself a cochain is built
+    assert len(cochain(1, 1 << 10, 1 << 6).table) == 1 << 10
+
+
+def test_d_squared_refuses_an_oversized_degree_before_building():
+    from skewhom.cohomology import _operator
+
+    g = _large_algebra(20)
+    rep = zero_representation(g, 20, identity(20))
+    # C(20, 3) * 20 = 22,800 entries are allowed, C(20, 4) * 20 = 96,900 are not
+    with pytest.raises(ValueError, match="degree-4 cochains"):
+        _operator(g, rep, 3, 0)
+    with pytest.raises(ValueError, match="degree-4 cochains"):
+        check_d_squared(g, rep, 2, 0)
+    assert check_d_squared(g, rep, 0, 0).passed

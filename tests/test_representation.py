@@ -1,10 +1,13 @@
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from skewhom.constructions import build_semi_euclidean
-from skewhom.errors import PreconditionError
+from skewhom import algebra, representation
+from skewhom.algebra import MAX_DIM
+from skewhom.constructions import GlContext, alpha_block, build_gl_alpha, build_semi_euclidean
+from skewhom.errors import FileFormatError, PreconditionError
 from skewhom.linalg import (
     basis_vec,
     det,
@@ -20,6 +23,7 @@ from skewhom.representation import (
     Representation,
     check_representation,
     load_representation,
+    representation_from_dict,
     representation_to_dict,
     rho_eval,
     save_representation,
@@ -29,8 +33,10 @@ from skewhom.representation import (
 )
 from skewhom.algebra import HomAlgebra
 from skewhom.linalg import zero_vec
+from skewhom.scalars import QuadExt, quadratic_backend, rational_backend
 
 from strategies import rationals
+from test_coboundary_operator import adjoint
 
 
 SE4_ZERO, SE4_ZERO_CTX = build_semi_euclidean(0)
@@ -202,3 +208,116 @@ def test_representation_dict_contains_reference():
     doc = representation_to_dict(rep, "se4:theta=0")
     assert doc["algebra"] == "se4:theta=0"
     assert doc["m"] == 2
+
+
+
+def _corrupted(rep, t, r, c, delta):
+    """``rep`` with entry (r, c) of rho(e_t) raised by ``delta``."""
+    rho = [list(map(list, x)) for x in rep.rho]
+    rho[t][r][c] = rho[t][r][c] + delta
+    return Representation(rep.g, rep.m, tuple(mat(x) for x in rho), rep.phi)
+
+
+def _both_scans(rep):
+    """``check_representation`` on the i<j scan and on the ordered scan, comparably."""
+
+    def outcome():
+        report = check_representation(rep)
+        w = report.witness
+        return report.passed, None if w is None else (w.at, repr(w.residual))
+
+    fast = outcome()
+    with mock.patch.object(algebra, "_sparse", lambda g: False):
+        return fast, outcome()
+
+
+PAIR_SCAN_FAMILIES = [
+    (theta, g)
+    for theta in (F(0), F(1, 2), F(3, 4))
+    for g in (build_semi_euclidean(theta)[0],
+              build_gl_alpha(GlContext(2, *alpha_block(2, theta))))
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(range(len(PAIR_SCAN_FAMILIES))),
+    st.sampled_from(("adjoint", "zero", "spin")),
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+                  st.sampled_from((1, -1, F(1, 2)))),
+        max_size=2,
+    ),
+)
+def test_bracket_equation_pair_scan_matches_ordered_scan(index, kind, corruptions):
+    theta, g = PAIR_SCAN_FAMILIES[index]
+    if kind == "adjoint":
+        rep = adjoint(g)
+    elif kind == "zero":
+        rep = zero_representation(g, 4, alpha_block(4, theta, g.backend)[0])
+    else:
+        rep = Representation(g, 2, spin_representation(F(1), F(2)).rho, PHI)
+    for t, r, c, delta in corruptions:
+        rep = _corrupted(rep, t, r % rep.m, c % rep.m, delta)
+    fast, ordered = _both_scans(rep)
+    assert fast == ordered
+
+
+@st.composite
+def compatible_reps(draw):
+    """A random table with a diagonal sign twist and a rho passing compat.
+
+    With the quarter-turn phi, compat asks rho(e_i) to anticommute with phi
+    where beta e_i = e_i and to commute with it where beta e_i = -e_i; the
+    bracket equation is then left to fail anywhere.
+    """
+    backend = draw(st.sampled_from((rational_backend(), quadratic_backend(F(1, 2)))))
+    small = [F(0), F(0), F(1), F(-1), F(2), F(1, 3)]
+    if backend.kind == "quadratic":
+        small += [QuadExt(0, 1, backend.d), QuadExt(1, -1, backend.d)]
+    entry = st.sampled_from(small)
+    n = draw(st.integers(2, 4))
+    pairs = {
+        (i, j): tuple(draw(entry) for _ in range(n))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if draw(st.booleans())
+    }
+    signs = [draw(st.sampled_from((1, -1))) for _ in range(n)]
+    twist = tuple(tuple(F(signs[r]) if r == c else F(0) for c in range(n)) for r in range(n))
+    g = HomAlgebra.from_pairs(n, pairs, twist, backend)
+    rho = []
+    for sign in signs:
+        p, q = draw(entry), draw(entry)
+        rho.append(anticommuting(p, q) if sign == 1 else mat([[p, q], [-q, p]]))
+    return Representation(g, 2, tuple(rho), PHI)
+
+
+@settings(max_examples=80, deadline=None)
+@given(compatible_reps())
+def test_bracket_equation_pair_scan_matches_ordered_scan_past_compat(rep):
+    fast, ordered = _both_scans(rep)
+    assert fast[1] is None or fast[1][0][0] == "bracket"
+    assert fast == ordered
+
+
+def test_bracket_equation_witness_is_an_increasing_pair():
+    # on the abelian algebra with beta = id and the quarter-turn phi, every
+    # rho(e_i) anticommuting with phi passes compat, and the bracket equation
+    # asks rho(e_0) and rho(e_1) to commute; these two do not
+    g = HomAlgebra.from_pairs(2, {}, identity(2), SE4_ZERO.backend)
+    rep = Representation(g, 2, (anticommuting(F(1), F(0)), anticommuting(F(0), F(1))), PHI)
+    report = check_representation(rep)
+    assert not report.passed and report.witness.at == ("bracket", 0, 1)
+
+
+def test_representation_loader_refuses_a_large_m_before_det(monkeypatch):
+    def no_det(*args, **kwargs):
+        raise AssertionError("det ran on an oversized representation")
+
+    monkeypatch.setattr(representation, "det", no_det)
+    m = MAX_DIM + 1
+    doc = {"algebra": "se4:theta=0", "m": m, "rho": [[["0"] * m] * m] * 4, "phi": [["0"] * m] * m}
+    with pytest.raises(FileFormatError, match=f"limit of {MAX_DIM}") as info:
+        representation_from_dict(doc)
+    assert info.value.location == "m"
