@@ -16,7 +16,6 @@ from .algebra import (
     check_power_sign_law,
     check_twist_sign,
     classify,
-    hom_jacobi_residual,
     load_algebra,
     save_algebra,
 )
@@ -30,7 +29,6 @@ from .cohomology import (
     cochain_eval,
     load_cochain,
     save_cochain,
-    zero_cochain,
 )
 from .constructions import (
     GlContext,
@@ -83,8 +81,6 @@ from .scalars import (
     Rational,
     ScalarBackend,
     float_backend,
-    quad_inv,
-    quad_mul,
     quadratic_backend,
     rational_backend,
     rational_is_square,

@@ -80,31 +80,30 @@ class _Twist:
 class Kernel:
     """The bracket of one exact algebra and its twist as sparse integer pairs.
 
-    Antisymmetry of ``bracket`` is assumed; :class:`skewhom.algebra.HomAlgebra`
-    validates it exactly on construction.  Mixed discriminants raise
-    :class:`BackendMismatchError`; ``extra`` scalars (a representation's,
-    say) take part in that test and can supply the discriminant of a
-    rational algebra.
+    ``bracket`` is an algebra's ``{(i, j): [e_i, e_j]}`` table for ``i < j``
+    (:attr:`skewhom.algebra.HomAlgebra.pairs`), so antisymmetry holds by
+    construction.  Mixed discriminants raise :class:`BackendMismatchError`;
+    ``extra`` scalars (a representation's, say) take part in that test and
+    can supply the discriminant of a rational algebra.
     """
 
-    def __init__(self, dim: int, bracket: tuple, twist: tuple, extra: Iterable = ()) -> None:
+    def __init__(self, dim: int, bracket: dict, twist: tuple, extra: Iterable = ()) -> None:
         self.dim = n = dim
-        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
         self.d = _discriminant(
             itertools.chain(
-                (x for i, j in upper for x in bracket[i][j]),
+                (x for value in bracket.values() for x in value),
                 (x for row in twist for x in row),
                 extra,
             )
         )
         self.dd = self.d.denominator if self.d is not None else 1
         self.rr = self.d.numerator * self.d.denominator if self.d is not None else 0
-        pairs, self.scale = self.pairs(x for i, j in upper for x in bracket[i][j])
+        pairs, self.scale = self.pairs(x for value in bracket.values() for x in value)
         self.rows: List[Dict[int, Sparse]] = [{} for _ in range(n)]
-        for idx, (i, j) in enumerate(upper):
-            value = {k: pairs[idx * n + k] for k in range(n) if pairs[idx * n + k] is not None}
-            if value:
-                self.rows[i][j] = value
+        for idx, (i, j) in enumerate(bracket):
+            self.rows[i][j] = {
+                k: pairs[idx * n + k] for k in range(n) if pairs[idx * n + k] is not None
+            }
         self.twist = _Twist(self, twist)
 
     def pairs(self, values: Iterable) -> Tuple[List[Optional[Pair]], int]:

@@ -1,12 +1,13 @@
 """Finite-dimensional algebras with an antisymmetric bracket and a twist map.
 
-The carrier is encoded by structure constants: ``bracket[i][j]`` is the
-vector ``[e_i, e_j]`` in the chosen basis, and ``twist`` is the matrix of the
-linear map that twists the Jacobi identity.  The checkers below decide, with
-an explicit witness on failure, whether a table describes a Lie algebra, a
-Hom-Lie algebra (twist commutes with the bracket), or a skew-Hom-Lie algebra
-(twist anti-commutes: ``beta([x,y]) = -[beta(x), beta(y)]``), and whether the
-twisted Jacobi identity
+The carrier is encoded by structure constants: ``pairs[(i, j)]`` is the
+vector ``[e_i, e_j]`` in the chosen basis for ``i < j``, and ``twist`` is the
+matrix of the linear map that twists the Jacobi identity.  The checkers
+below decide, with an explicit witness on failure, whether a table describes
+a Lie algebra, a Hom-Lie algebra (twist commutes with the bracket), or a
+skew-Hom-Lie algebra (twist anti-commutes:
+``beta([x,y]) = -[beta(x), beta(y)]``), and whether the twisted Jacobi
+identity
 
     [[y,z], beta(x)] + [[z,x], beta(y)] + [[x,y], beta(z)] = 0
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -45,7 +46,7 @@ from .linalg import (
     vec_sub,
     zero_vec,
 )
-from .scalars import ScalarBackend, format_scalar, parse_scalar
+from .scalars import PARSE_ERRORS, ScalarBackend, format_scalar, parse_int, parse_scalar
 
 
 class Verdict(str, Enum):
@@ -96,51 +97,80 @@ class Classification:
 
 @dataclass(frozen=True)
 class HomAlgebra:
-    """Dimension, bracket table, twist matrix, and the scalar backend.
+    """Dimension, bracket pairs, twist matrix, the scalar backend, and a zero vector.
 
-    Antisymmetry (``bracket[i][j] = -bracket[j][i]``, zero diagonal) is
-    validated on construction and therefore holds for every instance.
+    ``pairs`` maps ``(i, j)`` with ``i < j`` to ``[e_i, e_j]`` and holds
+    nonzero values only; every other ``[e_i, e_j]`` follows from
+    antisymmetry, which therefore holds by construction.  ``zero`` is the
+    vector that stands for a missing pair and the diagonal.
+    :meth:`from_pairs` checks and filters a pair table.  A dense n x n
+    table in place of ``pairs`` is checked for antisymmetry and read
+    through its i<j half, with its ``[0][0]`` entry as the zero vector.
     """
 
     dim: int
-    bracket: tuple
+    pairs: dict
     twist: Mat
     backend: ScalarBackend
+    zero: Optional[Vec] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.dim
-        table = tuple(tuple(vec(v) for v in row) for row in self.bracket)
-        object.__setattr__(self, "bracket", table)
-        object.__setattr__(self, "twist", mat(self.twist))
-        if len(table) != n or any(len(row) != n for row in table):
-            raise DimensionError(f"bracket table must be {n}x{n}")
-        for i in range(n):
-            for j in range(n):
+        if not isinstance(self.pairs, dict):
+            table = tuple(tuple(vec(v) for v in row) for row in self.pairs)
+            if len(table) != n or any(len(row) != n for row in table):
+                raise DimensionError(f"bracket table must be {n}x{n}")
+            for i, j in itertools.product(range(n), repeat=2):
                 if len(table[i][j]) != n:
                     raise DimensionError(f"bracket[{i}][{j}] must have length {n}")
+            # (j, i) fails exactly when (i, j) does, so i <= j finds the first failure
+            for i, j in itertools.combinations_with_replacement(range(n), 2):
                 if not vec_is_zero(vec_add(table[i][j], table[j][i]), self.backend):
-                    raise ValueError(
-                        f"bracket is not antisymmetric at ({i}, {j})"
-                    )
+                    raise ValueError(f"bracket is not antisymmetric at ({i}, {j})")
+            upper = itertools.combinations(range(n), 2)
+            pairs = {(i, j): table[i][j] for i, j in upper if not vec_is_zero(table[i][j])}
+            object.__setattr__(self, "pairs", pairs)
+            object.__setattr__(self, "zero", table[0][0] if n else ())
+        if self.zero is None:
+            object.__setattr__(self, "zero", zero_vec(n))
+        object.__setattr__(self, "twist", mat(self.twist))
         if len(self.twist) != n or any(len(row) != n for row in self.twist):
             raise DimensionError(f"twist must be {n}x{n}")
 
     @classmethod
     def from_pairs(
-        cls,
-        dim: int,
-        pairs: dict,
-        twist: Mat,
-        backend: ScalarBackend,
+        cls, dim: int, pairs: dict, twist: Mat, backend: ScalarBackend, zero: Optional[Vec] = None
     ) -> "HomAlgebra":
-        """Build from ``{(i, j): [e_i, e_j]}`` entries with ``i < j``."""
-        table = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
-        for (i, j), value in pairs.items():
+        """Build from ``{(i, j): [e_i, e_j]}`` entries with ``i < j``.
+
+        Missing pairs are ``zero`` (rational zeros by default); all-zero
+        values are dropped.
+        """
+        kept = {}
+        for (i, j), value in sorted(pairs.items()):
             if not 0 <= i < j < dim:
                 raise ValueError(f"pair ({i}, {j}) is not an i<j pair in range")
-            table[i][j] = vec(value)
-            table[j][i] = vec_neg(vec(value))
-        return cls(dim, tuple(tuple(row) for row in table), twist, backend)
+            value = vec(value)
+            if len(value) != dim:
+                raise DimensionError(f"bracket[{i}][{j}] must have length {dim}")
+            if not vec_is_zero(value):
+                kept[(i, j)] = value
+        return cls(dim, kept, twist, backend, zero)
+
+    @cached_property
+    def bracket(self) -> tuple:
+        """Read-only dense table ``bracket[i][j] = [e_i, e_j]``, built on first use.
+
+        ``[e_j, e_i]`` is ``zero - [e_i, e_j]`` where the zero entry is a
+        float, as a dense product would round it (no ``-0.0``), and
+        ``-[e_i, e_j]`` otherwise, which keeps each exact type.
+        """
+        n, zero = self.dim, self.zero
+        rows = [[zero] * n for _ in range(n)]
+        for (i, j), value in self.pairs.items():
+            rows[i][j] = value
+            rows[j][i] = tuple(z - x if isinstance(z, float) else -x for z, x in zip(zero, value))
+        return tuple(map(tuple, rows))
 
     def twist_col(self, i: int) -> Vec:
         """Image of the i-th basis vector under the twist."""
@@ -149,7 +179,7 @@ class HomAlgebra:
     @cached_property
     def kernel(self) -> Kernel:
         """Bracket and twist as sparse integer pairs, for exact backends."""
-        return Kernel(self.dim, self.bracket, self.twist)
+        return Kernel(self.dim, self.pairs, self.twist)
 
 
 def bracket_eval(g: HomAlgebra, x: Vec, y: Vec) -> Vec:
@@ -165,19 +195,6 @@ def bracket_eval(g: HomAlgebra, x: Vec, y: Vec) -> Vec:
                 continue
             acc = vec_add(acc, vec_scale(xi * yj, g.bracket[i][j]))
     return acc
-
-
-def twist_apply(g: HomAlgebra, x: Vec) -> Vec:
-    return mat_vec(g.twist, x)
-
-
-def hom_jacobi_residual(g: HomAlgebra, x: Vec, y: Vec, z: Vec) -> Vec:
-    """The cyclic sum [[y,z],beta(x)] + [[z,x],beta(y)] + [[x,y],beta(z)]."""
-    bx, by, bz = twist_apply(g, x), twist_apply(g, y), twist_apply(g, z)
-    out = bracket_eval(g, bracket_eval(g, y, z), bx)
-    out = vec_add(out, bracket_eval(g, bracket_eval(g, z, x), by))
-    out = vec_add(out, bracket_eval(g, bracket_eval(g, x, y), bz))
-    return out
 
 
 def _sparse(g: HomAlgebra) -> bool:
@@ -228,7 +245,7 @@ def check_hom_jacobi(g: HomAlgebra) -> CheckReport:
 
 def _twist_sides(g: HomAlgebra) -> Callable[[int, int], Tuple[Vec, Vec]]:
     beta = [g.twist_col(i) for i in range(g.dim)]
-    return lambda i, j: (twist_apply(g, g.bracket[i][j]), bracket_eval(g, beta[i], beta[j]))
+    return lambda i, j: (mat_vec(g.twist, g.bracket[i][j]), bracket_eval(g, beta[i], beta[j]))
 
 
 def _twist_sign_candidates(g: HomAlgebra, sides) -> Tuple[set, Optional[tuple]]:
@@ -257,11 +274,8 @@ def check_twist_sign(g: HomAlgebra) -> TwistSign:
     i<j pairs, which is the same pair because both sides are antisymmetric
     (see ``Kernel.twist_sign_candidates``).
     """
-    n = g.dim
     sides = _twist_sides(g)
-    abelian = all(
-        vec_is_zero(g.bracket[i][j], g.backend) for i in range(n) for j in range(n)
-    )
+    abelian = all(vec_is_zero(v, g.backend) for v in g.pairs.values())
     if _sparse(g):
         candidates, at = g.kernel.twist_sign_candidates()
     else:
@@ -367,24 +381,21 @@ def check_morphism(f: Mat, g: HomAlgebra, h: HomAlgebra, sign: int) -> CheckRepo
 # Algebra file format (UTF-8 JSON): {"dim", "backend", "bracket", "twist"}
 # with bracket entries {"i", "j", "value"} for i < j; missing pairs are zero.
 
-# Largest "dim" a file may declare (gl(R^11) has dimension 121); the loader
-# allocates a dense dim x dim x dim table, so a larger one is refused first.
+# Largest "dim" a file may declare (gl(R^11) has dimension 121).  The loader
+# keeps only the pairs a file lists, but the twist has dim**2 entries, and the
+# classifier's det and a dense bracket view grow like dim**3.
 MAX_DIM = 128
 
 
 def algebra_to_dict(g: HomAlgebra) -> dict:
-    entries = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            if vec_is_zero(g.bracket[i][j], g.backend):
-                continue
-            entries.append(
-                {"i": i, "j": j, "value": [format_scalar(x) for x in g.bracket[i][j]]}
-            )
     return {
         "dim": g.dim,
         "backend": g.backend.to_json(),
-        "bracket": entries,
+        "bracket": [
+            {"i": i, "j": j, "value": [format_scalar(x) for x in value]}
+            for (i, j), value in g.pairs.items()
+            if not vec_is_zero(value, g.backend)
+        ],
         "twist": [[format_scalar(x) for x in row] for row in g.twist],
     }
 
@@ -393,25 +404,26 @@ def algebra_from_dict(obj: dict) -> HomAlgebra:
     if not isinstance(obj, dict):
         raise FileFormatError("algebra document must be a JSON object")
     try:
-        dim = int(obj["dim"])
+        dim = parse_int(obj["dim"])
         backend = ScalarBackend.from_json(obj["backend"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except PARSE_ERRORS as exc:
         raise FileFormatError(f"bad header: {exc}", location="dim/backend") from exc
     if dim < 1:
         raise FileFormatError("dimension must be positive", location="dim")
     if dim > MAX_DIM:
-        raise FileFormatError(
-            f"dimension {dim} exceeds the limit of {MAX_DIM}", location="dim"
-        )
+        raise FileFormatError(f"dimension {dim} exceeds the limit of {MAX_DIM}", location="dim")
 
-    table = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
+    entries = obj.get("bracket", [])
+    if not isinstance(entries, list):
+        raise FileFormatError("bracket must be an array of entries", location="bracket")
+    pairs: dict = {}
     seen: set = set()
-    for idx, entry in enumerate(obj.get("bracket", [])):
+    for idx, entry in enumerate(entries):
         where = f"bracket[{idx}]"
         try:
-            i, j = int(entry["i"]), int(entry["j"])
+            i, j = parse_int(entry["i"]), parse_int(entry["j"])
             value = vec(parse_scalar(x, backend) for x in entry["value"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except PARSE_ERRORS as exc:
             raise FileFormatError(f"bad bracket entry: {exc}", location=where) from exc
         if not (0 <= i < dim and 0 <= j < dim):
             raise FileFormatError(f"indices ({i}, {j}) out of range", location=where)
@@ -421,23 +433,21 @@ def algebra_from_dict(obj: dict) -> HomAlgebra:
             )
         if i == j:
             if not vec_is_zero(value, backend):
-                raise FileFormatError(
-                    f"diagonal entry ({i}, {i}) must be zero", location=where
-                )
+                raise FileFormatError(f"diagonal entry ({i}, {i}) must be zero", location=where)
             continue
         if (i, j) in seen:
             raise FileFormatError(f"duplicate entry for ({i}, {j})", location=where)
         seen.add((i, j))
-        if (j, i) in seen:
-            # mirror already filled table[i][j] with the negated value
-            if not vec_is_zero(vec_sub(value, table[i][j]), backend):
+        key, upper = ((i, j), value) if i < j else ((j, i), vec_neg(value))
+        if key in pairs:
+            # the mirror entry came first
+            if not vec_is_zero(vec_sub(upper, pairs[key]), backend):
                 raise FileFormatError(
                     f"entries ({j}, {i}) and ({i}, {j}) violate antisymmetry",
                     location=where,
                 )
             continue
-        table[i][j] = value
-        table[j][i] = vec_neg(value)
+        pairs[key] = upper
 
     twist_rows = obj.get("twist")
     if not isinstance(twist_rows, list) or len(twist_rows) != dim:
@@ -445,15 +455,13 @@ def algebra_from_dict(obj: dict) -> HomAlgebra:
     parsed_twist = []
     for r, row in enumerate(twist_rows):
         if not isinstance(row, list) or len(row) != dim:
-            raise FileFormatError(
-                f"twist row must have length {dim}", location=f"twist[{r}]"
-            )
+            raise FileFormatError(f"twist row must have length {dim}", location=f"twist[{r}]")
         try:
             parsed_twist.append(vec(parse_scalar(x, backend) for x in row))
-        except (TypeError, ValueError) as exc:
+        except PARSE_ERRORS as exc:
             raise FileFormatError(f"bad twist row: {exc}", location=f"twist[{r}]") from exc
     try:
-        return HomAlgebra(dim, tuple(tuple(row) for row in table), mat(parsed_twist), backend)
+        return HomAlgebra.from_pairs(dim, pairs, mat(parsed_twist), backend)
     except (ValueError, DimensionError) as exc:
         raise FileFormatError(str(exc), location="document") from exc
 

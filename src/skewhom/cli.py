@@ -51,7 +51,7 @@ from .constructions import (
     check_pseudo_adjoint_identity,
 )
 from .errors import CounterexampleNotFoundError, FileFormatError, SkewhomError
-from .linalg import identity, mat, mat_eq, mat_mul, mat_vec, vec_neg
+from .linalg import identity, mat, mat_eq, mat_mul, mat_vec
 from .representation import load_representation, resolve_algebra, zero_representation
 from .se4geometry import check_vstar_closure, in_v_star, vstar_defect, vstar_samples
 from .scalars import as_rational
@@ -189,12 +189,10 @@ def _from_report(report: CheckReport) -> Tuple[bool, Optional[str]]:
 
 def _mutate_bracket(g: HomAlgebra) -> HomAlgebra:
     """Failure-path hook: corrupt one structure constant, keeping antisymmetry."""
-    table = [list(row) for row in g.bracket]
-    value = list(table[0][1])
+    value = list(g.pairs.get((0, 1), g.zero))
     value[1] = value[1] + 1
-    table[0][1] = tuple(value)
-    table[1][0] = vec_neg(tuple(value))
-    return HomAlgebra(g.dim, tuple(tuple(row) for row in table), g.twist, g.backend)
+    pairs = {**g.pairs, (0, 1): value}
+    return HomAlgebra.from_pairs(g.dim, pairs, g.twist, g.backend, g.zero)
 
 
 def cmd_verify(config: SuiteConfig) -> SuiteReport:

@@ -44,7 +44,7 @@ from .linalg import (
     zero_vec,
 )
 from .representation import Representation, rho_eval
-from .scalars import QuadExt, format_scalar, parse_scalar
+from .scalars import PARSE_ERRORS, QuadExt, format_scalar, parse_int, parse_scalar
 
 # Largest C(n, k) * m a degree-k cochain on n generators with values in
 # dimension m may have.  A cochain holds one value vector per increasing
@@ -96,10 +96,6 @@ def cochain(k: int, n: int, m: int, entries: Optional[dict] = None) -> Cochain:
             raise DimensionError(f"{key} is not a strictly increasing {k}-tuple below {n}")
         table[key] = vec(value)
     return Cochain(k, n, m, table)
-
-
-def zero_cochain(k: int, n: int, m: int) -> Cochain:
-    return cochain(k, n, m)
 
 
 def basis_cochains(n: int, m: int, k: int):
@@ -220,7 +216,7 @@ def _operator(g: HomAlgebra, rep: Representation, k: int, s: int) -> Coboundary:
     kernel = g.kernel
     values = [x for mt in conj for row in mt for x in row]
     if kernel.d is None and any(isinstance(x, QuadExt) and x for x in values):
-        kernel = Kernel(g.dim, g.bracket, g.twist, values)
+        kernel = Kernel(g.dim, g.pairs, g.twist, values)
     return Coboundary(kernel, k, rep.m, conj)
 
 
@@ -318,8 +314,8 @@ def cochain_from_dict(obj: dict, n: int, m: int, backend) -> Cochain:
     if not isinstance(obj, dict) or "k" not in obj:
         raise FileFormatError("cochain document must be an object with a degree")
     try:
-        k = int(obj["k"])
-    except (TypeError, ValueError) as exc:
+        k = parse_int(obj["k"])
+    except PARSE_ERRORS as exc:
         raise FileFormatError(f"bad degree: {exc}", location="k") from exc
     if not 0 <= k <= n:
         raise FileFormatError(f"degree {k} is outside 0..{n}", location="k")
@@ -331,9 +327,9 @@ def cochain_from_dict(obj: dict, n: int, m: int, backend) -> Cochain:
     for idx, entry in enumerate(obj.get("entries", [])):
         where = f"entries[{idx}]"
         try:
-            key = tuple(int(i) for i in entry["indices"])
+            key = tuple(parse_int(i) for i in entry["indices"])
             value = vec(parse_scalar(x, backend) for x in entry["value"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except PARSE_ERRORS as exc:
             raise FileFormatError(f"bad entry: {exc}", location=where) from exc
         if key in entries:
             raise FileFormatError(f"duplicate indices {key}", location=where)

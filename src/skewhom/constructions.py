@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Tuple, Union
 
@@ -50,6 +50,7 @@ from .linalg import (
     vec_neg,
     vec_sub,
     wedge3,
+    zero_vec,
 )
 from .scalars import (
     ScalarBackend,
@@ -208,10 +209,10 @@ def build_gl_alpha(ctx: GlContext) -> HomAlgebra:
         [E_pq, E_uv]_rs = a_qu a_rp a_vs - a_vp a_ru a_qs,
 
     visiting only the nonzero entries of column p (or u) and row v (or q),
-    for i < j; the diagonal is zero and (j, i) is the negation of (i, j).
-    Every product is formed in the order ``gl_bracket`` forms it and every
-    entry gets the type of the dense result, so floats agree bit for bit and
-    exact entries have the same text form.
+    for i < j.  Every product is formed in the order ``gl_bracket`` forms it
+    and every entry gets the type of the dense result, which is also the
+    algebra's zero vector, so floats agree bit for bit and exact entries
+    have the same text form.
     """
     m, a = ctx.m, ctx.alpha
     n = m * m
@@ -219,8 +220,7 @@ def build_gl_alpha(ctx: GlContext) -> HomAlgebra:
     zero = _typed_zero(flatten(a))
     col_nz = [[(r, a[r][p]) for r in range(m) if a[r][p]] for p in range(m)]
     row_nz = [[(s, a[v][s]) for s in range(m) if a[v][s]] for v in range(m)]
-    zeros = (zero,) * n
-    table = [[zeros] * n for _ in range(n)]
+    pairs = {}
     for i in range(n):
         p, q = divmod(i, m)
         for j in range(i + 1, n):
@@ -243,9 +243,8 @@ def build_gl_alpha(ctx: GlContext) -> HomAlgebra:
             value = [zero] * n
             for at, x in acc.items():
                 value[at] = zero + x
-            table[i][j] = tuple(value)
-            table[j][i] = tuple(zero - x for x in value)
-    return HomAlgebra(n, table, ad_alpha_matrix(ctx), ctx.backend)
+            pairs[(i, j)] = value
+    return HomAlgebra.from_pairs(n, pairs, ad_alpha_matrix(ctx), ctx.backend, (zero,) * n)
 
 
 def ad_alpha_squared_matrix(ctx: GlContext) -> Mat:
@@ -262,8 +261,7 @@ def ad_alpha_squared_counterexample(ctx: GlContext) -> Tuple[tuple, Vec]:
     twisted cyclic sum is alternating.  An empty scan raises, since silence
     would hide an inconsistency.
     """
-    base = build_gl_alpha(ctx)
-    g = HomAlgebra(base.dim, base.bracket, ad_alpha_squared_matrix(ctx), ctx.backend)
+    g = replace(build_gl_alpha(ctx), twist=ad_alpha_squared_matrix(ctx))
     report = check_hom_jacobi(g)
     if report.passed:
         raise CounterexampleNotFoundError(
@@ -284,11 +282,11 @@ def build_r3_cross(A: Mat, backend: Optional[ScalarBackend] = None) -> HomAlgebr
         raise PreconditionError("twist must be a 3x3 matrix")
     if not mat_eq(mat_mul(A, transpose(A)), identity(3), backend):
         raise PreconditionError("twist must be orthogonal (A A^T = id)")
-    table = tuple(
-        tuple(mat_vec(A, cross3(basis_vec(3, i), basis_vec(3, j))) for j in range(3))
-        for i in range(3)
-    )
-    return HomAlgebra(3, table, A, backend)
+    pairs = {
+        (i, j): mat_vec(A, cross3(basis_vec(3, i), basis_vec(3, j)))
+        for i, j in itertools.combinations(range(3), 2)
+    }
+    return HomAlgebra.from_pairs(3, pairs, A, backend, mat_vec(A, zero_vec(3)))
 
 
 @dataclass(frozen=True)
@@ -331,7 +329,7 @@ def build_semi_euclidean(
     P is written down entrywise and independently re-derived as the matrix
     of Ad_alpha(theta) on matrix units; any mismatch, or a failure of
     P**2 = id or P r = -r, aborts with a construction error.  The bracket is
-    ``[e_i, e_j] = wedge3(P e_i, r, e_j) - wedge3(P e_j, r, e_i)``.
+    ``[e_i, e_j] = wedge3(P e_i, r, e_j) - wedge3(P e_j, r, e_i)`` for i < j.
     """
     backend = backend or default_backend(theta)
     P = p_matrix(theta, backend)
@@ -348,14 +346,12 @@ def build_semi_euclidean(
 
     p_cols = [mat_col(P, i) for i in range(4)]
     basis = [basis_vec(4, i) for i in range(4)]
-    table = tuple(
-        tuple(
-            vec_sub(wedge3(p_cols[i], r, basis[j]), wedge3(p_cols[j], r, basis[i]))
-            for j in range(4)
-        )
-        for i in range(4)
-    )
-    g = HomAlgebra(4, table, P, backend)
+    pairs = {
+        (i, j): vec_sub(wedge3(p_cols[i], r, basis[j]), wedge3(p_cols[j], r, basis[i]))
+        for i, j in itertools.combinations(range(4), 2)
+    }
+    # every term of a wedge with r carries an entry of r
+    g = HomAlgebra.from_pairs(4, pairs, P, backend, (_typed_zero(r),) * 4)
     ctx = SemiEuclideanContext(
         backend.coerce(theta), _root_one_plus_sq(theta, backend), P, r, backend
     )

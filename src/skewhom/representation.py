@@ -48,7 +48,7 @@ from .linalg import (
     transpose,
     zero_mat,
 )
-from .scalars import format_scalar, parse_scalar
+from .scalars import PARSE_ERRORS, format_scalar, parse_int, parse_scalar
 
 
 @dataclass(frozen=True)
@@ -226,13 +226,13 @@ def representation_from_dict(obj: dict, g: Optional[HomAlgebra] = None) -> Repre
         g = resolve_algebra(ref)
     backend = g.backend
     try:
-        m = int(obj["m"])
+        m = parse_int(obj["m"])
         rho = tuple(
             mat(tuple(parse_scalar(x, backend) for x in row) for row in r)
             for r in obj["rho"]
         )
         phi = mat(tuple(parse_scalar(x, backend) for x in row) for row in obj["phi"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except PARSE_ERRORS as exc:
         raise FileFormatError(f"bad representation: {exc}", location="rho/phi") from exc
     if m > MAX_DIM:
         raise FileFormatError(f"dimension {m} exceeds the limit of {MAX_DIM}", location="m")

@@ -204,16 +204,6 @@ class QuadExt:
         return f"{self.a} {op} {abs(self.b)}*s"
 
 
-def quad_mul(x: QuadExt, y: QuadExt) -> QuadExt:
-    """Ring product under ``s**2 = d``; mismatched discriminants raise."""
-    return x * y
-
-
-def quad_inv(x: QuadExt) -> QuadExt:
-    """Multiplicative inverse; raises :class:`ZeroDivisorError` on norm 0."""
-    return x.inverse()
-
-
 @dataclass(frozen=True)
 class ScalarBackend:
     """Selects the element kind all scalars of one computation share.
@@ -317,6 +307,8 @@ class ScalarBackend:
 
     @staticmethod
     def from_json(obj: dict) -> "ScalarBackend":
+        if not isinstance(obj, dict):
+            raise TypeError(f"backend must be an object, got {obj!r}")
         kind = obj.get("kind")
         if kind == "rational":
             return rational_backend()
@@ -349,6 +341,19 @@ def format_scalar(x: object):
     if isinstance(x, float):
         return x
     raise TypeError(f"not a scalar: {x!r}")
+
+
+# What parse_scalar, parse_int and ScalarBackend.from_json raise on a
+# malformed or foreign field; the file loaders turn each into a located
+# FileFormatError.
+PARSE_ERRORS = (KeyError, TypeError, ValueError, BackendMismatchError)
+
+
+def parse_int(obj: object) -> int:
+    """An integer field of a data file: a JSON integer, or a string holding one."""
+    if isinstance(obj, bool) or not isinstance(obj, (int, str)):
+        raise TypeError(f"not an integer: {obj!r}")
+    return int(obj)
 
 
 def parse_scalar(obj: object, backend: ScalarBackend):

@@ -14,7 +14,6 @@ from skewhom.algebra import (
     check_power_sign_law,
     check_twist_sign,
     classify,
-    hom_jacobi_residual,
     load_algebra,
     save_algebra,
 )
@@ -33,6 +32,8 @@ from skewhom.linalg import (
     identity,
     mat,
     mat_scale,
+    mat_vec,
+    vec_add,
     vec_neg,
     zero_vec,
 )
@@ -258,12 +259,19 @@ SE4_HALF = build_semi_euclidean(F(1, 2))[0]
 
 @given(int_vectors(4), int_vectors(4))
 def test_twist_anticommutes_on_random_vectors(x, y):
-    from skewhom.linalg import mat_vec
-
     g = SE4_ONE
     lhs = mat_vec(g.twist, bracket_eval(g, x, y))
     rhs = bracket_eval(g, mat_vec(g.twist, x), mat_vec(g.twist, y))
     assert lhs == vec_neg(rhs)
+
+
+def hom_jacobi_residual(g, x, y, z):
+    """The cyclic sum [[y,z],beta(x)] + [[z,x],beta(y)] + [[x,y],beta(z)]."""
+    terms = ((y, z, x), (z, x, y), (x, y, z))
+    out = zero_vec(g.dim)
+    for u, v, w in terms:
+        out = vec_add(out, bracket_eval(g, bracket_eval(g, u, v), mat_vec(g.twist, w)))
+    return out
 
 
 @settings(max_examples=25, deadline=None)
@@ -318,3 +326,35 @@ def test_loader_refuses_a_dimension_over_the_limit(se4_algebras):
     with pytest.raises(FileFormatError, match=f"limit of {MAX_DIM}") as info:
         algebra_from_dict(doc)
     assert info.value.location == "dim"
+
+
+def test_loader_reads_an_empty_bracket_at_the_dimension_limit_cheaply(tmp_path):
+    import json
+    import time
+    import tracemalloc
+
+    from skewhom.algebra import MAX_DIM
+
+    n = MAX_DIM
+    doc = {
+        "dim": n,
+        "backend": {"kind": "rational"},
+        "bracket": [],
+        "twist": [["1" if r == c else "0" for c in range(n)] for r in range(n)],
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    g = load_algebra(path)
+    seconds = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        load_algebra(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.dim == n and g.pairs == {} and "bracket" not in vars(g)
+    # measured 0.08 s and a 1.15 MB peak; a dense n x n x n table with an
+    # n**2 antisymmetry check took 5-6 s and 19 MB
+    assert seconds < 1.0
+    assert peak < 3_000_000

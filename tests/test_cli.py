@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from skewhom.algebra import HomAlgebra, save_algebra
 from skewhom.cli import (
     CheckResult,
@@ -316,3 +318,62 @@ def test_check_algebra_scans_once_and_keeps_its_report(tmp_path, capsys, monkeyp
             assert capsys.readouterr().out == want.render(fmt)
             assert calls == {"check_hom_jacobi": 1, "check_twist_sign": 1}
     assert "verdict Neither" in want.to_text()
+
+
+def _edit(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+def _malformed(kind, path, value, tmp_path):
+    """Write a valid document of ``kind`` with one field replaced; return the argv."""
+    from skewhom.algebra import algebra_to_dict
+    from skewhom.cohomology import cochain, cochain_to_dict
+    from skewhom.linalg import basis_vec
+    from skewhom.representation import representation_to_dict, zero_representation
+
+    if kind == "cochain":
+        doc = cochain_to_dict(cochain(1, 4, 4, {(0,): basis_vec(4, 0)}))
+        flag = ["--cochain"]
+    elif kind == "rep":
+        g, _ = build_semi_euclidean(0)
+        doc = representation_to_dict(zero_representation(g, 4), "se4:theta=0")
+        flag = ["--rep"]
+    else:
+        doc = algebra_to_dict(build_semi_euclidean(F(1, 2) if kind == "quadratic" else 0)[0])
+        flag = None
+    _edit(doc, path, value)
+    file = tmp_path / f"{kind}.json"
+    file.write_text(json.dumps(doc), encoding="utf-8")
+    if flag is None:
+        return ["check-algebra", str(file)]
+    return ["cohomology", "se4:theta=0", *flag, str(file), "--k", "1", "--s", "0"]
+
+
+@pytest.mark.parametrize(
+    "kind, path, value, location",
+    [
+        pytest.param("rational", ["bracket"], 5, "bracket", id="bracket-not-an-array"),
+        pytest.param("rational", ["backend"], "rational", "dim/backend", id="backend-a-string"),
+        pytest.param("quadratic", ["twist", 0, 0], {"b": "1"}, "twist[0]", id="twist-scalar-without-a"),
+        pytest.param("rational", ["bracket", 0, "value", 0], 1.5, "bracket[0]", id="float-in-rational-bracket"),
+        pytest.param("quadratic", ["bracket", 1, "value", 1], 1.5, "bracket[1]", id="float-in-quadratic-bracket"),
+        pytest.param("rational", ["twist", 1, 2], 1.5, "twist[1]", id="float-in-twist"),
+        pytest.param("rep", ["rho", 0, 0, 0], 1.5, "rho/phi", id="float-in-rho"),
+        pytest.param("cochain", ["entries", 0, "value", 0], 1.5, "entries[0]", id="float-in-cochain-value"),
+        pytest.param("rational", ["dim"], 2.7, "dim/backend", id="fractional-dim"),
+        pytest.param("rational", ["dim"], True, "dim/backend", id="boolean-dim"),
+        pytest.param("rational", ["bracket", 0, "i"], 0.9, "bracket[0]", id="fractional-i"),
+        pytest.param("rational", ["bracket", 0, "j"], True, "bracket[0]", id="boolean-j"),
+        pytest.param("cochain", ["k"], 1.0, "k", id="float-k"),
+        pytest.param("cochain", ["entries", 0, "indices", 0], 0.5, "entries[0]", id="fractional-index"),
+        pytest.param("rep", ["m"], 4.5, "rho/phi", id="fractional-m"),
+    ],
+)
+def test_malformed_fields_are_located_file_errors(tmp_path, capsys, kind, path, value, location):
+    assert main(_malformed(kind, path, value, tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.endswith(f"({location})\n")
+    assert "Traceback" not in captured.err

@@ -1,9 +1,20 @@
+import json
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewhom.algebra import Verdict, bracket_eval, classify
+from skewhom.algebra import (
+    HomAlgebra,
+    Verdict,
+    algebra_from_dict,
+    algebra_to_dict,
+    bracket_eval,
+    classify,
+    load_algebra,
+    save_algebra,
+)
 from skewhom.constructions import (
     GlContext,
     ad_alpha,
@@ -30,10 +41,12 @@ from skewhom.errors import (
 )
 from skewhom.linalg import (
     basis_vec,
+    cross3,
     flatten,
     identity,
     mat,
     mat_eq,
+    mat_col,
     mat_inv,
     mat_mul,
     mat_neg,
@@ -43,9 +56,17 @@ from skewhom.linalg import (
     transpose,
     unflatten,
     vec_neg,
+    vec_sub,
+    wedge3,
     zero_vec,
 )
-from skewhom.scalars import quadratic_backend, rational_backend
+from skewhom.scalars import (
+    QuadExt,
+    float_backend,
+    parse_scalar,
+    quadratic_backend,
+    rational_backend,
+)
 
 from strategies import int_vectors, rationals
 
@@ -346,6 +367,121 @@ def test_alpha_theta_rejects_mismatched_backend():
     be0 = quadratic_backend(0)
     with pytest.raises(BackendMismatchError):
         alpha_theta(1, be0)
+
+
+# --- the dense bracket view against dense references
+#
+# The builders and the loader store the i<j pairs; ``g.bracket`` rebuilds
+# the dense table from them.  The references are the dense tables the pairs
+# replaced: the se4 wedge3 table, the r3 table of A(e_i x e_j), and the
+# loader's fill (rational zeros, each listed pair and its negation).
+
+THETAS = [0, F(1, 2), F(3, 4), 1, 0.5, 0.3]
+
+
+def _dense_se4(theta):
+    _, ctx = build_semi_euclidean(theta)
+    cols = [mat_col(ctx.P, i) for i in range(4)]
+    e = [basis_vec(4, i) for i in range(4)]
+    return tuple(
+        tuple(vec_sub(wedge3(cols[i], ctx.r, e[j]), wedge3(cols[j], ctx.r, e[i])) for j in range(4))
+        for i in range(4)
+    )
+
+
+def _dense_r3(A):
+    e = [basis_vec(3, i) for i in range(3)]
+    return tuple(tuple(mat_vec(A, cross3(e[i], e[j])) for j in range(3)) for i in range(3))
+
+
+def _dense_fill(dim, pairs):
+    table = [[zero_vec(dim)] * dim for _ in range(dim)]
+    for (i, j), value in pairs.items():
+        table[i][j] = tuple(value)
+        table[j][i] = vec_neg(tuple(value))
+    return table
+
+
+def _assert_view(g, table):
+    assert len(g.bracket) == g.dim
+    for i in range(g.dim):
+        for j in range(g.dim):
+            _assert_same_entries(g.bracket[i][j], table[i][j])
+
+
+def _family(name, theta):
+    if name == "se4":
+        return build_semi_euclidean(theta)[0]
+    m = 2 if name == "gl2" else 4
+    return build_gl_alpha(GlContext(m, *alpha_block(m, theta)))
+
+
+@pytest.mark.parametrize("theta", THETAS)
+def test_se4_view_matches_the_wedge_table(theta):
+    g, _ = build_semi_euclidean(theta)
+    _assert_view(g, _dense_se4(theta))
+
+
+def _r3_twists():
+    c = QuadExt(0, F(1, 2), F(2))  # sqrt(2)/2, beside a rational row
+    cos, sin = math.cos(0.3), math.sin(0.3)
+    return [
+        (identity(3), None),
+        (mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]]), None),
+        (mat([[0, -1, 0], [1, 0, 0], [0, 0, 1]]), None),
+        (_cayley_orthogonal(F(1, 2), F(-1, 3), F(2)), None),
+        (((c, -c, 0), (c, c, 0), (0, 0, 1)), quadratic_backend(1)),
+        (((cos, -sin, 0.0), (sin, cos, 0.0), (0.0, 0.0, -1.0)), float_backend()),
+    ]
+
+
+@pytest.mark.parametrize("A, backend", _r3_twists())
+def test_r3_view_matches_the_cross_product_table(A, backend):
+    _assert_view(build_r3_cross(A, backend), _dense_r3(mat(A)))
+
+
+@pytest.mark.parametrize("family", ["se4", "gl2", "gl4"])
+@pytest.mark.parametrize("theta", THETAS)
+def test_loaded_view_matches_the_loader_fill(family, theta):
+    doc = json.loads(json.dumps(algebra_to_dict(_family(family, theta))))
+    g = algebra_from_dict(doc)
+    pairs = {
+        (e["i"], e["j"]): [parse_scalar(x, g.backend) for x in e["value"]] for e in doc["bracket"]
+    }
+    _assert_view(g, _dense_fill(g.dim, pairs))
+
+
+@pytest.mark.parametrize("family", ["se4", "gl2"])
+@pytest.mark.parametrize("theta", THETAS)
+def test_dense_constructor_reads_a_view_back(family, theta):
+    # a dense table keeps its own zero vector and mirror entries
+    g = _family(family, theta)
+    again = HomAlgebra(g.dim, g.bracket, g.twist, g.backend)
+    assert again == g
+    _assert_view(again, g.bracket)
+
+
+def test_from_pairs_view_keeps_ints_floats_and_signed_zeros():
+    pairs = {(0, 1): (1, 0.0, -2.5), (1, 2): (F(0), F(1, 2), 3), (0, 2): (0.0, -0.0, 0)}
+    g = HomAlgebra.from_pairs(3, pairs, identity(3), float_backend())
+    assert set(g.pairs) == {(0, 1), (1, 2)}
+    _assert_view(g, _dense_fill(3, {k: v for k, v in pairs.items() if k != (0, 2)}))
+
+
+def test_build_and_exact_classify_leave_the_view_unbuilt(tmp_path):
+    se4 = build_semi_euclidean(F(1, 2))[0]
+    path = tmp_path / "se4.json"
+    save_algebra(se4, path)
+    for g, verdict in (
+        (se4, Verdict.SKEW_HOM_LIE),
+        (load_algebra(path), Verdict.SKEW_HOM_LIE),
+        (build_gl_alpha(GlContext(4, *alpha_block(4, F(1, 2)))), Verdict.SKEW_HOM_LIE),
+        (build_r3_cross(identity(3)), Verdict.LIE),
+    ):
+        assert classify(g).verdict == verdict
+        assert "bracket" not in vars(g)
+    # built once on first use, then kept
+    assert g.bracket is g.bracket
 
 
 # --- pseudo-adjoint

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from skewhom import algebra
 from skewhom.algebra import (
     HomAlgebra,
+    algebra_to_dict,
     check_hom_jacobi,
     check_power_sign_law,
     check_twist_sign,
@@ -28,6 +29,7 @@ from skewhom.constructions import (
     build_semi_euclidean,
 )
 from skewhom.errors import BackendMismatchError, CounterexampleNotFoundError, SkewhomError
+from skewhom.linalg import vec_neg, zero_vec
 from skewhom.scalars import QuadExt, quadratic_backend, rational_backend
 
 # theta = 1/2 gives Q(sqrt 5) as d = 5/4; theta = 3/4 gives d = 25/16, a
@@ -80,8 +82,8 @@ def scalars(kind):
 
 
 @st.composite
-def algebras(draw, kind):
-    """A random sparse antisymmetric table and twist of dimension 2..5."""
+def tables(draw, kind):
+    """``(n, pairs, twist, backend)``: random sparse i<j pairs and a twist, n = 2..5."""
     n = draw(st.integers(min_value=2, max_value=5))
     entry = st.one_of(st.just(F(0)), st.just(F(0)), scalars(kind))
     pairs = {}
@@ -97,7 +99,11 @@ def algebras(draw, kind):
                 F(1 if shape == "identity" else -1) for _ in range(n)]
         twist = tuple(tuple(diag[r] if r == c else F(0) for c in range(n)) for r in range(n))
     backend = {"rational": RATIONAL, "half": HALF, "degenerate": DEGENERATE}[kind]
-    return HomAlgebra.from_pairs(n, pairs, twist, backend)
+    return n, pairs, twist, backend
+
+
+def algebras(kind):
+    return tables(kind).map(lambda t: HomAlgebra.from_pairs(*t))
 
 
 @pytest.mark.parametrize("kind", ["rational", "half", "degenerate"])
@@ -106,6 +112,25 @@ def test_kernel_matches_dense_scans_on_random_tables(kind):
     @given(algebras(kind))
     def check(g):
         assert outcomes(g) == dense_outcomes(g)
+
+    check()
+
+
+@pytest.mark.parametrize("kind", ["rational", "half", "degenerate"])
+def test_pair_and_dense_constructors_agree_on_random_tables(kind):
+    # the dense table is the one the pairs stood for: rational zeros, each
+    # pair and its negation
+    @settings(max_examples=40, deadline=None)
+    @given(tables(kind))
+    def check(t):
+        n, pairs, twist, backend = t
+        table = [[zero_vec(n)] * n for _ in range(n)]
+        for (i, j), value in pairs.items():
+            table[i][j], table[j][i] = value, vec_neg(value)
+        sparse = HomAlgebra.from_pairs(n, pairs, twist, backend)
+        dense = HomAlgebra(n, tuple(map(tuple, table)), twist, backend)
+        assert outcomes(sparse) == outcomes(dense)
+        assert algebra_to_dict(sparse) == algebra_to_dict(dense)
 
     check()
 
