@@ -309,16 +309,12 @@ class Coboundary:
                     if value != _ZERO:
                         self.cols[kk * m + b][uu * m + a] = value
 
-    def squared_failures(self, after: "Coboundary") -> Iterator[Tuple[tuple, int, tuple]]:
-        """``(key, axis, out_key)`` for every nonzero column of ``after . self``.
+    def squared_failures(self, after: "Coboundary") -> Iterator[Tuple[tuple, int]]:
+        """``(key, axis)`` for every nonzero column of ``after . self``, in basis-cochain order.
 
-        Columns come in basis-cochain order, and ``out_key`` is the first
-        target of ``after`` with a nonzero entry in that column.  Both scales
-        are positive, so they do not change which entries are zero.
+        Both scales are positive, so they do not change which entries are zero.
         """
         m = self.m
         for c, column in enumerate(self.cols):
-            image = self.kernel._combine({}, column, after.cols, 1)
-            rows = [r for r, (a, b) in image.items() if a or b]
-            if rows:
-                yield self.sources[c // m], c % m, after.targets[min(rows) // m]
+            if _nonzero(self.kernel._combine({}, column, after.cols, 1)):
+                yield self.sources[c // m], c % m

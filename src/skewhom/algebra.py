@@ -31,6 +31,7 @@ from .linalg import (
     Mat,
     Vec,
     det,
+    flatten,
     identity,
     mat,
     mat_col,
@@ -46,7 +47,7 @@ from .linalg import (
     vec_sub,
     zero_vec,
 )
-from .scalars import PARSE_ERRORS, ScalarBackend, format_scalar, parse_int, parse_scalar
+from .scalars import PARSE_ERRORS, QuadExt, ScalarBackend, format_scalar, parse_int, parse_scalar
 
 
 class Verdict(str, Enum):
@@ -180,6 +181,12 @@ class HomAlgebra:
     def kernel(self) -> Kernel:
         """Bracket and twist as sparse integer pairs, for exact backends."""
         return Kernel(self.dim, self.pairs, self.twist)
+
+    def kernel_with(self, values: Vec) -> Kernel:
+        """:attr:`kernel`, or one taking the discriminant of ``values`` if ours are rational."""
+        if self.kernel.d is None and any(isinstance(x, QuadExt) and x for x in values):
+            return Kernel(self.dim, self.pairs, self.twist, values)
+        return self.kernel
 
 
 def bracket_eval(g: HomAlgebra, x: Vec, y: Vec) -> Vec:
@@ -319,31 +326,42 @@ def classify(
     return Classification(Verdict.HOM_LIE, regular)
 
 
+def _bracket_failure(f: Mat, g: HomAlgebra, h: HomAlgebra, sign: int):
+    """``((i, j), residual)`` at the first ordered pair where
+    ``f([e_i,e_j]_g) != sign * [f e_i, f e_j]_h``, or ``None``.
+
+    When ``h`` is ``g`` on an exact backend, and ``f`` holds no float, the
+    sparse kernel scans i<j pairs, which finds the same pair since both
+    sides are antisymmetric; otherwise the scan is dense.  The residual is
+    always the dense one.
+    """
+    cols = [mat_col(f, i) for i in range(g.dim)]
+
+    def residual(i: int, j: int) -> Vec:
+        rhs = bracket_eval(h, cols[i], cols[j])
+        return vec_sub(mat_vec(f, g.bracket[i][j]), vec_scale(Fraction(sign), rhs))
+
+    entries = flatten(f)
+    if h is g and _sparse(g) and not any(isinstance(x, float) for x in entries):
+        at = g.kernel_with(entries).first_sign_failure(f, sign)
+    else:
+        at = _first_failure(g, itertools.product(range(g.dim), repeat=2), residual)
+    return None if at is None else (at, residual(*at))
+
+
 def check_power_sign_law(g: HomAlgebra, m: int) -> CheckReport:
     """Check beta^m([e_i,e_j]) = (-1)^m * [beta^m e_i, beta^m e_j] on all pairs.
 
     For a skew twist the sign alternates with the power: odd powers
-    anti-commute with the bracket, even powers commute.  The witness is the
-    first failing ordered pair; both sides are antisymmetric, so exact
-    backends find it with the sparse kernel over i<j pairs.
+    anti-commute with the bracket, even powers commute.  This is the bracket
+    law of :func:`check_morphism` for beta^m into ``g`` itself.
     """
     if m < 1:
         raise ValueError("power must be a positive integer")
-    tw = mat_pow(g.twist, m, g.backend)
-    sign = (-1) ** m
-    cols = [mat_col(tw, i) for i in range(g.dim)]
-
-    def residual(i: int, j: int) -> Vec:
-        rhs = bracket_eval(g, cols[i], cols[j])
-        return vec_sub(mat_vec(tw, g.bracket[i][j]), vec_scale(Fraction(sign), rhs))
-
-    if _sparse(g):
-        at = g.kernel.first_sign_failure(tw, sign)
-    else:
-        at = _first_failure(g, itertools.product(range(g.dim), repeat=2), residual)
-    if at is None:
+    failure = _bracket_failure(mat_pow(g.twist, m, g.backend), g, g, (-1) ** m)
+    if failure is None:
         return CheckReport(True)
-    return CheckReport(False, Witness(at, residual(*at), note=f"m={m}"))
+    return CheckReport(False, Witness(*failure, note=f"m={m}"))
 
 
 def check_morphism(f: Mat, g: HomAlgebra, h: HomAlgebra, sign: int) -> CheckReport:
@@ -360,13 +378,10 @@ def check_morphism(f: Mat, g: HomAlgebra, h: HomAlgebra, sign: int) -> CheckRepo
         raise BackendMismatchError("source and target use different backends")
     if len(f) != h.dim or any(len(row) != g.dim for row in f):
         raise DimensionError(f"morphism matrix must be {h.dim}x{g.dim}")
-    cols = [mat_col(f, i) for i in range(g.dim)]
-    for i, j in itertools.product(range(g.dim), repeat=2):
-        lhs = mat_vec(f, g.bracket[i][j])
-        rhs = bracket_eval(h, cols[i], cols[j])
-        res = vec_sub(lhs, vec_scale(Fraction(sign), rhs))
-        if not vec_is_zero(res, g.backend):
-            return CheckReport(False, Witness(("bracket", i, j), res))
+    failure = _bracket_failure(f, g, h, sign)
+    if failure is not None:
+        (i, j), res = failure
+        return CheckReport(False, Witness(("bracket", i, j), res))
     intertwine = mat_mul(f, g.twist)
     other = mat_mul(h.twist, f)
     for r in range(h.dim):
@@ -466,16 +481,25 @@ def algebra_from_dict(obj: dict) -> HomAlgebra:
         raise FileFormatError(str(exc), location="document") from exc
 
 
-def save_algebra(g: HomAlgebra, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(algebra_to_dict(g), indent=2) + "\n", encoding="utf-8")
+def write_json(doc: dict, path: Union[str, Path]) -> None:
+    """Write one of the package's file documents: indented UTF-8 JSON."""
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def load_algebra(path: Union[str, Path]) -> HomAlgebra:
+def read_json(path: Union[str, Path]):
+    """Parse a JSON file; a syntax error is a ``FileFormatError`` at its line and column."""
     text = Path(path).read_text(encoding="utf-8")
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"not valid JSON: {exc.msg}", location=f"line {exc.lineno}, column {exc.colno}"
         ) from exc
-    return algebra_from_dict(obj)
+
+
+def save_algebra(g: HomAlgebra, path: Union[str, Path]) -> None:
+    write_json(algebra_to_dict(g), path)
+
+
+def load_algebra(path: Union[str, Path]) -> HomAlgebra:
+    return algebra_from_dict(read_json(path))

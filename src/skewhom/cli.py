@@ -15,6 +15,7 @@ per-check timings are opt-in (``--timings``) because they are not.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -38,6 +39,8 @@ from .algebra import (
 from .cohomology import (
     check_d_squared,
     coboundary,
+    d_squared_failures,
+    d_squared_report,
     load_cochain,
 )
 from .constructions import (
@@ -76,8 +79,6 @@ class SuiteConfig:
     s_list: Tuple[int, ...] = (0, 1, 2)
     seed: int = 0
     sample_count: int = 50
-    fmt: str = "text"
-    output: Optional[str] = None
     timings: bool = False
     inject_mutation: bool = False
 
@@ -313,20 +314,15 @@ def cmd_verify(config: SuiteConfig) -> SuiteReport:
     return suite.report()
 
 
-def _timed(fn: Callable[[], object]) -> Tuple[object, float]:
-    start = time.perf_counter()
-    return fn(), time.perf_counter() - start
-
-
-def cmd_check_algebra(path: str, timings: bool = False) -> SuiteReport:
+def cmd_check_algebra(path: str) -> SuiteReport:
     """Load, validate, and classify an algebra file.
 
     The twist-sign and Jacobi scans run once each; the verdict row is
     derived from their results.
     """
     g = load_algebra(path)
-    sign, sign_s = _timed(lambda: check_twist_sign(g))
-    jacobi, jacobi_s = _timed(lambda: check_hom_jacobi(g))
+    sign = check_twist_sign(g)
+    jacobi = check_hom_jacobi(g)
     c = classify(g, sign, jacobi)
     if sign.sign is None:
         sign_row = (False, _witness_str(sign.witness))
@@ -338,12 +334,8 @@ def cmd_check_algebra(path: str, timings: bool = False) -> SuiteReport:
             c.verdict != Verdict.NEITHER,
             _witness_str(c.witness),
         ),
-        CheckResult(
-            f"{path}: twisted Jacobi identity",
-            *_from_report(jacobi),
-            jacobi_s if timings else None,
-        ),
-        CheckResult(f"{path}: bracket/twist sign", *sign_row, sign_s if timings else None),
+        CheckResult(f"{path}: twisted Jacobi identity", *_from_report(jacobi)),
+        CheckResult(f"{path}: bracket/twist sign", *sign_row),
     ))
 
 
@@ -353,14 +345,11 @@ def cmd_cohomology(
     s: int,
     rep_path: Optional[str] = None,
     cochain_path: Optional[str] = None,
-    timings: bool = False,
-    out=None,
 ) -> SuiteReport:
     """Coboundary nilpotency for one algebra, degree, and operator index.
 
     One scan gives both the check row and the residual table.
     """
-    out = out if out is not None else sys.stdout
     g = resolve_algebra(algebra_ref)
     if rep_path:
         rep = load_representation(rep_path, g)
@@ -369,20 +358,24 @@ def cmd_cohomology(
     if cochain_path:
         eta = load_cochain(cochain_path, g.dim, rep.m, g.backend)
         image = coboundary(eta, rep, s)
-        print(f"coboundary of degree-{eta.k} cochain (s={s}):", file=out)
+        print(f"coboundary of degree-{eta.k} cochain (s={s}):")
         for key in sorted(image.table):
-            print(f"  {key}: {image.table[key]}", file=out)
+            print(f"  {key}: {image.table[key]}")
 
-    suite = _Suite(timings)
-    residuals: list = []
-    suite.run(
-        f"{algebra_ref}: coboundary nilpotency k={k} s={s}",
-        lambda: _from_report(check_d_squared(g, rep, k, s, residuals)),
-    )
-    print(f"squared-coboundary residual table (k={k}, s={s}):", file=out)
-    for key, axis, nonzero in residuals:
-        status = "0" if not nonzero else str(nonzero)
-        print(f"  basis cochain {key} axis {axis}: {status}", file=out)
+    failures = None
+
+    def scan():
+        nonlocal failures
+        failures = list(d_squared_failures(g, rep, k, s))
+        return _from_report(d_squared_report(failures, k, s))
+
+    suite = _Suite(timings=False)
+    suite.run(f"{algebra_ref}: coboundary nilpotency k={k} s={s}", scan)
+    print(f"squared-coboundary residual table (k={k}, s={s}):")
+    if failures is not None:
+        nonzero = {(key, axis): value for key, axis, value in failures}
+        for key, axis in itertools.product(itertools.combinations(range(g.dim), k), range(rep.m)):
+            print(f"  basis cochain {key} axis {axis}: {nonzero.get((key, axis), 0)}")
     return suite.report()
 
 
@@ -417,9 +410,8 @@ def cmd_nullspace(
     return 1 if failures else 0
 
 
-def cmd_counterexample(family: str, theta: Fraction, out=None) -> int:
+def cmd_counterexample(family: str, theta: Fraction) -> int:
     """Scan a gl family for a squared-twist Jacobi counterexample."""
-    out = out if out is not None else sys.stdout
     if family not in ("gl2", "gl4"):
         raise ValueError(f"unknown counterexample target {family!r} (use gl2 or gl4)")
     m = 2 if family == "gl2" else 4
@@ -430,12 +422,11 @@ def cmd_counterexample(family: str, theta: Fraction, out=None) -> int:
     except CounterexampleNotFoundError:
         print(
             f"{family}(theta={theta}): no failing basis triple; the squared-twist "
-            "Jacobi residual vanishes identically on this family",
-            file=out,
+            "Jacobi residual vanishes identically on this family"
         )
         return 1
-    print(f"{family}(theta={theta}): first failing basis triple {triple}", file=out)
-    print(f"residual: {residual}", file=out)
+    print(f"{family}(theta={theta}): first failing basis triple {triple}")
+    print(f"residual: {residual}")
     return 0
 
 
@@ -523,8 +514,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 s_list=tuple(_int_list(args.s)),
                 seed=args.seed,
                 sample_count=args.samples,
-                fmt=args.format,
-                output=args.output,
                 timings=args.timings,
                 inject_mutation=args.inject_mutation,
             )
@@ -532,7 +521,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print("error: --samples must be at least 1", file=sys.stderr)
                 return 2
             report = cmd_verify(config)
-            _emit(report.render(config.fmt), config.output)
+            _emit(report.render(args.format), args.output)
             return 0 if report.all_passed else 1
 
         if args.command == "check-algebra":

@@ -19,19 +19,19 @@ this exactly on a spanning set of basis cochains.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from . import algebra
-from ._kernel import Coboundary, Kernel
-from .algebra import CheckReport, HomAlgebra, Witness, bracket_eval
+from ._kernel import Coboundary
+from .algebra import CheckReport, HomAlgebra, Witness, bracket_eval, read_json, write_json
 from .errors import DimensionError, FileFormatError
 from .linalg import (
     Vec,
     basis_vec,
+    flatten,
     mat_mul,
     mat_pow,
     mat_vec,
@@ -44,7 +44,7 @@ from .linalg import (
     zero_vec,
 )
 from .representation import Representation, rho_eval
-from .scalars import PARSE_ERRORS, QuadExt, format_scalar, parse_int, parse_scalar
+from .scalars import PARSE_ERRORS, format_scalar, parse_int, parse_scalar
 
 # Largest C(n, k) * m a degree-k cochain on n generators with values in
 # dimension m may have.  A cochain holds one value vector per increasing
@@ -213,85 +213,67 @@ def _operator(g: HomAlgebra, rep: Representation, k: int, s: int) -> Coboundary:
         pre = mat_pow(rep.phi, k + 1 + s, g.backend)
         post = mat_pow(rep.phi, -(k + 2 + s), g.backend)
         conj = [zero if r == zero else mat_mul(mat_mul(pre, r), post) for r in rep.rho]
-    kernel = g.kernel
-    values = [x for mt in conj for row in mt for x in row]
-    if kernel.d is None and any(isinstance(x, QuadExt) and x for x in values):
-        kernel = Kernel(g.dim, g.pairs, g.twist, values)
+    kernel = g.kernel_with([x for mt in conj for x in flatten(mt)])
     return Coboundary(kernel, k, rep.m, conj)
 
 
-def check_d_squared(
-    g: HomAlgebra,
-    rep: Representation,
-    k: int,
-    s: int,
-    residuals: Optional[list] = None,
-) -> CheckReport:
-    """Verify d^s(d^s(eta)) = 0 exactly on every degree-k basis cochain.
+def d_squared_failures(g: HomAlgebra, rep: Representation, k: int, s: int):
+    """Yield ``(key, axis, nonzero)`` for each degree-k basis cochain with d^s d^s != 0.
 
-    Linearity of the operator extends the verdict to all degree-k cochains.
-    The witness names the first failing basis cochain (key, axis), in
-    ``basis_cochains`` order, the first output tuple in sorted order where
-    its residual is not zero, and that residual vector, computed with
-    :func:`coboundary`.  Given a list as ``residuals``, the scan goes on
-    past the first failure and appends ``(key, axis, nonzero)`` for every
-    basis cochain, ``nonzero`` mapping each output tuple whose residual is
-    not zero to that residual, in sorted order; the report is the same.
+    Failing basis cochains come in ``basis_cochains`` order; ``nonzero``
+    maps each output tuple where ``d^s(d^s(eta))`` is not zero to that
+    residual, in sorted order, computed by applying :func:`coboundary`
+    twice.  Cochain sizes over ``MAX_COCHAIN_ENTRIES`` raise ``ValueError``
+    on the call, before anything is built; the scan itself is lazy.
 
-    Exact backends decide this on the matrices of ``D_k = d^s`` on degree k
-    and ``D_{k+1}``, built once each: the check fails exactly where a column
-    of the product ``D_{k+1} D_k`` is not zero.  With 0-based positions,
-    ``u = (u_0 < ... < u_k)``, ``beta[K; v]`` the k x k minor of the twist
-    with rows K and columns v, and
-    ``M_t = phi^(k+1+s) rho(e_t) phi^(-(k+2+s))``,
-
-        D_k[(u,a),(K,b)] = sum_i (-1)^i M_{u_i}[a][b] det beta[K; u - u_i]
-                         + [a = b] sum_{i<j} (-1)^(i+j)
-                               det [ [e_{u_i}, e_{u_j}]|_K | beta[K; u - {u_i, u_j}] ].
-
-    Dense :func:`coboundary` then runs only for the failing basis cochains,
-    to report their residuals; without ``residuals`` it runs once, for the
-    witness, and :func:`coboundary_at` gives the residual at its one output
-    tuple.  The float backend applies :func:`coboundary` twice to every
-    basis cochain.  For ``k + 2 > n`` the target degree is empty, so the
-    check passes for any rho.  Cochains over ``MAX_COCHAIN_ENTRIES`` raise
-    ``ValueError`` before anything is built.
+    Exact backends find the failing cochains from the matrices of
+    ``D_k = d^s`` on degree k and ``D_{k+1}``, built once each (their
+    entries are in :class:`skewhom._kernel.Coboundary`): a basis cochain
+    fails exactly where its column of ``D_{k+1} D_k`` is not zero.  The
+    float backend tries every basis cochain.  For ``k + 2 > n`` the
+    target degree is empty, so nothing fails for any rho.
     """
     if rep.g != g:
         rep = replace(rep, g=g)
     n, m = g.dim, rep.m
     for degree in (k, k + 1, k + 2):
         _check_size(n, degree, m)
-    note = f"k={k} s={s}"
-    failing = None
     if algebra._sparse(g):
-        failures = _operator(g, rep, k, s).squared_failures(_operator(g, rep, k + 1, s))
-        if residuals is None:
-            first = next(failures, None)
-            if first is None:
-                return CheckReport(True)
-            key, axis, out_key = first
+        candidates = _operator(g, rep, k, s).squared_failures(_operator(g, rep, k + 1, s))
+    else:
+        candidates = itertools.product(itertools.combinations(range(n), k), range(m))
+
+    def residuals():
+        for key, axis in candidates:
             eta = cochain(k, n, m, {key: basis_vec(m, axis)})
-            at = [basis_vec(n, t) for t in out_key]
-            value = coboundary_at(coboundary(eta, rep, s), rep, s, at)
-            return CheckReport(False, Witness(first, value, note=note))
-        failing = {(key, axis) for key, axis, _ in failures}
-    witness = None
-    for key, axis, eta in basis_cochains(n, m, k):
-        nonzero = {}
-        if failing is None or (key, axis) in failing:
-            twice = coboundary(coboundary(eta, rep, s), rep, s)
-            for out_key in sorted(twice.table):
-                if not vec_is_zero(twice.table[out_key], g.backend):
-                    nonzero[out_key] = twice.table[out_key]
-        if nonzero and witness is None:
-            out_key = next(iter(nonzero))
-            witness = Witness((key, axis, out_key), nonzero[out_key], note=note)
-            if residuals is None:
-                return CheckReport(False, witness)
-        if residuals is not None:
-            residuals.append((key, axis, nonzero))
-    return CheckReport(witness is None, witness)
+            twice = coboundary(coboundary(eta, rep, s), rep, s).table
+            nonzero = {u: twice[u] for u in sorted(twice) if not vec_is_zero(twice[u], g.backend)}
+            if nonzero:
+                yield key, axis, nonzero
+
+    return residuals()
+
+
+def d_squared_report(failures, k: int, s: int) -> CheckReport:
+    """The report of a :func:`d_squared_failures` stream: its first item, if any.
+
+    The witness is the failing basis cochain ``(key, axis)``, its first
+    output tuple in sorted order, and the residual there.
+    """
+    for key, axis, nonzero in failures:
+        out_key, value = next(iter(nonzero.items()))
+        return CheckReport(False, Witness((key, axis, out_key), value, note=f"k={k} s={s}"))
+    return CheckReport(True)
+
+
+def check_d_squared(g: HomAlgebra, rep: Representation, k: int, s: int) -> CheckReport:
+    """Verify d^s(d^s(eta)) = 0 exactly on every degree-k basis cochain.
+
+    Linearity of the operator extends the verdict to all degree-k cochains.
+    This is the first item of :func:`d_squared_failures`, so the scan stops
+    at the first failing basis cochain.
+    """
+    return d_squared_report(d_squared_failures(g, rep, k, s), k, s)
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +323,8 @@ def cochain_from_dict(obj: dict, n: int, m: int, backend) -> Cochain:
 
 
 def save_cochain(eta: Cochain, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(cochain_to_dict(eta), indent=2) + "\n", encoding="utf-8")
+    write_json(cochain_to_dict(eta), path)
 
 
 def load_cochain(path: Union[str, Path], n: int, m: int, backend) -> Cochain:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(
-            f"not valid JSON: {exc.msg}", location=f"line {exc.lineno}, column {exc.colno}"
-        ) from exc
-    return cochain_from_dict(obj, n, m, backend)
+    return cochain_from_dict(read_json(path), n, m, backend)

@@ -220,15 +220,26 @@ def mat_inv(a: Mat, backend: Optional[ScalarBackend] = None) -> Mat:
     return tuple(tuple(row[n:]) for row in rows)
 
 
+def _scalar_types(a: Mat) -> tuple:
+    """Each entry's type, or its discriminant for a ``QuadExt``.
+
+    ``3 == 3.0 == QuadExt(3, 0, d)`` hash alike, so a cache key needs these,
+    placed before the matrix, to keep their powers (and ``QuadExt`` entries
+    of unequal discriminants) apart.
+    """
+    return tuple(getattr(x, "d", type(x)) for row in a for x in row)
+
+
 # Bounded, because keys are whole matrices; one benchmark round of any
-# workload uses at most 25 entries.
+# workload leaves at most 37 entries (the cohomology workload).
 @lru_cache(maxsize=128)
-def _mat_pow_cached(a: Mat, exponent: int, backend: Optional[ScalarBackend]) -> Mat:
+def _mat_pow_cached(types: tuple, a: Mat, exponent: int, backend: Optional[ScalarBackend]) -> Mat:
     if exponent == 0:
         return identity(len(a))
     if exponent < 0:
-        return _mat_pow_cached(mat_inv(a, backend), -exponent, backend)
-    half = _mat_pow_cached(a, exponent // 2, backend)
+        inverse = mat_inv(a, backend)
+        return _mat_pow_cached(_scalar_types(inverse), inverse, -exponent, backend)
+    half = _mat_pow_cached(types, a, exponent // 2, backend)
     out = mat_mul(half, half)
     if exponent % 2:
         out = mat_mul(out, a)
@@ -238,7 +249,8 @@ def _mat_pow_cached(a: Mat, exponent: int, backend: Optional[ScalarBackend]) -> 
 def mat_pow(a: Mat, exponent: int, backend: Optional[ScalarBackend] = None) -> Mat:
     """Integer matrix power; negative exponents invert once and cache."""
     _square_dim(a)
-    return _mat_pow_cached(mat(a), int(exponent), backend)
+    a = mat(a)
+    return _mat_pow_cached(_scalar_types(a), a, int(exponent), backend)
 
 
 def cross3(u: Vec, v: Vec) -> Vec:

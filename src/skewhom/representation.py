@@ -14,7 +14,6 @@ both verdicts side by side.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
@@ -28,6 +27,8 @@ from .algebra import (
     Witness,
     check_morphism,
     load_algebra,
+    read_json,
+    write_json,
 )
 from .constructions import GlContext, alpha_block, build_gl_alpha, builtin_algebra
 from .errors import DimensionError, FileFormatError, PreconditionError
@@ -156,7 +157,6 @@ def search_representation(
     m: int,
     budget: int,
     seed: int = 0,
-    nonzero: bool = True,
 ) -> Optional[Representation]:
     """Seeded random search for a representation on an m-dimensional space.
 
@@ -164,8 +164,7 @@ def search_representation(
     companion map cycles through block-diagonal alpha_theta matrices (even m)
     or the identity (odd m).  Returns the first candidate passing
     :func:`check_representation`, or ``None`` once the budget is exhausted.
-    With ``nonzero=False`` the all-zero candidate is tried first and always
-    hits.
+    The all-zero candidate is skipped; :func:`zero_representation` gives it.
     """
     if m < 1:
         raise ValueError("representation space dimension must be positive")
@@ -179,9 +178,6 @@ def search_representation(
             phis.append(alpha_block(m, theta, backend)[0])
     else:
         phis.append(identity(m))
-
-    if not nonzero:
-        return zero_representation(g, m, phis[0])
 
     rng = Random(seed)
     entries = (-1, 0, 0, 0, 1)
@@ -243,25 +239,15 @@ def representation_from_dict(obj: dict, g: Optional[HomAlgebra] = None) -> Repre
 
 
 def resolve_algebra(ref: str) -> HomAlgebra:
-    """Interpret ``ref`` as a builtin family name or an algebra file path."""
-    if ":" in ref and not Path(ref).exists():
-        return builtin_algebra(ref)[1]
+    """Load ``ref`` as an algebra file if that path exists, else as a builtin family name."""
     if Path(ref).exists():
         return load_algebra(ref)
     return builtin_algebra(ref)[1]
 
 
 def save_representation(rep: Representation, algebra_ref: str, path: Union[str, Path]) -> None:
-    payload = representation_to_dict(rep, algebra_ref)
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_json(representation_to_dict(rep, algebra_ref), path)
 
 
 def load_representation(path: Union[str, Path], g: Optional[HomAlgebra] = None) -> Representation:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(
-            f"not valid JSON: {exc.msg}", location=f"line {exc.lineno}, column {exc.colno}"
-        ) from exc
-    return representation_from_dict(obj, g)
+    return representation_from_dict(read_json(path), g)

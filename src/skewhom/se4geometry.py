@@ -82,12 +82,11 @@ def vstar_defect(x: Vec):
     return pseudo_inner(x, x), x[0] * x[1] - x[2] * x[3]
 
 
-def vstar_samples(
-    ctx: SemiEuclideanContext,
-    count: int,
-    seed: int = 0,
-    span: int = 9,
-) -> List[Vec]:
+# Sampled integer coordinates lie in -SPAN..SPAN.
+SPAN = 9
+
+
+def vstar_samples(ctx: SemiEuclideanContext, count: int, seed: int = 0) -> List[Vec]:
     """A sound sample of V* members (never emits a non-member).
 
     Mixes the structural families lambda*r, (a, 0, 0, a), and (p, q, p, q)
@@ -108,27 +107,24 @@ def vstar_samples(
     while len(out) < count and structural < count:
         kind = structural % 3
         structural += 1
-        lam = backend.coerce(rng.randint(-span, span))
+        lam = backend.coerce(rng.randint(-SPAN, SPAN))
         if kind == 0:
             keep(vec_scale(lam, ctx.r))
         elif kind == 1:
             keep((lam, backend.coerce(0), backend.coerce(0), lam))
         else:
-            mu = backend.coerce(rng.randint(-span, span))
+            mu = backend.coerce(rng.randint(-SPAN, SPAN))
             keep((lam, mu, lam, mu))
     guard = 0
     while len(out) < count and guard < 10000:
         guard += 1
-        z = tuple(backend.coerce(rng.randint(-span, span)) for _ in range(4))
+        z = tuple(backend.coerce(rng.randint(-SPAN, SPAN)) for _ in range(4))
         keep(z)
     return out[:count]
 
 
 def check_vstar_closure(
-    theta: Union[int, str, Fraction],
-    samples: int = 200,
-    seed: int = 0,
-    span: int = 9,
+    theta: Union[int, str, Fraction], samples: int = 200, seed: int = 0
 ) -> CheckReport:
     """Closure of V* under the bracket (for arbitrary inputs) and under P.
 
@@ -140,15 +136,15 @@ def check_vstar_closure(
     backend = ctx.backend
     rng = Random(seed)
     for trial in range(samples):
-        x = tuple(backend.coerce(rng.randint(-span, span)) for _ in range(4))
-        y = tuple(backend.coerce(rng.randint(-span, span)) for _ in range(4))
+        x = tuple(backend.coerce(rng.randint(-SPAN, SPAN)) for _ in range(4))
+        y = tuple(backend.coerce(rng.randint(-SPAN, SPAN)) for _ in range(4))
         value = bracket_eval(g, x, y)
         verdict = in_v_star(value, backend)
         if not verdict.member:
             return CheckReport(
                 False, Witness(("bracket", x, y), vstar_defect(value))
             )
-    for z in vstar_samples(ctx, samples, seed=seed + 1, span=span):
+    for z in vstar_samples(ctx, samples, seed=seed + 1):
         image = mat_vec(ctx.P, z)
         verdict = in_v_star(image, backend)
         if not verdict.member:

@@ -244,6 +244,25 @@ def test_loader_anchors_json_errors(tmp_path):
         load_algebra(path)
 
 
+@pytest.mark.parametrize("kind", ["algebra", "representation", "cochain"])
+def test_every_loader_anchors_json_errors(tmp_path, kind):
+    from skewhom.cohomology import load_cochain
+    from skewhom.representation import load_representation
+    from skewhom.scalars import rational_backend
+
+    load = {
+        "algebra": load_algebra,
+        "representation": load_representation,
+        "cochain": lambda path: load_cochain(path, 4, 4, rational_backend()),
+    }[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text('{\n  "k": 1,\n  "m": }\n', encoding="utf-8")
+    with pytest.raises(FileFormatError) as info:
+        load(path)
+    assert str(info.value) == "not valid JSON: Expecting value (line 3, column 8)"
+    assert info.value.location == "line 3, column 8"
+
+
 def test_constructor_rejects_asymmetric_table(cross_id):
     table = [list(row) for row in cross_id.bracket]
     table[0][1] = (F(1), F(0), F(0))  # no matching negation at (1, 0)

@@ -141,6 +141,25 @@ def test_cohomology_with_cochain_file(tmp_path, capsys):
     assert "coboundary of degree-1 cochain" in out
 
 
+def test_algebra_reference_is_a_file_when_the_path_exists(tmp_path, capsys, monkeypatch):
+    from skewhom.representation import resolve_algebra
+
+    # a file named like a builtin loads as the file: r3 has 3 generators, se4 has 4
+    monkeypatch.chdir(tmp_path)
+    save_algebra(build_r3_cross(identity(3)), tmp_path / "se4:theta=1")
+    assert resolve_algebra("se4:theta=1").dim == 3
+    assert main(["cohomology", "se4:theta=1", "--k", "1", "--s", "0"]) == 0
+    assert "basis cochain (0,) axis 2: 0" in capsys.readouterr().out
+    assert resolve_algebra("se4:theta=1/2").dim == 4
+
+
+def test_unknown_algebra_reference_is_usage_error(capsys):
+    assert main(["cohomology", "nope:theta=1", "--k", "1", "--s", "0"]) == 2
+    assert capsys.readouterr().err == "error: unknown builtin family 'nope'\n"
+    assert main(["cohomology", "missing.json", "--k", "1", "--s", "0"]) == 2
+    assert capsys.readouterr().err == "error: unknown builtin family 'missing.json'\n"
+
+
 def test_cohomology_negative_degree_is_usage_error(capsys):
     assert main(["cohomology", "se4:theta=1", "--k", "-1", "--s", "0"]) == 2
     assert capsys.readouterr().err == "error: --k must be non-negative\n"
@@ -241,11 +260,14 @@ def test_cohomology_records_a_raising_scan(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise SingularMatrixError("phi lost its inverse")
 
-    monkeypatch.setattr(cli, "check_d_squared", broken)
+    monkeypatch.setattr(cli, "d_squared_failures", broken)
     assert main(["cohomology", "se4:theta=1", "--k", "1", "--s", "0"]) == 1
     out = capsys.readouterr().out
     assert "FAIL  se4:theta=1: coboundary nilpotency k=1 s=0" in out
     assert "witness: phi lost its inverse" in out
+    # the table keeps its header and has no rows
+    assert out.startswith("squared-coboundary residual table (k=1, s=0):\nFAIL")
+    assert "basis cochain" not in out
 
 
 def test_nullspace_csv(capsys):

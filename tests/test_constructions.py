@@ -48,6 +48,7 @@ from skewhom.linalg import (
     mat_eq,
     mat_col,
     mat_inv,
+    mat_is_zero,
     mat_mul,
     mat_neg,
     mat_sub,
@@ -534,6 +535,83 @@ def test_pseudo_adjoint_morphism_abelian_rotation_twist():
     zero_table = tuple(tuple(zero_vec(2) for _ in range(2)) for _ in range(2))
     g = HomAlgebra(2, zero_table, mat([[0, 1], [-1, 0]]), be)
     assert check_pseudo_adjoint_morphism(g).passed
+
+
+def reference_pseudo_adjoint_morphism(g):
+    """The hand-written loops ``check_pseudo_adjoint_morphism`` ran before it
+    became ``check_morphism`` into gl(g): the twist law first, then the
+    bracket law on all ordered pairs."""
+    if not mat_eq(mat_mul(g.twist, g.twist), mat_neg(identity(g.dim)), g.backend):
+        raise PreconditionError("twist**2 = -id is required for the morphism law")
+    ad_star = pseudo_adjoint(g)
+    mats = [ad_star(basis_vec(g.dim, i)) for i in range(g.dim)]
+    twisted = [ad_star(g.twist_col(i)) for i in range(g.dim)]
+    beta = g.twist
+    for i in range(g.dim):
+        if not mat_is_zero(mat_sub(twisted[i], mat_mul(mat_mul(beta, mats[i]), beta)), g.backend):
+            return False
+    for i in range(g.dim):
+        for j in range(g.dim):
+            a, b = mats[i], mats[j]
+            left = mat_mul(mat_mul(mat_mul(mat_mul(beta, a), beta), b), beta)
+            right = mat_mul(mat_mul(mat_mul(mat_mul(beta, b), beta), a), beta)
+            res = mat_sub(ad_star(g.bracket[i][j]), mat_neg(mat_sub(left, right)))
+            if not mat_is_zero(res, g.backend):
+                return False
+    return True
+
+
+def j_sum(n, scale=1):
+    """``scale`` times J + ... + J with J = [[0, -1], [1, 0]], an n x n matrix."""
+    return tuple(
+        tuple(F(scale * (-1 if c == r + 1 else 1)) if c == r ^ 1 else F(0) for c in range(n))
+        for r in range(n)
+    )
+
+
+@st.composite
+def j_sum_tables(draw, scale=1):
+    """Random rational tables on 2 or 4 generators with twist ``scale`` J + J."""
+    from skewhom.algebra import HomAlgebra
+
+    n = draw(st.sampled_from((2, 4)))
+    entry = st.sampled_from((F(0), F(0), F(0), F(1), F(-1), F(2), F(1, 2)))
+    pairs = {
+        (i, j): tuple(draw(entry) for _ in range(n))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if draw(st.booleans())
+    }
+    return HomAlgebra.from_pairs(n, pairs, j_sum(n, scale), rational_backend())
+
+
+@settings(max_examples=60, deadline=None)
+@given(j_sum_tables())
+def test_pseudo_adjoint_morphism_matches_the_reference_loops(g):
+    passed = check_pseudo_adjoint_morphism(g).passed
+    assert passed == reference_pseudo_adjoint_morphism(g)
+    # with beta^2 = -id the twist law alone forces a zero bracket
+    assert passed == (not g.pairs)
+
+
+@settings(max_examples=10, deadline=None)
+@given(j_sum_tables(scale=2))
+def test_pseudo_adjoint_morphism_refuses_a_twist_not_squaring_to_minus_one(g):
+    # (2J)**2 = -4 id
+    for check in (check_pseudo_adjoint_morphism, reference_pseudo_adjoint_morphism):
+        with pytest.raises(PreconditionError):
+            check(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(j_sum_tables())
+def test_twist_sign_minus_one_with_square_minus_id_forces_a_zero_bracket(g):
+    # the sign law twice gives beta^2 [x,y] = [beta^2 x, beta^2 y] = [x,y],
+    # while beta^2 = -id gives -[x,y]
+    from skewhom.algebra import check_twist_sign
+
+    if check_twist_sign(g).sign == -1:
+        assert not g.pairs
 
 
 # --- builtin name resolution

@@ -10,13 +10,14 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from skewhom import algebra
 from skewhom.algebra import (
     HomAlgebra,
     algebra_to_dict,
     check_hom_jacobi,
+    check_morphism,
     check_power_sign_law,
     check_twist_sign,
     classify,
@@ -29,7 +30,7 @@ from skewhom.constructions import (
     build_semi_euclidean,
 )
 from skewhom.errors import BackendMismatchError, CounterexampleNotFoundError, SkewhomError
-from skewhom.linalg import vec_neg, zero_vec
+from skewhom.linalg import identity, mat_pow, vec_neg, zero_vec
 from skewhom.scalars import QuadExt, quadratic_backend, rational_backend
 
 # theta = 1/2 gives Q(sqrt 5) as d = 5/4; theta = 3/4 gives d = 25/16, a
@@ -170,6 +171,44 @@ def test_kernel_matches_dense_scans_on_mutated_families(family, pair, k, delta, 
     assert outcomes(g, powers=(1, 2, 3)) == dense_outcomes(g, powers=(1, 2, 3))
 
 
+# float backends keep the dense scans
+FLOAT_FAMILIES = {
+    (name, theta): build(theta)
+    for theta in (0.5, 0.3)
+    for name, build in (("se4", lambda t: build_semi_euclidean(t)[0]), ("gl2", gl2))
+}
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.sampled_from(sorted({**FAMILIES, **FLOAT_FAMILIES}, key=str)),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda p: p[0] != p[1]),
+    st.integers(0, 3),
+    st.sampled_from((0, -1, 1, 2, F(1, 3))),
+    st.sampled_from((1, 1, -1, 2)),
+    st.integers(1, 3),
+)
+def test_power_sign_law_is_the_bracket_law_of_check_morphism(
+    both_paths, family, pair, k, delta, factor, m
+):
+    g = mutated({**FAMILIES, **FLOAT_FAMILIES}[family], *pair, k, delta, factor)
+
+    def laws(g):
+        power = check_power_sign_law(g, m).witness
+        if power is not None:
+            assert power.note == f"m={m}"
+            power = (power.at, repr(power.residual))
+        w = check_morphism(mat_pow(g.twist, m, g.backend), g, g, (-1) ** m).witness
+        # beta^m commutes with beta, so the morphism can fail only in its bracket law
+        assert w is None or w.at[0] == "bracket"
+        return power, None if w is None else (w.at[1:], repr(w.residual))
+
+    for power, morphism in both_paths(laws, g):
+        assert power == morphism
+
+
 def test_kernel_matches_dense_on_the_paper_families():
     for g in FAMILIES.values():
         assert outcomes(g, powers=(1, 2, 3)) == dense_outcomes(g, powers=(1, 2, 3))
@@ -189,6 +228,32 @@ def test_squared_twist_scan_matches_dense_scan(m, theta):
     sparse = scan()
     with mock.patch.object(algebra, "_sparse", lambda g: False):
         assert sparse == scan()
+
+
+def test_rational_entries_on_a_quadratic_backend_take_the_kernel():
+    # a cached power of an equal QuadExt twist must not leak its scalar
+    # types into the power of this rational twist, and a quadratic morphism
+    # gives a rational algebra's kernel its discriminant
+    d = HALF.d
+    mat_pow(((QuadExt(0, 0, d), F(0)), (F(0), QuadExt(3, 0, d))), 2, HALF)
+    g = HomAlgebra.from_pairs(2, {}, ((F(0), F(0)), (F(0), F(3))), HALF)
+    assert outcomes(g) == dense_outcomes(g)
+    h = HomAlgebra.from_pairs(3, {(0, 1): (F(0), F(0), F(1))}, identity(3), HALF)
+    f = ((QuadExt(0, 1, d), 0, 0), (0, QuadExt(0, 1, d), 0), (0, 0, F(5, 4)))
+    sparse = check_morphism(f, h, h, 1)
+    with mock.patch.object(algebra, "_sparse", lambda g: False):
+        dense = check_morphism(f, h, h, 1)
+    assert sparse.passed and dense.passed
+
+
+def test_a_float_morphism_of_an_exact_algebra_scans_densely():
+    for g in (FAMILIES[("se4", F(0))], mutated(FAMILIES[("gl2", F(0))], 0, 1, 2, 1)):
+        f = tuple(tuple(float(r == c) for c in range(g.dim)) for r in range(g.dim))
+        for sign in (1, -1):
+            sparse = check_morphism(f, g, g, sign)
+            with mock.patch.object(algebra, "_sparse", lambda g: False):
+                dense = check_morphism(f, g, g, sign)
+            assert (sparse.passed, repr(sparse.witness)) == (dense.passed, repr(dense.witness))
 
 
 def test_mixed_discriminants_raise():

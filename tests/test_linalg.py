@@ -157,3 +157,20 @@ def test_mat_pow_cache_is_bounded():
     from skewhom.linalg import _mat_pow_cached
 
     assert _mat_pow_cached.cache_info().maxsize is not None
+
+
+def test_mat_pow_cache_keeps_the_scalar_types_of_equal_matrices():
+    from skewhom.scalars import QuadExt
+
+    # 3 == 3.0 == QuadExt(3, 0, d), with equal hashes, so the three matrices
+    # below are equal keys unless the cache tells their types apart
+    d = F(5, 4)
+    quad = ((QuadExt(0, 0, d), F(0)), (F(0), QuadExt(3, 0, d)))
+    rational = ((F(0), F(0)), (F(0), F(3)))
+    floats = ((0.0, 0.0), (0.0, 3.0))
+    for a in (quad, rational, floats, rational, quad):
+        assert repr(mat_pow(a, 2)) == repr(mat_mul(a, a))
+        assert repr(mat_pow(a, 3)) == repr(mat_mul(mat_mul(a, a), a))
+    other = ((QuadExt(1, 0, F(2)), F(0)), (F(0), QuadExt(3, 0, F(2))))
+    mat_pow(other, 2)  # unequal discriminants are never compared
+    assert repr(mat_pow(quad, 2)) == repr(mat_mul(quad, quad))

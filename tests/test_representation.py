@@ -168,23 +168,17 @@ def test_verdict_invariant_under_simultaneous_conjugation(entries):
 # --- search
 
 
-def test_search_zero_candidate_hits_when_allowed():
-    found = search_representation(SE4_ZERO, 2, budget=3, nonzero=False)
-    assert found is not None
-    assert all(all(x == 0 for row in r for x in row) for r in found.rho)
-
-
 def test_search_abelian_with_rotation_twist_finds_nothing():
     # beta^2 = -id and phi^2 = -id force rho = 0; the nonzero search must miss
     be = SE4_ZERO.backend
     zero_table = tuple(tuple(zero_vec(2) for _ in range(2)) for _ in range(2))
     g = HomAlgebra(2, zero_table, mat([[0, 1], [-1, 0]]), be)
-    assert search_representation(g, 2, budget=250, seed=11, nonzero=True) is None
+    assert search_representation(g, 2, budget=250, seed=11) is None
 
 
 def test_search_is_deterministic_and_outcome_recorded():
-    first = search_representation(SE4_ZERO, 2, budget=120, seed=5, nonzero=True)
-    second = search_representation(SE4_ZERO, 2, budget=120, seed=5, nonzero=True)
+    first = search_representation(SE4_ZERO, 2, budget=120, seed=5)
+    second = search_representation(SE4_ZERO, 2, budget=120, seed=5)
     assert (first is None) == (second is None)
     if first is not None:
         assert first.rho == second.rho
