@@ -62,7 +62,7 @@ def _differs(u: Sparse, v: Sparse, sign: int) -> bool:
     return False
 
 
-class _Twist:
+class Twist:
     """A twist-like matrix by columns, its scale, and ``ad[j][p] = [e_p, t e_j]``."""
 
     def __init__(self, kernel: "Kernel", m) -> None:
@@ -104,7 +104,7 @@ class Kernel:
             self.rows[i][j] = {
                 k: pairs[idx * n + k] for k in range(n) if pairs[idx * n + k] is not None
             }
-        self.twist = _Twist(self, twist)
+        self.twist = Twist(self, twist)
 
     def pairs(self, values: Iterable) -> Tuple[List[Optional[Pair]], int]:
         """``values`` as integer pairs over one common scale (``None`` for zero)."""
@@ -182,46 +182,27 @@ class Kernel:
                 return i, j, k
         return None
 
-    def _sign_sides(self, t: _Twist) -> Iterable[Tuple[int, int, Sparse, Sparse]]:
-        """``(i, j, L_t * t([e_i, e_j]), [t e_i, t e_j])`` for ``i < j``, scaled alike."""
+    def first_sign_failure(self, t: Twist, signs: Set[int]) -> Tuple[Set[int], Optional[tuple]]:
+        """The ``signs`` eps with ``t([e_i,e_j]) = eps * [t e_i, t e_j]`` on every
+        ordered basis pair so far, and the first pair that leaves none
+        (``None`` if the scan ends).
+
+        Both sides are antisymmetric in ``(i, j)`` and vanish for ``i = j``,
+        so pair ``(j, i)`` admits exactly the signs that ``(i, j)`` admits and
+        ``(i, i)`` admits all.  Every ordered pair ``(j, i)`` with ``j > i``
+        comes after ``(i, j)`` in lexicographic order, so it never removes a
+        sign: the ordered scan first runs out of signs at an ``i < j`` pair,
+        with the same signs as this scan of ``i < j`` pairs has there, and
+        ends with the same signs.  A pair whose two sides vanish admits every
+        sign, so it needs no skipping over the integers.
+        """
         for i, j in itertools.combinations(range(self.dim), 2):
             lhs = self._combine({}, self.bracket(i, j), t.cols, t.scale)
             rhs = self._combine({}, t.cols[i], t.ad[j], 1)
-            yield i, j, lhs, rhs
-
-    def first_sign_failure(self, m, sign: int) -> Optional[Tuple[int, int]]:
-        """First ordered basis pair where ``m([e_i,e_j]) != sign * [m e_i, m e_j]``.
-
-        Both sides are antisymmetric in ``(i, j)`` and vanish for ``i = j``,
-        so the first failing ordered pair is the first failing ``i < j``
-        pair.
-        """
-        for i, j, lhs, rhs in self._sign_sides(_Twist(self, m)):
-            if _differs(lhs, rhs, sign):
-                return i, j
-        return None
-
-    def twist_sign_candidates(self) -> Tuple[Set[int], Optional[Tuple[int, int]]]:
-        """Signs ``eps`` with ``b([e_i,e_j]) = eps * [b e_i, b e_j]`` on every pair so
-        far, and the first pair that leaves none (``None`` if the scan ends).
-
-        Pairs where both sides vanish are skipped.  Pair ``(j, i)`` admits
-        exactly the signs that ``(i, j)`` admits, since both sides are
-        antisymmetric, and ``(i, i)`` is skipped.  Every ordered pair
-        ``(j, i)`` with ``j > i`` comes after ``(i, j)`` in lexicographic
-        order, so it never removes a candidate: the ordered scan first runs
-        out of candidates at an ``i < j`` pair, with the same candidates as
-        this scan of ``i < j`` pairs has there, and ends with the same
-        candidates.
-        """
-        candidates = {1, -1}
-        for i, j, lhs, rhs in self._sign_sides(self.twist):
-            if not _nonzero(lhs) and not _nonzero(rhs):
-                continue
-            candidates &= {s for s in (1, -1) if not _differs(lhs, rhs, s)}
-            if not candidates:
-                return candidates, (i, j)
-        return candidates, None
+            signs = {s for s in signs if not _differs(lhs, rhs, s)}
+            if not signs:
+                return signs, (i, j)
+        return signs, None
 
 
 class Coboundary:

@@ -23,9 +23,9 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Set, Tuple, Union
 
-from ._kernel import Kernel
+from ._kernel import Kernel, Twist
 from .errors import BackendMismatchError, DimensionError, FileFormatError
 from .linalg import (
     Mat,
@@ -81,7 +81,8 @@ class TwistSign:
 
     ``sign`` is +1 or -1 when one constant is consistent across all basis
     pairs, ``None`` when no constant works (see ``witness``).  ``abelian``
-    marks the all-zero bracket, for which +1 is reported by convention.
+    marks the all-zero bracket, or both constants consistent, for which +1
+    is reported by convention.
     """
 
     sign: Optional[int]
@@ -214,22 +215,6 @@ def _sparse(g: HomAlgebra) -> bool:
     return g.backend.exact
 
 
-def _first_failure(g: HomAlgebra, positions, residual: Callable[..., Vec]):
-    """Dense scan: the first of ``positions`` whose residual is not zero."""
-    return next((at for at in positions if not vec_is_zero(residual(*at), g.backend)), None)
-
-
-def _jacobi_residual(g: HomAlgebra) -> Callable[[int, int, int], Vec]:
-    beta = [g.twist_col(i) for i in range(g.dim)]
-
-    def residual(i: int, j: int, k: int) -> Vec:
-        res = bracket_eval(g, g.bracket[j][k], beta[i])
-        res = vec_add(res, bracket_eval(g, g.bracket[k][i], beta[j]))
-        return vec_add(res, bracket_eval(g, g.bracket[i][j], beta[k]))
-
-    return residual
-
-
 def check_hom_jacobi(g: HomAlgebra) -> CheckReport:
     """Twisted Jacobi identity on all ordered basis triples.
 
@@ -242,59 +227,38 @@ def check_hom_jacobi(g: HomAlgebra) -> CheckReport:
     ``Kernel.first_jacobi_failure``).  The float backend scans all n**3
     ordered triples.  Either way the residual reported is the dense one.
     """
-    residual = _jacobi_residual(g)
+    beta = [g.twist_col(i) for i in range(g.dim)]
+
+    def residual(i: int, j: int, k: int) -> Vec:
+        res = bracket_eval(g, g.bracket[j][k], beta[i])
+        res = vec_add(res, bracket_eval(g, g.bracket[k][i], beta[j]))
+        return vec_add(res, bracket_eval(g, g.bracket[i][j], beta[k]))
+
     if _sparse(g):
         at = g.kernel.first_jacobi_failure()
     else:
-        at = _first_failure(g, itertools.product(range(g.dim), repeat=3), residual)
+        triples = itertools.product(range(g.dim), repeat=3)
+        at = next((at for at in triples if not vec_is_zero(residual(*at), g.backend)), None)
     return CheckReport(True) if at is None else CheckReport(False, Witness(at, residual(*at)))
-
-
-def _twist_sides(g: HomAlgebra) -> Callable[[int, int], Tuple[Vec, Vec]]:
-    beta = [g.twist_col(i) for i in range(g.dim)]
-    return lambda i, j: (mat_vec(g.twist, g.bracket[i][j]), bracket_eval(g, beta[i], beta[j]))
-
-
-def _twist_sign_candidates(g: HomAlgebra, sides) -> Tuple[set, Optional[tuple]]:
-    """Dense scan of all ordered pairs: the signs left, and the pair that left none."""
-    candidates = {1, -1}
-    for i, j in itertools.product(range(g.dim), repeat=2):
-        lhs, rhs = sides(i, j)
-        if vec_is_zero(lhs, g.backend) and vec_is_zero(rhs, g.backend):
-            continue
-        if not vec_is_zero(vec_sub(lhs, rhs), g.backend):
-            candidates.discard(1)
-        if not vec_is_zero(vec_add(lhs, rhs), g.backend):
-            candidates.discard(-1)
-        if not candidates:
-            return candidates, (i, j)
-    return candidates, None
 
 
 def check_twist_sign(g: HomAlgebra) -> TwistSign:
     """Detect the constant eps with beta([e_i, e_j]) = eps * [beta e_i, beta e_j].
 
-    Pairs where both sides vanish carry no information and are skipped; for
-    the all-zero bracket every constant is consistent and +1 is reported with
-    the abelian flag set.  The witness is the first ordered pair after which
-    no constant is left; exact backends find it with the sparse kernel over
-    i<j pairs, which is the same pair because both sides are antisymmetric
-    (see ``Kernel.twist_sign_candidates``).
+    This is the bracket law of :func:`check_morphism` for beta into ``g``
+    itself with both signs admissible.  For the all-zero bracket every
+    constant is consistent and +1 is reported with the abelian flag set, as
+    it is whenever both signs survive.  The witness is the first ordered pair
+    after which no constant is left, with the residual for +1 if that is
+    nonzero there and for -1 otherwise.
     """
-    sides = _twist_sides(g)
     abelian = all(vec_is_zero(v, g.backend) for v in g.pairs.values())
-    if _sparse(g):
-        candidates, at = g.kernel.twist_sign_candidates()
-    else:
-        candidates, at = _twist_sign_candidates(g, sides)
-    if at is not None:
-        lhs, rhs = sides(*at)
-        plus = vec_sub(lhs, rhs)
-        residual = plus if not vec_is_zero(plus, g.backend) else vec_add(lhs, rhs)
-        return TwistSign(None, Witness(at, residual), abelian)
-    if abelian or candidates == {1, -1}:
+    signs, failure = _bracket_failure(g.twist, g, g, {1, -1})
+    if failure is not None:
+        return TwistSign(None, Witness(*failure), abelian)
+    if abelian or signs == {1, -1}:
         return TwistSign(1, None, abelian=True)
-    return TwistSign(candidates.pop())
+    return TwistSign(signs.pop())
 
 
 def classify(
@@ -326,27 +290,49 @@ def classify(
     return Classification(Verdict.HOM_LIE, regular)
 
 
-def _bracket_failure(f: Mat, g: HomAlgebra, h: HomAlgebra, sign: int):
-    """``((i, j), residual)`` at the first ordered pair where
-    ``f([e_i,e_j]_g) != sign * [f e_i, f e_j]_h``, or ``None``.
+def _bracket_failure(f: Mat, g: HomAlgebra, h: HomAlgebra, signs: Set[int]):
+    """The bracket law ``f([e_i,e_j]_g) = eps * [f e_i, f e_j]_h`` over basis pairs.
+
+    Returns the ``signs`` eps that hold on every ordered pair up to the
+    first pair where none is left, and ``((i, j), residual)`` at that pair
+    (or ``None``).  The residual is ``f([e_i,e_j]_g) - eps * [f e_i, f e_j]_h``
+    for the first eps in ``signs``, +1 before -1, where that is nonzero.  A
+    pair whose two sides are both zero admits every sign.
 
     When ``h`` is ``g`` on an exact backend, and ``f`` holds no float, the
     sparse kernel scans i<j pairs, which finds the same pair since both
-    sides are antisymmetric; otherwise the scan is dense.  The residual is
-    always the dense one.
+    sides are antisymmetric (see ``Kernel.first_sign_failure``); otherwise
+    the scan is dense.  The residual is always the dense one.
     """
     cols = [mat_col(f, i) for i in range(g.dim)]
 
-    def residual(i: int, j: int) -> Vec:
-        rhs = bracket_eval(h, cols[i], cols[j])
-        return vec_sub(mat_vec(f, g.bracket[i][j]), vec_scale(Fraction(sign), rhs))
+    def sides(i: int, j: int) -> Tuple[Vec, Vec]:
+        return mat_vec(f, g.bracket[i][j]), bracket_eval(h, cols[i], cols[j])
+
+    def residual(lhs: Vec, rhs: Vec, sign: int) -> Vec:
+        return vec_sub(lhs, vec_scale(Fraction(sign), rhs))
 
     entries = flatten(f)
     if h is g and _sparse(g) and not any(isinstance(x, float) for x in entries):
-        at = g.kernel_with(entries).first_sign_failure(f, sign)
+        kernel = g.kernel_with(entries)
+        left, at = kernel.first_sign_failure(
+            kernel.twist if f is g.twist else Twist(kernel, f), signs
+        )
     else:
-        at = _first_failure(g, itertools.product(range(g.dim), repeat=2), residual)
-    return None if at is None else (at, residual(*at))
+        left, at = signs, None
+        for i, j in itertools.product(range(g.dim), repeat=2):
+            lhs, rhs = sides(i, j)
+            if vec_is_zero(lhs, g.backend) and vec_is_zero(rhs, g.backend):
+                continue
+            left = {s for s in left if vec_is_zero(residual(lhs, rhs, s), g.backend)}
+            if not left:
+                at = (i, j)
+                break
+    if at is None:
+        return left, None
+    lhs, rhs = sides(*at)
+    res = (residual(lhs, rhs, s) for s in sorted(signs, reverse=True))
+    return left, (at, next(r for r in res if not vec_is_zero(r, g.backend)))
 
 
 def check_power_sign_law(g: HomAlgebra, m: int) -> CheckReport:
@@ -358,7 +344,7 @@ def check_power_sign_law(g: HomAlgebra, m: int) -> CheckReport:
     """
     if m < 1:
         raise ValueError("power must be a positive integer")
-    failure = _bracket_failure(mat_pow(g.twist, m, g.backend), g, g, (-1) ** m)
+    _, failure = _bracket_failure(mat_pow(g.twist, m, g.backend), g, g, {(-1) ** m})
     if failure is None:
         return CheckReport(True)
     return CheckReport(False, Witness(*failure, note=f"m={m}"))
@@ -378,7 +364,7 @@ def check_morphism(f: Mat, g: HomAlgebra, h: HomAlgebra, sign: int) -> CheckRepo
         raise BackendMismatchError("source and target use different backends")
     if len(f) != h.dim or any(len(row) != g.dim for row in f):
         raise DimensionError(f"morphism matrix must be {h.dim}x{g.dim}")
-    failure = _bracket_failure(f, g, h, sign)
+    _, failure = _bracket_failure(f, g, h, {sign})
     if failure is not None:
         (i, j), res = failure
         return CheckReport(False, Witness(("bracket", i, j), res))

@@ -30,7 +30,13 @@ from .algebra import (
     read_json,
     write_json,
 )
-from .constructions import GlContext, alpha_block, build_gl_alpha, builtin_algebra
+from .constructions import (
+    BUILTIN_FAMILIES,
+    GlContext,
+    alpha_block,
+    build_gl_alpha,
+    builtin_algebra,
+)
 from .errors import DimensionError, FileFormatError, PreconditionError
 from .linalg import (
     Mat,
@@ -242,6 +248,11 @@ def resolve_algebra(ref: str) -> HomAlgebra:
     """Load ``ref`` as an algebra file if that path exists, else as a builtin family name."""
     if Path(ref).exists():
         return load_algebra(ref)
+    if ref.partition(":")[0] not in BUILTIN_FAMILIES:
+        raise ValueError(
+            f"{ref!r} is neither an existing algebra file nor a builtin family"
+            f" ({', '.join(BUILTIN_FAMILIES)})"
+        )
     return builtin_algebra(ref)[1]
 
 

@@ -153,11 +153,22 @@ def test_algebra_reference_is_a_file_when_the_path_exists(tmp_path, capsys, monk
     assert resolve_algebra("se4:theta=1/2").dim == 4
 
 
+def usage_error(ref):
+    return (
+        f"error: {ref!r} is neither an existing algebra file nor a builtin family"
+        " (se4, gl2, r3)\n"
+    )
+
+
 def test_unknown_algebra_reference_is_usage_error(capsys):
     assert main(["cohomology", "nope:theta=1", "--k", "1", "--s", "0"]) == 2
-    assert capsys.readouterr().err == "error: unknown builtin family 'nope'\n"
+    assert capsys.readouterr().err == usage_error("nope:theta=1")
+
+
+def test_missing_algebra_file_is_not_called_an_unknown_family(capsys):
+    # a mistyped file name must not read as a request for a builtin family
     assert main(["cohomology", "missing.json", "--k", "1", "--s", "0"]) == 2
-    assert capsys.readouterr().err == "error: unknown builtin family 'missing.json'\n"
+    assert capsys.readouterr().err == usage_error("missing.json")
 
 
 def test_cohomology_negative_degree_is_usage_error(capsys):

@@ -1,16 +1,21 @@
+import itertools
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from skewhom.algebra import (
+    CheckReport,
     HomAlgebra,
     Verdict,
+    Witness,
     algebra_from_dict,
     algebra_to_dict,
     bracket_eval,
+    check_hom_jacobi,
     classify,
     load_algebra,
     save_algebra,
@@ -56,6 +61,7 @@ from skewhom.linalg import (
     matrix_unit,
     transpose,
     unflatten,
+    vec_add,
     vec_neg,
     vec_sub,
     wedge3,
@@ -70,6 +76,8 @@ from skewhom.scalars import (
 )
 
 from strategies import int_vectors, rationals
+from test_kernel import FAMILIES as KERNEL_FAMILIES, FLOAT_FAMILIES, mutated
+from test_kernel import algebras as kernel_algebras
 
 
 # --- cross-product family on R^3
@@ -516,6 +524,106 @@ def test_pseudo_adjoint_identity_abelian():
 
     g = HomAlgebra(2, zero_table, identity(2), be)
     assert check_pseudo_adjoint_identity(g).passed
+
+
+def reference_pseudo_adjoint_identity(g):
+    """The matrix loop ``check_pseudo_adjoint_identity`` ran before it became
+    the twisted Jacobi scan: the residual matrix on every ordered pair."""
+    ad_star = pseudo_adjoint(g)
+    mats = [ad_star(basis_vec(g.dim, i)) for i in range(g.dim)]
+    twisted = [ad_star(g.twist_col(i)) for i in range(g.dim)]
+    for i, j in itertools.product(range(g.dim), repeat=2):
+        lhs = mat_mul(ad_star(g.bracket[i][j]), g.twist)
+        rhs = mat_sub(mat_mul(twisted[j], mats[i]), mat_mul(twisted[i], mats[j]))
+        res = mat_sub(lhs, rhs)
+        if not mat_is_zero(res, g.backend):
+            return CheckReport(False, Witness((i, j), res))
+    return CheckReport(True)
+
+
+def pseudo_adjoint_outcome(report):
+    w = report.witness
+    return report.passed, None if w is None else (w.at, repr(w.residual))
+
+
+def assert_pseudo_adjoint_matches_reference(g, both_paths):
+    want = pseudo_adjoint_outcome(reference_pseudo_adjoint_identity(g))
+    for got in both_paths(check_pseudo_adjoint_identity, g):
+        assert pseudo_adjoint_outcome(got) == want
+
+
+@pytest.mark.parametrize("kind", ["rational", "half", "degenerate", "float"])
+def test_pseudo_adjoint_identity_matches_the_reference_loop(kind, both_paths):
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(kernel_algebras(kind))
+    def check(g):
+        assert_pseudo_adjoint_matches_reference(g, both_paths)
+
+    check()
+
+
+@settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.sampled_from(sorted({**KERNEL_FAMILIES, **FLOAT_FAMILIES}, key=str)),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda p: p[0] != p[1]),
+    st.integers(0, 3),
+    st.sampled_from((0, -1, 1, 2, F(1, 3))),
+    st.sampled_from((1, 1, -1, 2)),
+)
+def test_pseudo_adjoint_identity_matches_the_reference_on_mutated_families(
+    both_paths, family, pair, k, delta, factor
+):
+    g = mutated({**KERNEL_FAMILIES, **FLOAT_FAMILIES}[family], *pair, k, delta, factor)
+    assert_pseudo_adjoint_matches_reference(g, both_paths)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(KERNEL_FAMILIES, key=str)),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda p: p[0] != p[1]),
+    st.integers(0, 3),
+    st.sampled_from((-1, 1, 2, F(1, 3))),
+    st.sampled_from((1, -1, 2)),
+)
+def test_pseudo_adjoint_residual_columns_are_minus_the_jacobi_sums(family, pair, k, delta, factor):
+    g = mutated(KERNEL_FAMILIES[family], *pair, k, delta, factor)
+    beta = [g.twist_col(z) for z in range(g.dim)]
+
+    def jacobi(x, y, z):
+        # J(x, y, z) = [[y,z], b x] + [[z,x], b y] + [[x,y], b z]
+        res = bracket_eval(g, g.bracket[y][z], beta[x])
+        res = vec_add(res, bracket_eval(g, g.bracket[z][x], beta[y]))
+        return vec_add(res, bracket_eval(g, g.bracket[x][y], beta[z]))
+
+    report = check_pseudo_adjoint_identity(g)
+    assert report.passed == check_hom_jacobi(g).passed
+    if not report.passed:
+        i, j = report.witness.at
+        for z in range(g.dim):
+            column = mat_col(report.witness.residual, z)
+            assert column == vec_neg(jacobi(i, j, z))
+
+
+@pytest.mark.parametrize("theta", [F(0), F(1)])
+def test_pseudo_adjoint_identity_holds_on_gl4(theta, both_paths):
+    # the reference loop takes about 14 s here, and the dense Jacobi scan at
+    # theta = 1 about a minute, so only the kernel decides theta = 1
+    g = build_gl_alpha(GlContext(4, *alpha_block(4, theta)))
+    reports = both_paths(check_pseudo_adjoint_identity, g) if theta == 0 else [
+        check_pseudo_adjoint_identity(g)
+    ]
+    assert all(r.passed for r in reports)
+
+
+def test_pseudo_adjoint_identity_fails_with_the_squared_twist_on_gl4(both_paths):
+    ctx = GlContext(4, *alpha_block(4, 0))
+    g = replace(build_gl_alpha(ctx), twist=ad_alpha_squared_matrix(ctx))
+    assert_pseudo_adjoint_matches_reference(g, both_paths)
+    assert check_pseudo_adjoint_identity(g).witness.at == (0, 1)
 
 
 def test_pseudo_adjoint_morphism_requires_complex_structure():

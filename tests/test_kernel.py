@@ -6,6 +6,7 @@ loops over all ordered positions, which is the reference here.  Verdicts,
 witness positions and ``repr`` of the residuals must agree.
 """
 
+import itertools
 from fractions import Fraction as F
 from unittest import mock
 
@@ -15,7 +16,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from skewhom import algebra
 from skewhom.algebra import (
     HomAlgebra,
+    TwistSign,
+    Witness,
     algebra_to_dict,
+    bracket_eval,
     check_hom_jacobi,
     check_morphism,
     check_power_sign_law,
@@ -30,8 +34,18 @@ from skewhom.constructions import (
     build_semi_euclidean,
 )
 from skewhom.errors import BackendMismatchError, CounterexampleNotFoundError, SkewhomError
-from skewhom.linalg import identity, mat_pow, vec_neg, zero_vec
-from skewhom.scalars import QuadExt, quadratic_backend, rational_backend
+from skewhom.linalg import (
+    identity,
+    mat_col,
+    mat_pow,
+    mat_vec,
+    vec_add,
+    vec_is_zero,
+    vec_neg,
+    vec_sub,
+    zero_vec,
+)
+from skewhom.scalars import QuadExt, float_backend, quadratic_backend, rational_backend
 
 # theta = 1/2 gives Q(sqrt 5) as d = 5/4; theta = 3/4 gives d = 25/16, a
 # perfect square, whose backend collapses to rationals (the raw QuadExt
@@ -39,6 +53,7 @@ from skewhom.scalars import QuadExt, quadratic_backend, rational_backend
 RATIONAL = rational_backend()
 HALF = quadratic_backend(F(1, 2))
 DEGENERATE = quadratic_backend(F(3, 4))
+FLOAT = float_backend()
 
 
 def outcomes(g, powers=(1, 2)):
@@ -78,6 +93,8 @@ def scalars(kind):
     small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     if kind == "rational":
         return small
+    if kind == "float":
+        return small.map(float)
     d = F(5, 4) if kind == "half" else F(25, 16)
     return st.one_of(small, st.builds(lambda a, b: QuadExt(a, b, d), small, small))
 
@@ -99,7 +116,7 @@ def tables(draw, kind):
         diag = [draw(st.sampled_from((F(1), F(-1)))) if shape == "signs" else
                 F(1 if shape == "identity" else -1) for _ in range(n)]
         twist = tuple(tuple(diag[r] if r == c else F(0) for c in range(n)) for r in range(n))
-    backend = {"rational": RATIONAL, "half": HALF, "degenerate": DEGENERATE}[kind]
+    backend = {"rational": RATIONAL, "half": HALF, "degenerate": DEGENERATE, "float": FLOAT}[kind]
     return n, pairs, twist, backend
 
 
@@ -214,6 +231,88 @@ def test_kernel_matches_dense_on_the_paper_families():
         assert outcomes(g, powers=(1, 2, 3)) == dense_outcomes(g, powers=(1, 2, 3))
 
 
+def reference_twist_sign(g):
+    """The dense candidate scan ``check_twist_sign`` ran before it became the
+    bracket law with both signs admissible: every ordered pair, skipping
+    pairs whose two sides vanish."""
+    beta = [mat_col(g.twist, i) for i in range(g.dim)]
+    candidates, at = {1, -1}, None
+    for i, j in itertools.product(range(g.dim), repeat=2):
+        lhs, rhs = mat_vec(g.twist, g.bracket[i][j]), bracket_eval(g, beta[i], beta[j])
+        if vec_is_zero(lhs, g.backend) and vec_is_zero(rhs, g.backend):
+            continue
+        if not vec_is_zero(vec_sub(lhs, rhs), g.backend):
+            candidates.discard(1)
+        if not vec_is_zero(vec_add(lhs, rhs), g.backend):
+            candidates.discard(-1)
+        if not candidates:
+            at = (i, j)
+            break
+    abelian = all(vec_is_zero(v, g.backend) for v in g.pairs.values())
+    if at is not None:
+        i, j = at
+        lhs, rhs = mat_vec(g.twist, g.bracket[i][j]), bracket_eval(g, beta[i], beta[j])
+        plus = vec_sub(lhs, rhs)
+        residual = plus if not vec_is_zero(plus, g.backend) else vec_add(lhs, rhs)
+        return TwistSign(None, Witness(at, residual), abelian)
+    if abelian or candidates == {1, -1}:
+        return TwistSign(1, None, abelian=True)
+    return TwistSign(candidates.pop())
+
+
+def twist_sign_outcome(ts):
+    w = ts.witness
+    return ts.sign, ts.abelian, None if w is None else (w.at, repr(w.residual))
+
+
+@pytest.mark.parametrize("kind", ["rational", "half", "float"])
+def test_twist_sign_matches_the_reference_candidate_scan(kind, both_paths):
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(algebras(kind))
+    def check(g):
+        want = twist_sign_outcome(reference_twist_sign(g))
+        for got in both_paths(check_twist_sign, g):
+            assert twist_sign_outcome(got) == want
+
+    check()
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.sampled_from(sorted({**FAMILIES, **FLOAT_FAMILIES}, key=str)),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda p: p[0] != p[1]),
+    st.integers(0, 3),
+    st.sampled_from((0, -1, 1, 2, F(1, 3))),
+    st.sampled_from((1, 1, -1, 2, 0)),
+)
+def test_twist_sign_matches_the_reference_on_mutated_families(
+    both_paths, family, pair, k, delta, factor
+):
+    g = mutated({**FAMILIES, **FLOAT_FAMILIES}[family], *pair, k, delta, factor)
+    want = twist_sign_outcome(reference_twist_sign(g))
+    for got in both_paths(check_twist_sign, g):
+        assert twist_sign_outcome(got) == want
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, HALF, FLOAT], ids=lambda b: b.kind)
+def test_zero_twist_on_a_nonzero_bracket_keeps_both_signs(backend, both_paths):
+    # beta = 0 makes both sides of every pair vanish: no sign is ruled out,
+    # and +1 is reported with the abelian flag although the bracket is not zero
+    one = backend.coerce(1)
+    zero = backend.coerce(0)
+    g = HomAlgebra.from_pairs(
+        3, {(0, 1): (zero, zero, one)}, ((zero,) * 3,) * 3, backend, (zero,) * 3
+    )
+    assert g.pairs
+    for got in both_paths(check_twist_sign, g):
+        assert twist_sign_outcome(got) == twist_sign_outcome(reference_twist_sign(g))
+        assert (got.sign, got.abelian, got.witness) == (1, True, None)
+
+
 @pytest.mark.parametrize("m, theta", [(2, F(0)), (2, F(1, 2)), (4, F(0))])
 def test_squared_twist_scan_matches_dense_scan(m, theta):
     ctx = GlContext(m, *alpha_block(m, theta))
@@ -254,6 +353,17 @@ def test_a_float_morphism_of_an_exact_algebra_scans_densely():
             with mock.patch.object(algebra, "_sparse", lambda g: False):
                 dense = check_morphism(f, g, g, sign)
             assert (sparse.passed, repr(sparse.witness)) == (dense.passed, repr(dense.witness))
+
+
+def test_float_sign_laws_skip_a_pair_whose_two_sides_are_within_tolerance():
+    # both sides of pair (0, 1) are below the tolerance, their sum is not: the
+    # pair carries no information, for the morphism and power laws as for the
+    # twist sign
+    twist = ((-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0))
+    g = HomAlgebra.from_pairs(3, {(0, 1): (0.0, 0.0, 8e-10)}, twist, FLOAT)
+    assert check_power_sign_law(g, 1).passed
+    assert check_morphism(g.twist, g, g, -1).passed
+    assert twist_sign_outcome(check_twist_sign(g)) == (1, True, None)
 
 
 def test_mixed_discriminants_raise():
