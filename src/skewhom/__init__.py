@@ -92,6 +92,7 @@ from .se4geometry import (
     check_vstar_closure,
     in_v_star,
     pseudo_inner,
+    vstar_certificate,
     vstar_samples,
 )
 

@@ -80,14 +80,15 @@ class TwistSign:
     """Result of the bracket/twist compatibility scan.
 
     ``sign`` is +1 or -1 when one constant is consistent across all basis
-    pairs, ``None`` when no constant works (see ``witness``).  ``abelian``
-    marks the all-zero bracket, or both constants consistent, for which +1
-    is reported by convention.
+    pairs, ``None`` when no constant works (see ``witness``).  ``both``
+    marks both constants consistent, for which +1 is reported by
+    convention; ``abelian`` marks the all-zero bracket, where that is so.
     """
 
     sign: Optional[int]
     witness: Optional[Witness] = None
     abelian: bool = False
+    both: bool = False
 
 
 @dataclass(frozen=True)
@@ -246,18 +247,19 @@ def check_twist_sign(g: HomAlgebra) -> TwistSign:
     """Detect the constant eps with beta([e_i, e_j]) = eps * [beta e_i, beta e_j].
 
     This is the bracket law of :func:`check_morphism` for beta into ``g``
-    itself with both signs admissible.  For the all-zero bracket every
-    constant is consistent and +1 is reported with the abelian flag set, as
-    it is whenever both signs survive.  The witness is the first ordered pair
-    after which no constant is left, with the residual for +1 if that is
-    nonzero there and for -1 otherwise.
+    itself with both signs admissible.  When both signs survive, +1 is
+    reported with ``both`` set; ``abelian`` is set only for the all-zero
+    bracket, on which every constant is consistent (a zero twist keeps both
+    signs on any bracket).  The witness is the first ordered pair after
+    which no constant is left, with the residual for +1 if that is nonzero
+    there and for -1 otherwise.
     """
     abelian = all(vec_is_zero(v, g.backend) for v in g.pairs.values())
     signs, failure = _bracket_failure(g.twist, g, g, {1, -1})
     if failure is not None:
         return TwistSign(None, Witness(*failure), abelian)
     if abelian or signs == {1, -1}:
-        return TwistSign(1, None, abelian=True)
+        return TwistSign(1, None, abelian, both=True)
     return TwistSign(signs.pop())
 
 

@@ -56,7 +56,7 @@ from .constructions import (
 from .errors import CounterexampleNotFoundError, FileFormatError, SkewhomError
 from .linalg import identity, mat, mat_eq, mat_mul, mat_vec
 from .representation import load_representation, resolve_algebra, zero_representation
-from .se4geometry import check_vstar_closure, in_v_star, vstar_defect, vstar_samples
+from .se4geometry import in_v_star, vstar_certificate, vstar_defect, vstar_samples
 from .scalars import as_rational
 
 __all__ = [
@@ -77,8 +77,6 @@ class SuiteConfig:
     theta_list: Tuple[Fraction, ...] = (Fraction(0), Fraction(1), Fraction(1, 2))
     k_list: Tuple[int, ...] = (1, 2)
     s_list: Tuple[int, ...] = (0, 1, 2)
-    seed: int = 0
-    sample_count: int = 50
     timings: bool = False
     inject_mutation: bool = False
 
@@ -213,9 +211,7 @@ def cmd_verify(config: SuiteConfig) -> SuiteReport:
         suite.run(f"{label}: classifies as SkewHomLie", classify_check)
         suite.run(
             f"{label}: bracket and twist preserve the null subset",
-            lambda theta=theta: _from_report(
-                check_vstar_closure(theta, config.sample_count, config.seed)
-            ),
+            lambda g=g, ctx=ctx: _from_report(vstar_certificate(g, ctx)),
         )
         for m in (1, 2, 3):
             suite.run(
@@ -327,7 +323,8 @@ def cmd_check_algebra(path: str) -> SuiteReport:
     if sign.sign is None:
         sign_row = (False, _witness_str(sign.witness))
     else:
-        sign_row = (True, f"sign {sign.sign:+d}{' (abelian)' if sign.abelian else ''}")
+        note = " (abelian)" if sign.abelian else " (both signs hold)" if sign.both else ""
+        sign_row = (True, f"sign {sign.sign:+d}{note}")
     return SuiteReport((
         CheckResult(
             f"{path}: verdict {c.verdict.value} (regular={c.regular})",
@@ -450,8 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--theta", default="0,1,1/2", help="comma-separated rational list")
     verify.add_argument("--k", default="1,2", help="cochain degrees, comma-separated")
     verify.add_argument("--s", default="0,1,2", help="operator indices, comma-separated")
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--samples", type=int, default=50)
+    verify.add_argument(
+        "--seed", type=int, default=0, help="accepted and ignored: the sweep draws no samples"
+    )
     verify.add_argument("--format", choices=("text", "json", "csv"), default="text")
     verify.add_argument("--output", default=None, help="write the report here instead of stdout")
     verify.add_argument("--timings", action="store_true", help="measure per-check wall time")
@@ -512,14 +510,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 theta_list=tuple(thetas),
                 k_list=tuple(_int_list(args.k)),
                 s_list=tuple(_int_list(args.s)),
-                seed=args.seed,
-                sample_count=args.samples,
                 timings=args.timings,
                 inject_mutation=args.inject_mutation,
             )
-            if config.sample_count < 1:
-                print("error: --samples must be at least 1", file=sys.stderr)
-                return 2
             report = cmd_verify(config)
             _emit(report.render(args.format), args.output)
             return 0 if report.all_passed else 1

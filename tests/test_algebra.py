@@ -97,7 +97,7 @@ def test_squared_twist_jacobi_fails_in_dim_four():
 
 def test_twist_sign_identity(cross_id):
     ts = check_twist_sign(cross_id)
-    assert ts.sign == 1 and not ts.abelian
+    assert ts.sign == 1 and not ts.abelian and not ts.both
 
 
 def test_twist_sign_se4(se4_algebras):
@@ -114,7 +114,7 @@ def test_twist_sign_abelian_convention():
     zero_table = tuple(tuple(zero_vec(2) for _ in range(2)) for _ in range(2))
     g = HomAlgebra(2, zero_table, mat([[0, 1], [-1, 0]]), build_r3_cross(identity(3)).backend)
     ts = check_twist_sign(g)
-    assert ts.sign == 1 and ts.abelian
+    assert ts.sign == 1 and ts.abelian and ts.both
 
 
 def test_classify_lie(cross_id):

@@ -1,5 +1,8 @@
+import argparse
 import json
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -8,18 +11,25 @@ from skewhom.cli import (
     CheckResult,
     SuiteConfig,
     SuiteReport,
+    build_parser,
     cmd_verify,
     main,
 )
-from skewhom.constructions import build_r3_cross, build_semi_euclidean
+from skewhom.constructions import (
+    GlContext,
+    alpha_theta,
+    build_gl_alpha,
+    build_r3_cross,
+    build_semi_euclidean,
+)
 from skewhom.linalg import identity
 
 
-FAST = ["--samples", "5", "--k", "1", "--s", "0", "--theta", "0,1"]
+FAST = ["--k", "1", "--s", "0", "--theta", "0,1"]
 
 
 def test_verify_default_config_passes():
-    report = cmd_verify(SuiteConfig(sample_count=20))
+    report = cmd_verify(SuiteConfig())
     assert report.all_passed
     assert len(report.checks) > 20
 
@@ -37,12 +47,33 @@ def test_verify_mutation_hook_fails(capsys):
     assert "FAIL" in out and "witness" in out
 
 
+def test_mutated_sweep_fails_the_null_subset_rows_at_the_mutated_pair():
+    # the rows certify the mutated algebra itself, whose [e_0, e_1] leaves V*
+    report = cmd_verify(SuiteConfig(inject_mutation=True))
+    rows = [c for c in report.checks if c.name.endswith("preserve the null subset")]
+    e0, e1 = (F(1), F(0), F(0), F(0)), (F(0), F(1), F(0), F(0))
+    assert len(rows) == 3
+    for row in rows:
+        assert not row.passed
+        assert row.witness.startswith(f"at {('bracket', e0, e1)}: residual ")
+    assert sum(c.passed for c in report.checks) == 21
+
+
 def test_verify_empty_theta_is_usage_error(capsys):
     assert main(["verify", "--theta", ""]) == 2
 
 
-def test_verify_bad_samples_is_usage_error():
-    assert main(["verify", "--samples", "0"]) == 2
+def test_verify_rejects_samples(capsys):
+    assert main(["verify", "--samples", "5"]) == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_verify_seed_does_not_change_the_report(capsys):
+    reports = []
+    for seed in ("0", "7"):
+        assert main(["verify", *FAST, "--seed", seed]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def test_unknown_command_is_usage_error():
@@ -97,6 +128,45 @@ def test_check_algebra_cross_file(tmp_path, capsys):
     save_algebra(build_r3_cross(identity(3)), path)
     assert main(["check-algebra", str(path)]) == 0
     assert "Lie" in capsys.readouterr().out
+
+
+def test_check_algebra_zero_twist_keeps_both_signs_without_calling_the_bracket_abelian(
+    tmp_path, capsys
+):
+    alpha, backend = alpha_theta(0)
+    g = build_gl_alpha(GlContext(2, alpha, backend))
+    zero = tuple(tuple(backend.coerce(0) for _ in range(4)) for _ in range(4))
+    cases = {
+        "zero-twist.json": (HomAlgebra.from_pairs(4, g.pairs, zero, backend), "(both signs hold)"),
+        "abelian.json": (HomAlgebra.from_pairs(4, {}, g.twist, backend), "(abelian)"),
+    }
+    for name, (alg, note) in cases.items():
+        path = tmp_path / name
+        save_algebra(alg, path)
+        main(["check-algebra", str(path)])
+        out = capsys.readouterr().out
+        assert f"bracket/twist sign\n      witness: sign +1 {note}\n" in out
+
+
+def test_readme_verify_usage_lists_the_parser_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("skewhom verify "))
+    usage = [lines[start]]
+    for line in lines[start + 1:]:
+        if not line.startswith(" "):
+            break
+        usage.append(line)
+    documented = set(re.findall(r"--[a-z][a-z-]*", " ".join(usage)))
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    defined = {
+        option
+        for action in sub.choices["verify"]._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert documented == defined
 
 
 def test_check_algebra_rejects_bad_file(tmp_path, capsys):

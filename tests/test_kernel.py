@@ -74,7 +74,7 @@ def outcomes(g, powers=(1, 2)):
     verdict = run(lambda: classify(g))
     out = [
         (jacobi.passed, witness(jacobi.witness)),
-        (sign.sign, sign.abelian, witness(sign.witness)),
+        (sign.sign, sign.abelian, sign.both, witness(sign.witness)),
         verdict if isinstance(verdict, str) else
         (verdict.verdict, verdict.regular, witness(verdict.witness)),
     ]
@@ -234,7 +234,7 @@ def test_kernel_matches_dense_on_the_paper_families():
 def reference_twist_sign(g):
     """The dense candidate scan ``check_twist_sign`` ran before it became the
     bracket law with both signs admissible: every ordered pair, skipping
-    pairs whose two sides vanish."""
+    pairs whose two sides vanish.  ``abelian`` marks the zero bracket only."""
     beta = [mat_col(g.twist, i) for i in range(g.dim)]
     candidates, at = {1, -1}, None
     for i, j in itertools.product(range(g.dim), repeat=2):
@@ -256,13 +256,13 @@ def reference_twist_sign(g):
         residual = plus if not vec_is_zero(plus, g.backend) else vec_add(lhs, rhs)
         return TwistSign(None, Witness(at, residual), abelian)
     if abelian or candidates == {1, -1}:
-        return TwistSign(1, None, abelian=True)
+        return TwistSign(1, None, abelian, both=True)
     return TwistSign(candidates.pop())
 
 
 def twist_sign_outcome(ts):
     w = ts.witness
-    return ts.sign, ts.abelian, None if w is None else (w.at, repr(w.residual))
+    return ts.sign, ts.abelian, ts.both, None if w is None else (w.at, repr(w.residual))
 
 
 @pytest.mark.parametrize("kind", ["rational", "half", "float"])
@@ -301,7 +301,7 @@ def test_twist_sign_matches_the_reference_on_mutated_families(
 @pytest.mark.parametrize("backend", [RATIONAL, HALF, FLOAT], ids=lambda b: b.kind)
 def test_zero_twist_on_a_nonzero_bracket_keeps_both_signs(backend, both_paths):
     # beta = 0 makes both sides of every pair vanish: no sign is ruled out,
-    # and +1 is reported with the abelian flag although the bracket is not zero
+    # and +1 is reported as both signs holding, not as an abelian bracket
     one = backend.coerce(1)
     zero = backend.coerce(0)
     g = HomAlgebra.from_pairs(
@@ -310,7 +310,7 @@ def test_zero_twist_on_a_nonzero_bracket_keeps_both_signs(backend, both_paths):
     assert g.pairs
     for got in both_paths(check_twist_sign, g):
         assert twist_sign_outcome(got) == twist_sign_outcome(reference_twist_sign(g))
-        assert (got.sign, got.abelian, got.witness) == (1, True, None)
+        assert (got.sign, got.abelian, got.both, got.witness) == (1, False, True, None)
 
 
 @pytest.mark.parametrize("m, theta", [(2, F(0)), (2, F(1, 2)), (4, F(0))])
@@ -363,7 +363,7 @@ def test_float_sign_laws_skip_a_pair_whose_two_sides_are_within_tolerance():
     g = HomAlgebra.from_pairs(3, {(0, 1): (0.0, 0.0, 8e-10)}, twist, FLOAT)
     assert check_power_sign_law(g, 1).passed
     assert check_morphism(g.twist, g, g, -1).passed
-    assert twist_sign_outcome(check_twist_sign(g)) == (1, True, None)
+    assert twist_sign_outcome(check_twist_sign(g)) == (1, True, True, None)
 
 
 def test_mixed_discriminants_raise():

@@ -1,19 +1,25 @@
+import dataclasses
 from fractions import Fraction as F
+from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from skewhom.algebra import bracket_eval
+from skewhom import se4geometry
+from skewhom.algebra import HomAlgebra, bracket_eval
 from skewhom.constructions import build_semi_euclidean
-from skewhom.errors import DimensionError
-from skewhom.linalg import basis_vec, mat_vec, vec_scale
-from skewhom.scalars import float_backend
+from skewhom.errors import BackendMismatchError, DimensionError
+from skewhom.linalg import basis_vec, identity, mat, mat_vec, vec_add, vec_scale
+from skewhom.scalars import float_backend, rational_backend
 from skewhom.se4geometry import (
     CausalType,
+    PLANES,
     causal_type,
     check_vstar_closure,
     in_v_star,
     pseudo_inner,
+    vstar_certificate,
     vstar_defect,
     vstar_samples,
 )
@@ -144,3 +150,161 @@ def test_members_stay_members_under_twist(theta, pick):
     assert verdict.member
     inner, cross = vstar_defect(image)
     assert inner == 0 and cross == 0
+
+
+# -- the four-plane certificate -------------------------------------------------
+
+
+def plane_member(plane, a, b):
+    """a b1 + b b2 for the plane's basis, written out from its equations."""
+    sigma, crossed = plane
+    return (a, b, sigma * b, sigma * a) if crossed else (a, b, sigma * a, sigma * b)
+
+
+def test_factorisations_hold_identically():
+    sympy = pytest.importorskip("sympy")
+    x0, x1, x2, x3 = sympy.symbols("x0:4")
+    inner = -x0**2 - x1**2 + x2**2 + x3**2
+    q = x0 * x1 - x2 * x3
+    assert sympy.expand(inner + 2 * q + (x0 - x1 - x2 + x3) * (x0 - x1 + x2 - x3)) == 0
+    assert sympy.expand(inner - 2 * q + (x0 + x1 - x2 - x3) * (x0 + x1 + x2 + x3)) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_vectors(4, bound=3))
+def test_vstar_is_the_union_of_the_four_planes(x):
+    in_planes = any(se4geometry._in_plane(x, plane, rational_backend()) for plane in PLANES)
+    assert in_v_star(x).member == in_planes
+
+
+@pytest.mark.parametrize("theta", [0, 1, F(1, 2), F(3, 4), F(-7, 3)])
+def test_certificate_passes_on_the_family(theta):
+    g, ctx = build_semi_euclidean(theta)
+    assert vstar_certificate(g, ctx) == check_vstar_closure(theta, samples=24, seed=1)
+    assert vstar_certificate(g, ctx).passed
+
+
+def test_certificate_needs_an_exact_backend():
+    g, ctx = build_semi_euclidean(0.5)
+    with pytest.raises(BackendMismatchError):
+        vstar_certificate(g, ctx)
+
+
+def assert_witness_leaves_vstar(g, ctx, report):
+    """Re-check a failing certificate's witness with the membership predicate."""
+    backend = ctx.backend
+    kind, *at = report.witness.at
+    if kind == "bracket":
+        x, y = at
+        value = bracket_eval(g, x, y)
+    else:
+        assert kind == "twist"
+        (z,) = at
+        assert in_v_star(z, backend).member
+        value = mat_vec(ctx.P, z)
+    assert not in_v_star(value, backend).member
+    assert report.witness.residual == vstar_defect(value)
+    return kind
+
+
+@st.composite
+def se4_variants(draw):
+    """se4 at a random rational theta, with at most one structure constant
+    changed and its twist P possibly replaced by a small integer matrix."""
+    theta = draw(st.one_of(st.just(F(3, 4)), st.fractions(-3, 3, max_denominator=4)))
+    g, ctx = build_semi_euclidean(theta)
+    backend = ctx.backend
+    pairs = dict(g.pairs)
+    change = draw(st.sampled_from(("none", "entry", "plane member")))
+    if change != "none":
+        i, j = draw(st.sampled_from([(i, j) for i in range(4) for j in range(i + 1, 4)]))
+        value = list(pairs.get((i, j), g.zero))
+        if change == "entry":
+            k = draw(st.integers(0, 3))
+            value[k] = value[k] + draw(st.sampled_from((1, -1, F(1, 2)))) * draw(
+                st.sampled_from((1, backend.sqrt_d))
+            )
+        else:
+            small = st.integers(-2, 2).map(F)
+            value = plane_member(draw(st.sampled_from(PLANES)), draw(small), draw(small))
+        pairs[(i, j)] = tuple(value)
+    shape = draw(st.sampled_from(("keep", "integer", "signed permutation")))
+    if shape == "integer":
+        P = mat([[draw(st.integers(-2, 2)) for _ in range(4)] for _ in range(4)])
+    elif shape == "signed permutation":
+        order = draw(st.permutations(range(4)))
+        signs = [draw(st.sampled_from((1, -1))) for _ in range(4)]
+        P = mat([[signs[r] if c == order[r] else 0 for c in range(4)] for r in range(4)])
+    else:
+        P = ctx.P
+    g = HomAlgebra.from_pairs(4, pairs, g.twist, backend, g.zero)
+    return g, dataclasses.replace(ctx, P=P)
+
+
+@settings(max_examples=80, deadline=None)
+@given(se4_variants(), st.integers(0, 1000))
+def test_certificate_agrees_with_the_sampled_check(variant, seed):
+    g, ctx = variant
+    backend = ctx.backend
+    report = vstar_certificate(g, ctx)
+    with mock.patch.object(se4geometry, "build_semi_euclidean", lambda theta: (g, ctx)):
+        sampled = check_vstar_closure(ctx.theta, samples=24, seed=seed)
+    if not sampled.passed:
+        # a sampled failure is a real one, and a bracket failure is found first
+        assert not report.passed
+        if sampled.witness.at[0] == "bracket":
+            assert report.witness.at[0] == "bracket"
+    if not report.passed:
+        assert_witness_leaves_vstar(g, ctx, report)
+        return
+    # a pass holds for every vector: random pairs, and members of every plane
+    rng = Random(seed)
+
+    def draw():
+        return tuple(F(rng.randint(-9, 9)) for _ in range(4))
+
+    for _ in range(20):
+        assert in_v_star(bracket_eval(g, draw(), draw()), backend).member
+    for plane in PLANES:
+        for _ in range(5):
+            z = plane_member(plane, F(rng.randint(-9, 9)), F(rng.randint(-9, 9)))
+            assert in_v_star(mat_vec(ctx.P, z), backend).member
+
+
+def test_certificate_names_the_first_structure_constant_outside_vstar():
+    g, ctx = build_semi_euclidean(1)
+    pairs = {**g.pairs, (1, 3): (F(1), F(0), F(0), F(0))}
+    mutated = HomAlgebra.from_pairs(4, pairs, g.twist, g.backend, g.zero)
+    report = vstar_certificate(mutated, ctx)
+    assert report.witness.at == ("bracket", basis_vec(4, 1), basis_vec(4, 3))
+    assert report.witness.residual == (-1, 0)
+
+
+def test_certificate_searches_the_moment_curve_when_no_plane_holds_every_constant():
+    # each structure constant lies in V*, but no plane holds both, so the
+    # witness is a pair of moment-curve points
+    backend = rational_backend()
+    first, second = plane_member(PLANES[0], F(1), F(0)), plane_member(PLANES[1], F(1), F(0))
+    g = HomAlgebra.from_pairs(4, {(0, 1): first, (0, 2): second}, identity(4), backend)
+    assert all(in_v_star(v).member for v in g.pairs.values())
+    _, ctx = build_semi_euclidean(0)
+    ctx = dataclasses.replace(ctx, P=identity(4), backend=backend)
+    report = vstar_certificate(g, ctx)
+    assert not report.passed
+    assert assert_witness_leaves_vstar(g, ctx, report) == "bracket"
+    _, x, y = report.witness.at
+    curve = [tuple(F(t**k) for k in range(4)) for t in range(se4geometry.CURVE)]
+    assert x in curve and y in curve
+
+
+def test_certificate_twist_witness_lies_on_a_line_of_the_first_bad_plane():
+    # P negates x3, which maps the basis (1, 0, 1, 0), (0, 1, 0, 1) of the
+    # first plane into two different planes
+    g, ctx = build_semi_euclidean(0)
+    P = mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
+    ctx = dataclasses.replace(ctx, P=P)
+    report = vstar_certificate(g, ctx)
+    assert assert_witness_leaves_vstar(g, ctx, report) == "twist"
+    (z,) = report.witness.at[1:]
+    b1, b2 = se4geometry._plane_basis(PLANES[0])
+    assert z in [vec_add(b1, vec_scale(F(t), b2)) for t in range(se4geometry.LINE)]
