@@ -56,7 +56,7 @@ from .constructions import (
 from .errors import CounterexampleNotFoundError, FileFormatError, SkewhomError
 from .linalg import identity, mat, mat_eq, mat_mul, mat_vec
 from .representation import load_representation, resolve_algebra, zero_representation
-from .se4geometry import in_v_star, vstar_certificate, vstar_defect, vstar_samples
+from .se4geometry import SPAN, in_v_star, vstar_certificate, vstar_defect, vstar_samples
 from .scalars import as_rational
 
 __all__ = [
@@ -390,7 +390,7 @@ def cmd_nullspace(
     print("theta,z,inner,cross_diff,Pz,z_in_vstar,Pz_in_vstar", file=out)
     failures = 0
     rng = Random(seed)
-    probes = [tuple(backend.coerce(rng.randint(-9, 9)) for _ in range(4)) for _ in range(samples)]
+    probes = [tuple(backend.coerce(rng.randint(-SPAN, SPAN)) for _ in range(4)) for _ in range(samples)]
     members = vstar_samples(ctx, samples, seed=seed + 1)
     for z in probes + members:
         inner, cross = vstar_defect(z)
@@ -506,10 +506,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if not thetas:
                 print("error: --theta list must be nonempty", file=sys.stderr)
                 return 2
+            k_list, s_list = tuple(_int_list(args.k)), tuple(_int_list(args.s))
+            for flag, values in (("--k", k_list), ("--s", s_list)):
+                if min(values, default=0) < 0:
+                    print(f"error: {flag} must be non-negative", file=sys.stderr)
+                    return 2
             config = SuiteConfig(
                 theta_list=tuple(thetas),
-                k_list=tuple(_int_list(args.k)),
-                s_list=tuple(_int_list(args.s)),
+                k_list=k_list,
+                s_list=s_list,
                 timings=args.timings,
                 inject_mutation=args.inject_mutation,
             )
@@ -533,6 +538,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0 if report.all_passed else 1
 
         if args.command == "nullspace":
+            if args.samples < 0:
+                print("error: --samples must be non-negative", file=sys.stderr)
+                return 2
             theta = as_rational(args.theta)
             if args.output:
                 with open(args.output, "w", encoding="utf-8") as handle:

@@ -227,8 +227,8 @@ class ScalarBackend:
                 raise ValueError("quadratic backend requires a rational theta")
             object.__setattr__(self, "theta", as_rational(self.theta))
         if self.kind == "float":
-            if self.tolerance <= 0:
-                raise ValueError("float tolerance must be positive")
+            if not 0 < self.tolerance < math.inf:
+                raise ValueError("float tolerance must be positive and finite")
             if self.theta is not None:
                 object.__setattr__(self, "theta", float(self.theta))
 
@@ -344,9 +344,10 @@ def format_scalar(x: object):
 
 
 # What parse_scalar, parse_int and ScalarBackend.from_json raise on a
-# malformed or foreign field; the file loaders turn each into a located
+# malformed or foreign field (OverflowError: a float-file scalar such as
+# "1e400" too large for a float); the file loaders turn each into a located
 # FileFormatError.
-PARSE_ERRORS = (KeyError, TypeError, ValueError, BackendMismatchError)
+PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError, BackendMismatchError)
 
 
 def parse_int(obj: object) -> int:
@@ -365,6 +366,8 @@ def parse_scalar(obj: object, backend: ScalarBackend):
         return backend.coerce(QuadExt(a, b, backend.d))
     if isinstance(obj, bool):
         raise TypeError(f"not a scalar: {obj!r}")
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ValueError(f"not a finite number: {obj!r}")
     if isinstance(obj, (str, int, float)):
         return backend.coerce(obj)
     raise TypeError(f"not a scalar: {obj!r}")

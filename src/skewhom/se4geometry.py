@@ -25,7 +25,8 @@ V* is the union of
 for sigma = +1, -1.  The planes are rational, so this holds over Q and over
 every Q(sqrt(1 + theta**2)).  :func:`vstar_certificate` decides closure
 under the bracket and the twist from this description, for every vector;
-:func:`check_vstar_closure` is its sampled counterpart.
+:func:`check_vstar_closure` is its sampled counterpart, and
+:func:`vstar_samples` draws its members plane by plane.
 """
 
 from __future__ import annotations
@@ -86,58 +87,47 @@ def causal_type(x: Vec, backend: Optional[ScalarBackend] = None) -> CausalType:
     return CausalType.NULL
 
 
-def in_v_star(x: Vec, backend: Optional[ScalarBackend] = None) -> VStarMembership:
-    backend = backend or ScalarBackend("rational")
-    return VStarMembership(
-        in_null_space=backend.is_zero(pseudo_inner(x, x)),
-        cross_condition=backend.eq(x[0] * x[1], x[2] * x[3]),
-    )
-
-
 def vstar_defect(x: Vec):
     """(inner, cross difference); both zero exactly on members of V*."""
     return pseudo_inner(x, x), x[0] * x[1] - x[2] * x[3]
 
 
+def in_v_star(x: Vec, backend: Optional[ScalarBackend] = None) -> VStarMembership:
+    backend = backend or ScalarBackend("rational")
+    inner, cross = vstar_defect(x)
+    return VStarMembership(backend.is_zero(inner), backend.is_zero(cross))
+
+
 # Sampled integer coordinates lie in -SPAN..SPAN.
 SPAN = 9
 
+# The four planes whose union is V*: (sigma, crossed) is
+# {x2 = sigma x0, x3 = sigma x1}, or {x2 = sigma x1, x3 = sigma x0} when crossed.
+PLANES = ((1, False), (-1, False), (1, True), (-1, True))
+
+
+def _plane_basis(plane) -> tuple:
+    sigma, crossed = plane
+    one, zero, s = Fraction(1), Fraction(0), Fraction(sigma)
+    if crossed:
+        return (one, zero, zero, s), (zero, one, s, zero)
+    return (one, zero, s, zero), (zero, one, zero, s)
+
 
 def vstar_samples(ctx: SemiEuclideanContext, count: int, seed: int = 0) -> List[Vec]:
-    """A sound sample of V* members (never emits a non-member).
+    """``count`` members of V*, drawn plane by plane.
 
-    Mixes the structural families lambda*r, (a, 0, 0, a), and (p, q, p, q)
-    with rejection-sampled integer vectors; every candidate is filtered by
-    the exact membership predicate before it is emitted.
+    Member t is p b1 + q b2 for the basis (b1, b2) of ``PLANES[t % 4]``,
+    with integers p, q in -SPAN..SPAN.  Every draw is a member, and any
+    four consecutive draws visit all four planes.
     """
     rng = Random(seed)
-    backend = ctx.backend
     out: List[Vec] = []
-
-    def keep(z: Vec) -> bool:
-        if in_v_star(z, backend).member:
-            out.append(z)
-            return True
-        return False
-
-    structural = 0
-    while len(out) < count and structural < count:
-        kind = structural % 3
-        structural += 1
-        lam = backend.coerce(rng.randint(-SPAN, SPAN))
-        if kind == 0:
-            keep(vec_scale(lam, ctx.r))
-        elif kind == 1:
-            keep((lam, backend.coerce(0), backend.coerce(0), lam))
-        else:
-            mu = backend.coerce(rng.randint(-SPAN, SPAN))
-            keep((lam, mu, lam, mu))
-    guard = 0
-    while len(out) < count and guard < 10000:
-        guard += 1
-        z = tuple(backend.coerce(rng.randint(-SPAN, SPAN)) for _ in range(4))
-        keep(z)
-    return out[:count]
+    for t in range(count):
+        b1, b2 = _plane_basis(PLANES[t % 4])
+        p, q = rng.randint(-SPAN, SPAN), rng.randint(-SPAN, SPAN)
+        out.append(tuple(ctx.backend.coerce(p * a + q * b) for a, b in zip(b1, b2)))
+    return out
 
 
 def check_vstar_closure(
@@ -169,10 +159,6 @@ def check_vstar_closure(
     return CheckReport(True)
 
 
-# The four planes whose union is V*: (sigma, crossed) is
-# {x2 = sigma x0, x3 = sigma x1}, or {x2 = sigma x1, x3 = sigma x0} when crossed.
-PLANES = ((1, False), (-1, False), (1, True), (-1, True))
-
 # Moment-curve parameters 0..CURVE-1 and line parameters 0..LINE-1 of the
 # witness searches in vstar_certificate (bounds proved there).
 CURVE = 13
@@ -183,14 +169,6 @@ def _in_plane(x: Vec, plane, backend: ScalarBackend) -> bool:
     sigma, crossed = plane
     a, b = (x[1], x[0]) if crossed else (x[0], x[1])
     return backend.eq(x[2], sigma * a) and backend.eq(x[3], sigma * b)
-
-
-def _plane_basis(plane) -> tuple:
-    sigma, crossed = plane
-    one, zero, s = Fraction(1), Fraction(0), Fraction(sigma)
-    if crossed:
-        return (one, zero, zero, s), (zero, one, s, zero)
-    return (one, zero, s, zero), (zero, one, zero, s)
 
 
 def _one_plane_holds(values, backend: ScalarBackend) -> bool:

@@ -68,6 +68,21 @@ def test_verify_rejects_samples(capsys):
     assert "--samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--k", "-1"], "--k"),
+        (["verify", "--s", "0,-2"], "--s"),
+        (["nullspace", "--theta", "1", "--samples", "-3"], "--samples"),
+    ],
+)
+def test_negative_counts_are_usage_errors(capsys, argv, flag):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be non-negative\n"
+
+
 def test_verify_seed_does_not_change_the_report(capsys):
     reports = []
     for seed in ("0", "7"):
@@ -445,7 +460,8 @@ def _malformed(kind, path, value, tmp_path):
         doc = representation_to_dict(zero_representation(g, 4), "se4:theta=0")
         flag = ["--rep"]
     else:
-        doc = algebra_to_dict(build_semi_euclidean(F(1, 2) if kind == "quadratic" else 0)[0])
+        theta = {"quadratic": F(1, 2), "float": 0.5}.get(kind, 0)
+        doc = algebra_to_dict(build_semi_euclidean(theta)[0])
         flag = None
     _edit(doc, path, value)
     file = tmp_path / f"{kind}.json"
@@ -466,6 +482,10 @@ def _malformed(kind, path, value, tmp_path):
         pytest.param("rational", ["twist", 1, 2], 1.5, "twist[1]", id="float-in-twist"),
         pytest.param("rep", ["rho", 0, 0, 0], 1.5, "rho/phi", id="float-in-rho"),
         pytest.param("cochain", ["entries", 0, "value", 0], 1.5, "entries[0]", id="float-in-cochain-value"),
+        pytest.param("float", ["bracket", 0, "value", 0], float("nan"), "bracket[0]", id="nan-in-float-bracket"),
+        pytest.param("float", ["twist", 0, 0], float("inf"), "twist[0]", id="infinity-in-float-twist"),
+        pytest.param("float", ["bracket", 0, "value", 0], "1e400", "bracket[0]", id="overflowing-string-in-float-bracket"),
+        pytest.param("float", ["backend", "tol"], float("nan"), "dim/backend", id="nan-tol"),
         pytest.param("rational", ["dim"], 2.7, "dim/backend", id="fractional-dim"),
         pytest.param("rational", ["dim"], True, "dim/backend", id="boolean-dim"),
         pytest.param("rational", ["bracket", 0, "i"], 0.9, "bracket[0]", id="fractional-i"),

@@ -95,12 +95,24 @@ def test_generator_soundness_example():
 
 
 def test_vstar_samples_are_sound():
-    for theta in (0, 1, F(1, 2)):
-        g, ctx = SE4[theta]
+    for theta in (0, 1, F(1, 2), 0.5):
+        # 0.5 hashes like 1/2, so the float case is built here, not looked up
+        g, ctx = build_semi_euclidean(theta)
         samples = vstar_samples(ctx, 60, seed=3)
         assert len(samples) == 60
         for z in samples:
             assert in_v_star(z, ctx.backend).member
+
+
+@pytest.mark.parametrize("theta", [0, 1, F(1, 2), 0.5])
+@pytest.mark.parametrize("count", [4, 5, 11])
+def test_vstar_samples_visit_every_plane(theta, count):
+    # member t is drawn from PLANES[t % 4], so any 4 draws visit every plane
+    _, ctx = build_semi_euclidean(theta)
+    samples = vstar_samples(ctx, count, seed=count)
+    assert len(samples) == count
+    for t, z in enumerate(samples):
+        assert se4geometry._in_plane(z, PLANES[t % 4], ctx.backend)
 
 
 def test_closure_check_passes():
@@ -308,3 +320,17 @@ def test_certificate_twist_witness_lies_on_a_line_of_the_first_bad_plane():
     (z,) = report.witness.at[1:]
     b1, b2 = se4geometry._plane_basis(PLANES[0])
     assert z in [vec_add(b1, vec_scale(F(t), b2)) for t in range(se4geometry.LINE)]
+
+
+def test_sampled_check_finds_a_twist_that_misses_one_plane():
+    # this P maps three of the planes into V* but not {x0 = -x2, x1 = -x3};
+    # the sampled check draws members of that plane too, so it fails with the
+    # certificate
+    g, ctx = build_semi_euclidean(1)
+    P = mat([[1, -1, -1, 1], [0, 1, -1, 0], [1, -1, -1, 1], [0, -1, 1, 0]])
+    ctx = dataclasses.replace(ctx, P=P)
+    with mock.patch.object(se4geometry, "build_semi_euclidean", lambda theta: (g, ctx)):
+        report = check_vstar_closure(1, samples=200, seed=0)
+    assert not report.passed
+    assert assert_witness_leaves_vstar(g, ctx, report) == "twist"
+    assert not vstar_certificate(g, ctx).passed
