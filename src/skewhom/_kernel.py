@@ -3,22 +3,27 @@
 An exact scalar ``a + b*sqrt(d)``, with ``d = dn/dd`` in lowest terms, is
 stored as the integer pair ``(A, B)`` standing for ``A + B*R``, where
 ``R = dd*sqrt(d)`` and ``R*R = dn*dd`` is an integer.  Rationals have
-``B = 0``.  Each tensor (the bracket, or one twist-like matrix) is multiplied
-by one positive common denominator, its scale, so that all of its pairs are
-integers.  The arithmetic is that of the ring Q[s]/(s**2 - d) written in the
-generator ``R``, so a pair is zero exactly when the scalar it stands for is
-zero, for a perfect-square ``d`` too.
+``B = 0``.  Each tensor (the bracket, one twist-like matrix, a
+representation's ``rho`` or ``phi``) is multiplied by one positive common
+denominator, its scale, so that all of its pairs are integers.  The
+arithmetic is that of the ring Q[s]/(s**2 - d) written in the generator
+``R``, so a pair is zero exactly when the scalar it stands for is zero, for
+a perfect-square ``d`` too.
 
 Every identity checked here is homogeneous in each tensor: scaling the
 bracket by ``L_C`` and a twist by ``L_t`` multiplies the twisted Jacobi sum
 by ``L_C**2 * L_t`` and a sign-law residual by ``L_C * L_t**2`` (its left
 side is multiplied by ``L_t`` once more to match), positive integers that do
-not change whether a residual is zero.
+not change whether a residual is zero.  Where two terms of one equation
+carry different scales, each is multiplied by the positive integer that
+brings it to their common one (see :class:`Rep`).
 
 The bracket is stored once, for ``i < j``, and read back through
-``[e_j, e_i] = -[e_i, e_j]``.  The kernel only decides where an identity
-first fails; the checkers in :mod:`skewhom.algebra` recompute the witness
-residual there with their dense expression.
+``[e_j, e_i] = -[e_i, e_j]``.  The kernel decides where an identity (the
+twisted Jacobi identity, a sign law, a representation equation) first
+fails, and builds the matrices of the coboundary operators; the checkers
+recompute a witness residual at the first failure with their dense
+expression, so witnesses do not depend on the scales.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .scalars import QuadExt
 
 Pair = Tuple[int, int]
 Sparse = Dict[int, Pair]
+Rows = List[Sparse]  # a matrix by rows: rows[r][c] is entry (r, c)
 
 _ZERO: Pair = (0, 0)
 
@@ -67,11 +73,8 @@ class Twist:
 
     def __init__(self, kernel: "Kernel", m) -> None:
         n = kernel.dim
-        pairs, self.scale = kernel.pairs(m[r][c] for c in range(n) for r in range(n))
-        self.cols: List[Sparse] = [
-            {r: pairs[c * n + r] for r in range(n) if pairs[c * n + r] is not None}
-            for c in range(n)
-        ]
+        # the columns of m are the rows of its transpose
+        (self.cols,), self.scale = kernel.matrices([tuple(zip(*m))], n)
         self.ad: List[List[Sparse]] = [
             [kernel.basis_bracket(p, col) for p in range(n)] for col in self.cols
         ]
@@ -125,6 +128,19 @@ class Kernel:
             None if p is None else ((p[0] * scale).numerator, (p[1] * scale).numerator)
             for p in split
         ], scale
+
+    def matrices(self, ms: List, size: int) -> Tuple[List[Rows], int]:
+        """The ``size x size`` matrices ``ms`` as sparse pair rows over one common scale."""
+        values, scale = self.pairs(x for m in ms for row in m for x in row)
+        rows = [
+            {c: x for c, x in enumerate(values[r * size : (r + 1) * size]) if x is not None}
+            for r in range(len(ms) * size)
+        ]
+        return [rows[t * size : (t + 1) * size] for t in range(len(ms))], scale
+
+    def product(self, a: Rows, b: Rows) -> Rows:
+        """``a b``, scaled by the product of their scales."""
+        return [self._combine({}, row, b, 1) for row in a]
 
     def bracket(self, i: int, j: int) -> Sparse:
         """``[e_i, e_j]`` for ``i < j`` (empty when it is zero)."""
@@ -205,6 +221,63 @@ class Kernel:
         return signs, None
 
 
+class Rep:
+    """A representation ``(rho, phi)`` of the kernel's algebra as sparse pair rows.
+
+    ``rho[i]`` is ``rho(e_i)`` over the scale ``L_rho`` shared by all of
+    them, ``phi`` is over ``L_phi``, and ``rho_beta[i]`` is
+    ``rho(beta e_i) = sum_r beta_ri rho(e_r)``, over ``L_t * L_rho`` since
+    the twist's columns are over ``L_t``.
+    """
+
+    def __init__(self, kernel: Kernel, rho: List, phi) -> None:
+        m = len(phi)
+        self.kernel, self.m = kernel, m
+        self.rho, self.rho_scale = kernel.matrices(rho, m)
+        (self.phi,), self.phi_scale = kernel.matrices([phi], m)
+        self.rho_beta: List[Rows] = [
+            [kernel._combine({}, col, [r[a] for r in self.rho], 1) for a in range(m)]
+            for col in kernel.twist.cols
+        ]
+
+    def first_failure(self) -> Optional[tuple]:
+        """``("compat", i)`` for the first ``i`` where the compatibility equation
+        fails, else ``("bracket", i, j)`` for the first ``i < j`` where the
+        bracket equation fails, else ``None``.  Each term is multiplied by
+        the positive integer that brings it to its equation's common scale,
+        as set out in :func:`skewhom.representation.check_representation`.
+        """
+        kernel, m, rho, rho_beta = self.kernel, self.m, self.rho, self.rho_beta
+        t_scale = kernel.twist.scale
+        for i in range(kernel.dim):
+            res = kernel.product(rho_beta[i], self.phi)
+            for acc, row in zip(res, self.phi):
+                kernel._combine(acc, row, rho[i], t_scale)
+            if any(map(_nonzero, res)):
+                return ("compat", i)
+        rho_phi = [kernel.product(r, self.phi) for r in rho]
+        # by_row[a][k] is row a of rho(e_k) phi
+        by_row = [[r[a] for r in rho_phi] for a in range(m)]
+        left, right = t_scale * self.rho_scale, kernel.scale * self.phi_scale
+        for i, j in itertools.combinations(range(kernel.dim), 2):
+            c = kernel.bracket(i, j)
+            for a in range(m):
+                acc = kernel._combine({}, c, by_row[a], left)
+                kernel._combine(acc, rho_beta[i][a], rho[j], -right)
+                kernel._combine(acc, rho_beta[j][a], rho[i], right)
+                if _nonzero(acc):
+                    return ("bracket", i, j)
+        return None
+
+    def conjugated(self, pre, post) -> Tuple[List[Rows], int]:
+        """``pre rho(e_t) post`` for every ``t`` and their scale, ``L_pre * L_rho * L_post``."""
+        kernel = self.kernel
+        (pre,), pre_scale = kernel.matrices([pre], self.m)
+        (post,), post_scale = kernel.matrices([post], self.m)
+        blocks = [kernel.product(kernel.product(pre, r), post) for r in self.rho]
+        return blocks, pre_scale * self.rho_scale * post_scale
+
+
 class Coboundary:
     """The matrix of ``D^s_k : C^k -> C^{k+1}`` as sparse integer-pair columns.
 
@@ -213,7 +286,7 @@ class Coboundary:
     ``a`` at ``u = targets[u_index]``.  Both index lists are the increasing
     tuples in ``itertools.combinations`` order, which is sorted order.  With
     0-based positions, ``beta[K; v]`` the twist's minor with rows ``K`` and
-    columns ``v``, and ``M_t`` the entries of ``conj[t]``, the entries are
+    columns ``v``, and ``M_t`` the pair rows ``conj[t]``, the entries are
 
         D[(u,a),(K,b)] = sum_i (-1)^i M_{u_i}[a][b] det beta[K; u - u_i]
                        + [a = b] sum_{i<j} (-1)^(i+j)
@@ -221,25 +294,19 @@ class Coboundary:
 
     since a basis cochain evaluates at ``(y_1, ..., y_k)`` to the determinant
     of the rows ``K`` of those vectors times ``e_b``.  ``conj`` is scaled by
-    ``L_M``, the bracket by ``L_C`` and the twist by ``L_t``; the first sum is
-    multiplied by ``L_C`` and the second by ``L_M * L_t``, so every entry is
-    ``scale = L_C * L_M * L_t**k`` times its true value.
+    ``L_M = conj_scale``, the bracket by ``L_C`` and the twist by ``L_t``;
+    the first sum is multiplied by ``L_C`` and the second by ``L_M * L_t``,
+    so every entry is ``scale = L_C * L_M * L_t**k`` times its true value.
     """
 
-    def __init__(self, kernel: Kernel, k: int, m: int, conj: List) -> None:
+    def __init__(self, kernel: Kernel, k: int, m: int, conj: List[Rows], conj_scale: int) -> None:
         n = kernel.dim
         self.kernel, self.m = kernel, m
         self.sources = list(itertools.combinations(range(n), k))
         self.targets = list(itertools.combinations(range(n), k + 1))
-        values, conj_scale = kernel.pairs(x for mt in conj for row in mt for x in row)
         blocks: List[Dict[Tuple[int, int], Pair]] = [
-            {
-                (a, b): values[(t * m + a) * m + b]
-                for a in range(m)
-                for b in range(m)
-                if values[(t * m + a) * m + b] is not None
-            }
-            for t in range(n)
+            {(a, b): x for a, row in enumerate(mt) for b, x in row.items() if x != _ZERO}
+            for mt in conj
         ]
         t_scale = kernel.twist.scale
         self.scale = kernel.scale * conj_scale * t_scale**k

@@ -31,8 +31,6 @@ from .errors import DimensionError, FileFormatError
 from .linalg import (
     Vec,
     basis_vec,
-    flatten,
-    mat_mul,
     mat_pow,
     mat_vec,
     vec,
@@ -40,7 +38,6 @@ from .linalg import (
     vec_is_zero,
     vec_scale,
     vec_sub,
-    zero_mat,
     zero_vec,
 )
 from .representation import Representation, rho_eval
@@ -200,21 +197,26 @@ def coboundary(eta: Cochain, rep: Representation, s: int) -> Cochain:
 def _operator(g: HomAlgebra, rep: Representation, k: int, s: int) -> Coboundary:
     """The matrix of ``d^s`` on degree-k cochains, for an exact backend.
 
-    ``M_t = phi^(k+1+s) rho(e_t) phi^(-(k+2+s))`` is formed once per basis
-    index; the entries are in :class:`skewhom._kernel.Coboundary`.
+    ``rep`` is a representation of ``g``.  ``M_t = pre rho(e_t) post``, with
+    ``pre = phi^(k+1+s)`` and ``post = phi^(-(k+2+s))`` from the cached
+    :func:`skewhom.linalg.mat_pow`, is formed once per basis index as an
+    integer-pair product on :attr:`Representation.kernel`.  ``pre`` and
+    ``post`` are compiled over their own scales ``L_pre`` and ``L_post`` and
+    every rho(e_t) is over ``L_rho``, so every ``M_t`` is over the positive
+    integer ``L_pre * L_rho * L_post``; :class:`skewhom._kernel.Coboundary`,
+    which has the entries, takes it into its own scale.  A zero rho gives
+    zero blocks on the algebra's kernel.
     """
     if s < 0:
         raise ValueError("the operator family is indexed by s >= 0")
     for degree in (k, k + 1):
         _check_size(g.dim, degree, rep.m)
-    zero = zero_mat(rep.m, rep.m)
-    conj = [zero] * g.dim
     if any(x != 0 for r in rep.rho for row in r for x in row):
         pre = mat_pow(rep.phi, k + 1 + s, g.backend)
         post = mat_pow(rep.phi, -(k + 2 + s), g.backend)
-        conj = [zero if r == zero else mat_mul(mat_mul(pre, r), post) for r in rep.rho]
-    kernel = g.kernel_with([x for mt in conj for x in flatten(mt)])
-    return Coboundary(kernel, k, rep.m, conj)
+        conj, scale = rep.kernel.conjugated(pre, post)
+        return Coboundary(rep.kernel.kernel, k, rep.m, conj, scale)
+    return Coboundary(g.kernel, k, rep.m, [[{}] * rep.m] * g.dim, 1)
 
 
 def d_squared_failures(g: HomAlgebra, rep: Representation, k: int, s: int):

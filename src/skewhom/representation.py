@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache, cached_property
 from pathlib import Path
 from random import Random
 from typing import Optional, Tuple, Union
 
 from . import algebra
+from ._kernel import Rep
 from .algebra import (
     MAX_DIM,
     CheckReport,
@@ -82,6 +84,17 @@ class Representation:
         if self.g.backend.is_zero(det(self.phi, self.g.backend)):
             raise PreconditionError("companion map phi must be invertible")
 
+    @cached_property
+    def kernel(self) -> Rep:
+        """rho, rho(beta e_i) and phi as sparse integer pairs, for exact backends.
+
+        The algebra's kernel takes part, or one with the discriminant of
+        rho and phi if the algebra's scalars are rational; mixed
+        discriminants raise :class:`BackendMismatchError`.
+        """
+        values = [x for r in self.rho + (self.phi,) for row in r for x in row]
+        return Rep(self.g.kernel_with(values), self.rho, self.phi)
+
 
 def zero_representation(g: HomAlgebra, m: int, phi: Optional[Mat] = None) -> Representation:
     """All rho(e_i) = 0; passes both representation equations for any phi."""
@@ -104,36 +117,62 @@ def check_representation(rep: Representation) -> CheckReport:
     """Verify both defining equations on all basis vectors and pairs.
 
     The witness is the first failing basis vector of the compatibility
-    equation, else the first failing ordered pair of the bracket equation.
-    Exact backends scan only the pairs i < j there: the residual
+    equation, else the first failing ordered pair of the bracket equation,
+    with its residual computed densely.  The bracket residual
     ``rho([e_i,e_j]) phi - rho(beta e_i) rho(e_j) + rho(beta e_j) rho(e_i)``
     changes sign when i and j are swapped, because the bracket is
     antisymmetric and the other two terms trade places, and it vanishes for
     i = j.  So a failing ordered pair has i != j, its swap fails too, and
     ``(j, i)`` comes after ``(i, j)`` in lexicographic order for i < j: the
-    first failing ordered pair is the first failing i < j pair.  The float
-    backend scans all ordered pairs, since its zero test has a tolerance.
+    first failing ordered pair is the first failing i < j pair.
+
+    Exact backends, with no float in rho or phi, decide both equations on
+    :attr:`Representation.kernel`, over i < j pairs.  It holds the bracket
+    over a positive scale ``L_C``, the twist over ``L_t``, every rho(e_i)
+    over ``L_rho`` and phi over ``L_phi``, so each term is its true value
+    times a product of scales; the terms of one equation are brought to a
+    common scale by positive integer factors, which keep a zero residual
+    zero and a nonzero one nonzero:
+
+    * compat, ``rho(beta e_i) phi + phi rho(e_i)``: the first term is over
+      ``L_t * L_rho * L_phi`` and the second over ``L_rho * L_phi``, which
+      is multiplied by ``L_t``;
+    * bracket: ``rho([e_i,e_j]) phi`` is over ``L_C * L_rho * L_phi`` and
+      the two products over ``L_t * L_rho**2``; the first is multiplied by
+      ``L_t * L_rho`` and the products by ``L_C * L_phi``.
+
+    The float backend scans all ordered pairs densely, since its zero test
+    has a tolerance; with ``algebra._sparse`` off, that scan is the
+    reference.  The witness is recomputed densely either way.
     """
     g, phi = rep.g, rep.phi
-    backend = g.backend
-    rho_beta = [rho_eval(rep, g.twist_col(i)) for i in range(g.dim)]
-    for i in range(g.dim):
-        res = mat_add(mat_mul(rho_beta[i], phi), mat_mul(phi, rep.rho[i]))
-        if not mat_is_zero(res, backend):
-            return CheckReport(False, Witness(("compat", i), res))
-    if algebra._sparse(g):
-        pairs = itertools.combinations(range(g.dim), 2)
+    n = g.dim
+
+    @cache
+    def rho_beta(i: int) -> Mat:
+        return rho_eval(rep, g.twist_col(i))
+
+    def residual(at: tuple) -> Mat:
+        if at[0] == "compat":
+            i = at[1]
+            return mat_add(mat_mul(rho_beta(i), phi), mat_mul(phi, rep.rho[i]))
+        _, i, j = at
+        # [e_i, e_j] for i < j is a stored pair or the typed zero, no dense view
+        value = g.pairs.get((i, j), g.zero) if i < j else g.bracket[i][j]
+        lhs = mat_mul(rho_eval(rep, value), phi)
+        rhs = mat_sub(mat_mul(rho_beta(i), rep.rho[j]), mat_mul(rho_beta(j), rep.rho[i]))
+        return mat_sub(lhs, rhs)
+
+    entries = (x for r in rep.rho + (phi,) for row in r for x in row)
+    if algebra._sparse(g) and not any(isinstance(x, float) for x in entries):
+        at = rep.kernel.first_failure()
     else:
-        pairs = itertools.product(range(g.dim), repeat=2)
-    for i, j in pairs:
-        lhs = mat_mul(rho_eval(rep, g.bracket[i][j]), phi)
-        rhs = mat_sub(
-            mat_mul(rho_beta[i], rep.rho[j]), mat_mul(rho_beta[j], rep.rho[i])
+        scan = itertools.chain(
+            (("compat", i) for i in range(n)),
+            (("bracket", i, j) for i, j in itertools.product(range(n), repeat=2)),
         )
-        res = mat_sub(lhs, rhs)
-        if not mat_is_zero(res, backend):
-            return CheckReport(False, Witness(("bracket", i, j), res))
-    return CheckReport(True)
+        at = next((at for at in scan if not mat_is_zero(residual(at), g.backend)), None)
+    return CheckReport(True) if at is None else CheckReport(False, Witness(at, residual(at)))
 
 
 def representation_as_morphism_matrix(rep: Representation) -> Mat:

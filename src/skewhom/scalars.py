@@ -313,10 +313,17 @@ class ScalarBackend:
         if kind == "rational":
             return rational_backend()
         if kind == "quadratic":
-            return quadratic_backend(as_rational(obj["theta"]))
+            return quadratic_backend(as_rational(_not_bool(obj["theta"])))
         if kind == "float":
-            return float_backend(float(obj.get("tol", 1e-9)))
+            return float_backend(float(_not_bool(obj.get("tol", 1e-9))))
         raise ValueError(f"unknown backend kind {kind!r}")
+
+
+def _not_bool(obj: object) -> object:
+    """A number field of a data file as is; JSON ``true``/``false`` are refused."""
+    if isinstance(obj, bool):
+        raise TypeError(f"not a number: {obj!r}")
+    return obj
 
 
 def rational_backend() -> ScalarBackend:

@@ -486,6 +486,8 @@ def _malformed(kind, path, value, tmp_path):
         pytest.param("float", ["twist", 0, 0], float("inf"), "twist[0]", id="infinity-in-float-twist"),
         pytest.param("float", ["bracket", 0, "value", 0], "1e400", "bracket[0]", id="overflowing-string-in-float-bracket"),
         pytest.param("float", ["backend", "tol"], float("nan"), "dim/backend", id="nan-tol"),
+        pytest.param("float", ["backend", "tol"], True, "dim/backend", id="bool-tol"),
+        pytest.param("quadratic", ["backend", "theta"], True, "dim/backend", id="bool-theta"),
         pytest.param("rational", ["dim"], 2.7, "dim/backend", id="fractional-dim"),
         pytest.param("rational", ["dim"], True, "dim/backend", id="boolean-dim"),
         pytest.param("rational", ["bracket", 0, "i"], 0.9, "bracket[0]", id="fractional-i"),

@@ -26,7 +26,7 @@ from skewhom.cohomology import (
 )
 from skewhom.constructions import alpha_block
 from skewhom.errors import BackendMismatchError
-from skewhom.linalg import identity, mat, zero_mat
+from skewhom.linalg import identity, mat, mat_mul, mat_pow, zero_mat
 from skewhom.representation import Representation, zero_representation
 from skewhom.scalars import QuadExt, rational_backend
 
@@ -82,6 +82,21 @@ def assert_columns_match(g, rep, k, s):
         assert op.cols[c] == want
 
 
+def assert_blocks_match(rep, k, s):
+    """Each pair block ``M_t`` over its scale against the dense ``pre rho(e_t) post``."""
+    backend = rep.g.backend
+    pre, post = mat_pow(rep.phi, k + 1 + s, backend), mat_pow(rep.phi, -(k + 2 + s), backend)
+    blocks, scale = rep.kernel.conjugated(pre, post)
+    dd = rep.kernel.kernel.dd
+    assert len(blocks) == rep.g.dim
+    for block, r in zip(blocks, rep.rho):
+        dense = mat_mul(mat_mul(pre, r), post)
+        for a in range(rep.m):
+            assert set(block[a]) <= set(range(rep.m))
+            for b in range(rep.m):
+                assert block[a].get(b, (0, 0)) == as_pair(dense[a][b], scale, dd)
+
+
 def outcome(g, rep, k, s):
     """Verdict and witness of ``check_d_squared`` and the whole failure stream, comparably."""
     report = check_d_squared(g, rep, k, s)
@@ -127,6 +142,7 @@ def test_operator_matches_dense_coboundary(family, kind, mutation, k, s):
         rep = replace(rep, g=g)
     assert_columns_match(g, rep, k, s)
     assert_columns_match(g, rep, k + 1, s)
+    assert_blocks_match(rep, k, s)
     sparse, dense = both_outcomes(g, rep, k, s)
     assert sparse == dense
 
@@ -163,6 +179,7 @@ def random_cases(draw):
 def test_operator_matches_dense_on_random_tables(case):
     rep, k, s = case
     assert_columns_match(rep.g, rep, k, s)
+    assert_blocks_match(rep, k, s)
     sparse, dense = both_outcomes(rep.g, rep, k, s)
     assert sparse == dense
 
@@ -194,6 +211,7 @@ def test_rational_algebra_takes_a_quadratic_representation():
         sparse, dense = both_outcomes(g, rep, k, 1)
         assert sparse == dense
     assert_columns_match(g, rep, 1, 1)
+    assert_blocks_match(rep, 1, 1)
 
 
 def test_vacuous_degree_passes_for_any_rho():

@@ -4,10 +4,16 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from skewhom import algebra, representation
+from skewhom import algebra, cohomology, representation
 from skewhom.algebra import MAX_DIM
-from skewhom.constructions import GlContext, alpha_block, build_gl_alpha, build_semi_euclidean
-from skewhom.errors import FileFormatError, PreconditionError
+from skewhom.constructions import (
+    GlContext,
+    alpha_block,
+    build_gl_alpha,
+    build_r3_cross,
+    build_semi_euclidean,
+)
+from skewhom.errors import BackendMismatchError, FileFormatError, PreconditionError
 from skewhom.linalg import (
     basis_vec,
     det,
@@ -295,14 +301,24 @@ def test_bracket_equation_pair_scan_matches_ordered_scan_past_compat(rep):
     assert fast == ordered
 
 
+def _pad(x, corner):
+    """``x`` below and right of a new first row and column, zero but for ``corner``."""
+    return mat([[corner, 0, 0]] + [[0, *row] for row in x])
+
+
 def test_bracket_equation_witness_is_an_increasing_pair():
     # on the abelian algebra with beta = id and the quarter-turn phi, every
     # rho(e_i) anticommuting with phi passes compat, and the bracket equation
-    # asks rho(e_0) and rho(e_1) to commute; these two do not
+    # asks rho(e_0) and rho(e_1) to commute; these two do not.  Padded, the
+    # residual is zero in its first row.
     g = HomAlgebra.from_pairs(2, {}, identity(2), SE4_ZERO.backend)
-    rep = Representation(g, 2, (anticommuting(F(1), F(0)), anticommuting(F(0), F(1))), PHI)
-    report = check_representation(rep)
-    assert not report.passed and report.witness.at == ("bracket", 0, 1)
+    rho = (anticommuting(F(1), F(0)), anticommuting(F(0), F(1)))
+    padded = Representation(g, 3, tuple(_pad(x, 0) for x in rho), _pad(PHI, 1))
+    for rep in (Representation(g, 2, rho, PHI), padded):
+        report = check_representation(rep)
+        assert not report.passed and report.witness.at == ("bracket", 0, 1)
+        fast, ordered = _both_scans(rep)
+        assert fast == ordered
 
 
 def test_representation_loader_refuses_a_large_m_before_det(monkeypatch):
@@ -315,3 +331,163 @@ def test_representation_loader_refuses_a_large_m_before_det(monkeypatch):
     with pytest.raises(FileFormatError, match=f"limit of {MAX_DIM}") as info:
         representation_from_dict(doc)
     assert info.value.location == "m"
+
+
+# --- the compiled representation against the dense scan
+
+R3_FAMILIES = [
+    (F(0), build_r3_cross(((0, -1, 0), (1, 0, 0), (0, 0, 1)))),
+    (F(0), build_r3_cross(((1, 0, 0), (0, 1, 0), (0, 0, -1)))),
+]
+DIFFERENTIAL_FAMILIES = PAIR_SCAN_FAMILIES + R3_FAMILIES
+ROOT5 = QuadExt(1, 1, F(5, 4))
+
+
+def _scaled(rep, c):
+    """``c * rho`` with the same phi: compat still holds, the bracket equation
+    (quadratic in rho) fails wherever ``rho([e_i,e_j]) phi`` is not zero."""
+    rho = tuple(tuple(tuple(c * x for x in row) for row in r) for r in rep.rho)
+    return Representation(rep.g, rep.m, rho, rep.phi)
+
+
+def _conjugated(rep, s):
+    """``(s rho s^-1, s phi s^-1)``: a representation exactly when ``rep`` is."""
+    s_inv = mat_inv(s)
+    rho = tuple(mat_mul(mat_mul(s, r), s_inv) for r in rep.rho)
+    return Representation(rep.g, rep.m, rho, mat_mul(mat_mul(s, rep.phi), s_inv))
+
+
+def _invertible(draw, size, entries):
+    m = mat([[draw(entries) for _ in range(size)] for _ in range(size)])
+    assume(det(m) != 0)
+    return m
+
+
+@st.composite
+def differential_reps(draw):
+    """Representations of se4, gl(R^2) (theta in {0, 1/2, 3/4}) and r3 that pass,
+    fail compat, or pass compat and fail the bracket equation.
+
+    ``s`` and the random phi may hold ``1 + sqrt(5)/2``, so a rational algebra
+    (theta = 0, 3/4, r3) also meets a quadratic phi.
+    """
+    _, g = draw(st.sampled_from(DIFFERENTIAL_FAMILIES))
+    n = g.dim
+    small = st.sampled_from((F(0), F(0), F(1), F(-1), F(2), F(1, 2)))
+    with_root = st.one_of(small, st.just(ROOT5))
+    kind = draw(st.sampled_from(("adjoint", "conjugated", "random", "zero")))
+    if kind == "adjoint":
+        rep = adjoint(g)
+    elif kind == "conjugated":
+        rep = _conjugated(adjoint(g), _invertible(draw, n, with_root))
+    else:
+        m = draw(st.integers(1, 3))
+        phi = _invertible(draw, m, with_root)
+        entry = small if kind == "random" else st.just(F(0))
+        rho = tuple(mat([[draw(entry) for _ in range(m)] for _ in range(m)]) for _ in range(n))
+        rep = Representation(g, m, rho, phi)
+    if draw(st.booleans()):
+        rep = _scaled(rep, draw(st.sampled_from((2, -1, F(1, 3)))))
+    for t, r, c, delta in draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 3), st.integers(0, 3),
+                           st.sampled_from((1, -1, F(1, 2), ROOT5))), max_size=1)
+    ):
+        rep = _corrupted(rep, t, r % rep.m, c % rep.m, delta)
+    return rep
+
+
+@settings(max_examples=150, deadline=None)
+@given(differential_reps())
+def test_compiled_representation_matches_the_dense_scan(rep):
+    fast, ordered = _both_scans(rep)
+    assert fast == ordered
+
+
+@pytest.mark.parametrize("index", range(len(DIFFERENTIAL_FAMILIES)))
+def test_perfbench_corrupted_rho_is_caught_alike(index):
+    # perfbench's corrupt_rho: entry (0, last) of rho(e_last) raised by 1
+    g = DIFFERENTIAL_FAMILIES[index][1]
+    rep = adjoint(g)
+    fast, ordered = _both_scans(_corrupted(rep, g.dim - 1, 0, g.dim - 1, 1))
+    assert fast == ordered and not fast[0]
+    fast, ordered = _both_scans(rep)
+    assert fast == ordered
+    # the adjoint is a representation of every skew family: all but the rotated r3
+    assert fast[0] == (g is not R3_FAMILIES[0][1])
+
+
+def test_rational_algebra_with_a_quadratic_phi():
+    g = build_semi_euclidean(0)[0]
+    phi = alpha_block(4, F(1, 2))[0]
+    rho = (mat([[ROOT5, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]),) + (zero_mat(4, 4),) * 3
+    for candidate in (Representation(g, 4, rho, phi), zero_representation(g, 4, phi)):
+        assert candidate.kernel.kernel.d == F(5, 4)
+        fast, ordered = _both_scans(candidate)
+        assert fast == ordered
+
+
+def test_mixed_discriminants_raise_on_both_paths():
+    half = build_semi_euclidean(F(1, 2))[0]
+    zero = build_semi_euclidean(0)[0]
+    other = QuadExt(0, 1, F(2))
+    rho = [list(map(list, r)) for r in adjoint(half).rho]
+    rho[0][0][1] = other
+    cases = [
+        # a Q(sqrt 2) entry in rho(e_0) of a Q(sqrt 5) algebra
+        Representation(half, 4, tuple(mat(r) for r in rho), half.twist),
+        # a rational algebra whose rho and phi hold different roots
+        Representation(zero, 4, (mat([[other, 0, 0, 0]] + [[0] * 4] * 3),) + (zero_mat(4, 4),) * 3,
+                       alpha_block(4, F(1, 2))[0]),
+    ]
+    for rep in cases:
+        with pytest.raises(BackendMismatchError, match="mixed discriminants"):
+            check_representation(rep)
+        with mock.patch.object(algebra, "_sparse", lambda g: False):
+            with pytest.raises(BackendMismatchError, match="mixed discriminants"):
+                check_representation(rep)
+
+
+def test_exact_bracket_witness_reads_the_pairs_not_the_dense_view():
+    built = build_gl_alpha(GlContext(2, *alpha_block(2, F(1, 2))))
+    g = HomAlgebra.from_pairs(built.dim, dict(built.pairs), built.twist, built.backend)
+    # twice the adjoint passes compat and fails the bracket equation at (0, 1)
+    rep = _scaled(adjoint(built), 2)
+    rep = Representation(g, rep.m, rep.rho, rep.phi)
+    report = check_representation(rep)
+    assert not report.passed and report.witness.at == ("bracket", 0, 1)
+    assert "bracket" not in g.__dict__
+    with mock.patch.object(algebra, "_sparse", lambda g: False):
+        dense = check_representation(rep)
+    assert report.witness.at == dense.witness.at
+    assert repr(report.witness.residual) == repr(dense.witness.residual)
+
+
+def test_float_rho_on_an_exact_algebra_scans_densely():
+    # the kernel takes exact scalars only; a float rho or phi keeps the dense scan
+    for p, q in ((1.0, 0.0), (1.0, 0.5)):
+        rep = spin_representation(F(1), F(0))
+        rho = (anticommuting(p, q),) + rep.rho[1:]
+        fast, ordered = _both_scans(Representation(SE4_ZERO, 2, rho, PHI))
+        assert fast == ordered and fast[0] == (q == 0)
+
+
+@pytest.mark.parametrize("family", ["se4", "gl2"])
+def test_exact_passing_checks_take_no_dense_product(monkeypatch, family):
+    theta = F(1, 2)
+    if family == "se4":
+        g = build_semi_euclidean(theta)[0]
+    else:
+        g = build_gl_alpha(GlContext(2, *alpha_block(2, theta)))
+    reps = [adjoint(g), zero_representation(g, 4, alpha_block(4, theta, g.backend)[0])]
+
+    def dense(*args):
+        raise AssertionError("a dense product ran on the exact path")
+
+    # cohomology needs no dense product at all; patch it there too if it has one
+    for module in (representation, cohomology):
+        monkeypatch.setattr(module, "mat_mul", dense, raising=False)
+        monkeypatch.setattr(module, "rho_eval", dense)
+    for rep in reps:
+        assert check_representation(rep).passed
+    if family == "se4":
+        assert cohomology.check_d_squared(g, reps[0], 1, 0).passed
