@@ -164,16 +164,26 @@ class HomAlgebra:
     def bracket(self) -> tuple:
         """Read-only dense table ``bracket[i][j] = [e_i, e_j]``, built on first use.
 
-        ``[e_j, e_i]`` is ``zero - [e_i, e_j]`` where the zero entry is a
-        float, as a dense product would round it (no ``-0.0``), and
-        ``-[e_i, e_j]`` otherwise, which keeps each exact type.
+        Each entry is :meth:`bracket_at`.  The dense scans and the dense
+        loop of :func:`bracket_eval` read this table.
         """
-        n, zero = self.dim, self.zero
-        rows = [[zero] * n for _ in range(n)]
-        for (i, j), value in self.pairs.items():
-            rows[i][j] = value
-            rows[j][i] = tuple(z - x if isinstance(z, float) else -x for z, x in zip(zero, value))
-        return tuple(map(tuple, rows))
+        n = self.dim
+        return tuple(tuple(self.bracket_at(i, j) for j in range(n)) for i in range(n))
+
+    def bracket_at(self, i: int, j: int) -> Vec:
+        """``[e_i, e_j]`` as :attr:`bracket` holds it, without building that table.
+
+        The stored value for i < j, and ``zero`` on the diagonal and for a
+        missing pair.  ``[e_j, e_i]`` is ``zero - [e_i, e_j]`` where the zero
+        entry is a float, as a dense product would round it (no ``-0.0``),
+        and ``-[e_i, e_j]`` otherwise, which keeps each exact type.
+        """
+        if i < j:
+            return self.pairs.get((i, j), self.zero)
+        value = self.pairs.get((j, i))
+        if value is None:
+            return self.zero
+        return tuple(z - x if isinstance(z, float) else -x for z, x in zip(self.zero, value))
 
     def twist_col(self, i: int) -> Vec:
         """Image of the i-th basis vector under the twist."""
@@ -192,9 +202,24 @@ class HomAlgebra:
 
 
 def bracket_eval(g: HomAlgebra, x: Vec, y: Vec) -> Vec:
-    """Bilinear extension of the structure-constant table."""
+    """Bilinear extension of the structure-constant table.
+
+    The value is the dense sum ``Fraction(0) + sum x_i y_j [e_i, e_j]`` over
+    the ordered pairs with ``x_i`` and ``y_j`` nonzero, and it has that sum's
+    types: a component is a ``QuadExt`` exactly when a factor of one of its
+    terms is (a nonzero argument entry, an entry of a stored value, or an
+    entry of ``g.zero`` on the diagonal or for a missing pair), and a
+    ``Fraction`` otherwise.  Exact backends compute it from ``g.pairs``
+    (:func:`_pair_bracket_eval`); the float backend, and any call with a
+    float argument, keep the dense loop over ``g.bracket``, whose summation
+    order fixes the rounding.  That loop is the tests' reference.
+    """
     if len(x) != g.dim or len(y) != g.dim:
         raise DimensionError(f"arguments must have length {g.dim}")
+    if _sparse(g) and not any(isinstance(a, float) for a in itertools.chain(x, y, g.zero)):
+        value = _pair_bracket_eval(g, x, y)
+        if value is not None:
+            return value
     acc = zero_vec(g.dim)
     for i, xi in enumerate(x):
         if xi == 0:
@@ -204,6 +229,76 @@ def bracket_eval(g: HomAlgebra, x: Vec, y: Vec) -> Vec:
                 continue
             acc = vec_add(acc, vec_scale(xi * yj, g.bracket[i][j]))
     return acc
+
+
+def _pair_bracket_eval(g: HomAlgebra, x: Vec, y: Vec) -> Optional[Vec]:
+    """:func:`bracket_eval` on exact scalars from ``g.pairs``, or ``None``.
+
+    A stored pair i < j adds ``c * [e_i, e_j]`` to the nonzero components of
+    its value, with ``c = x_i y_j - x_j y_i`` formed from the products the
+    dense loop forms (it skips zero arguments), so the sum is the dense one;
+    only the ordered pairs of the two supports are visited.
+    The components that the dense terms make a ``QuadExt`` are found with
+    ``isinstance`` tests, and a rational sum there becomes ``QuadExt(sum, 0,
+    d)``.  ``None`` leaves mixed discriminants and a float in a value to the
+    dense loop, which raises or rounds as it always has.
+    """
+    n = g.dim
+    xs = {i: a for i, a in enumerate(x) if a}
+    ys = {j: b for j, b in enumerate(y) if b}
+    if not xs or not ys:
+        return zero_vec(n)
+    d = None  # the discriminant of every QuadExt factor seen so far
+
+    def same_d(v: QuadExt) -> bool:
+        nonlocal d
+        if d is None:
+            d = v.d
+        return v.d is d or v.d == d
+
+    args = itertools.chain(xs.values(), ys.values())
+    if not all(same_d(a) for a in args if isinstance(a, QuadExt)):
+        return None
+    # a QuadExt argument is a factor of a term in every component
+    quad = [d is not None] * n
+
+    def mark(value: Vec) -> bool:
+        """Note the ``QuadExt`` components of a term's factor; False on a float or a second d."""
+        for k, v in enumerate(value):
+            if isinstance(v, QuadExt):
+                if not same_d(v):
+                    return False
+                quad[k] = True
+            elif isinstance(v, float):
+                return False
+        return True
+
+    pairs = g.pairs
+    coefficients = {}  # c for each stored pair with a dense term
+    zero_term = False  # whether a dense term reads g.zero
+    for i, a in xs.items():
+        for j, b in ys.items():
+            key = (i, j) if i < j else (j, i)
+            if i == j or key not in pairs:
+                zero_term = True
+            else:
+                c = coefficients.get(key, 0)
+                coefficients[key] = c + a * b if i < j else c - a * b
+    if zero_term and not mark(g.zero):
+        return None
+    acc = list(zero_vec(n))
+    for key, c in coefficients.items():
+        value = pairs[key]
+        if not mark(value):
+            return None
+        if c:
+            for k, v in enumerate(value):
+                if v:
+                    acc[k] = acc[k] + c * v
+    return tuple(
+        QuadExt(a, 0, d) if is_quad and not isinstance(a, QuadExt) else a
+        for a, is_quad in zip(acc, quad)
+    )
 
 
 def _sparse(g: HomAlgebra) -> bool:
@@ -231,9 +326,9 @@ def check_hom_jacobi(g: HomAlgebra) -> CheckReport:
     beta = [g.twist_col(i) for i in range(g.dim)]
 
     def residual(i: int, j: int, k: int) -> Vec:
-        res = bracket_eval(g, g.bracket[j][k], beta[i])
-        res = vec_add(res, bracket_eval(g, g.bracket[k][i], beta[j]))
-        return vec_add(res, bracket_eval(g, g.bracket[i][j], beta[k]))
+        res = bracket_eval(g, g.bracket_at(j, k), beta[i])
+        res = vec_add(res, bracket_eval(g, g.bracket_at(k, i), beta[j]))
+        return vec_add(res, bracket_eval(g, g.bracket_at(i, j), beta[k]))
 
     if _sparse(g):
         at = g.kernel.first_jacobi_failure()
@@ -309,7 +404,7 @@ def _bracket_failure(f: Mat, g: HomAlgebra, h: HomAlgebra, signs: Set[int]):
     cols = [mat_col(f, i) for i in range(g.dim)]
 
     def sides(i: int, j: int) -> Tuple[Vec, Vec]:
-        return mat_vec(f, g.bracket[i][j]), bracket_eval(h, cols[i], cols[j])
+        return mat_vec(f, g.bracket_at(i, j)), bracket_eval(h, cols[i], cols[j])
 
     def residual(lhs: Vec, rhs: Vec, sign: int) -> Vec:
         return vec_sub(lhs, vec_scale(Fraction(sign), rhs))

@@ -419,7 +419,7 @@ def check_pseudo_adjoint_identity(g: HomAlgebra) -> CheckReport:
         return CheckReport(True)
     i, j, _ = jacobi.witness.at
     ad_star = pseudo_adjoint(g)
-    lhs = mat_mul(ad_star(g.bracket[i][j]), g.twist)
+    lhs = mat_mul(ad_star(g.bracket_at(i, j)), g.twist)
     rhs = mat_sub(
         mat_mul(ad_star(g.twist_col(j)), ad_star(basis_vec(g.dim, i))),
         mat_mul(ad_star(g.twist_col(i)), ad_star(basis_vec(g.dim, j))),
@@ -441,10 +441,14 @@ def check_pseudo_adjoint_morphism(g: HomAlgebra) -> CheckReport:
     beta^2[x,y] = [beta^2 x, beta^2 y] = [x,y], while beta^2 = -id gives
     -[x,y].  So does the twist law [beta x, y] = beta[x, beta y] alone:
     -[x,y] = [beta^2 x, y] = beta[beta x, beta y] = beta^2[x, -y] = [x,y].
+    An algebra with no stored pair therefore passes without building the
+    n**2-dimensional gl(g); any other keeps the scan, which finds the witness.
     """
     minus_id = mat_neg(identity(g.dim))
     if not mat_eq(mat_mul(g.twist, g.twist), minus_id, g.backend):
         raise PreconditionError("twist**2 = -id is required for the morphism law")
+    if not g.pairs:
+        return CheckReport(True)
     ad_star = pseudo_adjoint(g)
     f = transpose(mat(flatten(ad_star(basis_vec(g.dim, i))) for i in range(g.dim)))
     target = build_gl_alpha(GlContext(g.dim, g.twist, g.backend))

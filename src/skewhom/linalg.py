@@ -264,8 +264,36 @@ def cross3(u: Vec, v: Vec) -> Vec:
 
 
 def _det3(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    """3x3 determinant with the value and type of the full expansion.
+
+    The full expansion multiplies every entry, so it is a ``QuadExt`` when
+    one of the nine entries is, else a ``Fraction`` when one is, else an
+    ``int``.  Exact rows are expanded along the row with the most zero
+    entries, skipping zero products, and the result is given that type;
+    float rows, and mixed discriminants (which raise), keep the full
+    expansion.
+    """
+    entries = [x for row in rows for x in row]
+    ds = [x.d for x in entries if isinstance(x, QuadExt)]
+    if any(isinstance(x, float) for x in entries) or any(d is not ds[0] and d != ds[0] for d in ds):
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    zeros = [sum(1 for x in row if not x) for row in rows]
+    r = zeros.index(max(zeros))
+    others = [row for k, row in enumerate(rows) if k != r]
+    out = 0
+    for c, x in enumerate(rows[r]):
+        if not x:
+            continue
+        (p, q), (u, v) = ([e for k, e in enumerate(row) if k != c] for row in others)
+        minor = (p * v if p and v else 0) - (q * u if q and u else 0)
+        if minor:
+            # the type is fixed below, so a unit factor need not be multiplied
+            term = minor if x == 1 else x * minor
+            out = out + term if (r + c) % 2 == 0 else out - term
+    if ds:
+        return out if isinstance(out, QuadExt) else QuadExt(out, 0, ds[0])
+    return Fraction(out) if any(isinstance(x, Fraction) for x in entries) else out
 
 
 def wedge3(u: Vec, v: Vec, w: Vec) -> Vec:
@@ -274,7 +302,10 @@ def wedge3(u: Vec, v: Vec, w: Vec) -> Vec:
     Formal expansion of the 4x4 determinant with symbolic first row
     ``(e1, -e2, e3, e4)`` and data rows ``u, v, w``; the sign pattern of that
     row is part of the product's definition, so this is NOT the Euclidean 4D
-    cross product.
+    cross product.  Each component is a 3x3 minor with the value and scalar
+    type of its full expansion (see ``_det3``); a basis vector among the
+    rows, as in the semi-Euclidean build, makes each one a single 2x2
+    product.
     """
     for x in (u, v, w):
         if len(x) != 4:

@@ -157,9 +157,7 @@ def check_representation(rep: Representation) -> CheckReport:
             i = at[1]
             return mat_add(mat_mul(rho_beta(i), phi), mat_mul(phi, rep.rho[i]))
         _, i, j = at
-        # [e_i, e_j] for i < j is a stored pair or the typed zero, no dense view
-        value = g.pairs.get((i, j), g.zero) if i < j else g.bracket[i][j]
-        lhs = mat_mul(rho_eval(rep, value), phi)
+        lhs = mat_mul(rho_eval(rep, g.bracket_at(i, j)), phi)
         rhs = mat_sub(mat_mul(rho_beta(i), rep.rho[j]), mat_mul(rho_beta(j), rep.rho[i]))
         return mat_sub(lhs, rhs)
 

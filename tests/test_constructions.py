@@ -3,10 +3,12 @@ import json
 import math
 from dataclasses import replace
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from skewhom import constructions, linalg
 from skewhom.algebra import (
     CheckReport,
     HomAlgebra,
@@ -16,6 +18,7 @@ from skewhom.algebra import (
     algebra_to_dict,
     bracket_eval,
     check_hom_jacobi,
+    check_morphism,
     classify,
     load_algebra,
     save_algebra,
@@ -78,6 +81,7 @@ from skewhom.scalars import (
 from strategies import int_vectors, rationals
 from test_kernel import FAMILIES as KERNEL_FAMILIES, FLOAT_FAMILIES, mutated
 from test_kernel import algebras as kernel_algebras
+from test_linalg import full_det3
 
 
 # --- cross-product family on R^3
@@ -389,13 +393,15 @@ THETAS = [0, F(1, 2), F(3, 4), 1, 0.5, 0.3]
 
 
 def _dense_se4(theta):
-    _, ctx = build_semi_euclidean(theta)
-    cols = [mat_col(ctx.P, i) for i in range(4)]
-    e = [basis_vec(4, i) for i in range(4)]
-    return tuple(
-        tuple(vec_sub(wedge3(cols[i], ctx.r, e[j]), wedge3(cols[j], ctx.r, e[i])) for j in range(4))
-        for i in range(4)
-    )
+    # the wedge minors by their full expansion, not the row expansion
+    with mock.patch.object(linalg, "_det3", full_det3):
+        _, ctx = build_semi_euclidean(theta)
+        cols = [mat_col(ctx.P, i) for i in range(4)]
+        e = [basis_vec(4, i) for i in range(4)]
+        return tuple(
+            tuple(vec_sub(wedge3(cols[i], ctx.r, e[j]), wedge3(cols[j], ctx.r, e[i])) for j in range(4))
+            for i in range(4)
+        )
 
 
 def _dense_r3(A):
@@ -428,7 +434,10 @@ def _family(name, theta):
 @pytest.mark.parametrize("theta", THETAS)
 def test_se4_view_matches_the_wedge_table(theta):
     g, _ = build_semi_euclidean(theta)
-    _assert_view(g, _dense_se4(theta))
+    table = _dense_se4(theta)
+    _assert_view(g, table)
+    for (i, j), value in g.pairs.items():
+        _assert_same_entries(value, table[i][j])
 
 
 def _r3_twists():
@@ -700,6 +709,43 @@ def test_pseudo_adjoint_morphism_matches_the_reference_loops(g):
     assert passed == reference_pseudo_adjoint_morphism(g)
     # with beta^2 = -id the twist law alone forces a zero bracket
     assert passed == (not g.pairs)
+
+
+def scanned_pseudo_adjoint_morphism(g):
+    """``check_pseudo_adjoint_morphism`` with the morphism scan for every table."""
+    if not mat_eq(mat_mul(g.twist, g.twist), mat_neg(identity(g.dim)), g.backend):
+        raise PreconditionError("twist**2 = -id is required for the morphism law")
+    ad_star = pseudo_adjoint(g)
+    f = transpose(mat(flatten(ad_star(basis_vec(g.dim, i))) for i in range(g.dim)))
+    return check_morphism(f, g, build_gl_alpha(GlContext(g.dim, g.twist, g.backend)), sign=-1)
+
+
+def test_pseudo_adjoint_morphism_passes_abelian_tables_without_building_gl(monkeypatch):
+    def refuse(ctx):
+        raise AssertionError("gl(g) was built")
+
+    monkeypatch.setattr(constructions, "build_gl_alpha", refuse)
+    s = QuadExt(0, 1, F(5, 4))
+    complex_twist = ((F(1, 2), s), (-s, F(-1, 2)))  # squares to -id in Q(sqrt 5)
+    for g in (
+        HomAlgebra.from_pairs(2, {}, j_sum(2), rational_backend()),
+        HomAlgebra.from_pairs(4, {(0, 1): zero_vec(4)}, j_sum(4), rational_backend()),
+        HomAlgebra.from_pairs(2, {}, complex_twist, quadratic_backend(F(1, 2))),
+    ):
+        assert check_pseudo_adjoint_morphism(g).passed
+    # the precondition still comes first
+    with pytest.raises(PreconditionError):
+        check_pseudo_adjoint_morphism(HomAlgebra.from_pairs(2, {}, identity(2), rational_backend()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(j_sum_tables())
+def test_pseudo_adjoint_morphism_witness_is_the_scans(g):
+    got, want = check_pseudo_adjoint_morphism(g), scanned_pseudo_adjoint_morphism(g)
+    assert got.passed == (not g.pairs) == want.passed
+    if not got.passed:
+        assert got.witness.at == want.witness.at
+        assert repr(got.witness.residual) == repr(want.witness.residual)
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,0 +1,275 @@
+"""Exact brackets from the pair table against the dense loop.
+
+On exact backends ``bracket_eval`` reads ``g.pairs`` instead of the dense
+view ``g.bracket``.  It must give the scalars the dense loop gives, value
+and type, so the reference here is that loop, kept verbatim: ``repr`` must
+agree entry by entry, which tells ``int``, ``Fraction``, ``QuadExt`` and
+float (bit for bit, signed zeros included) apart.  The witness residuals of
+the exact checkers read ``HomAlgebra.bracket_at`` and must leave the dense
+view unbuilt.
+"""
+
+from fractions import Fraction as F
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from skewhom import algebra
+from skewhom.algebra import (
+    HomAlgebra,
+    Verdict,
+    bracket_eval,
+    check_hom_jacobi,
+    check_power_sign_law,
+    check_twist_sign,
+    classify,
+)
+from skewhom.cohomology import cochain, coboundary
+from skewhom.constructions import (
+    GlContext,
+    alpha_block,
+    build_gl_alpha,
+    build_r3_cross,
+    build_semi_euclidean,
+    check_pseudo_adjoint_identity,
+)
+from skewhom.errors import BackendMismatchError
+from skewhom.linalg import identity, mat, vec_add, vec_scale, zero_vec
+from skewhom.representation import Representation
+from skewhom.scalars import QuadExt, quadratic_backend, rational_backend
+from skewhom.se4geometry import PLANES, check_vstar_closure, vstar_certificate
+
+from test_kernel import FLOAT_FAMILIES, algebras, mutated
+from test_se4geometry import plane_member
+
+THETAS = (F(0), F(1, 2), F(3, 4), F(1))
+
+
+def dense_bracket_eval(g, x, y):
+    """The loop ``bracket_eval`` ran on every backend: all ordered pairs of ``g.bracket``."""
+    acc = zero_vec(g.dim)
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(y):
+            if yj == 0:
+                continue
+            acc = vec_add(acc, vec_scale(xi * yj, g.bracket[i][j]))
+    return acc
+
+
+def outcome(fn, *args):
+    """``repr`` of the value, or the name of the exception raised."""
+    try:
+        return repr(fn(*args))
+    except (BackendMismatchError, TypeError) as exc:
+        return type(exc).__name__
+
+
+def gl(m, theta):
+    return build_gl_alpha(GlContext(m, *alpha_block(m, theta)))
+
+
+def _r3_rotations():
+    c = QuadExt(0, F(1, 2), F(2))  # sqrt(2)/2
+    return {
+        ("r3", "reflection"): build_r3_cross(mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]])),
+        ("r3", "quarter turn"): build_r3_cross(mat([[0, -1, 0], [1, 0, 0], [0, 0, 1]])),
+        ("r3", "eighth turn"): build_r3_cross(((c, -c, 0), (c, c, 0), (0, 0, 1)), quadratic_backend(1)),
+    }
+
+
+FAMILIES = {
+    **{("se4", t): build_semi_euclidean(t)[0] for t in THETAS},
+    **{("gl2", t): gl(2, t) for t in THETAS},
+    **{("gl4", t): gl(4, t) for t in THETAS},
+    **_r3_rotations(),
+}
+
+
+def discriminant(g):
+    """The algebra's discriminant, or that of Q(sqrt 5) for a rational table."""
+    return g.kernel.d if g.kernel.d is not None else F(5, 4)
+
+
+def arguments(n, d):
+    """Vectors mixing ints, Fractions and QuadExt (zeros too), sparse, dense or zero."""
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    entry = st.one_of(
+        st.just(0),
+        st.just(F(0)),
+        st.just(QuadExt(0, 0, d)),
+        st.integers(-3, 3),
+        small,
+        st.builds(lambda a, b: QuadExt(a, b, d), small, small),
+    )
+    rational = st.one_of(st.just(0), st.just(F(0)), st.integers(-3, 3), small)
+    return st.one_of(
+        st.just((F(0),) * n),
+        st.tuples(*[rational] * n),
+        st.tuples(*[entry] * n),
+        st.integers(0, n - 1).map(lambda i: tuple(F(int(k == i)) for k in range(n))),
+    )
+
+
+def assert_matches_dense(g, data):
+    d = discriminant(g)
+    x = data.draw(arguments(g.dim, d))
+    y = data.draw(arguments(g.dim, d))
+    assert repr(bracket_eval(g, x, y)) == repr(dense_bracket_eval(g, x, y))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES, key=str))
+def test_exact_bracket_matches_the_dense_loop_on_the_families(family):
+    g = FAMILIES[family]
+
+    @settings(max_examples=10 if family[0] == "gl4" else 30, deadline=None)
+    @given(st.data())
+    def check(data):
+        assert_matches_dense(g, data)
+
+    check()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted((k for k in FAMILIES if k[0] != "gl4"), key=str)),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda p: p[0] != p[1]),
+    st.integers(0, 2),
+    st.sampled_from((-1, 1, 2, F(1, 3))),
+    st.data(),
+)
+def test_exact_bracket_matches_the_dense_loop_on_mutated_tables(family, pair, k, delta, data):
+    assert_matches_dense(mutated(FAMILIES[family], *pair, k, delta), data)
+
+
+@pytest.mark.parametrize("kind", ["rational", "half", "degenerate"])
+def test_exact_bracket_matches_the_dense_loop_on_random_tables(kind):
+    @settings(max_examples=60, deadline=None)
+    @given(algebras(kind), st.data())
+    def check(g, data):
+        assert_matches_dense(g, data)
+
+    check()
+
+
+def test_zero_and_missing_pairs_type_the_components_like_the_dense_loop():
+    d = F(5, 4)
+    q = QuadExt(0, 0, d)
+    # a QuadExt zero vector stands for the diagonal and the missing (0, 2)
+    g = HomAlgebra.from_pairs(3, {(0, 1): (F(1), F(0), F(2))}, identity(3), quadratic_backend(F(1, 2)),
+                              (q, F(0), q))
+    cases = [
+        ((F(1), F(0), F(0)), (F(1), F(0), F(0))),  # the diagonal only
+        ((F(1), F(0), F(0)), (F(0), F(0), F(1))),  # the missing pair only
+        ((F(1), F(0), F(0)), (F(0), F(1), F(0))),  # the stored pair only
+        ((F(0), F(1), F(0)), (F(1), F(0), F(0))),  # its mirror
+        ((F(1), F(1), F(0)), (F(1), F(-1), F(0))),  # c = -2, and the diagonal
+        ((q, F(1), F(0)), (F(1), F(0), F(0))),  # a QuadExt zero argument is skipped
+        ((QuadExt(1, 0, d), F(0), F(0)), (F(0), F(1), F(0))),  # a rational QuadExt argument
+        (zero_vec(3), (F(1), F(1), F(1))),  # empty support
+    ]
+    for x, y in cases:
+        assert repr(bracket_eval(g, x, y)) == repr(dense_bracket_eval(g, x, y))
+
+
+def test_mixed_discriminants_raise_or_pass_as_in_the_dense_loop():
+    two, three = QuadExt(1, 1, 2), QuadExt(1, 1, 3)
+    # two discriminants in different components never meet in the dense sum
+    split = HomAlgebra.from_pairs(2, {(0, 1): (two, three)}, identity(2), rational_backend())
+    g = FAMILIES[("se4", F(1, 2))]
+    cases = [
+        (split, (F(1), F(0)), (F(0), F(1))),
+        (split, (two, F(0)), (F(0), F(1))),
+        (g, (two, 0, 0, 0), (0, 1, 0, 0)),
+        (g, (two, 0, 0, 0), (three, 1, 0, 0)),
+        (FAMILIES[("se4", F(0))], (two, 0, 0, 0), (0, three, 0, 0)),
+    ]
+    for h, x, y in cases:
+        assert outcome(bracket_eval, h, x, y) == outcome(dense_bracket_eval, h, x, y)
+    assert outcome(bracket_eval, *cases[0]) != "BackendMismatchError"
+    assert outcome(bracket_eval, *cases[2]) == "BackendMismatchError"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(FLOAT_FAMILIES, key=str) + [("se4", F(0)), ("gl2", F(0)), ("se4", F(1, 2))]),
+    st.data(),
+)
+def test_float_arguments_and_backends_keep_the_dense_loop(family, data):
+    g = {**FLOAT_FAMILIES, **FAMILIES}[family]
+    entry = st.one_of(
+        st.just(0.0), st.just(-0.0), st.floats(-3, 3, allow_nan=False), st.just(F(1)), st.just(0)
+    )
+    x = data.draw(st.tuples(*[entry] * g.dim))
+    y = data.draw(st.tuples(*[entry] * g.dim))
+    assert outcome(bracket_eval, g, x, y) == outcome(dense_bracket_eval, g, x, y)
+
+
+# --- witness residuals read the pairs
+
+SE4_HALF_MUTATED = (("se4", F(1, 2)), 0, 1, 0, 1)
+GL2_HALF_MUTATED = (("gl2", F(1, 2)), 0, 2, 1, 1)
+
+
+def _failing_checks():
+    return [
+        ("twist sign", lambda g: check_twist_sign(g), lambda r: r.sign is None),
+        ("jacobi", check_hom_jacobi, lambda r: not r.passed),
+        ("power sign m=3", lambda g: check_power_sign_law(g, 3), lambda r: not r.passed),
+        ("pseudo-adjoint identity", check_pseudo_adjoint_identity, lambda r: not r.passed),
+    ]
+
+
+@pytest.mark.parametrize("name, check, failed", _failing_checks(), ids=lambda v: v if isinstance(v, str) else "")
+@pytest.mark.parametrize("table", [SE4_HALF_MUTATED, GL2_HALF_MUTATED], ids=["se4", "gl2"])
+def test_exact_witnesses_read_the_pairs_not_the_dense_view(name, check, failed, table):
+    family, *mutation = table
+    fast_g = mutated(FAMILIES[family], *mutation)
+    fast = check(fast_g)
+    assert failed(fast)
+    assert "bracket" not in fast_g.__dict__
+    with mock.patch.object(algebra, "_sparse", lambda g: False):
+        dense = check(mutated(FAMILIES[family], *mutation))
+    assert fast.witness.at == dense.witness.at
+    assert repr(fast.witness.residual) == repr(dense.witness.residual)
+
+
+def test_bracket_at_is_the_view_entry():
+    for g in [*FAMILIES.values(), *FLOAT_FAMILIES.values(), mutated(FAMILIES[("se4", F(1))], 1, 0, 2, 1)]:
+        fresh = HomAlgebra.from_pairs(g.dim, g.pairs, g.twist, g.backend, g.zero)
+        entries = [repr(fresh.bracket_at(i, j)) for i in range(g.dim) for j in range(g.dim)]
+        assert "bracket" not in fresh.__dict__
+        assert entries == [repr(v) for row in fresh.bracket for v in row]
+
+
+# --- the exact paths that read brackets leave the dense view unbuilt
+
+
+def _adjoint(g):
+    """rho(e_i) = [e_i, .] with phi the twist, read through ``bracket_at``."""
+    n = g.dim
+    rho = tuple(
+        tuple(tuple(g.bracket_at(i, c)[r] for c in range(n)) for r in range(n)) for i in range(n)
+    )
+    return Representation(g, n, rho, g.twist)
+
+
+def test_exact_paths_do_not_build_the_dense_view(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the dense bracket view was built")
+
+    monkeypatch.setattr(HomAlgebra, "bracket", property(refuse))
+    assert check_vstar_closure(F(1, 2), 24, 5).passed
+    g, ctx = build_semi_euclidean(F(1, 2))
+    assert vstar_certificate(g, ctx).passed
+    # no plane holds both constants, so the certificate evaluates brackets
+    # on the moment curve
+    first, second = plane_member(PLANES[0], F(1), F(0)), plane_member(PLANES[1], F(1), F(0))
+    split = HomAlgebra.from_pairs(4, {(0, 1): first, (0, 2): second}, identity(4), rational_backend())
+    assert not vstar_certificate(split, ctx).passed
+    assert classify(g).verdict == Verdict.SKEW_HOM_LIE
+    eta = cochain(1, 4, 4, {(i,): tuple(F(i + r) for r in range(4)) for i in range(4)})
+    image = coboundary(eta, _adjoint(g), 0)
+    assert image.k == 2 and len(image.table) == 6
