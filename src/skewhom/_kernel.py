@@ -21,9 +21,9 @@ brings it to their common one (see :class:`Rep`).
 The bracket is stored once, for ``i < j``, and read back through
 ``[e_j, e_i] = -[e_i, e_j]``.  The kernel decides where an identity (the
 twisted Jacobi identity, a sign law, a representation equation) first
-fails, and builds the matrices of the coboundary operators; the checkers
-recompute a witness residual at the first failure with their dense
-expression, so witnesses do not depend on the scales.
+fails, and builds and applies the matrices of the coboundary operators; the
+identity checkers recompute a witness residual at the first failure with
+their dense expression, so witnesses do not depend on the scales.
 """
 
 from __future__ import annotations
@@ -137,6 +137,17 @@ class Kernel:
             for r in range(len(ms) * size)
         ]
         return [rows[t * size : (t + 1) * size] for t in range(len(ms))], scale
+
+    def scalar(self, x: Pair, scale: int):
+        """The scalar that the pair ``x`` over ``scale`` stands for.
+
+        It is a ``QuadExt`` exactly when the kernel has a discriminant, and a
+        ``Fraction`` otherwise, zero included.
+        """
+        a, b = x
+        if self.d is None:
+            return Fraction(a, scale)
+        return QuadExt(Fraction(a, scale), Fraction(b * self.dd, scale), self.d)
 
     def product(self, a: Rows, b: Rows) -> Rows:
         """``a b``, scaled by the product of their scales."""
@@ -357,12 +368,24 @@ class Coboundary:
                     if value != _ZERO:
                         self.cols[kk * m + b][uu * m + a] = value
 
-    def squared_failures(self, after: "Coboundary") -> Iterator[Tuple[tuple, int]]:
-        """``(key, axis)`` for every nonzero column of ``after . self``, in basis-cochain order.
+    def apply(self, column: Sparse) -> Sparse:
+        """``self . column`` for a cochain's pairs indexed like the columns.
 
-        Both scales are positive, so they do not change which entries are zero.
+        The image is over ``self.scale`` times the scale of ``column``.  When
+        the kernel is rational every entry of the matrix has ``B = 0``, and
+        then the product takes ``column``'s pairs in any ``R*R``.
+        """
+        return self.kernel._combine({}, column, self.cols, 1)
+
+    def squared_failures(self, after: "Coboundary") -> Iterator[Tuple[tuple, int, Sparse]]:
+        """``(key, axis, column)`` for every nonzero column of ``after . self``, in basis-cochain order.
+
+        ``column`` is indexed like the rows of ``after`` and is over
+        ``self.scale * after.scale``; both scales are positive, so they do not
+        change which entries are zero.
         """
         m = self.m
         for c, column in enumerate(self.cols):
-            if _nonzero(self.kernel._combine({}, column, after.cols, 1)):
-                yield self.sources[c // m], c % m
+            product = after.apply(column)
+            if _nonzero(product):
+                yield self.sources[c // m], c % m, product

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from . import algebra
-from ._kernel import Coboundary
+from ._kernel import Coboundary, Kernel, Sparse
 from .algebra import CheckReport, HomAlgebra, Witness, bracket_eval, read_json, write_json
 from .errors import DimensionError, FileFormatError
 from .linalg import (
@@ -182,16 +182,65 @@ def coboundary_at(eta: Cochain, rep: Representation, s: int, args: Sequence[Vec]
 
 
 def coboundary(eta: Cochain, rep: Representation, s: int) -> Cochain:
-    """The degree-(k+1) cochain d^s eta; above top degree it is empty."""
-    n, k = eta.n, eta.k
+    """The degree-(k+1) cochain d^s eta; above top degree it is empty.
+
+    ``eta`` must have ``rep.g.dim`` generators and values in dimension
+    ``rep.m``; other shapes raise :class:`DimensionError`, and ``s < 0``
+    raises ``ValueError`` in every degree.
+
+    Exact backends, with no float in eta, rho or phi, apply the matrix of
+    ``d^s`` on degree k (:func:`_operator`) to eta's values as integer
+    pairs.  Its kernel, taken with eta's values too, gives the type of every
+    entry: a ``QuadExt`` when that kernel has a discriminant (a quadratic
+    cochain on a rational algebra brings its own), a ``Fraction``
+    otherwise.  Every entry equals the dense one, but the dense loop leaves
+    ``Fraction(0)`` on a zero entry where no ``QuadExt`` term was summed.
+    Mixed discriminants raise :class:`BackendMismatchError`.  The float
+    backend and float values evaluate the formula at every output tuple
+    with :func:`coboundary_at`; with ``algebra._sparse`` off, that is the
+    reference.
+    """
+    if s < 0:
+        raise ValueError("the operator family is indexed by s >= 0")
+    g = rep.g
+    n, k, m = eta.n, eta.k, eta.m
+    if (n, m) != (g.dim, rep.m):
+        raise DimensionError(
+            f"a cochain on {n} generators with values in dimension {m} does not fit a "
+            f"representation of a {g.dim}-dimensional algebra on dimension {rep.m}"
+        )
     if k + 1 > n:
-        return Cochain(k + 1, n, eta.m, {})
+        return Cochain(k + 1, n, m, {})
+    _check_size(n, k + 1, m)
+    values = [x for key in itertools.combinations(range(n), k) for x in eta.table[key]]
+    entries = itertools.chain(values, (x for r in rep.rho + (rep.phi,) for row in r for x in row))
+    if algebra._sparse(g) and not any(isinstance(x, float) for x in entries):
+        op = _operator(g, rep, k, s)
+        # a rational operator takes the discriminant of eta's values
+        kernel = op.kernel if op.kernel.d is not None else g.kernel_with(values)
+        pairs, scale = kernel.pairs(values)
+        column = {c: x for c, x in enumerate(pairs) if x is not None}
+        rows = range(len(op.targets))
+        table = _vectors(kernel, op.apply(column), op.scale * scale, op.targets, m, rows)
+        return Cochain(k + 1, n, m, table)
     basis = [basis_vec(n, i) for i in range(n)]
     table = {
         key: coboundary_at(eta, rep, s, [basis[t] for t in key])
         for key in itertools.combinations(range(n), k + 1)
     }
-    return Cochain(k + 1, n, eta.m, table)
+    return Cochain(k + 1, n, m, table)
+
+
+def _vectors(kernel: Kernel, column: Sparse, scale: int, targets: list, m: int, rows) -> dict:
+    """``{targets[u]: value}`` for each ``u`` in ``rows`` of an operator image's pair column.
+
+    Component ``a`` at ``targets[u]`` is entry ``u * m + a`` over ``scale``,
+    converted by :meth:`skewhom._kernel.Kernel.scalar`.
+    """
+    return {
+        targets[u]: tuple(kernel.scalar(column.get(u * m + a, (0, 0)), scale) for a in range(m))
+        for u in rows
+    }
 
 
 def _operator(g: HomAlgebra, rep: Representation, k: int, s: int) -> Coboundary:
@@ -224,16 +273,17 @@ def d_squared_failures(g: HomAlgebra, rep: Representation, k: int, s: int):
 
     Failing basis cochains come in ``basis_cochains`` order; ``nonzero``
     maps each output tuple where ``d^s(d^s(eta))`` is not zero to that
-    residual, in sorted order, computed by applying :func:`coboundary`
-    twice.  Cochain sizes over ``MAX_COCHAIN_ENTRIES`` raise ``ValueError``
-    on the call, before anything is built; the scan itself is lazy.
+    residual, in sorted order.  Cochain sizes over ``MAX_COCHAIN_ENTRIES``
+    raise ``ValueError`` on the call, before anything is built; the scan
+    itself is lazy.
 
-    Exact backends find the failing cochains from the matrices of
-    ``D_k = d^s`` on degree k and ``D_{k+1}``, built once each (their
-    entries are in :class:`skewhom._kernel.Coboundary`): a basis cochain
-    fails exactly where its column of ``D_{k+1} D_k`` is not zero.  The
-    float backend tries every basis cochain.  For ``k + 2 > n`` the
-    target degree is empty, so nothing fails for any rho.
+    Exact backends build the matrices of ``D_k = d^s`` on degree k and
+    ``D_{k+1}`` once each (their entries are in
+    :class:`skewhom._kernel.Coboundary`): a basis cochain fails exactly where
+    its column of ``D_{k+1} D_k`` is not zero, and that column is its
+    residual, typed as :func:`coboundary` types its entries.  The float
+    backend applies :func:`coboundary` twice to every basis cochain.  For
+    ``k + 2 > n`` the target degree is empty, so nothing fails for any rho.
     """
     if rep.g != g:
         rep = replace(rep, g=g)
@@ -241,12 +291,18 @@ def d_squared_failures(g: HomAlgebra, rep: Representation, k: int, s: int):
     for degree in (k, k + 1, k + 2):
         _check_size(n, degree, m)
     if algebra._sparse(g):
-        candidates = _operator(g, rep, k, s).squared_failures(_operator(g, rep, k + 1, s))
-    else:
-        candidates = itertools.product(itertools.combinations(range(n), k), range(m))
+        op, after = _operator(g, rep, k, s), _operator(g, rep, k + 1, s)
+
+        def columns():
+            scale = op.scale * after.scale
+            for key, axis, column in op.squared_failures(after):
+                rows = sorted({r // m for r, (a, b) in column.items() if a or b})
+                yield key, axis, _vectors(op.kernel, column, scale, after.targets, m, rows)
+
+        return columns()
 
     def residuals():
-        for key, axis in candidates:
+        for key, axis in itertools.product(itertools.combinations(range(n), k), range(m)):
             eta = cochain(k, n, m, {key: basis_vec(m, axis)})
             twice = coboundary(coboundary(eta, rep, s), rep, s).table
             nonzero = {u: twice[u] for u in sorted(twice) if not vec_is_zero(twice[u], g.backend)}

@@ -1,31 +1,36 @@
 """The matrices of the coboundary operator against the dense reference.
 
 For exact backends ``check_d_squared`` builds the matrices of d^s on degrees
-k and k+1 once each and decides nilpotency from their product; with
-``algebra._sparse`` turned off it applies the dense ``coboundary`` twice to
-every basis cochain.  Every column of an operator must be the dense image of
-its basis cochain, and both paths must give the same verdict, witness and
-stream of failing basis cochains with their residuals.
+k and k+1 once each and decides nilpotency from their product, and
+``coboundary`` applies the degree-k matrix to a cochain; with
+``algebra._sparse`` turned off both evaluate the dense formula.  Every
+column of an operator must be the dense image of its basis cochain, every
+image must equal the dense one entry by entry, and both paths must give the
+same verdict, witness and stream of failing basis cochains with their
+residuals.
 """
 
+import itertools
 from dataclasses import replace
 from fractions import Fraction as F
+from random import Random
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skewhom import algebra
+from skewhom import algebra, cohomology
 from skewhom.algebra import HomAlgebra
 from skewhom.cohomology import (
     _operator,
     basis_cochains,
     check_d_squared,
+    cochain,
     coboundary,
     d_squared_failures,
 )
 from skewhom.constructions import alpha_block
-from skewhom.errors import BackendMismatchError
+from skewhom.errors import BackendMismatchError, DimensionError
 from skewhom.linalg import identity, mat, mat_mul, mat_pow, zero_mat
 from skewhom.representation import Representation, zero_representation
 from skewhom.scalars import QuadExt, rational_backend
@@ -72,7 +77,8 @@ def assert_columns_match(g, rep, k, s):
     m = rep.m
     for c, (key, axis, eta) in enumerate(basis_cochains(g.dim, m, k)):
         assert (op.sources[c // m], c % m) == (key, axis)
-        image = coboundary(eta, rep, s)
+        with mock.patch.object(algebra, "_sparse", lambda g: False):
+            image = coboundary(eta, rep, s)
         assert sorted(image.table) == op.targets
         want = {}
         for uu, u in enumerate(op.targets):
@@ -231,3 +237,178 @@ def test_identity_phi_and_zero_rho_give_the_bracket_part_only():
     for c, column in enumerate(op.cols):
         assert all(r % 4 == c % 4 for r in column)
     assert_columns_match(g, rep, 1, 0)
+
+
+# -- coboundary as the product D_k eta --------------------------------------
+
+
+def quadratic(g, rep, eta):
+    """Whether exact ``coboundary`` types its entries ``QuadExt``.
+
+    That is when the operator's kernel has a discriminant, or when it is
+    rational and one of eta's values is a nonzero ``QuadExt``.
+    """
+    if g.dim < eta.k + 1:
+        return None
+    values = (x for v in eta.table.values() for x in v)
+    return _operator(g, rep, eta.k, 0).kernel.d is not None or any(
+        isinstance(x, QuadExt) and x for x in values
+    )
+
+
+def assert_image_matches_dense(rep, eta, s, uniform):
+    """Exact ``coboundary`` against the dense formula, with types by the stated rule.
+
+    With ``uniform`` inputs (the algebra, rho, phi and eta's nonzero values
+    each of one type) the two paths type an entry alike unless it is zero:
+    the dense loop leaves ``Fraction(0)`` where no ``QuadExt`` term was summed.
+    """
+    image = coboundary(eta, rep, s)
+    with mock.patch.object(algebra, "_sparse", lambda g: False):
+        dense = coboundary(eta, rep, s)
+    assert (image.k, image.n, image.m) == (dense.k, dense.n, dense.m)
+    assert list(image.table) == list(dense.table)
+    quad = quadratic(rep.g, rep, eta)
+    for key, value in image.table.items():
+        for x, y in zip(value, dense.table[key]):
+            assert x == y
+            assert type(x) is (QuadExt if quad else F)
+            if uniform and type(x) is not type(y):
+                assert x == 0 and type(y) is F
+
+
+@st.composite
+def cochains(draw, n, m, k, pool):
+    """A full, sparse or zero degree-k cochain with values from ``pool`` and zeros."""
+    keys = list(itertools.combinations(range(n), k))
+    kind = draw(st.sampled_from(("full", "sparse", "zero")))
+    if kind == "zero":
+        keys = []
+    elif kind == "sparse":
+        keys = [key for key in keys if draw(st.booleans())]
+    value = st.tuples(*[st.sampled_from(pool + [F(0)]) for _ in range(m)])
+    return cochain(k, n, m, {key: draw(value) for key in keys})
+
+
+RATIONALS = [F(1), F(-1), F(2), F(-1, 3)]
+SURDS = [QuadExt(0, 1, HALF.d), QuadExt(F(1, 2), -1, HALF.d), QuadExt(3, 0, HALF.d)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(FAMILIES, key=str)),
+    st.sampled_from(("zero", "adjoint", "corrupt")),
+    st.integers(0, 4),
+    st.integers(0, 2),
+    st.booleans(),
+    st.data(),
+)
+def test_coboundary_matches_dense_on_families(family, kind, k, s, surds, data):
+    g = FAMILIES[family]
+    rep = representation(g, kind, family[1])
+    # a rational family may take a quadratic cochain
+    pool = SURDS if surds and family[1] == 0 else [g.backend.coerce(x) for x in RATIONALS]
+    eta = data.draw(cochains(4, 4, k, pool))
+    assert_image_matches_dense(rep, eta, s, uniform=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_cases(), st.integers(0, 2), st.booleans(), st.data())
+def test_coboundary_matches_dense_on_random_tables(case, s, surds, data):
+    rep, k, _ = case
+    eta = data.draw(cochains(rep.g.dim, rep.m, k, RATIONALS + SURDS if surds else RATIONALS))
+    assert_image_matches_dense(rep, eta, s, uniform=False)
+
+
+def test_quadratic_cochain_on_a_rational_algebra():
+    g = FAMILIES[("gl2", F(0))]
+    x = QuadExt(1, 1, F(5, 4))
+    eta = cochain(1, 4, 4, {(0,): (x, 0, 0, 1), (2,): (0, F(1, 2), 0, 0)})
+    for rep in (adjoint(g), zero_representation(g, 4, identity(4))):
+        assert _operator(g, rep, 1, 0).kernel.d is None
+        assert_image_matches_dense(rep, eta, 0, uniform=False)
+        assert all(isinstance(x, QuadExt) for v in coboundary(eta, rep, 0).table.values() for x in v)
+
+
+def raised(call, *args):
+    try:
+        call(*args)
+    except Exception as exc:  # noqa: BLE001 - the test compares what each path raises
+        return type(exc), str(exc)
+    return None
+
+
+def test_mixed_discriminants_raise_in_coboundary(both_paths):
+    other = QuadExt(0, 1, F(2))
+    quad = FAMILIES[("se4", F(1, 2))]
+    eta = cochain(1, 4, 4, {(0,): (other, 1, 0, 0)})
+    rational = FAMILIES[("se4", F(0))]
+    mixed = cochain(0, 4, 4, {(): (QuadExt(1, 1, F(5, 4)), other, 0, 0)})
+    for rep, cochain_ in ((adjoint(quad), eta), (adjoint(rational), mixed)):
+        fast, dense = both_paths(raised, coboundary, cochain_, rep, 0)
+        assert fast[0] is BackendMismatchError and dense[0] is BackendMismatchError
+        assert "mixed discriminants" in fast[1] and "mixed discriminants" in dense[1]
+
+
+def test_coboundary_refuses_a_cochain_of_another_shape(both_paths):
+    g = FAMILIES[("se4", F(1, 2))]
+    zero = zero_representation(g, 4, identity(4))
+    cases = [
+        (cochain(1, 4, 3, {(0,): (1, 2, 3)}), zero, "values in dimension 3"),
+        (cochain(1, 4, 4, {(1,): (1, 0, 0, 1)}), zero_representation(g, 2, identity(2)),
+         "on dimension 2"),
+        (cochain(1, 3, 4, {(0,): (1, 0, 0, 0)}), adjoint(g), "on 3 generators"),
+    ]
+    for eta, rep, phrase in cases:
+        fast, dense = both_paths(raised, coboundary, eta, rep, 0)
+        assert fast == dense
+        assert fast[0] is DimensionError and phrase in fast[1]
+
+
+def test_negative_s_raises_in_every_degree(both_paths):
+    g = FAMILIES[("gl2", F(1, 2))]
+    rep = adjoint(g)
+    for k in range(6):
+        eta = cochain(k, 4, 4)
+        fast, dense = both_paths(raised, coboundary, eta, rep, -1)
+        assert fast == dense == (ValueError, "the operator family is indexed by s >= 0")
+        assert len(both_paths(coboundary, eta, rep, 0)[0].table) == len(list(
+            itertools.combinations(range(4), k + 1)))
+
+
+def test_exact_paths_never_evaluate_the_dense_formula(monkeypatch):
+    """The perfbench-style coboundary requests and a failing d^2 check with its residuals."""
+    rng = Random(7)
+    requests = [
+        (("se4", F(1, 2)), "adjoint", 1, 1),
+        (("gl2", F(1, 2)), "adjoint", 2, 0),
+        (("se4", F(0)), "adjoint", 2, 2),
+        (("gl2", F(1, 2)), "zero", 1, 2),
+    ]
+    images, want = [], []
+    for family, kind, k, s in requests:
+        g = FAMILIES[family]
+        rep = representation(g, kind, family[1])
+        values = {
+            key: tuple(g.backend.coerce(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(4))
+            for key in itertools.combinations(range(4), k)
+        }
+        images.append((cochain(k, 4, 4, values), rep, s))
+        with mock.patch.object(algebra, "_sparse", lambda g: False):
+            want.append(coboundary(*images[-1]).table)
+    g = mutated(FAMILIES[("se4", F(1, 2))], 0, 1, 1, 1)
+    rep = zero_representation(g, 4, identity(4))
+    with mock.patch.object(algebra, "_sparse", lambda g: False):
+        dense_stream = repr(list(d_squared_failures(g, rep, 2, 0)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the dense formula ran")
+
+    for name in ("coboundary_at", "cochain_eval", "bracket_eval"):
+        monkeypatch.setattr(cohomology, name, forbidden)
+    for (eta, rep_, s), table in zip(images, want):
+        assert coboundary(eta, rep_, s).table == table
+    assert not check_d_squared(g, rep, 2, 0).passed
+    stream = list(d_squared_failures(g, rep, 2, 0))
+    assert len(stream) == 24
+    assert repr(stream) == dense_stream
