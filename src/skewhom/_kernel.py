@@ -19,11 +19,12 @@ carry different scales, each is multiplied by the positive integer that
 brings it to their common one (see :class:`Rep`).
 
 The bracket is stored once, for ``i < j``, and read back through
-``[e_j, e_i] = -[e_i, e_j]``.  The kernel decides where an identity (the
-twisted Jacobi identity, a sign law, a representation equation) first
-fails, and builds and applies the matrices of the coboundary operators; the
-identity checkers recompute a witness residual at the first failure with
-their dense expression, so witnesses do not depend on the scales.
+``[e_j, e_i] = -[e_i, e_j]``.  The kernel evaluates exact brackets, decides
+where an identity (the twisted Jacobi identity, a sign law, a
+representation equation) first fails, and builds and applies the matrices
+of the coboundary operators; the identity checkers recompute a witness
+residual at the first failure with their dense expression, so witnesses do
+not depend on the scales.
 """
 
 from __future__ import annotations
@@ -185,6 +186,21 @@ class Kernel:
             elif q < p and p in self.rows[q]:
                 self._add(acc, coeff, self.rows[q][p], -1)
         return acc
+
+    def bracket_eval(self, x: Iterable, y: Iterable) -> tuple:
+        """``[x, y] = sum_i x_i [e_i, y]`` for two vectors of exact scalars.
+
+        Both are converted over one scale ``S``, so the sum is over
+        ``L_C * S**2``; each entry comes back through :meth:`scalar`.
+        """
+        n = self.dim
+        values, scale = self.pairs(itertools.chain(x, y))
+        ys = {j: p for j, p in enumerate(values[n:]) if p is not None}
+        acc: Sparse = {}
+        for i, p in enumerate(values[:n]):
+            if p is not None:
+                self._add(acc, p, self.basis_bracket(i, ys), 1)
+        return tuple(self.scalar(acc.get(k, _ZERO), self.scale * scale * scale) for k in range(n))
 
     def first_jacobi_failure(self) -> Optional[Tuple[int, int, int]]:
         """Lexicographically first ordered basis triple whose twisted Jacobi sum is nonzero.

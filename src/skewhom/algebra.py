@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Optional, Set, Tuple, Union
+from typing import Iterable, Optional, Set, Tuple, Union
 
 from ._kernel import Kernel, Twist
 from .errors import BackendMismatchError, DimensionError, FileFormatError
@@ -185,6 +185,12 @@ class HomAlgebra:
             return self.zero
         return tuple(z - x if isinstance(z, float) else -x for z, x in zip(self.zero, value))
 
+    @cached_property
+    def stores_float(self) -> bool:
+        """Whether a stored scalar (of a pair, the twist or ``zero``) is a float."""
+        stored = itertools.chain(*self.pairs.values(), *self.twist, self.zero)
+        return any(isinstance(x, float) for x in stored)
+
     def twist_col(self, i: int) -> Vec:
         """Image of the i-th basis vector under the twist."""
         return mat_col(self.twist, i)
@@ -204,22 +210,21 @@ class HomAlgebra:
 def bracket_eval(g: HomAlgebra, x: Vec, y: Vec) -> Vec:
     """Bilinear extension of the structure-constant table.
 
-    The value is the dense sum ``Fraction(0) + sum x_i y_j [e_i, e_j]`` over
-    the ordered pairs with ``x_i`` and ``y_j`` nonzero, and it has that sum's
-    types: a component is a ``QuadExt`` exactly when a factor of one of its
-    terms is (a nonzero argument entry, an entry of a stored value, or an
-    entry of ``g.zero`` on the diagonal or for a missing pair), and a
-    ``Fraction`` otherwise.  Exact backends compute it from ``g.pairs``
-    (:func:`_pair_bracket_eval`); the float backend, and any call with a
-    float argument, keep the dense loop over ``g.bracket``, whose summation
-    order fixes the rounding.  That loop is the tests' reference.
+    On the kernel (:func:`_exact`) this is ``sum_i x_i [e_i, y]`` on
+    integer pairs, :meth:`skewhom._kernel.Kernel.bracket_eval` of
+    ``g.kernel_with`` the arguments.  Every entry equals the dense sum over
+    the ordered pairs of ``g.bracket``, and it is a ``QuadExt`` exactly when
+    that kernel has a discriminant (of ``g``'s scalars or of a nonzero
+    argument), a ``Fraction`` otherwise, zero included.  Two discriminants
+    among ``g``'s scalars and the arguments raise
+    :class:`BackendMismatchError`.  The float backend and any float keep the
+    dense loop, whose summation order fixes the rounding; with ``_sparse``
+    off, that loop is the tests' reference.
     """
     if len(x) != g.dim or len(y) != g.dim:
         raise DimensionError(f"arguments must have length {g.dim}")
-    if _sparse(g) and not any(isinstance(a, float) for a in itertools.chain(x, y, g.zero)):
-        value = _pair_bracket_eval(g, x, y)
-        if value is not None:
-            return value
+    if _exact(g, itertools.chain(x, y)):
+        return g.kernel_with((*x, *y)).bracket_eval(x, y)
     acc = zero_vec(g.dim)
     for i, xi in enumerate(x):
         if xi == 0:
@@ -229,76 +234,6 @@ def bracket_eval(g: HomAlgebra, x: Vec, y: Vec) -> Vec:
                 continue
             acc = vec_add(acc, vec_scale(xi * yj, g.bracket[i][j]))
     return acc
-
-
-def _pair_bracket_eval(g: HomAlgebra, x: Vec, y: Vec) -> Optional[Vec]:
-    """:func:`bracket_eval` on exact scalars from ``g.pairs``, or ``None``.
-
-    A stored pair i < j adds ``c * [e_i, e_j]`` to the nonzero components of
-    its value, with ``c = x_i y_j - x_j y_i`` formed from the products the
-    dense loop forms (it skips zero arguments), so the sum is the dense one;
-    only the ordered pairs of the two supports are visited.
-    The components that the dense terms make a ``QuadExt`` are found with
-    ``isinstance`` tests, and a rational sum there becomes ``QuadExt(sum, 0,
-    d)``.  ``None`` leaves mixed discriminants and a float in a value to the
-    dense loop, which raises or rounds as it always has.
-    """
-    n = g.dim
-    xs = {i: a for i, a in enumerate(x) if a}
-    ys = {j: b for j, b in enumerate(y) if b}
-    if not xs or not ys:
-        return zero_vec(n)
-    d = None  # the discriminant of every QuadExt factor seen so far
-
-    def same_d(v: QuadExt) -> bool:
-        nonlocal d
-        if d is None:
-            d = v.d
-        return v.d is d or v.d == d
-
-    args = itertools.chain(xs.values(), ys.values())
-    if not all(same_d(a) for a in args if isinstance(a, QuadExt)):
-        return None
-    # a QuadExt argument is a factor of a term in every component
-    quad = [d is not None] * n
-
-    def mark(value: Vec) -> bool:
-        """Note the ``QuadExt`` components of a term's factor; False on a float or a second d."""
-        for k, v in enumerate(value):
-            if isinstance(v, QuadExt):
-                if not same_d(v):
-                    return False
-                quad[k] = True
-            elif isinstance(v, float):
-                return False
-        return True
-
-    pairs = g.pairs
-    coefficients = {}  # c for each stored pair with a dense term
-    zero_term = False  # whether a dense term reads g.zero
-    for i, a in xs.items():
-        for j, b in ys.items():
-            key = (i, j) if i < j else (j, i)
-            if i == j or key not in pairs:
-                zero_term = True
-            else:
-                c = coefficients.get(key, 0)
-                coefficients[key] = c + a * b if i < j else c - a * b
-    if zero_term and not mark(g.zero):
-        return None
-    acc = list(zero_vec(n))
-    for key, c in coefficients.items():
-        value = pairs[key]
-        if not mark(value):
-            return None
-        if c:
-            for k, v in enumerate(value):
-                if v:
-                    acc[k] = acc[k] + c * v
-    return tuple(
-        QuadExt(a, 0, d) if is_quad and not isinstance(a, QuadExt) else a
-        for a, is_quad in zip(acc, quad)
-    )
 
 
 def _sparse(g: HomAlgebra) -> bool:
@@ -311,6 +246,15 @@ def _sparse(g: HomAlgebra) -> bool:
     return g.backend.exact
 
 
+def _exact(g: HomAlgebra, scalars: Iterable = ()) -> bool:
+    """Whether a check on ``g`` with its own ``scalars`` runs on the kernel, else densely.
+
+    The kernel's integer pairs take exact scalars only, so it needs
+    :func:`_sparse` and no float among ``g``'s stored scalars or ``scalars``.
+    """
+    return _sparse(g) and not g.stores_float and not any(isinstance(x, float) for x in scalars)
+
+
 def check_hom_jacobi(g: HomAlgebra) -> CheckReport:
     """Twisted Jacobi identity on all ordered basis triples.
 
@@ -320,8 +264,9 @@ def check_hom_jacobi(g: HomAlgebra) -> CheckReport:
     cyclic sum is alternating, since the bracket is antisymmetric, so it
     vanishes on repeated indices and the sorted rearrangement of a failing
     triple fails too and comes first (the proof is in
-    ``Kernel.first_jacobi_failure``).  The float backend scans all n**3
-    ordered triples.  Either way the residual reported is the dense one.
+    ``Kernel.first_jacobi_failure``).  The float backend, and a float stored
+    in ``g`` (:func:`_exact`), scan all n**3 ordered triples.  Either way
+    the residual is the one :func:`bracket_eval` gives.
     """
     beta = [g.twist_col(i) for i in range(g.dim)]
 
@@ -330,7 +275,7 @@ def check_hom_jacobi(g: HomAlgebra) -> CheckReport:
         res = vec_add(res, bracket_eval(g, g.bracket_at(k, i), beta[j]))
         return vec_add(res, bracket_eval(g, g.bracket_at(i, j), beta[k]))
 
-    if _sparse(g):
+    if _exact(g):
         at = g.kernel.first_jacobi_failure()
     else:
         triples = itertools.product(range(g.dim), repeat=3)
@@ -396,10 +341,10 @@ def _bracket_failure(f: Mat, g: HomAlgebra, h: HomAlgebra, signs: Set[int]):
     for the first eps in ``signs``, +1 before -1, where that is nonzero.  A
     pair whose two sides are both zero admits every sign.
 
-    When ``h`` is ``g`` on an exact backend, and ``f`` holds no float, the
+    When ``h`` is ``g`` and :func:`_exact` holds for ``g`` and ``f``, the
     sparse kernel scans i<j pairs, which finds the same pair since both
     sides are antisymmetric (see ``Kernel.first_sign_failure``); otherwise
-    the scan is dense.  The residual is always the dense one.
+    the scan is dense.  The residual is always the dense expression.
     """
     cols = [mat_col(f, i) for i in range(g.dim)]
 
@@ -410,7 +355,7 @@ def _bracket_failure(f: Mat, g: HomAlgebra, h: HomAlgebra, signs: Set[int]):
         return vec_sub(lhs, vec_scale(Fraction(sign), rhs))
 
     entries = flatten(f)
-    if h is g and _sparse(g) and not any(isinstance(x, float) for x in entries):
+    if h is g and _exact(g, entries):
         kernel = g.kernel_with(entries)
         left, at = kernel.first_sign_failure(
             kernel.twist if f is g.twist else Twist(kernel, f), signs

@@ -56,7 +56,7 @@ from .constructions import (
 from .errors import CounterexampleNotFoundError, FileFormatError, SkewhomError
 from .linalg import identity, mat, mat_eq, mat_mul, mat_vec
 from .representation import load_representation, resolve_algebra, zero_representation
-from .se4geometry import SPAN, in_v_star, vstar_certificate, vstar_defect, vstar_samples
+from .se4geometry import SPAN, in_v_star, vstar_certificate, vstar_defect, vstar_draws
 from .scalars import as_rational
 
 __all__ = [
@@ -379,7 +379,12 @@ def cmd_cohomology(
 def cmd_nullspace(
     theta: Fraction, samples: int = 50, seed: int = 0, out=None
 ) -> int:
-    """Emit the null-subset membership table as CSV; exit 1 on a closure failure."""
+    """Emit the null-subset membership table as CSV; exit 1 on a closure failure.
+
+    The ``samples`` integer probes from ``Random(seed)``, then as many V*
+    members from ``Random(seed + 1)``, are drawn and written one row at a
+    time, so memory does not grow with ``samples``.
+    """
     out = out if out is not None else sys.stdout
     g, ctx = build_semi_euclidean(theta)
     backend = ctx.backend
@@ -390,9 +395,8 @@ def cmd_nullspace(
     print("theta,z,inner,cross_diff,Pz,z_in_vstar,Pz_in_vstar", file=out)
     failures = 0
     rng = Random(seed)
-    probes = [tuple(backend.coerce(rng.randint(-SPAN, SPAN)) for _ in range(4)) for _ in range(samples)]
-    members = vstar_samples(ctx, samples, seed=seed + 1)
-    for z in probes + members:
+    probes = (tuple(backend.coerce(rng.randint(-SPAN, SPAN)) for _ in range(4)) for _ in range(samples))
+    for z in itertools.chain(probes, vstar_draws(ctx, samples, seed=seed + 1)):
         inner, cross = vstar_defect(z)
         z_in = in_v_star(z, backend).member
         image = mat_vec(ctx.P, z)

@@ -188,7 +188,8 @@ def coboundary(eta: Cochain, rep: Representation, s: int) -> Cochain:
     ``rep.m``; other shapes raise :class:`DimensionError`, and ``s < 0``
     raises ``ValueError`` in every degree.
 
-    Exact backends, with no float in eta, rho or phi, apply the matrix of
+    Exact backends, with no float in ``g``, eta, rho or phi
+    (:func:`skewhom.algebra._exact`), apply the matrix of
     ``d^s`` on degree k (:func:`_operator`) to eta's values as integer
     pairs.  Its kernel, taken with eta's values too, gives the type of every
     entry: a ``QuadExt`` when that kernel has a discriminant (a quadratic
@@ -213,8 +214,7 @@ def coboundary(eta: Cochain, rep: Representation, s: int) -> Cochain:
         return Cochain(k + 1, n, m, {})
     _check_size(n, k + 1, m)
     values = [x for key in itertools.combinations(range(n), k) for x in eta.table[key]]
-    entries = itertools.chain(values, (x for r in rep.rho + (rep.phi,) for row in r for x in row))
-    if algebra._sparse(g) and not any(isinstance(x, float) for x in entries):
+    if algebra._exact(g, itertools.chain(values, rep.entries)):
         op = _operator(g, rep, k, s)
         # a rational operator takes the discriminant of eta's values
         kernel = op.kernel if op.kernel.d is not None else g.kernel_with(values)
@@ -282,7 +282,8 @@ def d_squared_failures(g: HomAlgebra, rep: Representation, k: int, s: int):
     :class:`skewhom._kernel.Coboundary`): a basis cochain fails exactly where
     its column of ``D_{k+1} D_k`` is not zero, and that column is its
     residual, typed as :func:`coboundary` types its entries.  The float
-    backend applies :func:`coboundary` twice to every basis cochain.  For
+    backend, and a float in ``g``, rho or phi (:func:`skewhom.algebra._exact`),
+    apply :func:`coboundary` twice to every basis cochain.  For
     ``k + 2 > n`` the target degree is empty, so nothing fails for any rho.
     """
     if rep.g != g:
@@ -290,7 +291,7 @@ def d_squared_failures(g: HomAlgebra, rep: Representation, k: int, s: int):
     n, m = g.dim, rep.m
     for degree in (k, k + 1, k + 2):
         _check_size(n, degree, m)
-    if algebra._sparse(g):
+    if algebra._exact(g, rep.entries):
         op, after = _operator(g, rep, k, s), _operator(g, rep, k + 1, s)
 
         def columns():

@@ -70,7 +70,7 @@ from .scalars import (
 def default_backend(theta: Union[int, str, Fraction, float]) -> ScalarBackend:
     """Exact quadratic backend for rational theta, float backend otherwise."""
     if isinstance(theta, float):
-        return float_backend(theta=theta)
+        return float_backend()
     return quadratic_backend(as_rational(theta))
 
 

@@ -85,6 +85,11 @@ class Representation:
             raise PreconditionError("companion map phi must be invertible")
 
     @cached_property
+    def entries(self) -> tuple:
+        """Every entry of the rho(e_i) and of phi."""
+        return tuple(x for r in self.rho + (self.phi,) for row in r for x in row)
+
+    @cached_property
     def kernel(self) -> Rep:
         """rho, rho(beta e_i) and phi as sparse integer pairs, for exact backends.
 
@@ -92,8 +97,7 @@ class Representation:
         rho and phi if the algebra's scalars are rational; mixed
         discriminants raise :class:`BackendMismatchError`.
         """
-        values = [x for r in self.rho + (self.phi,) for row in r for x in row]
-        return Rep(self.g.kernel_with(values), self.rho, self.phi)
+        return Rep(self.g.kernel_with(self.entries), self.rho, self.phi)
 
 
 def zero_representation(g: HomAlgebra, m: int, phi: Optional[Mat] = None) -> Representation:
@@ -126,7 +130,8 @@ def check_representation(rep: Representation) -> CheckReport:
     ``(j, i)`` comes after ``(i, j)`` in lexicographic order for i < j: the
     first failing ordered pair is the first failing i < j pair.
 
-    Exact backends, with no float in rho or phi, decide both equations on
+    Exact backends, with no float in ``g``, rho or phi
+    (:func:`skewhom.algebra._exact`), decide both equations on
     :attr:`Representation.kernel`, over i < j pairs.  It holds the bracket
     over a positive scale ``L_C``, the twist over ``L_t``, every rho(e_i)
     over ``L_rho`` and phi over ``L_phi``, so each term is its true value
@@ -161,8 +166,7 @@ def check_representation(rep: Representation) -> CheckReport:
         rhs = mat_sub(mat_mul(rho_beta(i), rep.rho[j]), mat_mul(rho_beta(j), rep.rho[i]))
         return mat_sub(lhs, rhs)
 
-    entries = (x for r in rep.rho + (phi,) for row in r for x in row)
-    if algebra._sparse(g) and not any(isinstance(x, float) for x in entries):
+    if algebra._exact(g, rep.entries):
         at = rep.kernel.first_failure()
     else:
         scan = itertools.chain(

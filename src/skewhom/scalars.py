@@ -209,14 +209,15 @@ class ScalarBackend:
     """Selects the element kind all scalars of one computation share.
 
     ``kind`` is one of ``"rational"``, ``"quadratic"`` (the extension by
-    ``sqrt(1 + theta**2)``), or ``"float"``.  A quadratic backend whose
+    ``sqrt(1 + theta**2)``, the only kind that takes a ``theta``), or
+    ``"float"``, with a zero-test ``tolerance``.  A quadratic backend whose
     discriminant is a perfect rational square degenerates: its designated
     root is a plain rational and all arithmetic collapses to ``Fraction``,
     which avoids zero divisors in the pair representation.
     """
 
     kind: str
-    theta: Union[Fraction, float, None] = None
+    theta: Optional[Fraction] = None
     tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -229,8 +230,8 @@ class ScalarBackend:
         if self.kind == "float":
             if not 0 < self.tolerance < math.inf:
                 raise ValueError("float tolerance must be positive and finite")
-            if self.theta is not None:
-                object.__setattr__(self, "theta", float(self.theta))
+        if self.kind != "quadratic" and self.theta is not None:
+            raise ValueError(f"a {self.kind} backend takes no theta")
 
     @property
     def exact(self) -> bool:
@@ -249,13 +250,10 @@ class ScalarBackend:
         return self.kind == "quadratic" and rational_is_square(self.d) is not None
 
     @property
-    def sqrt_d(self) -> Union[Fraction, QuadExt, float]:
+    def sqrt_d(self) -> Union[Fraction, QuadExt]:
         """The designated square root of ``1 + theta**2`` as a backend scalar."""
-        if self.kind == "float":
-            t = float(self.theta) if self.theta is not None else 0.0
-            return math.sqrt(1.0 + t * t)
         if self.kind != "quadratic":
-            raise ValueError("rational backend carries no designated root")
+            raise ValueError("only a quadratic backend carries a designated root")
         root = rational_is_square(self.d)
         if root is not None:
             return root
@@ -335,8 +333,8 @@ def quadratic_backend(theta: Union[int, str, Fraction]) -> ScalarBackend:
     return ScalarBackend("quadratic", as_rational(theta))
 
 
-def float_backend(tolerance: float = 1e-9, theta: Optional[float] = None) -> ScalarBackend:
-    return ScalarBackend("float", theta, tolerance)
+def float_backend(tolerance: float = 1e-9) -> ScalarBackend:
+    return ScalarBackend("float", tolerance=tolerance)
 
 
 def format_scalar(x: object):

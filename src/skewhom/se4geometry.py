@@ -26,7 +26,7 @@ for sigma = +1, -1.  The planes are rational, so this holds over Q and over
 every Q(sqrt(1 + theta**2)).  :func:`vstar_certificate` decides closure
 under the bracket and the twist from this description, for every vector;
 :func:`check_vstar_closure` is its sampled counterpart, and
-:func:`vstar_samples` draws its members plane by plane.
+:func:`vstar_draws` draws its members plane by plane.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from random import Random
-from typing import List, Optional, Union
+from typing import Iterator, List, Optional, Union
 
 from .algebra import CheckReport, HomAlgebra, Witness, bracket_eval
 from .constructions import SemiEuclideanContext, build_semi_euclidean
@@ -114,20 +114,23 @@ def _plane_basis(plane) -> tuple:
     return (one, zero, s, zero), (zero, one, zero, s)
 
 
-def vstar_samples(ctx: SemiEuclideanContext, count: int, seed: int = 0) -> List[Vec]:
-    """``count`` members of V*, drawn plane by plane.
+def vstar_draws(ctx: SemiEuclideanContext, count: int, seed: int = 0) -> Iterator[Vec]:
+    """``count`` members of V*, drawn plane by plane, one at a time.
 
     Member t is p b1 + q b2 for the basis (b1, b2) of ``PLANES[t % 4]``,
     with integers p, q in -SPAN..SPAN.  Every draw is a member, and any
     four consecutive draws visit all four planes.
     """
     rng = Random(seed)
-    out: List[Vec] = []
     for t in range(count):
         b1, b2 = _plane_basis(PLANES[t % 4])
         p, q = rng.randint(-SPAN, SPAN), rng.randint(-SPAN, SPAN)
-        out.append(tuple(ctx.backend.coerce(p * a + q * b) for a, b in zip(b1, b2)))
-    return out
+        yield tuple(ctx.backend.coerce(p * a + q * b) for a, b in zip(b1, b2))
+
+
+def vstar_samples(ctx: SemiEuclideanContext, count: int, seed: int = 0) -> List[Vec]:
+    """The members :func:`vstar_draws` draws, as a list."""
+    return list(vstar_draws(ctx, count, seed))
 
 
 def check_vstar_closure(
@@ -151,7 +154,7 @@ def check_vstar_closure(
             return CheckReport(
                 False, Witness(("bracket", x, y), vstar_defect(value))
             )
-    for z in vstar_samples(ctx, samples, seed=seed + 1):
+    for z in vstar_draws(ctx, samples, seed=seed + 1):
         image = mat_vec(ctx.P, z)
         verdict = in_v_star(image, backend)
         if not verdict.member:

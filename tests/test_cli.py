@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from skewhom.cli import (
     SuiteConfig,
     SuiteReport,
     build_parser,
+    cmd_nullspace,
     cmd_verify,
     main,
 )
@@ -371,6 +373,25 @@ def test_nullspace_csv(capsys):
     assert lines[0] == "theta,z,inner,cross_diff,Pz,z_in_vstar,Pz_in_vstar"
     assert len(lines) == 1 + 2 * 6
     assert any(line.endswith("true,true") for line in lines[1:])
+
+
+def test_nullspace_memory_does_not_grow_with_samples():
+    class Sink:
+        def write(self, text):
+            return len(text)
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            assert cmd_nullspace(F(1, 2), samples, out=Sink()) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    cmd_nullspace(F(1, 2), 1000, out=Sink())  # first-use allocations of the interpreter
+    small, large = peak(100), peak(1000)
+    # rows are drawn and written one at a time: ten times the rows, the same peak
+    assert large <= small + 16 * 1024
 
 
 def test_counterexample_exit_codes(capsys):

@@ -1,0 +1,84 @@
+"""Whole reports of the command-line tool against stored golden files.
+
+Each case runs ``skewhom.cli.main`` in process and compares everything it
+writes to standard output, byte for byte, with ``tests/golden/<name>.txt``,
+and its exit code with the one listed here.  The cases cover the verification
+sweep with and without the mutation hook, a failing-free squared-coboundary
+table, a squared-twist counterexample, the null-subset CSV and a classified
+algebra file, so a change that moves any scalar, witness or type in these
+reports shows here.
+
+After a deliberate report change, regenerate the files from the root of the
+checkout with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and record the change in CHANGES.md.
+"""
+
+import contextlib
+import io
+import os
+import sys
+import tempfile
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from skewhom.algebra import save_algebra
+from skewhom.cli import _mutate_bracket, main
+from skewhom.constructions import build_semi_euclidean
+
+GOLDEN = Path(__file__).parent / "golden"
+MUTATED_FILE = "se4-half-mutated.json"
+
+# name -> (argv, exit code)
+CASES = {
+    "verify": (["verify", "--format", "json"], 0),
+    "verify-mutation": (["verify", "--format", "json", "--inject-mutation"], 1),
+    "cohomology-se4-half": (
+        ["cohomology", "se4:theta=1/2", "--k", "2", "--s", "1", "--format", "json"],
+        0,
+    ),
+    "counterexample-gl4-half": (["counterexample", "gl4", "--theta", "1/2"], 0),
+    "nullspace-half": (["nullspace", "--theta", "1/2", "--samples", "40"], 0),
+    "check-algebra-mutated": (["check-algebra", MUTATED_FILE, "--format", "json"], 1),
+}
+
+
+def run(name: str, workdir: Path):
+    """Exit code and standard output of one case, run with ``workdir`` as the working directory."""
+    argv, _ = CASES[name]
+    save_algebra(_mutate_bracket(build_semi_euclidean(F(1, 2))[0]), workdir / MUTATED_FILE)
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_its_golden_file(name, tmp_path):
+    code, text = run(name, tmp_path)
+    assert code == CASES[name][1]
+    assert text == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def write_all() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as workdir:
+            code, text = run(name, Path(workdir))
+        if code != CASES[name][1]:
+            sys.exit(f"{name}: exit code {code}, expected {CASES[name][1]}")
+        (GOLDEN / f"{name}.txt").write_text(text, encoding="utf-8")
+        print(f"wrote {name}.txt")
+
+
+if __name__ == "__main__":
+    write_all()

@@ -89,6 +89,14 @@ def test_float_backend_zero_test():
     assert be.eq(1.0, 1.0 + 1e-12)
 
 
+def test_only_the_quadratic_backend_takes_theta():
+    for kind in ("float", "rational"):
+        with pytest.raises(ValueError, match="takes no theta"):
+            ScalarBackend(kind, F(1, 2))
+    with pytest.raises(ValueError, match="designated root"):
+        float_backend().sqrt_d
+
+
 def test_backend_json_round_trip():
     for be in (rational_backend(), quadratic_backend(F(1, 2)), float_backend(1e-6)):
         assert ScalarBackend.from_json(be.to_json()) == be
