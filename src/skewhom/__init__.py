@@ -24,9 +24,7 @@ from .cohomology import (
     basis_cochains,
     check_d_squared,
     coboundary,
-    coboundary_at,
     cochain,
-    cochain_eval,
     load_cochain,
     save_cochain,
 )
@@ -80,7 +78,6 @@ from .scalars import (
     QuadExt,
     Rational,
     ScalarBackend,
-    float_backend,
     quadratic_backend,
     rational_backend,
     rational_is_square,

@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional, Set, Tuple, Union
+from typing import Optional, Set, Tuple, Union
 
 from ._kernel import Kernel, Twist
 from .errors import BackendMismatchError, DimensionError, FileFormatError
@@ -128,7 +128,7 @@ class HomAlgebra:
                     raise DimensionError(f"bracket[{i}][{j}] must have length {n}")
             # (j, i) fails exactly when (i, j) does, so i <= j finds the first failure
             for i, j in itertools.combinations_with_replacement(range(n), 2):
-                if not vec_is_zero(vec_add(table[i][j], table[j][i]), self.backend):
+                if not vec_is_zero(vec_add(table[i][j], table[j][i])):
                     raise ValueError(f"bracket is not antisymmetric at ({i}, {j})")
             upper = itertools.combinations(range(n), 2)
             pairs = {(i, j): table[i][j] for i, j in upper if not vec_is_zero(table[i][j])}
@@ -164,8 +164,7 @@ class HomAlgebra:
     def bracket(self) -> tuple:
         """Read-only dense table ``bracket[i][j] = [e_i, e_j]``, built on first use.
 
-        Each entry is :meth:`bracket_at`.  The dense scans and the dense
-        loop of :func:`bracket_eval` read this table.
+        Each entry is :meth:`bracket_at`; no checker reads this table.
         """
         n = self.dim
         return tuple(tuple(self.bracket_at(i, j) for j in range(n)) for i in range(n))
@@ -173,23 +172,13 @@ class HomAlgebra:
     def bracket_at(self, i: int, j: int) -> Vec:
         """``[e_i, e_j]`` as :attr:`bracket` holds it, without building that table.
 
-        The stored value for i < j, and ``zero`` on the diagonal and for a
-        missing pair.  ``[e_j, e_i]`` is ``zero - [e_i, e_j]`` where the zero
-        entry is a float, as a dense product would round it (no ``-0.0``),
-        and ``-[e_i, e_j]`` otherwise, which keeps each exact type.
+        The stored value for i < j, ``zero`` on the diagonal and for a
+        missing pair, and ``[e_j, e_i] = -[e_i, e_j]``.
         """
         if i < j:
             return self.pairs.get((i, j), self.zero)
         value = self.pairs.get((j, i))
-        if value is None:
-            return self.zero
-        return tuple(z - x if isinstance(z, float) else -x for z, x in zip(self.zero, value))
-
-    @cached_property
-    def stores_float(self) -> bool:
-        """Whether a stored scalar (of a pair, the twist or ``zero``) is a float."""
-        stored = itertools.chain(*self.pairs.values(), *self.twist, self.zero)
-        return any(isinstance(x, float) for x in stored)
+        return self.zero if value is None else vec_neg(value)
 
     def twist_col(self, i: int) -> Vec:
         """Image of the i-th basis vector under the twist."""
@@ -197,7 +186,7 @@ class HomAlgebra:
 
     @cached_property
     def kernel(self) -> Kernel:
-        """Bracket and twist as sparse integer pairs, for exact backends."""
+        """Bracket and twist as sparse integer pairs; a float among them raises ``TypeError``."""
         return Kernel(self.dim, self.pairs, self.twist)
 
     def kernel_with(self, values: Vec) -> Kernel:
@@ -210,77 +199,38 @@ class HomAlgebra:
 def bracket_eval(g: HomAlgebra, x: Vec, y: Vec) -> Vec:
     """Bilinear extension of the structure-constant table.
 
-    On the kernel (:func:`_exact`) this is ``sum_i x_i [e_i, y]`` on
-    integer pairs, :meth:`skewhom._kernel.Kernel.bracket_eval` of
-    ``g.kernel_with`` the arguments.  Every entry equals the dense sum over
-    the ordered pairs of ``g.bracket``, and it is a ``QuadExt`` exactly when
-    that kernel has a discriminant (of ``g``'s scalars or of a nonzero
-    argument), a ``Fraction`` otherwise, zero included.  Two discriminants
-    among ``g``'s scalars and the arguments raise
-    :class:`BackendMismatchError`.  The float backend and any float keep the
-    dense loop, whose summation order fixes the rounding; with ``_sparse``
-    off, that loop is the tests' reference.
+    This is ``sum_i x_i [e_i, y]`` on integer pairs,
+    :meth:`skewhom._kernel.Kernel.bracket_eval` of ``g.kernel_with`` the
+    arguments.  Every entry is a ``QuadExt`` exactly when that kernel has a
+    discriminant (of ``g``'s scalars or of a nonzero argument), a
+    ``Fraction`` otherwise, zero included.  Two discriminants among ``g``'s
+    scalars and the arguments raise :class:`BackendMismatchError`, and a
+    float raises ``TypeError``.
     """
     if len(x) != g.dim or len(y) != g.dim:
         raise DimensionError(f"arguments must have length {g.dim}")
-    if _exact(g, itertools.chain(x, y)):
-        return g.kernel_with((*x, *y)).bracket_eval(x, y)
-    acc = zero_vec(g.dim)
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            acc = vec_add(acc, vec_scale(xi * yj, g.bracket[i][j]))
-    return acc
-
-
-def _sparse(g: HomAlgebra) -> bool:
-    """Whether the sparse kernel decides where ``g``'s identities first fail.
-
-    Exact backends use it.  The float backend keeps the dense scans, because
-    a tolerance zero test does not survive reordering; with this turned off,
-    the dense scans are the reference the tests compare the kernel against.
-    """
-    return g.backend.exact
-
-
-def _exact(g: HomAlgebra, scalars: Iterable = ()) -> bool:
-    """Whether a check on ``g`` with its own ``scalars`` runs on the kernel, else densely.
-
-    The kernel's integer pairs take exact scalars only, so it needs
-    :func:`_sparse` and no float among ``g``'s stored scalars or ``scalars``.
-    """
-    return _sparse(g) and not g.stores_float and not any(isinstance(x, float) for x in scalars)
+    return g.kernel_with((*x, *y)).bracket_eval(x, y)
 
 
 def check_hom_jacobi(g: HomAlgebra) -> CheckReport:
     """Twisted Jacobi identity on all ordered basis triples.
 
     Multilinearity makes basis triples sufficient.  The witness is the
-    lexicographically first failing ordered triple.  Exact backends find it
-    with the sparse kernel, which scans only i<j<k triples: the twisted
-    cyclic sum is alternating, since the bracket is antisymmetric, so it
-    vanishes on repeated indices and the sorted rearrangement of a failing
-    triple fails too and comes first (the proof is in
-    ``Kernel.first_jacobi_failure``).  The float backend, and a float stored
-    in ``g`` (:func:`_exact`), scan all n**3 ordered triples.  Either way
-    the residual is the one :func:`bracket_eval` gives.
+    lexicographically first failing ordered triple, which the sparse kernel
+    finds among the i<j<k triples: the twisted cyclic sum is alternating,
+    since the bracket is antisymmetric, so it vanishes on repeated indices
+    and the sorted rearrangement of a failing triple fails too and comes
+    first (the proof is in ``Kernel.first_jacobi_failure``).  The residual
+    is the one :func:`bracket_eval` gives.
     """
-    beta = [g.twist_col(i) for i in range(g.dim)]
-
-    def residual(i: int, j: int, k: int) -> Vec:
-        res = bracket_eval(g, g.bracket_at(j, k), beta[i])
-        res = vec_add(res, bracket_eval(g, g.bracket_at(k, i), beta[j]))
-        return vec_add(res, bracket_eval(g, g.bracket_at(i, j), beta[k]))
-
-    if _exact(g):
-        at = g.kernel.first_jacobi_failure()
-    else:
-        triples = itertools.product(range(g.dim), repeat=3)
-        at = next((at for at in triples if not vec_is_zero(residual(*at), g.backend)), None)
-    return CheckReport(True) if at is None else CheckReport(False, Witness(at, residual(*at)))
+    at = g.kernel.first_jacobi_failure()
+    if at is None:
+        return CheckReport(True)
+    i, j, k = at
+    res = bracket_eval(g, g.bracket_at(j, k), g.twist_col(i))
+    res = vec_add(res, bracket_eval(g, g.bracket_at(k, i), g.twist_col(j)))
+    res = vec_add(res, bracket_eval(g, g.bracket_at(i, j), g.twist_col(k)))
+    return CheckReport(False, Witness(at, res))
 
 
 def check_twist_sign(g: HomAlgebra) -> TwistSign:
@@ -294,7 +244,7 @@ def check_twist_sign(g: HomAlgebra) -> TwistSign:
     which no constant is left, with the residual for +1 if that is nonzero
     there and for -1 otherwise.
     """
-    abelian = all(vec_is_zero(v, g.backend) for v in g.pairs.values())
+    abelian = all(vec_is_zero(v) for v in g.pairs.values())
     signs, failure = _bracket_failure(g.twist, g, g, {1, -1})
     if failure is not None:
         return TwistSign(None, Witness(*failure), abelian)
@@ -318,7 +268,7 @@ def classify(
     not run at all when no twist sign exists.
     """
     sign = twist_sign if twist_sign is not None else check_twist_sign(g)
-    regular = not g.backend.is_zero(det(g.twist, g.backend))
+    regular = bool(det(g.twist))
     if sign.sign is None:
         return Classification(Verdict.NEITHER, regular, sign.witness)
     if jacobi is None:
@@ -327,7 +277,7 @@ def classify(
         return Classification(Verdict.NEITHER, regular, jacobi.witness)
     if sign.sign == -1:
         return Classification(Verdict.SKEW_HOM_LIE, regular)
-    if mat_eq(g.twist, identity(g.dim), g.backend):
+    if mat_eq(g.twist, identity(g.dim)):
         return Classification(Verdict.LIE, regular)
     return Classification(Verdict.HOM_LIE, regular)
 
@@ -341,10 +291,9 @@ def _bracket_failure(f: Mat, g: HomAlgebra, h: HomAlgebra, signs: Set[int]):
     for the first eps in ``signs``, +1 before -1, where that is nonzero.  A
     pair whose two sides are both zero admits every sign.
 
-    When ``h`` is ``g`` and :func:`_exact` holds for ``g`` and ``f``, the
-    sparse kernel scans i<j pairs, which finds the same pair since both
-    sides are antisymmetric (see ``Kernel.first_sign_failure``); otherwise
-    the scan is dense.  The residual is always the dense expression.
+    When ``h`` is ``g`` the sparse kernel scans i<j pairs, which finds the
+    same pair since both sides are antisymmetric (see
+    ``Kernel.first_sign_failure``); into a second algebra the scan is dense.
     """
     cols = [mat_col(f, i) for i in range(g.dim)]
 
@@ -354,9 +303,8 @@ def _bracket_failure(f: Mat, g: HomAlgebra, h: HomAlgebra, signs: Set[int]):
     def residual(lhs: Vec, rhs: Vec, sign: int) -> Vec:
         return vec_sub(lhs, vec_scale(Fraction(sign), rhs))
 
-    entries = flatten(f)
-    if h is g and _exact(g, entries):
-        kernel = g.kernel_with(entries)
+    if h is g:
+        kernel = g.kernel_with(flatten(f))
         left, at = kernel.first_sign_failure(
             kernel.twist if f is g.twist else Twist(kernel, f), signs
         )
@@ -364,9 +312,9 @@ def _bracket_failure(f: Mat, g: HomAlgebra, h: HomAlgebra, signs: Set[int]):
         left, at = signs, None
         for i, j in itertools.product(range(g.dim), repeat=2):
             lhs, rhs = sides(i, j)
-            if vec_is_zero(lhs, g.backend) and vec_is_zero(rhs, g.backend):
+            if vec_is_zero(lhs) and vec_is_zero(rhs):
                 continue
-            left = {s for s in left if vec_is_zero(residual(lhs, rhs, s), g.backend)}
+            left = {s for s in left if vec_is_zero(residual(lhs, rhs, s))}
             if not left:
                 at = (i, j)
                 break
@@ -374,7 +322,7 @@ def _bracket_failure(f: Mat, g: HomAlgebra, h: HomAlgebra, signs: Set[int]):
         return left, None
     lhs, rhs = sides(*at)
     res = (residual(lhs, rhs, s) for s in sorted(signs, reverse=True))
-    return left, (at, next(r for r in res if not vec_is_zero(r, g.backend)))
+    return left, (at, next(r for r in res if not vec_is_zero(r)))
 
 
 def check_power_sign_law(g: HomAlgebra, m: int) -> CheckReport:
@@ -386,7 +334,7 @@ def check_power_sign_law(g: HomAlgebra, m: int) -> CheckReport:
     """
     if m < 1:
         raise ValueError("power must be a positive integer")
-    _, failure = _bracket_failure(mat_pow(g.twist, m, g.backend), g, g, {(-1) ** m})
+    _, failure = _bracket_failure(mat_pow(g.twist, m), g, g, {(-1) ** m})
     if failure is None:
         return CheckReport(True)
     return CheckReport(False, Witness(*failure, note=f"m={m}"))
@@ -415,7 +363,7 @@ def check_morphism(f: Mat, g: HomAlgebra, h: HomAlgebra, sign: int) -> CheckRepo
     for r in range(h.dim):
         for c in range(g.dim):
             diff = intertwine[r][c] - other[r][c]
-            if not g.backend.is_zero(diff):
+            if diff:
                 return CheckReport(False, Witness(("twist", r, c), diff))
     return CheckReport(True)
 
@@ -437,7 +385,7 @@ def algebra_to_dict(g: HomAlgebra) -> dict:
         "bracket": [
             {"i": i, "j": j, "value": [format_scalar(x) for x in value]}
             for (i, j), value in g.pairs.items()
-            if not vec_is_zero(value, g.backend)
+            if not vec_is_zero(value)
         ],
         "twist": [[format_scalar(x) for x in row] for row in g.twist],
     }
@@ -475,7 +423,7 @@ def algebra_from_dict(obj: dict) -> HomAlgebra:
                 f"value must have length {dim}, got {len(value)}", location=where
             )
         if i == j:
-            if not vec_is_zero(value, backend):
+            if not vec_is_zero(value):
                 raise FileFormatError(f"diagonal entry ({i}, {i}) must be zero", location=where)
             continue
         if (i, j) in seen:
@@ -484,7 +432,7 @@ def algebra_from_dict(obj: dict) -> HomAlgebra:
         key, upper = ((i, j), value) if i < j else ((j, i), vec_neg(value))
         if key in pairs:
             # the mirror entry came first
-            if not vec_is_zero(vec_sub(upper, pairs[key]), backend):
+            if not vec_is_zero(vec_sub(upper, pairs[key])):
                 raise FileFormatError(
                     f"entries ({j}, {i}) and ({i}, {j}) violate antisymmetry",
                     location=where,

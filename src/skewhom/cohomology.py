@@ -22,25 +22,13 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
-from . import algebra
 from ._kernel import Coboundary, Kernel, Sparse
-from .algebra import CheckReport, HomAlgebra, Witness, bracket_eval, read_json, write_json
+from .algebra import CheckReport, HomAlgebra, Witness, read_json, write_json
 from .errors import DimensionError, FileFormatError
-from .linalg import (
-    Vec,
-    basis_vec,
-    mat_pow,
-    mat_vec,
-    vec,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
-    zero_vec,
-)
-from .representation import Representation, rho_eval
+from .linalg import Vec, basis_vec, mat_pow, vec, vec_add, vec_is_zero, vec_scale, zero_vec
+from .representation import Representation
 from .scalars import PARSE_ERRORS, format_scalar, parse_int, parse_scalar
 
 # Largest C(n, k) * m a degree-k cochain on n generators with values in
@@ -112,75 +100,6 @@ def cochain_scale(c, x: Cochain) -> Cochain:
     return Cochain(x.k, x.n, x.m, {key: vec_scale(c, v) for key, v in x.table.items()})
 
 
-def _sort_with_parity(idx: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
-    order = list(idx)
-    sign = 1
-    for i in range(1, len(order)):
-        j = i
-        while j > 0 and order[j - 1] > order[j]:
-            order[j - 1], order[j] = order[j], order[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(order), sign
-
-
-def cochain_eval(eta: Cochain, args: Sequence[Vec]) -> Vec:
-    """Multilinear alternating extension of the table to arbitrary vectors."""
-    if len(args) != eta.k:
-        raise DimensionError(f"degree-{eta.k} cochain takes {eta.k} arguments")
-    for a in args:
-        if len(a) != eta.n:
-            raise DimensionError(f"arguments must have length {eta.n}")
-    if eta.k == 0:
-        return eta.table[()]
-    supports = [[j for j, c in enumerate(a) if c != 0] for a in args]
-    acc = zero_vec(eta.m)
-    for idx in itertools.product(*supports):
-        if len(set(idx)) < eta.k:
-            continue
-        coeff = args[0][idx[0]]
-        for t in range(1, eta.k):
-            coeff = coeff * args[t][idx[t]]
-        key, sign = _sort_with_parity(idx)
-        acc = vec_add(acc, vec_scale(sign * coeff, eta.table[key]))
-    return acc
-
-
-def coboundary_at(eta: Cochain, rep: Representation, s: int, args: Sequence[Vec]) -> Vec:
-    """The coboundary formula evaluated at k+1 arbitrary argument vectors."""
-    if s < 0:
-        raise ValueError("the operator family is indexed by s >= 0")
-    g = rep.g
-    k = eta.k
-    if len(args) != k + 1:
-        raise DimensionError(f"coboundary of a degree-{k} cochain takes {k + 1} arguments")
-    backend = g.backend
-    beta_args = [mat_vec(g.twist, x) for x in args]
-
-    total = zero_vec(eta.m)
-    action_is_zero = all(
-        all(x == 0 for row in r for x in row) for r in rep.rho
-    )
-    if not action_is_zero:
-        pre = mat_pow(rep.phi, k + 1 + s, backend)
-        post = mat_pow(rep.phi, -(k + 2 + s), backend)
-        for i in range(k + 1):
-            rest = beta_args[:i] + beta_args[i + 1 :]
-            w = cochain_eval(eta, rest)
-            if vec_is_zero(w, backend):
-                continue
-            w = mat_vec(pre, mat_vec(rho_eval(rep, args[i]), mat_vec(post, w)))
-            # 1-based sign (-1)^(i+1): positive at even 0-based i
-            total = vec_add(total, w) if i % 2 == 0 else vec_sub(total, w)
-    for i, j in itertools.combinations(range(k + 1), 2):
-        head = bracket_eval(g, args[i], args[j])
-        rest = [beta_args[t] for t in range(k + 1) if t not in (i, j)]
-        w = cochain_eval(eta, [head] + rest)
-        # 1-based sign (-1)^(i+j) equals the 0-based one
-        total = vec_add(total, w) if (i + j) % 2 == 0 else vec_sub(total, w)
-    return total
-
-
 def coboundary(eta: Cochain, rep: Representation, s: int) -> Cochain:
     """The degree-(k+1) cochain d^s eta; above top degree it is empty.
 
@@ -188,18 +107,12 @@ def coboundary(eta: Cochain, rep: Representation, s: int) -> Cochain:
     ``rep.m``; other shapes raise :class:`DimensionError`, and ``s < 0``
     raises ``ValueError`` in every degree.
 
-    Exact backends, with no float in ``g``, eta, rho or phi
-    (:func:`skewhom.algebra._exact`), apply the matrix of
-    ``d^s`` on degree k (:func:`_operator`) to eta's values as integer
-    pairs.  Its kernel, taken with eta's values too, gives the type of every
-    entry: a ``QuadExt`` when that kernel has a discriminant (a quadratic
-    cochain on a rational algebra brings its own), a ``Fraction``
-    otherwise.  Every entry equals the dense one, but the dense loop leaves
-    ``Fraction(0)`` on a zero entry where no ``QuadExt`` term was summed.
-    Mixed discriminants raise :class:`BackendMismatchError`.  The float
-    backend and float values evaluate the formula at every output tuple
-    with :func:`coboundary_at`; with ``algebra._sparse`` off, that is the
-    reference.
+    This applies the matrix of ``d^s`` on degree k (:func:`_operator`) to
+    eta's values as integer pairs.  Its kernel, taken with eta's values too,
+    gives the type of every entry: a ``QuadExt`` when that kernel has a
+    discriminant (a quadratic cochain on a rational algebra brings its own),
+    a ``Fraction`` otherwise.  Mixed discriminants raise
+    :class:`BackendMismatchError`, and a float raises ``TypeError``.
     """
     if s < 0:
         raise ValueError("the operator family is indexed by s >= 0")
@@ -214,20 +127,13 @@ def coboundary(eta: Cochain, rep: Representation, s: int) -> Cochain:
         return Cochain(k + 1, n, m, {})
     _check_size(n, k + 1, m)
     values = [x for key in itertools.combinations(range(n), k) for x in eta.table[key]]
-    if algebra._exact(g, itertools.chain(values, rep.entries)):
-        op = _operator(g, rep, k, s)
-        # a rational operator takes the discriminant of eta's values
-        kernel = op.kernel if op.kernel.d is not None else g.kernel_with(values)
-        pairs, scale = kernel.pairs(values)
-        column = {c: x for c, x in enumerate(pairs) if x is not None}
-        rows = range(len(op.targets))
-        table = _vectors(kernel, op.apply(column), op.scale * scale, op.targets, m, rows)
-        return Cochain(k + 1, n, m, table)
-    basis = [basis_vec(n, i) for i in range(n)]
-    table = {
-        key: coboundary_at(eta, rep, s, [basis[t] for t in key])
-        for key in itertools.combinations(range(n), k + 1)
-    }
+    op = _operator(g, rep, k, s)
+    # a rational operator takes the discriminant of eta's values
+    kernel = op.kernel if op.kernel.d is not None else g.kernel_with(values)
+    pairs, scale = kernel.pairs(values)
+    column = {c: x for c, x in enumerate(pairs) if x is not None}
+    rows = range(len(op.targets))
+    table = _vectors(kernel, op.apply(column), op.scale * scale, op.targets, m, rows)
     return Cochain(k + 1, n, m, table)
 
 
@@ -244,7 +150,7 @@ def _vectors(kernel: Kernel, column: Sparse, scale: int, targets: list, m: int, 
 
 
 def _operator(g: HomAlgebra, rep: Representation, k: int, s: int) -> Coboundary:
-    """The matrix of ``d^s`` on degree-k cochains, for an exact backend.
+    """The matrix of ``d^s`` on degree-k cochains.
 
     ``rep`` is a representation of ``g``.  ``M_t = pre rho(e_t) post``, with
     ``pre = phi^(k+1+s)`` and ``post = phi^(-(k+2+s))`` from the cached
@@ -261,8 +167,8 @@ def _operator(g: HomAlgebra, rep: Representation, k: int, s: int) -> Coboundary:
     for degree in (k, k + 1):
         _check_size(g.dim, degree, rep.m)
     if any(x != 0 for r in rep.rho for row in r for x in row):
-        pre = mat_pow(rep.phi, k + 1 + s, g.backend)
-        post = mat_pow(rep.phi, -(k + 2 + s), g.backend)
+        pre = mat_pow(rep.phi, k + 1 + s)
+        post = mat_pow(rep.phi, -(k + 2 + s))
         conj, scale = rep.kernel.conjugated(pre, post)
         return Coboundary(rep.kernel.kernel, k, rep.m, conj, scale)
     return Coboundary(g.kernel, k, rep.m, [[{}] * rep.m] * g.dim, 1)
@@ -277,40 +183,27 @@ def d_squared_failures(g: HomAlgebra, rep: Representation, k: int, s: int):
     raise ``ValueError`` on the call, before anything is built; the scan
     itself is lazy.
 
-    Exact backends build the matrices of ``D_k = d^s`` on degree k and
-    ``D_{k+1}`` once each (their entries are in
-    :class:`skewhom._kernel.Coboundary`): a basis cochain fails exactly where
-    its column of ``D_{k+1} D_k`` is not zero, and that column is its
-    residual, typed as :func:`coboundary` types its entries.  The float
-    backend, and a float in ``g``, rho or phi (:func:`skewhom.algebra._exact`),
-    apply :func:`coboundary` twice to every basis cochain.  For
-    ``k + 2 > n`` the target degree is empty, so nothing fails for any rho.
+    The matrices of ``D_k = d^s`` on degree k and ``D_{k+1}`` are built
+    once each (their entries are in :class:`skewhom._kernel.Coboundary`): a
+    basis cochain fails exactly where its column of ``D_{k+1} D_k`` is not
+    zero, and that column is its residual, typed as :func:`coboundary` types
+    its entries.  For ``k + 2 > n`` the target degree is empty, so nothing
+    fails for any rho.
     """
     if rep.g != g:
         rep = replace(rep, g=g)
     n, m = g.dim, rep.m
     for degree in (k, k + 1, k + 2):
         _check_size(n, degree, m)
-    if algebra._exact(g, rep.entries):
-        op, after = _operator(g, rep, k, s), _operator(g, rep, k + 1, s)
+    op, after = _operator(g, rep, k, s), _operator(g, rep, k + 1, s)
 
-        def columns():
-            scale = op.scale * after.scale
-            for key, axis, column in op.squared_failures(after):
-                rows = sorted({r // m for r, (a, b) in column.items() if a or b})
-                yield key, axis, _vectors(op.kernel, column, scale, after.targets, m, rows)
+    def columns():
+        scale = op.scale * after.scale
+        for key, axis, column in op.squared_failures(after):
+            rows = sorted({r // m for r, (a, b) in column.items() if a or b})
+            yield key, axis, _vectors(op.kernel, column, scale, after.targets, m, rows)
 
-        return columns()
-
-    def residuals():
-        for key, axis in itertools.product(itertools.combinations(range(n), k), range(m)):
-            eta = cochain(k, n, m, {key: basis_vec(m, axis)})
-            twice = coboundary(coboundary(eta, rep, s), rep, s).table
-            nonzero = {u: twice[u] for u in sorted(twice) if not vec_is_zero(twice[u], g.backend)}
-            if nonzero:
-                yield key, axis, nonzero
-
-    return residuals()
+    return columns()
 
 
 def d_squared_report(failures, k: int, s: int) -> CheckReport:
@@ -364,8 +257,11 @@ def cochain_from_dict(obj: dict, n: int, m: int, backend) -> Cochain:
         _check_size(n, k, m)
     except ValueError as exc:
         raise FileFormatError(str(exc), location="k") from exc
+    listed = obj.get("entries", [])
+    if not isinstance(listed, list):
+        raise FileFormatError("entries must be an array of entries", location="entries")
     entries = {}
-    for idx, entry in enumerate(obj.get("entries", [])):
+    for idx, entry in enumerate(listed):
         where = f"entries[{idx}]"
         try:
             key = tuple(parse_int(i) for i in entry["indices"])

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Tuple, Union
@@ -58,27 +57,11 @@ from .linalg import (
     wedge3,
     zero_vec,
 )
-from .scalars import (
-    ScalarBackend,
-    as_rational,
-    float_backend,
-    quadratic_backend,
-    rational_is_square,
-)
-
-
-def default_backend(theta: Union[int, str, Fraction, float]) -> ScalarBackend:
-    """Exact quadratic backend for rational theta, float backend otherwise."""
-    if isinstance(theta, float):
-        return float_backend()
-    return quadratic_backend(as_rational(theta))
+from .scalars import ScalarBackend, as_rational, quadratic_backend, rational_is_square
 
 
 def _root_one_plus_sq(theta, backend: ScalarBackend):
     """sqrt(1 + theta**2) as a scalar of ``backend``; raises if it has none."""
-    if backend.kind == "float":
-        t = float(theta)
-        return math.sqrt(1.0 + t * t)
     d = 1 + as_rational(theta) ** 2
     root = rational_is_square(d)
     if root is not None:
@@ -91,7 +74,7 @@ def _root_one_plus_sq(theta, backend: ScalarBackend):
 
 
 def alpha_theta(
-    theta: Union[int, str, Fraction, float],
+    theta: Union[int, str, Fraction],
     backend: Optional[ScalarBackend] = None,
 ) -> Tuple[Mat, ScalarBackend]:
     """The 2x2 family [[-theta, s], [-s, theta]] with s = sqrt(1 + theta**2).
@@ -100,7 +83,7 @@ def alpha_theta(
     theta = 0.  Returns the matrix together with the backend its entries
     live in.
     """
-    backend = backend or default_backend(theta)
+    backend = backend or quadratic_backend(theta)
     th = backend.coerce(theta)
     s = _root_one_plus_sq(theta, backend)
     a = ((-th, s), (-s, th))
@@ -109,7 +92,7 @@ def alpha_theta(
 
 def alpha_block(
     m: int,
-    theta: Union[int, str, Fraction, float],
+    theta: Union[int, str, Fraction],
     backend: Optional[ScalarBackend] = None,
 ) -> Tuple[Mat, ScalarBackend]:
     """Block-diagonal m x m matrix of 2x2 alpha_theta blocks (m even)."""
@@ -144,7 +127,7 @@ class GlContext:
         if len(self.alpha) != self.m or any(len(r) != self.m for r in self.alpha):
             raise PreconditionError(f"alpha must be {self.m}x{self.m}")
         minus_id = mat_neg(identity(self.m))
-        if not mat_eq(mat_mul(self.alpha, self.alpha), minus_id, self.backend):
+        if not mat_eq(mat_mul(self.alpha, self.alpha), minus_id):
             raise PreconditionError("alpha**2 must equal minus the identity")
 
     @property
@@ -171,10 +154,10 @@ def ad_alpha(ctx: GlContext, b: Mat) -> Mat:
 def _typed_zero(entries) -> object:
     """The zero a dense product over ``entries`` comes out as.
 
-    ``mat_mul`` starts every sum at ``Fraction(0)``, so one ``QuadExt`` or
-    float factor turns a whole sum into that type (and ``-0.0`` into
-    ``0.0``).  Adding this zero to a closed-form value gives it the type and
-    the text form the dense products would have given it.
+    ``mat_mul`` starts every sum at ``Fraction(0)``, so one ``QuadExt``
+    factor turns a whole sum into that type.  Adding this zero to a
+    closed-form value gives it the type and the text form the dense products
+    would have given it.
     """
     return sum((x * 0 for x in entries), Fraction(0))
 
@@ -183,7 +166,7 @@ def _conjugation_matrix(a: Mat) -> Mat:
     """Matrix of B -> aBa in the row-major matrix-unit basis, read off ``a``.
 
     Entry ((r, s), (p, q)) is ``a_rp * a_qs``.  In the dense product
-    ``(a E_pq) a`` that entry is a ``QuadExt`` (or float) exactly when row r
+    ``(a E_pq) a`` that entry is a ``QuadExt`` exactly when row r
     or column s of ``a`` holds one, so its zero is the sum of the typed
     zeros of that row and that column.
     """
@@ -215,14 +198,12 @@ def build_gl_alpha(ctx: GlContext) -> HomAlgebra:
         [E_pq, E_uv]_rs = a_qu a_rp a_vs - a_vp a_ru a_qs,
 
     visiting only the nonzero entries of column p (or u) and row v (or q),
-    for i < j.  Every product is formed in the order ``gl_bracket`` forms it
-    and every entry gets the type of the dense result, which is also the
-    algebra's zero vector, so floats agree bit for bit and exact entries
-    have the same text form.
+    for i < j.  Every entry gets the type of the dense result, which is also
+    the algebra's zero vector, so it has the same text form.
     """
     m, a = ctx.m, ctx.alpha
     n = m * m
-    # the dense bracket has a QuadExt (or float) in every entry once a does
+    # the dense bracket has a QuadExt in every entry once a does
     zero = _typed_zero(flatten(a))
     col_nz = [[(r, a[r][p]) for r in range(m) if a[r][p]] for p in range(m)]
     row_nz = [[(s, a[v][s]) for s in range(m) if a[v][s]] for v in range(m)]
@@ -286,7 +267,7 @@ def build_r3_cross(A: Mat, backend: Optional[ScalarBackend] = None) -> HomAlgebr
     A = mat(A)
     if len(A) != 3 or any(len(r) != 3 for r in A):
         raise PreconditionError("twist must be a 3x3 matrix")
-    if not mat_eq(mat_mul(A, transpose(A)), identity(3), backend):
+    if not mat_eq(mat_mul(A, transpose(A)), identity(3)):
         raise PreconditionError("twist must be orthogonal (A A^T = id)")
     pairs = {
         (i, j): mat_vec(A, cross3(basis_vec(3, i), basis_vec(3, j)))
@@ -327,7 +308,7 @@ def r_vector(theta, backend: ScalarBackend) -> Vec:
 
 
 def build_semi_euclidean(
-    theta: Union[int, str, Fraction, float],
+    theta: Union[int, str, Fraction],
     backend: Optional[ScalarBackend] = None,
 ) -> Tuple[HomAlgebra, SemiEuclideanContext]:
     """The 4-dimensional semi-Euclidean family at a given theta.
@@ -337,17 +318,17 @@ def build_semi_euclidean(
     P**2 = id or P r = -r, aborts with a construction error.  The bracket is
     ``[e_i, e_j] = wedge3(P e_i, r, e_j) - wedge3(P e_j, r, e_i)`` for i < j.
     """
-    backend = backend or default_backend(theta)
+    backend = backend or quadratic_backend(theta)
     P = p_matrix(theta, backend)
     r = r_vector(theta, backend)
 
     alpha, _ = alpha_theta(theta, backend)
     derived = ad_alpha_matrix(GlContext(2, alpha, backend))
-    if not mat_eq(P, derived, backend):
+    if not mat_eq(P, derived):
         raise ConstructionError("twist entries disagree with the Ad_alpha derivation")
-    if not mat_eq(mat_mul(P, P), identity(4), backend):
+    if not mat_eq(mat_mul(P, P), identity(4)):
         raise ConstructionError("twist is not an involution")
-    if not vec_eq(mat_vec(P, r), vec_neg(r), backend):
+    if not vec_eq(mat_vec(P, r), vec_neg(r)):
         raise ConstructionError("P r = -r failed")
 
     p_cols = [mat_col(P, i) for i in range(4)]
@@ -445,7 +426,7 @@ def check_pseudo_adjoint_morphism(g: HomAlgebra) -> CheckReport:
     n**2-dimensional gl(g); any other keeps the scan, which finds the witness.
     """
     minus_id = mat_neg(identity(g.dim))
-    if not mat_eq(mat_mul(g.twist, g.twist), minus_id, g.backend):
+    if not mat_eq(mat_mul(g.twist, g.twist), minus_id):
         raise PreconditionError("twist**2 = -id is required for the morphism law")
     if not g.pairs:
         return CheckReport(True)

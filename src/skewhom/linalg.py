@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import DimensionError, SingularMatrixError
-from .scalars import QuadExt, ScalarBackend
+from .scalars import QuadExt
 
-Scalar = Union[Fraction, QuadExt, float, int]
+Scalar = Union[Fraction, QuadExt, int]
 Vec = tuple
 Mat = tuple
 
@@ -65,19 +65,12 @@ def vec_scale(c: Scalar, u: Vec) -> Vec:
     return tuple(c * a for a in u)
 
 
-def _zero_test(backend: Optional[ScalarBackend]) -> Callable[[Scalar], bool]:
-    if backend is None:
-        return lambda x: (not x) if isinstance(x, QuadExt) else x == 0
-    return backend.is_zero
+def vec_is_zero(u: Vec) -> bool:
+    return not any(u)
 
 
-def vec_is_zero(u: Vec, backend: Optional[ScalarBackend] = None) -> bool:
-    iszero = _zero_test(backend)
-    return all(iszero(a) for a in u)
-
-
-def vec_eq(u: Vec, v: Vec, backend: Optional[ScalarBackend] = None) -> bool:
-    return vec_is_zero(vec_sub(u, v), backend)
+def vec_eq(u: Vec, v: Vec) -> bool:
+    return vec_is_zero(vec_sub(u, v))
 
 
 def identity(n: int) -> Mat:
@@ -137,14 +130,14 @@ def mat_col(a: Mat, j: int) -> Vec:
     return tuple(row[j] for row in a)
 
 
-def mat_is_zero(a: Mat, backend: Optional[ScalarBackend] = None) -> bool:
-    return all(vec_is_zero(row, backend) for row in a)
+def mat_is_zero(a: Mat) -> bool:
+    return all(map(vec_is_zero, a))
 
 
-def mat_eq(a: Mat, b: Mat, backend: Optional[ScalarBackend] = None) -> bool:
+def mat_eq(a: Mat, b: Mat) -> bool:
     if _shape(a) != _shape(b):
         return False
-    return mat_is_zero(mat_sub(a, b), backend)
+    return mat_is_zero(mat_sub(a, b))
 
 
 def flatten(a: Mat) -> Vec:
@@ -174,14 +167,13 @@ def _square_dim(a: Mat) -> int:
     return n
 
 
-def det(a: Mat, backend: Optional[ScalarBackend] = None) -> Scalar:
+def det(a: Mat) -> Scalar:
     """Determinant by exact elimination with first-nonzero pivoting."""
     n = _square_dim(a)
-    iszero = _zero_test(backend)
     rows = [list(row) for row in a]
     flip = False
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if not iszero(rows[r][col])), None)
+        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot_row is None:
             return _ZERO
         if pivot_row != col:
@@ -189,7 +181,7 @@ def det(a: Mat, backend: Optional[ScalarBackend] = None) -> Scalar:
             flip = not flip
         pivot = rows[col][col]
         for r in range(col + 1, n):
-            if iszero(rows[r][col]):
+            if not rows[r][col]:
                 continue
             factor = rows[r][col] / pivot
             rows[r] = [rows[r][c] - factor * rows[col][c] for c in range(n)]
@@ -199,13 +191,12 @@ def det(a: Mat, backend: Optional[ScalarBackend] = None) -> Scalar:
     return -out if flip else out
 
 
-def mat_inv(a: Mat, backend: Optional[ScalarBackend] = None) -> Mat:
+def mat_inv(a: Mat) -> Mat:
     """Exact inverse via Gauss-Jordan; raises :class:`SingularMatrixError`."""
     n = _square_dim(a)
-    iszero = _zero_test(backend)
     rows = [list(row) + list(basis_vec(n, i)) for i, row in enumerate(a)]
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if not iszero(rows[r][col])), None)
+        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot_row is None:
             raise SingularMatrixError(f"matrix has no inverse (pivot column {col})")
         if pivot_row != col:
@@ -213,7 +204,7 @@ def mat_inv(a: Mat, backend: Optional[ScalarBackend] = None) -> Mat:
         pivot = rows[col][col]
         rows[col] = [x / pivot for x in rows[col]]
         for r in range(n):
-            if r == col or iszero(rows[r][col]):
+            if r == col or not rows[r][col]:
                 continue
             factor = rows[r][col]
             rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
@@ -223,7 +214,7 @@ def mat_inv(a: Mat, backend: Optional[ScalarBackend] = None) -> Mat:
 def _scalar_types(a: Mat) -> tuple:
     """Each entry's type, or its discriminant for a ``QuadExt``.
 
-    ``3 == 3.0 == QuadExt(3, 0, d)`` hash alike, so a cache key needs these,
+    ``3 == Fraction(3) == QuadExt(3, 0, d)`` hash alike, so a cache key needs these,
     placed before the matrix, to keep their powers (and ``QuadExt`` entries
     of unequal discriminants) apart.
     """
@@ -233,24 +224,24 @@ def _scalar_types(a: Mat) -> tuple:
 # Bounded, because keys are whole matrices; one benchmark round of any
 # workload leaves at most 37 entries (the cohomology workload).
 @lru_cache(maxsize=128)
-def _mat_pow_cached(types: tuple, a: Mat, exponent: int, backend: Optional[ScalarBackend]) -> Mat:
+def _mat_pow_cached(types: tuple, a: Mat, exponent: int) -> Mat:
     if exponent == 0:
         return identity(len(a))
     if exponent < 0:
-        inverse = mat_inv(a, backend)
-        return _mat_pow_cached(_scalar_types(inverse), inverse, -exponent, backend)
-    half = _mat_pow_cached(types, a, exponent // 2, backend)
+        inverse = mat_inv(a)
+        return _mat_pow_cached(_scalar_types(inverse), inverse, -exponent)
+    half = _mat_pow_cached(types, a, exponent // 2)
     out = mat_mul(half, half)
     if exponent % 2:
         out = mat_mul(out, a)
     return out
 
 
-def mat_pow(a: Mat, exponent: int, backend: Optional[ScalarBackend] = None) -> Mat:
+def mat_pow(a: Mat, exponent: int) -> Mat:
     """Integer matrix power; negative exponents invert once and cache."""
     _square_dim(a)
     a = mat(a)
-    return _mat_pow_cached(_scalar_types(a), a, int(exponent), backend)
+    return _mat_pow_cached(_scalar_types(a), a, int(exponent))
 
 
 def cross3(u: Vec, v: Vec) -> Vec:
@@ -268,14 +259,13 @@ def _det3(rows: Sequence[Sequence[Scalar]]) -> Scalar:
 
     The full expansion multiplies every entry, so it is a ``QuadExt`` when
     one of the nine entries is, else a ``Fraction`` when one is, else an
-    ``int``.  Exact rows are expanded along the row with the most zero
-    entries, skipping zero products, and the result is given that type;
-    float rows, and mixed discriminants (which raise), keep the full
-    expansion.
+    ``int``.  Rows are expanded along the row with the most zero entries,
+    skipping zero products, and the result is given that type; mixed
+    discriminants keep the full expansion, which raises.
     """
     entries = [x for row in rows for x in row]
     ds = [x.d for x in entries if isinstance(x, QuadExt)]
-    if any(isinstance(x, float) for x in entries) or any(d is not ds[0] and d != ds[0] for d in ds):
+    if any(d is not ds[0] and d != ds[0] for d in ds):
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     zeros = [sum(1 for x in row if not x) for row in rows]

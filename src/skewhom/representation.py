@@ -13,14 +13,12 @@ both verdicts side by side.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from pathlib import Path
 from random import Random
 from typing import Optional, Tuple, Union
 
-from . import algebra
 from ._kernel import Rep
 from .algebra import (
     MAX_DIM,
@@ -49,7 +47,6 @@ from .linalg import (
     mat,
     mat_add,
     mat_eq,
-    mat_is_zero,
     mat_mul,
     mat_neg,
     mat_scale,
@@ -81,7 +78,7 @@ class Representation:
                 raise DimensionError(f"rho[{idx}] must be {self.m}x{self.m}")
         if len(self.phi) != self.m or any(len(row) != self.m for row in self.phi):
             raise DimensionError(f"phi must be {self.m}x{self.m}")
-        if self.g.backend.is_zero(det(self.phi, self.g.backend)):
+        if not det(self.phi):
             raise PreconditionError("companion map phi must be invertible")
 
     @cached_property
@@ -91,7 +88,7 @@ class Representation:
 
     @cached_property
     def kernel(self) -> Rep:
-        """rho, rho(beta e_i) and phi as sparse integer pairs, for exact backends.
+        """rho, rho(beta e_i) and phi as sparse integer pairs.
 
         The algebra's kernel takes part, or one with the discriminant of
         rho and phi if the algebra's scalars are rational; mixed
@@ -130,14 +127,12 @@ def check_representation(rep: Representation) -> CheckReport:
     ``(j, i)`` comes after ``(i, j)`` in lexicographic order for i < j: the
     first failing ordered pair is the first failing i < j pair.
 
-    Exact backends, with no float in ``g``, rho or phi
-    (:func:`skewhom.algebra._exact`), decide both equations on
-    :attr:`Representation.kernel`, over i < j pairs.  It holds the bracket
-    over a positive scale ``L_C``, the twist over ``L_t``, every rho(e_i)
-    over ``L_rho`` and phi over ``L_phi``, so each term is its true value
-    times a product of scales; the terms of one equation are brought to a
-    common scale by positive integer factors, which keep a zero residual
-    zero and a nonzero one nonzero:
+    Both equations are decided on :attr:`Representation.kernel`, over i < j
+    pairs.  It holds the bracket over a positive scale ``L_C``, the twist
+    over ``L_t``, every rho(e_i) over ``L_rho`` and phi over ``L_phi``, so
+    each term is its true value times a product of scales; the terms of one
+    equation are brought to a common scale by positive integer factors,
+    which keep a zero residual zero and a nonzero one nonzero:
 
     * compat, ``rho(beta e_i) phi + phi rho(e_i)``: the first term is over
       ``L_t * L_rho * L_phi`` and the second over ``L_rho * L_phi``, which
@@ -146,35 +141,24 @@ def check_representation(rep: Representation) -> CheckReport:
       the two products over ``L_t * L_rho**2``; the first is multiplied by
       ``L_t * L_rho`` and the products by ``L_C * L_phi``.
 
-    The float backend scans all ordered pairs densely, since its zero test
-    has a tolerance; with ``algebra._sparse`` off, that scan is the
-    reference.  The witness is recomputed densely either way.
+    A float in rho or phi raises ``TypeError``.
     """
+    at = rep.kernel.first_failure()
+    if at is None:
+        return CheckReport(True)
     g, phi = rep.g, rep.phi
-    n = g.dim
-
-    @cache
-    def rho_beta(i: int) -> Mat:
-        return rho_eval(rep, g.twist_col(i))
-
-    def residual(at: tuple) -> Mat:
-        if at[0] == "compat":
-            i = at[1]
-            return mat_add(mat_mul(rho_beta(i), phi), mat_mul(phi, rep.rho[i]))
+    if at[0] == "compat":
+        i = at[1]
+        res = mat_add(mat_mul(rho_eval(rep, g.twist_col(i)), phi), mat_mul(phi, rep.rho[i]))
+    else:
         _, i, j = at
         lhs = mat_mul(rho_eval(rep, g.bracket_at(i, j)), phi)
-        rhs = mat_sub(mat_mul(rho_beta(i), rep.rho[j]), mat_mul(rho_beta(j), rep.rho[i]))
-        return mat_sub(lhs, rhs)
-
-    if algebra._exact(g, rep.entries):
-        at = rep.kernel.first_failure()
-    else:
-        scan = itertools.chain(
-            (("compat", i) for i in range(n)),
-            (("bracket", i, j) for i, j in itertools.product(range(n), repeat=2)),
+        rhs = mat_sub(
+            mat_mul(rho_eval(rep, g.twist_col(i)), rep.rho[j]),
+            mat_mul(rho_eval(rep, g.twist_col(j)), rep.rho[i]),
         )
-        at = next((at for at in scan if not mat_is_zero(residual(at), g.backend)), None)
-    return CheckReport(True) if at is None else CheckReport(False, Witness(at, residual(at)))
+        res = mat_sub(lhs, rhs)
+    return CheckReport(False, Witness(at, res))
 
 
 def representation_as_morphism_matrix(rep: Representation) -> Mat:
@@ -190,7 +174,7 @@ def theorem_equivalence(rep: Representation) -> Tuple[CheckReport, CheckReport]:
     The two verdicts agree for every input.
     """
     backend = rep.g.backend
-    if not mat_eq(mat_mul(rep.phi, rep.phi), mat_neg(identity(rep.m)), backend):
+    if not mat_eq(mat_mul(rep.phi, rep.phi), mat_neg(identity(rep.m))):
         raise PreconditionError("phi**2 = -id is required for the equivalence")
     rep_verdict = check_representation(rep)
     target = build_gl_alpha(GlContext(rep.m, rep.phi, backend))

@@ -1,11 +1,10 @@
-"""Scalar arithmetic over pluggable backends.
+"""Exact scalar arithmetic over pluggable backends.
 
-Three element kinds share one calling convention: exact rationals
-(``fractions.Fraction``), elements of the quadratic extension generated by a
-square root of a positive rational, and floats compared against a tolerance.
-All scalars of one computation live in a single backend; the backend object
-owns zero tests, sign tests, coercion, and the text forms used by the file
-formats.
+Two element kinds share one calling convention: exact rationals
+(``fractions.Fraction``) and elements of the quadratic extension generated by
+a square root of a positive rational.  All scalars of one computation live in
+a single backend; the backend object owns coercion and the text forms used by
+the file formats.  Floats are refused.
 """
 
 from __future__ import annotations
@@ -21,11 +20,17 @@ Rational = Fraction
 
 
 def as_rational(value: Union[int, str, Fraction]) -> Fraction:
-    """Coerce ints, ``"p/q"`` strings, and Fractions to an exact rational."""
+    """Coerce ints, ``"p/q"`` strings, and Fractions to an exact rational.
+
+    A zero denominator raises ``ValueError``, like any other malformed string.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -208,34 +213,26 @@ class QuadExt:
 class ScalarBackend:
     """Selects the element kind all scalars of one computation share.
 
-    ``kind`` is one of ``"rational"``, ``"quadratic"`` (the extension by
-    ``sqrt(1 + theta**2)``, the only kind that takes a ``theta``), or
-    ``"float"``, with a zero-test ``tolerance``.  A quadratic backend whose
-    discriminant is a perfect rational square degenerates: its designated
-    root is a plain rational and all arithmetic collapses to ``Fraction``,
-    which avoids zero divisors in the pair representation.
+    ``kind`` is ``"rational"`` or ``"quadratic"`` (the extension by
+    ``sqrt(1 + theta**2)``, the only kind that takes a ``theta``).  A
+    quadratic backend whose discriminant is a perfect rational square
+    degenerates: its designated root is a plain rational and all arithmetic
+    collapses to ``Fraction``, which avoids zero divisors in the pair
+    representation.
     """
 
     kind: str
     theta: Optional[Fraction] = None
-    tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.kind not in ("rational", "quadratic", "float"):
+        if self.kind not in ("rational", "quadratic"):
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if self.kind == "quadratic":
             if self.theta is None:
                 raise ValueError("quadratic backend requires a rational theta")
             object.__setattr__(self, "theta", as_rational(self.theta))
-        if self.kind == "float":
-            if not 0 < self.tolerance < math.inf:
-                raise ValueError("float tolerance must be positive and finite")
-        if self.kind != "quadratic" and self.theta is not None:
+        elif self.theta is not None:
             raise ValueError(f"a {self.kind} backend takes no theta")
-
-    @property
-    def exact(self) -> bool:
-        return self.kind != "float"
 
     @property
     def d(self) -> Fraction:
@@ -260,48 +257,19 @@ class ScalarBackend:
         return QuadExt(Fraction(0), Fraction(1), self.d)
 
     def coerce(self, value: object):
-        """Normalize ``value`` into this backend's scalar type."""
-        if self.kind == "float":
-            if isinstance(value, (int, float, Fraction, str)):
-                return float(Fraction(value)) if isinstance(value, str) else float(value)
-            raise BackendMismatchError(f"cannot coerce {value!r} into the float backend")
+        """Normalize ``value`` into this backend's scalar type; a float raises ``TypeError``."""
         if isinstance(value, QuadExt):
             if self.kind != "quadratic" or value.d != self.d:
                 raise BackendMismatchError(f"{value!r} does not belong to this backend")
             if self.degenerate:
                 return value.a + value.b * self.sqrt_d
             return value
-        if isinstance(value, float):
-            raise BackendMismatchError("floats are not scalars of an exact backend")
         return as_rational(value)
-
-    def is_zero(self, x: object) -> bool:
-        if self.kind == "float":
-            return abs(x) <= self.tolerance
-        if isinstance(x, QuadExt):
-            return not x
-        return x == 0
-
-    def eq(self, x: object, y: object) -> bool:
-        if self.kind == "float":
-            return abs(x - y) <= self.tolerance
-        return x == y
-
-    def sign(self, x: object) -> int:
-        if self.kind == "float":
-            if abs(x) <= self.tolerance:
-                return 0
-            return 1 if x > 0 else -1
-        if isinstance(x, QuadExt):
-            return x.sign()
-        return _fraction_sign(as_rational(x))
 
     def to_json(self) -> dict:
         if self.kind == "rational":
             return {"kind": "rational"}
-        if self.kind == "quadratic":
-            return {"kind": "quadratic", "theta": str(self.theta)}
-        return {"kind": "float", "tol": self.tolerance}
+        return {"kind": "quadratic", "theta": str(self.theta)}
 
     @staticmethod
     def from_json(obj: dict) -> "ScalarBackend":
@@ -312,9 +280,14 @@ class ScalarBackend:
             return rational_backend()
         if kind == "quadratic":
             return quadratic_backend(as_rational(_not_bool(obj["theta"])))
-        if kind == "float":
-            return float_backend(float(_not_bool(obj.get("tol", 1e-9))))
         raise ValueError(f"unknown backend kind {kind!r}")
+
+
+def sign(x: object) -> int:
+    """Sign of an exact scalar; a ``QuadExt`` takes its real embedding (:meth:`QuadExt.sign`)."""
+    if isinstance(x, QuadExt):
+        return x.sign()
+    return _fraction_sign(as_rational(x))
 
 
 def _not_bool(obj: object) -> object:
@@ -333,26 +306,19 @@ def quadratic_backend(theta: Union[int, str, Fraction]) -> ScalarBackend:
     return ScalarBackend("quadratic", as_rational(theta))
 
 
-def float_backend(tolerance: float = 1e-9) -> ScalarBackend:
-    return ScalarBackend("float", tolerance=tolerance)
-
-
 def format_scalar(x: object):
-    """Text form used by the file formats: ``"p/q"``, ``{"a":..,"b":..}``, or a number."""
+    """Text form used by the file formats: ``"p/q"`` or ``{"a":..,"b":..}``."""
     if isinstance(x, QuadExt):
         return {"a": str(x.a), "b": str(x.b)}
     if isinstance(x, (int, Fraction)):
         return str(Fraction(x))
-    if isinstance(x, float):
-        return x
     raise TypeError(f"not a scalar: {x!r}")
 
 
 # What parse_scalar, parse_int and ScalarBackend.from_json raise on a
-# malformed or foreign field (OverflowError: a float-file scalar such as
-# "1e400" too large for a float); the file loaders turn each into a located
+# malformed or foreign field; the file loaders turn each into a located
 # FileFormatError.
-PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError, BackendMismatchError)
+PARSE_ERRORS = (KeyError, TypeError, ValueError, BackendMismatchError)
 
 
 def parse_int(obj: object) -> int:
@@ -363,16 +329,12 @@ def parse_int(obj: object) -> int:
 
 
 def parse_scalar(obj: object, backend: ScalarBackend):
-    """Inverse of :func:`format_scalar` relative to ``backend``."""
+    """Inverse of :func:`format_scalar` relative to ``backend``; a JSON float is refused."""
     if isinstance(obj, dict):
         if backend.kind != "quadratic":
             raise BackendMismatchError("quadratic scalar in a non-quadratic file")
         a, b = as_rational(obj["a"]), as_rational(obj["b"])
         return backend.coerce(QuadExt(a, b, backend.d))
-    if isinstance(obj, bool):
-        raise TypeError(f"not a scalar: {obj!r}")
-    if isinstance(obj, float) and not math.isfinite(obj):
-        raise ValueError(f"not a finite number: {obj!r}")
-    if isinstance(obj, (str, int, float)):
+    if isinstance(obj, (str, int)) and not isinstance(obj, bool):
         return backend.coerce(obj)
     raise TypeError(f"not a scalar: {obj!r}")

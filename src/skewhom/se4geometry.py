@@ -35,13 +35,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from random import Random
-from typing import Iterator, List, Optional, Union
+from typing import Iterator, List, Union
 
 from .algebra import CheckReport, HomAlgebra, Witness, bracket_eval
 from .constructions import SemiEuclideanContext, build_semi_euclidean
-from .errors import BackendMismatchError, DimensionError
-from .linalg import Vec, basis_vec, mat_vec, vec_add, vec_scale
-from .scalars import ScalarBackend
+from .errors import DimensionError
+from .linalg import Vec, basis_vec, mat_vec, vec_add, vec_is_zero, vec_scale
+from .scalars import sign
 
 
 class CausalType(Enum):
@@ -70,19 +70,14 @@ def pseudo_inner(x: Vec, y: Vec):
     return -x[0] * y[0] - x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
 
 
-def causal_type(x: Vec, backend: Optional[ScalarBackend] = None) -> CausalType:
-    """Causal class by the sign of <x, x>; the zero vector gets its own class.
-
-    In the float backend, values within the tolerance of zero count as null
-    (and as the zero vector when every coordinate is within tolerance).
-    """
-    backend = backend or ScalarBackend("rational")
-    if all(backend.is_zero(c) for c in x):
+def causal_type(x: Vec) -> CausalType:
+    """Causal class by the sign of <x, x>; the zero vector gets its own class."""
+    if vec_is_zero(x):
         return CausalType.ZERO
-    sign = backend.sign(pseudo_inner(x, x))
-    if sign > 0:
+    inner = sign(pseudo_inner(x, x))
+    if inner > 0:
         return CausalType.SPACELIKE
-    if sign < 0:
+    if inner < 0:
         return CausalType.TIMELIKE
     return CausalType.NULL
 
@@ -92,10 +87,9 @@ def vstar_defect(x: Vec):
     return pseudo_inner(x, x), x[0] * x[1] - x[2] * x[3]
 
 
-def in_v_star(x: Vec, backend: Optional[ScalarBackend] = None) -> VStarMembership:
-    backend = backend or ScalarBackend("rational")
+def in_v_star(x: Vec) -> VStarMembership:
     inner, cross = vstar_defect(x)
-    return VStarMembership(backend.is_zero(inner), backend.is_zero(cross))
+    return VStarMembership(not inner, not cross)
 
 
 # Sampled integer coordinates lie in -SPAN..SPAN.
@@ -149,14 +143,14 @@ def check_vstar_closure(
         x = tuple(backend.coerce(rng.randint(-SPAN, SPAN)) for _ in range(4))
         y = tuple(backend.coerce(rng.randint(-SPAN, SPAN)) for _ in range(4))
         value = bracket_eval(g, x, y)
-        verdict = in_v_star(value, backend)
+        verdict = in_v_star(value)
         if not verdict.member:
             return CheckReport(
                 False, Witness(("bracket", x, y), vstar_defect(value))
             )
     for z in vstar_draws(ctx, samples, seed=seed + 1):
         image = mat_vec(ctx.P, z)
-        verdict = in_v_star(image, backend)
+        verdict = in_v_star(image)
         if not verdict.member:
             return CheckReport(False, Witness(("twist", z), vstar_defect(image)))
     return CheckReport(True)
@@ -168,20 +162,20 @@ CURVE = 13
 LINE = 5
 
 
-def _in_plane(x: Vec, plane, backend: ScalarBackend) -> bool:
+def _in_plane(x: Vec, plane) -> bool:
     sigma, crossed = plane
     a, b = (x[1], x[0]) if crossed else (x[0], x[1])
-    return backend.eq(x[2], sigma * a) and backend.eq(x[3], sigma * b)
+    return x[2] == sigma * a and x[3] == sigma * b
 
 
-def _one_plane_holds(values, backend: ScalarBackend) -> bool:
-    return any(all(_in_plane(v, plane, backend) for v in values) for plane in PLANES)
+def _one_plane_holds(values) -> bool:
+    return any(all(_in_plane(v, plane) for v in values) for plane in PLANES)
 
 
 def vstar_certificate(g: HomAlgebra, ctx: SemiEuclideanContext) -> CheckReport:
     """Closure of V* under the bracket of ``g`` and under ``ctx.P``, proved.
 
-    Exact backends only.  V* is the union of the four planes of the module
+    V* is the union of the four planes of the module
     docstring, and a linear subspace, or the image of a polynomial map from
     K^8, that lies in a finite union of planes lies in one of them (it is
     irreducible).  Hence:
@@ -211,21 +205,18 @@ def vstar_certificate(g: HomAlgebra, ctx: SemiEuclideanContext) -> CheckReport:
       two values would put both P b1 and P b2 there, so 4 planes rule out
       at most 4 of the 5 values.
     """
-    backend = ctx.backend
-    if not backend.exact:
-        raise BackendMismatchError("the V* certificate needs an exact backend")
     if g.dim != 4:
         raise DimensionError("the V* certificate takes a 4-dimensional algebra")
 
     def leaves(value: Vec) -> bool:
-        return not in_v_star(value, backend).member
+        return not in_v_star(value).member
 
     pairs = sorted(g.pairs.items())
     for (i, j), value in pairs:
         if leaves(value):
             at = ("bracket", basis_vec(4, i), basis_vec(4, j))
             return CheckReport(False, Witness(at, vstar_defect(value)))
-    if not _one_plane_holds([value for _, value in pairs], backend):
+    if not _one_plane_holds([value for _, value in pairs]):
         curve = [tuple(Fraction(t ** k) for k in range(4)) for t in range(CURVE)]
         x, y, value = next(
             (x, y, value)
@@ -237,7 +228,7 @@ def vstar_certificate(g: HomAlgebra, ctx: SemiEuclideanContext) -> CheckReport:
         return CheckReport(False, Witness(("bracket", x, y), vstar_defect(value)))
     for plane in PLANES:
         b1, b2 = _plane_basis(plane)
-        if not _one_plane_holds([mat_vec(ctx.P, b1), mat_vec(ctx.P, b2)], backend):
+        if not _one_plane_holds([mat_vec(ctx.P, b1), mat_vec(ctx.P, b2)]):
             z, image = next(
                 (z, image)
                 for t in range(LINE)

@@ -1,0 +1,316 @@
+"""Dense reference loops that the exact checkers are tested against.
+
+Every checker in ``skewhom`` decides its identity on the sparse integer-pair
+kernel.  The functions here are the dense loops the checkers ran before that,
+kept for the tests only: they scan every ordered position, evaluate brackets
+over the dense view ``g.bracket``, evaluate cochains by their multilinear
+extension, and compute each witness from those values.  Their values equal
+the kernel's.  Their types can differ on tables that mix ``Fraction`` and
+``QuadExt`` scalars: a dense sum leaves a ``Fraction`` component where it
+summed no ``QuadExt`` term, while the kernel types every entry by its
+discriminant.
+
+``REFERENCE`` maps each public checker to its reference here; the
+``both_paths`` fixture runs a checker and its reference on the same input.
+"""
+
+import itertools
+from dataclasses import replace
+from fractions import Fraction
+from functools import cache
+
+from skewhom import algebra, cohomology, constructions, representation
+from skewhom.algebra import CheckReport, TwistSign, Witness
+from skewhom.cohomology import Cochain, _check_size, cochain, d_squared_report
+from skewhom.errors import BackendMismatchError, DimensionError
+from skewhom.linalg import (
+    basis_vec,
+    mat,
+    mat_add,
+    mat_col,
+    mat_is_zero,
+    mat_mul,
+    mat_pow,
+    mat_sub,
+    mat_vec,
+    transpose,
+    vec_add,
+    vec_is_zero,
+    vec_neg,
+    vec_scale,
+    vec_sub,
+    zero_vec,
+)
+from skewhom.representation import rho_eval
+
+
+def bracket_eval(g, x, y):
+    """``[x, y]`` summed over all ordered pairs of ``g.bracket``."""
+    if len(x) != g.dim or len(y) != g.dim:
+        raise DimensionError(f"arguments must have length {g.dim}")
+    acc = zero_vec(g.dim)
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(y):
+            if yj == 0:
+                continue
+            acc = vec_add(acc, vec_scale(xi * yj, g.bracket[i][j]))
+    return acc
+
+
+def check_hom_jacobi(g):
+    """The twisted Jacobi sum on all n**3 ordered basis triples."""
+    beta = [g.twist_col(i) for i in range(g.dim)]
+
+    def residual(i, j, k):
+        res = bracket_eval(g, g.bracket_at(j, k), beta[i])
+        res = vec_add(res, bracket_eval(g, g.bracket_at(k, i), beta[j]))
+        return vec_add(res, bracket_eval(g, g.bracket_at(i, j), beta[k]))
+
+    triples = itertools.product(range(g.dim), repeat=3)
+    at = next((at for at in triples if not vec_is_zero(residual(*at))), None)
+    return CheckReport(True) if at is None else CheckReport(False, Witness(at, residual(*at)))
+
+
+def bracket_failure(f, g, h, signs):
+    """``algebra._bracket_failure`` as a scan of all ordered pairs, into any ``h``."""
+    cols = [mat_col(f, i) for i in range(g.dim)]
+
+    def sides(i, j):
+        return mat_vec(f, g.bracket_at(i, j)), bracket_eval(h, cols[i], cols[j])
+
+    def residual(lhs, rhs, sign):
+        return vec_sub(lhs, vec_scale(Fraction(sign), rhs))
+
+    left, at = signs, None
+    for i, j in itertools.product(range(g.dim), repeat=2):
+        lhs, rhs = sides(i, j)
+        if vec_is_zero(lhs) and vec_is_zero(rhs):
+            continue
+        left = {s for s in left if vec_is_zero(residual(lhs, rhs, s))}
+        if not left:
+            at = (i, j)
+            break
+    if at is None:
+        return left, None
+    lhs, rhs = sides(*at)
+    res = (residual(lhs, rhs, s) for s in sorted(signs, reverse=True))
+    return left, (at, next(r for r in res if not vec_is_zero(r)))
+
+
+def check_twist_sign(g):
+    abelian = all(vec_is_zero(v) for v in g.pairs.values())
+    signs, failure = bracket_failure(g.twist, g, g, {1, -1})
+    if failure is not None:
+        return TwistSign(None, Witness(*failure), abelian)
+    if abelian or signs == {1, -1}:
+        return TwistSign(1, None, abelian, both=True)
+    return TwistSign(signs.pop())
+
+
+def classify(g):
+    sign = check_twist_sign(g)
+    return algebra.classify(g, sign, None if sign.sign is None else check_hom_jacobi(g))
+
+
+def check_power_sign_law(g, m):
+    if m < 1:
+        raise ValueError("power must be a positive integer")
+    _, failure = bracket_failure(mat_pow(g.twist, m), g, g, {(-1) ** m})
+    if failure is None:
+        return CheckReport(True)
+    return CheckReport(False, Witness(*failure, note=f"m={m}"))
+
+
+def check_morphism(f, g, h, sign):
+    """The bracket law by :func:`bracket_failure`, then the intertwining law."""
+    if g.backend != h.backend:
+        raise BackendMismatchError("source and target use different backends")
+    _, failure = bracket_failure(f, g, h, {sign})
+    if failure is not None:
+        (i, j), res = failure
+        return CheckReport(False, Witness(("bracket", i, j), res))
+    intertwine, other = mat_mul(f, g.twist), mat_mul(h.twist, f)
+    for r in range(h.dim):
+        for c in range(g.dim):
+            diff = intertwine[r][c] - other[r][c]
+            if diff:
+                return CheckReport(False, Witness(("twist", r, c), diff))
+    return CheckReport(True)
+
+
+def pseudo_adjoint(g):
+    """x -> the matrix of y -> -[x, y], with the dense bracket."""
+
+    def ad_star(x):
+        cols = [vec_neg(bracket_eval(g, x, basis_vec(g.dim, j))) for j in range(g.dim)]
+        return transpose(mat(cols))
+
+    return ad_star
+
+
+def check_pseudo_adjoint_identity(g):
+    """The dense Jacobi scan, and the residual matrix from the dense ``ad*``."""
+    jacobi = check_hom_jacobi(g)
+    if jacobi.passed:
+        return CheckReport(True)
+    i, j, _ = jacobi.witness.at
+    ad_star = pseudo_adjoint(g)
+    lhs = mat_mul(ad_star(g.bracket_at(i, j)), g.twist)
+    rhs = mat_sub(
+        mat_mul(ad_star(g.twist_col(j)), ad_star(basis_vec(g.dim, i))),
+        mat_mul(ad_star(g.twist_col(i)), ad_star(basis_vec(g.dim, j))),
+    )
+    return CheckReport(False, Witness((i, j), mat_sub(lhs, rhs)))
+
+
+def check_representation(rep):
+    """Both representation equations on every basis vector and ordered pair."""
+    g, phi = rep.g, rep.phi
+    n = g.dim
+
+    @cache
+    def rho_beta(i):
+        return rho_eval(rep, g.twist_col(i))
+
+    def residual(at):
+        if at[0] == "compat":
+            i = at[1]
+            return mat_add(mat_mul(rho_beta(i), phi), mat_mul(phi, rep.rho[i]))
+        _, i, j = at
+        lhs = mat_mul(rho_eval(rep, g.bracket_at(i, j)), phi)
+        rhs = mat_sub(mat_mul(rho_beta(i), rep.rho[j]), mat_mul(rho_beta(j), rep.rho[i]))
+        return mat_sub(lhs, rhs)
+
+    scan = itertools.chain(
+        (("compat", i) for i in range(n)),
+        (("bracket", i, j) for i, j in itertools.product(range(n), repeat=2)),
+    )
+    at = next((at for at in scan if not mat_is_zero(residual(at))), None)
+    return CheckReport(True) if at is None else CheckReport(False, Witness(at, residual(at)))
+
+
+def sort_with_parity(idx):
+    """``idx`` sorted, and the sign of the permutation that sorts it."""
+    order = list(idx)
+    sign = 1
+    for i in range(1, len(order)):
+        j = i
+        while j > 0 and order[j - 1] > order[j]:
+            order[j - 1], order[j] = order[j], order[j - 1]
+            sign = -sign
+            j -= 1
+    return tuple(order), sign
+
+
+def cochain_eval(eta, args):
+    """Multilinear alternating extension of the table to arbitrary vectors."""
+    if len(args) != eta.k:
+        raise DimensionError(f"degree-{eta.k} cochain takes {eta.k} arguments")
+    for a in args:
+        if len(a) != eta.n:
+            raise DimensionError(f"arguments must have length {eta.n}")
+    if eta.k == 0:
+        return eta.table[()]
+    supports = [[j for j, c in enumerate(a) if c != 0] for a in args]
+    acc = zero_vec(eta.m)
+    for idx in itertools.product(*supports):
+        if len(set(idx)) < eta.k:
+            continue
+        coeff = args[0][idx[0]]
+        for t in range(1, eta.k):
+            coeff = coeff * args[t][idx[t]]
+        key, sign = sort_with_parity(idx)
+        acc = vec_add(acc, vec_scale(sign * coeff, eta.table[key]))
+    return acc
+
+
+def coboundary_at(eta, rep, s, args):
+    """The coboundary formula of ``skewhom.cohomology`` at k+1 arbitrary vectors."""
+    if s < 0:
+        raise ValueError("the operator family is indexed by s >= 0")
+    g = rep.g
+    k = eta.k
+    if len(args) != k + 1:
+        raise DimensionError(f"coboundary of a degree-{k} cochain takes {k + 1} arguments")
+    beta_args = [mat_vec(g.twist, x) for x in args]
+
+    total = zero_vec(eta.m)
+    if not all(x == 0 for r in rep.rho for row in r for x in row):
+        pre = mat_pow(rep.phi, k + 1 + s)
+        post = mat_pow(rep.phi, -(k + 2 + s))
+        for i in range(k + 1):
+            w = cochain_eval(eta, beta_args[:i] + beta_args[i + 1 :])
+            if vec_is_zero(w):
+                continue
+            w = mat_vec(pre, mat_vec(rho_eval(rep, args[i]), mat_vec(post, w)))
+            # 1-based sign (-1)^(i+1): positive at even 0-based i
+            total = vec_add(total, w) if i % 2 == 0 else vec_sub(total, w)
+    for i, j in itertools.combinations(range(k + 1), 2):
+        head = bracket_eval(g, args[i], args[j])
+        rest = [beta_args[t] for t in range(k + 1) if t not in (i, j)]
+        w = cochain_eval(eta, [head] + rest)
+        # 1-based sign (-1)^(i+j) equals the 0-based one
+        total = vec_add(total, w) if (i + j) % 2 == 0 else vec_sub(total, w)
+    return total
+
+
+def coboundary(eta, rep, s):
+    """:func:`coboundary_at` at every output tuple, after the checks ``coboundary`` makes."""
+    if s < 0:
+        raise ValueError("the operator family is indexed by s >= 0")
+    g = rep.g
+    n, k, m = eta.n, eta.k, eta.m
+    if (n, m) != (g.dim, rep.m):
+        raise DimensionError(
+            f"a cochain on {n} generators with values in dimension {m} does not fit a "
+            f"representation of a {g.dim}-dimensional algebra on dimension {rep.m}"
+        )
+    if k + 1 > n:
+        return Cochain(k + 1, n, m, {})
+    _check_size(n, k + 1, m)
+    basis = [basis_vec(n, i) for i in range(n)]
+    table = {
+        key: coboundary_at(eta, rep, s, [basis[t] for t in key])
+        for key in itertools.combinations(range(n), k + 1)
+    }
+    return Cochain(k + 1, n, m, table)
+
+
+def d_squared_failures(g, rep, k, s):
+    """:func:`coboundary` twice on every degree-k basis cochain, as a failure stream."""
+    if rep.g != g:
+        rep = replace(rep, g=g)
+    n, m = g.dim, rep.m
+    for degree in (k, k + 1, k + 2):
+        _check_size(n, degree, m)
+
+    def residuals():
+        for key, axis in itertools.product(itertools.combinations(range(n), k), range(m)):
+            eta = cochain(k, n, m, {key: basis_vec(m, axis)})
+            twice = coboundary(coboundary(eta, rep, s), rep, s).table
+            nonzero = {u: twice[u] for u in sorted(twice) if not vec_is_zero(twice[u])}
+            if nonzero:
+                yield key, axis, nonzero
+
+    return residuals()
+
+
+def check_d_squared(g, rep, k, s):
+    return d_squared_report(d_squared_failures(g, rep, k, s), k, s)
+
+
+REFERENCE = {
+    algebra.bracket_eval: bracket_eval,
+    algebra.check_hom_jacobi: check_hom_jacobi,
+    algebra.check_twist_sign: check_twist_sign,
+    algebra.check_power_sign_law: check_power_sign_law,
+    algebra.check_morphism: check_morphism,
+    algebra.classify: classify,
+    constructions.check_pseudo_adjoint_identity: check_pseudo_adjoint_identity,
+    representation.check_representation: check_representation,
+    cohomology.coboundary: coboundary,
+    cohomology.d_squared_failures: d_squared_failures,
+    cohomology.check_d_squared: check_d_squared,
+}

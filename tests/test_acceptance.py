@@ -75,9 +75,9 @@ def test_criterion_01_involution_and_null_vector():
     for _ in range(20):
         theta = F(rng.randint(-20, 20), rng.randint(1, 20))
         g, ctx = build_semi_euclidean(theta)
-        if not mat_eq(mat_mul(ctx.P, ctx.P), identity(4), ctx.backend):
+        if not mat_eq(mat_mul(ctx.P, ctx.P), identity(4)):
             ok = False
-        if not vec_eq(mat_vec(ctx.P, ctx.r), vec_neg(ctx.r), ctx.backend):
+        if not vec_eq(mat_vec(ctx.P, ctx.r), vec_neg(ctx.r)):
             ok = False
     _criterion(1, "P(theta)**2 = id and P r = -r for 20 random rational theta", ok)
 
@@ -155,10 +155,10 @@ def test_criterion_04_null_subset_closure():
         for _ in range(500):
             x = tuple(F(rng.randint(-9, 9)) for _ in range(4))
             y = tuple(F(rng.randint(-9, 9)) for _ in range(4))
-            if not in_v_star(bracket_eval(g, x, y), ctx.backend).member:
+            if not in_v_star(bracket_eval(g, x, y)).member:
                 ok = False
         for z in vstar_samples(ctx, 200, seed=41):
-            if not in_v_star(mat_vec(ctx.P, z), ctx.backend).member:
+            if not in_v_star(mat_vec(ctx.P, z)).member:
                 ok = False
     _criterion(
         4,
@@ -176,7 +176,7 @@ def test_criterion_05_gl2_family():
         classify_ok = classify_ok and verdict == Verdict.SKEW_HOM_LIE
     alpha0, backend0 = alpha_theta(0)
     g = build_gl_alpha(GlContext(2, alpha0, backend0))
-    involution_ok = mat_eq(mat_mul(g.twist, g.twist), identity(4), backend0)
+    involution_ok = mat_eq(mat_mul(g.twist, g.twist), identity(4))
 
     def scan(ctx):
         try:
@@ -192,7 +192,7 @@ def test_criterion_05_gl2_family():
     gl2_ok = all(triple is None for triple in gl2_triples.values())
     alpha4, backend4 = alpha_block(4, 0)
     gl4_triple, gl4_residual = scan(GlContext(4, alpha4, backend4))
-    gl4_ok = gl4_triple == (0, 1, 2) and not vec_is_zero(gl4_residual, backend4)
+    gl4_ok = gl4_triple == (0, 1, 2) and not vec_is_zero(gl4_residual)
     ok = classify_ok and involution_ok and gl2_ok and gl4_ok
     _criterion(
         5,

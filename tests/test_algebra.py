@@ -27,7 +27,6 @@ from skewhom.constructions import (
     build_semi_euclidean,
 )
 from skewhom.errors import FileFormatError
-from skewhom.scalars import float_backend
 from skewhom.linalg import (
     basis_vec,
     identity,
@@ -188,15 +187,6 @@ def test_file_round_trip(tmp_path, se4_algebras):
     loaded = load_algebra(path)
     assert loaded == g
     assert classify(loaded) == classify(g)
-
-
-def test_float_file_round_trip_keeps_the_backend():
-    # a float theta builds on the plain float backend, which is what the file stores
-    g, _ = build_semi_euclidean(0.5)
-    loaded = algebra_from_dict(algebra_to_dict(g))
-    assert loaded == g
-    assert loaded.backend == g.backend == float_backend()
-    assert check_morphism(identity(4), g, loaded, 1).passed
 
 
 def test_loader_rejects_antisymmetry_violation(se4_algebras):

@@ -1,24 +1,23 @@
 """The matrices of the coboundary operator against the dense reference.
 
-For exact backends ``check_d_squared`` builds the matrices of d^s on degrees
-k and k+1 once each and decides nilpotency from their product, and
-``coboundary`` applies the degree-k matrix to a cochain; with
-``algebra._sparse`` turned off both evaluate the dense formula.  Every
-column of an operator must be the dense image of its basis cochain, every
-image must equal the dense one entry by entry, and both paths must give the
-same verdict, witness and stream of failing basis cochains with their
-residuals.
+``check_d_squared`` builds the matrices of d^s on degrees k and k+1 once
+each and decides nilpotency from their product, and ``coboundary`` applies
+the degree-k matrix to a cochain; their references in ``tests/reference.py``
+evaluate the dense formula.  Every column of an operator must be the dense
+image of its basis cochain, every image must equal the dense one entry by
+entry, and both must give the same verdict, witness and stream of failing
+basis cochains with their residuals.
 """
 
 import itertools
 from dataclasses import replace
 from fractions import Fraction as F
 from random import Random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from skewhom import algebra, cohomology
 from skewhom.algebra import HomAlgebra
 from skewhom.cohomology import (
@@ -77,8 +76,7 @@ def assert_columns_match(g, rep, k, s):
     m = rep.m
     for c, (key, axis, eta) in enumerate(basis_cochains(g.dim, m, k)):
         assert (op.sources[c // m], c % m) == (key, axis)
-        with mock.patch.object(algebra, "_sparse", lambda g: False):
-            image = coboundary(eta, rep, s)
+        image = reference.coboundary(eta, rep, s)
         assert sorted(image.table) == op.targets
         want = {}
         for uu, u in enumerate(op.targets):
@@ -90,8 +88,7 @@ def assert_columns_match(g, rep, k, s):
 
 def assert_blocks_match(rep, k, s):
     """Each pair block ``M_t`` over its scale against the dense ``pre rho(e_t) post``."""
-    backend = rep.g.backend
-    pre, post = mat_pow(rep.phi, k + 1 + s, backend), mat_pow(rep.phi, -(k + 2 + s), backend)
+    pre, post = mat_pow(rep.phi, k + 1 + s), mat_pow(rep.phi, -(k + 2 + s))
     blocks, scale = rep.kernel.conjugated(pre, post)
     dd = rep.kernel.kernel.dd
     assert len(blocks) == rep.g.dim
@@ -103,25 +100,40 @@ def assert_blocks_match(rep, k, s):
                 assert block[a].get(b, (0, 0)) == as_pair(dense[a][b], scale, dd)
 
 
-def outcome(g, rep, k, s):
-    """Verdict and witness of ``check_d_squared`` and the whole failure stream, comparably."""
-    report = check_d_squared(g, rep, k, s)
-    stream = list(d_squared_failures(g, rep, k, s))
+def outcome(g, rep, k, s, checks=cohomology, residual=tuple):
+    """Verdict and witness of ``check_d_squared`` and the whole failure stream, comparably.
+
+    ``checks`` is the module whose two functions run; every residual is
+    passed through ``residual``, so by default they compare by value.
+    """
+    report = checks.check_d_squared(g, rep, k, s)
+    stream = list(checks.d_squared_failures(g, rep, k, s))
     w = report.witness
     # the report is the stream's first item
     assert report.passed == (not stream)
     if stream:
         key, axis, nonzero = stream[0]
         assert w.at == (key, axis, next(iter(nonzero)))
-    return (report.passed, None if w is None else (w.at, repr(w.residual), w.note)), repr(stream)
+    verdict = (report.passed, None if w is None else (w.at, residual(w.residual), w.note))
+    return verdict, [(key, axis, {u: residual(v) for u, v in nonzero.items()})
+                     for key, axis, nonzero in stream]
 
 
 def both_outcomes(g, rep, k, s):
-    """Sparse, then dense: each report with its failure stream."""
-    sparse = outcome(g, rep, k, s)
-    with mock.patch.object(algebra, "_sparse", lambda g: False):
-        dense = outcome(g, rep, k, s)
-    return sparse, dense
+    """Sparse, then dense: each report with its failure stream.
+
+    Residuals compare by value.  A dense sum leaves ``Fraction`` components
+    where it summed no ``QuadExt`` term, so on tables that mix the two the
+    types can differ; the sparse residuals must follow the operator's rule,
+    a ``QuadExt`` in every entry exactly when its kernel has a discriminant.
+    """
+    kind = QuadExt if _operator(g, rep, k, s).kernel.d is not None else F
+
+    def typed(value):
+        assert all(type(x) is kind for x in value), value
+        return tuple(value)
+
+    return outcome(g, rep, k, s, residual=typed), outcome(g, rep, k, s, checks=reference)
 
 
 @settings(max_examples=10, deadline=None)
@@ -200,11 +212,9 @@ def test_mixed_discriminants_raise():
     )
     broken = Representation(g, 4, rho, rep.phi)
     for k in (0, 1):
-        with pytest.raises(BackendMismatchError, match="mixed discriminants"):
-            check_d_squared(g, broken, k, 0)
-        with mock.patch.object(algebra, "_sparse", lambda g: False):
+        for check in (check_d_squared, reference.check_d_squared):
             with pytest.raises(BackendMismatchError, match="mixed discriminants"):
-                check_d_squared(g, broken, k, 0)
+                check(g, broken, k, 0)
 
 
 def test_rational_algebra_takes_a_quadratic_representation():
@@ -264,8 +274,7 @@ def assert_image_matches_dense(rep, eta, s, uniform):
     the dense loop leaves ``Fraction(0)`` where no ``QuadExt`` term was summed.
     """
     image = coboundary(eta, rep, s)
-    with mock.patch.object(algebra, "_sparse", lambda g: False):
-        dense = coboundary(eta, rep, s)
+    dense = reference.coboundary(eta, rep, s)
     assert (image.k, image.n, image.m) == (dense.k, dense.n, dense.m)
     assert list(image.table) == list(dense.table)
     quad = quadratic(rep.g, rep, eta)
@@ -338,19 +347,20 @@ def raised(call, *args):
     return None
 
 
-def test_mixed_discriminants_raise_in_coboundary(both_paths):
+def test_mixed_discriminants_raise_in_coboundary():
     other = QuadExt(0, 1, F(2))
     quad = FAMILIES[("se4", F(1, 2))]
     eta = cochain(1, 4, 4, {(0,): (other, 1, 0, 0)})
     rational = FAMILIES[("se4", F(0))]
     mixed = cochain(0, 4, 4, {(): (QuadExt(1, 1, F(5, 4)), other, 0, 0)})
     for rep, cochain_ in ((adjoint(quad), eta), (adjoint(rational), mixed)):
-        fast, dense = both_paths(raised, coboundary, cochain_, rep, 0)
+        fast = raised(coboundary, cochain_, rep, 0)
+        dense = raised(reference.coboundary, cochain_, rep, 0)
         assert fast[0] is BackendMismatchError and dense[0] is BackendMismatchError
         assert "mixed discriminants" in fast[1] and "mixed discriminants" in dense[1]
 
 
-def test_coboundary_refuses_a_cochain_of_another_shape(both_paths):
+def test_coboundary_refuses_a_cochain_of_another_shape():
     g = FAMILIES[("se4", F(1, 2))]
     zero = zero_representation(g, 4, identity(4))
     cases = [
@@ -360,19 +370,20 @@ def test_coboundary_refuses_a_cochain_of_another_shape(both_paths):
         (cochain(1, 3, 4, {(0,): (1, 0, 0, 0)}), adjoint(g), "on 3 generators"),
     ]
     for eta, rep, phrase in cases:
-        fast, dense = both_paths(raised, coboundary, eta, rep, 0)
+        fast, dense = raised(coboundary, eta, rep, 0), raised(reference.coboundary, eta, rep, 0)
         assert fast == dense
         assert fast[0] is DimensionError and phrase in fast[1]
 
 
-def test_negative_s_raises_in_every_degree(both_paths):
+def test_negative_s_raises_in_every_degree():
     g = FAMILIES[("gl2", F(1, 2))]
     rep = adjoint(g)
     for k in range(6):
         eta = cochain(k, 4, 4)
-        fast, dense = both_paths(raised, coboundary, eta, rep, -1)
+        fast = raised(coboundary, eta, rep, -1)
+        dense = raised(reference.coboundary, eta, rep, -1)
         assert fast == dense == (ValueError, "the operator family is indexed by s >= 0")
-        assert len(both_paths(coboundary, eta, rep, 0)[0].table) == len(list(
+        assert len(coboundary(eta, rep, 0).table) == len(list(
             itertools.combinations(range(4), k + 1)))
 
 
@@ -394,18 +405,17 @@ def test_exact_paths_never_evaluate_the_dense_formula(monkeypatch):
             for key in itertools.combinations(range(4), k)
         }
         images.append((cochain(k, 4, 4, values), rep, s))
-        with mock.patch.object(algebra, "_sparse", lambda g: False):
-            want.append(coboundary(*images[-1]).table)
+        want.append(reference.coboundary(*images[-1]).table)
     g = mutated(FAMILIES[("se4", F(1, 2))], 0, 1, 1, 1)
     rep = zero_representation(g, 4, identity(4))
-    with mock.patch.object(algebra, "_sparse", lambda g: False):
-        dense_stream = repr(list(d_squared_failures(g, rep, 2, 0)))
+    dense_stream = repr(list(reference.d_squared_failures(g, rep, 2, 0)))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the dense formula ran")
 
     for name in ("coboundary_at", "cochain_eval", "bracket_eval"):
-        monkeypatch.setattr(cohomology, name, forbidden)
+        monkeypatch.setattr(reference, name, forbidden)
+    monkeypatch.setattr(algebra, "bracket_eval", forbidden)
     for (eta, rep_, s), table in zip(images, want):
         assert coboundary(eta, rep_, s).table == table
     assert not check_d_squared(g, rep, 2, 0).passed

@@ -8,10 +8,8 @@ from skewhom.cohomology import (
     Cochain,
     check_d_squared,
     coboundary,
-    coboundary_at,
     cochain,
     cochain_add,
-    cochain_eval,
     cochain_from_dict,
     cochain_scale,
     load_cochain,
@@ -39,6 +37,7 @@ from skewhom.linalg import (
 )
 from skewhom.representation import Representation, zero_representation
 
+from reference import coboundary_at, cochain_eval
 from strategies import int_vectors
 
 

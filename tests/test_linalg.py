@@ -58,14 +58,14 @@ def test_det_examples():
     assert det(mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]])) == -1
     alpha, be = alpha_theta(1)
     # [[-1, sqrt2], [-sqrt2, 1]] has determinant -1 + 2 = 1
-    assert det(alpha, be) == 1
+    assert det(alpha) == 1
 
 
 def test_det_of_quadratic_matrix_stays_exact():
     be = quadratic_backend(1)
     s = be.sqrt_d
     m = mat([[s, 1], [1, s]])
-    assert det(m, be) == 1  # s*s - 1 = 2 - 1
+    assert det(m) == 1  # s*s - 1 = 2 - 1
 
 
 def test_wedge3_basis_example():
@@ -158,14 +158,6 @@ def test_det3_matches_the_full_expansion_on_exact_rows(rows):
     assert repr(_det3(rows)) == repr(full_det3(rows))
 
 
-@settings(max_examples=200, deadline=None)
-@given(det3_rows(st.one_of(
-    st.just(0.0), st.just(-0.0), st.floats(-3, 3, allow_nan=False), st.integers(-2, 2), SMALL
-)))
-def test_det3_keeps_the_full_expansion_on_float_rows(rows):
-    assert repr(_det3(rows)) == repr(full_det3(rows))
-
-
 @settings(max_examples=100, deadline=None)
 @given(det3_rows(st.one_of(
     EXACT_ENTRIES, st.builds(lambda a, b: QuadExt(a, b, F(2)), SMALL, SMALL)
@@ -203,7 +195,7 @@ def test_mixed_quadratic_and_rational_entries():
     be = quadratic_backend(1)
     s = be.sqrt_d
     m = mat([[F(1), s], [s, F(3)]])
-    inv = mat_inv(m, be)
+    inv = mat_inv(m)
     assert mat_mul(inv, m) == identity(2)
 
 
@@ -216,13 +208,13 @@ def test_mat_pow_cache_is_bounded():
 def test_mat_pow_cache_keeps_the_scalar_types_of_equal_matrices():
     from skewhom.scalars import QuadExt
 
-    # 3 == 3.0 == QuadExt(3, 0, d), with equal hashes, so the three matrices
+    # 3 == F(3) == QuadExt(3, 0, d), with equal hashes, so the three matrices
     # below are equal keys unless the cache tells their types apart
     d = F(5, 4)
     quad = ((QuadExt(0, 0, d), F(0)), (F(0), QuadExt(3, 0, d)))
     rational = ((F(0), F(0)), (F(0), F(3)))
-    floats = ((0.0, 0.0), (0.0, 3.0))
-    for a in (quad, rational, floats, rational, quad):
+    ints = ((0, 0), (0, 3))
+    for a in (quad, rational, ints, rational, quad):
         assert repr(mat_pow(a, 2)) == repr(mat_mul(a, a))
         assert repr(mat_pow(a, 3)) == repr(mat_mul(mat_mul(a, a), a))
     other = ((QuadExt(1, 0, F(2)), F(0)), (F(0), QuadExt(3, 0, F(2))))

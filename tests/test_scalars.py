@@ -7,7 +7,7 @@ from skewhom.errors import BackendMismatchError, ZeroDivisorError
 from skewhom.scalars import (
     QuadExt,
     ScalarBackend,
-    float_backend,
+    as_rational,
     format_scalar,
     parse_scalar,
     quadratic_backend,
@@ -82,23 +82,40 @@ def test_nondegenerate_backend_root():
     assert s * s == 2
 
 
-def test_float_backend_zero_test():
-    be = float_backend(1e-9)
-    assert be.is_zero(5e-10)
-    assert not be.is_zero(1e-6)
-    assert be.eq(1.0, 1.0 + 1e-12)
+def test_floats_are_refused():
+    with pytest.raises(ValueError, match="unknown backend kind 'float'"):
+        ScalarBackend("float")
+    with pytest.raises(ValueError, match="unknown backend kind 'float'"):
+        ScalarBackend.from_json({"kind": "float", "tol": 1e-9})
+    for be in (rational_backend(), quadratic_backend(F(1, 2))):
+        with pytest.raises(TypeError):
+            be.coerce(0.5)
+        for value in (1.5, float("nan"), float("inf"), True, None):
+            with pytest.raises(TypeError, match="not a scalar"):
+                parse_scalar(value, be)
+    with pytest.raises(TypeError):
+        quadratic_backend(0.5)
+
+
+def test_a_zero_denominator_is_a_value_error():
+    for text in ("1/0", "-3/0", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            as_rational(text)
+    with pytest.raises(ValueError, match="zero denominator"):
+        quadratic_backend("1/0")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_scalar({"a": "1", "b": "1/0"}, quadratic_backend(F(1, 2)))
 
 
 def test_only_the_quadratic_backend_takes_theta():
-    for kind in ("float", "rational"):
-        with pytest.raises(ValueError, match="takes no theta"):
-            ScalarBackend(kind, F(1, 2))
+    with pytest.raises(ValueError, match="takes no theta"):
+        ScalarBackend("rational", F(1, 2))
     with pytest.raises(ValueError, match="designated root"):
-        float_backend().sqrt_d
+        rational_backend().sqrt_d
 
 
 def test_backend_json_round_trip():
-    for be in (rational_backend(), quadratic_backend(F(1, 2)), float_backend(1e-6)):
+    for be in (rational_backend(), quadratic_backend(F(1, 2))):
         assert ScalarBackend.from_json(be.to_json()) == be
 
 
