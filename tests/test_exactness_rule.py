@@ -19,7 +19,7 @@ from skewhom.algebra import (
     check_twist_sign,
     classify,
 )
-from skewhom.cohomology import check_d_squared, cochain, coboundary
+from skewhom.cohomology import check_d_squared, cochain, coboundary, d_squared_failures
 from skewhom.constructions import build_semi_euclidean, check_pseudo_adjoint_identity
 from skewhom.linalg import basis_vec, identity, zero_mat
 from skewhom.representation import Representation, check_representation, zero_representation
@@ -49,6 +49,18 @@ def float_rep():
     return Representation(se4(), 4, tuple(tuple(map(tuple, r)) for r in rho), identity(4))
 
 
+def on_float_stored(check):
+    """``check`` of the float-stored algebra and its zero representation on ``dim`` 3."""
+    g = float_stored()
+    return check(g, zero_representation(g, 3))
+
+
+def on_float_rep(check):
+    """``check`` of se4 and the float rho."""
+    rep = float_rep()
+    return check(rep.g, rep)
+
+
 FLOAT_IDENTITY = tuple(tuple(float(r == c) for c in range(4)) for r in range(4))
 
 CHECKS = {
@@ -57,15 +69,21 @@ CHECKS = {
     "twist sign": lambda: check_twist_sign(float_stored()),
     "classify": lambda: classify(float_twist()),
     "power sign m=2": lambda: check_power_sign_law(float_stored(), 2),
-    "bracket_eval": lambda: bracket_eval(se4(), (0.5, F(0), F(0), F(0)), basis_vec(4, 1)),
+    "bracket_eval": lambda: bracket_eval(float_stored(), (F(1), F(2), F(0)), (F(0), F(1), F(3))),
+    "bracket_eval, float argument": lambda: bracket_eval(se4(), (0.5, F(0), F(0), F(0)), basis_vec(4, 1)),
     "morphism into itself": lambda: (lambda g: check_morphism(FLOAT_IDENTITY, g, g, 1))(se4()),
     "morphism into a second algebra": lambda: check_morphism(FLOAT_IDENTITY, se4(), se4(), 1),
     "pseudo-adjoint identity": lambda: check_pseudo_adjoint_identity(float_stored()),
-    "representation": lambda: check_representation(float_rep()),
+    "representation": lambda: on_float_stored(lambda g, rep: check_representation(rep)),
+    "float rho": lambda: check_representation(float_rep()),
     "coboundary": lambda: coboundary(
         cochain(1, 4, 4, {(0,): (0.5, F(0), F(0), F(0))}), zero_representation(se4(), 4), 0
     ),
-    "d squared": lambda: check_d_squared(se4(), float_rep(), 1, 0),
+    "d squared": lambda: on_float_stored(lambda g, rep: check_d_squared(g, rep, 1, 0)),
+    "d squared k=0": lambda: on_float_rep(lambda g, rep: check_d_squared(g, rep, 0, 0)),
+    "d squared k=1": lambda: on_float_rep(lambda g, rep: check_d_squared(g, rep, 1, 0)),
+    "d squared k=2": lambda: on_float_rep(lambda g, rep: check_d_squared(g, rep, 2, 0)),
+    "d squared failures s=1": lambda: on_float_rep(lambda g, rep: list(d_squared_failures(g, rep, 1, 1))),
     "semi-Euclidean theta": lambda: build_semi_euclidean(0.5),
     "V* closure theta": lambda: check_vstar_closure(0.5),
 }

@@ -191,6 +191,20 @@ def test_mixed_discriminants_raise_or_pass_as_in_the_dense_loop():
     assert outcome(bracket_eval, *cases[2]) == "BackendMismatchError"
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES, key=str)), st.data())
+def test_float_arguments_raise_type_error(family, data):
+    # one nonzero float among exact entries and float zeros is refused
+    g = FAMILIES[family]
+    entry = st.one_of(st.just(0), st.just(F(1)), st.just(0.0), st.just(-0.0))
+    x = list(data.draw(st.tuples(*[entry] * g.dim)))
+    y = list(data.draw(st.tuples(*[entry] * g.dim)))
+    at = data.draw(st.integers(0, 2 * g.dim - 1))
+    (x if at < g.dim else y)[at % g.dim] = data.draw(st.floats(-3, 3, allow_nan=False).filter(bool))
+    with pytest.raises(TypeError):
+        bracket_eval(g, tuple(x), tuple(y))
+
+
 # --- witness residuals read the pairs
 
 SE4_HALF_MUTATED = (("se4", F(1, 2)), 0, 1, 0, 1)

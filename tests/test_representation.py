@@ -457,6 +457,15 @@ def test_exact_bracket_witness_reads_the_pairs_not_the_dense_view():
     assert repr(report.witness.residual) == repr(dense.witness.residual)
 
 
+def test_a_float_rho_raises_type_error():
+    # the kernel takes exact scalars only; a float entry of rho is refused
+    for p, q in ((1.0, 0.0), (1.0, 0.5), (F(1), 0.5)):
+        rep = spin_representation(F(1), F(0))
+        rho = (anticommuting(p, q),) + rep.rho[1:]
+        with pytest.raises(TypeError):
+            check_representation(Representation(SE4_ZERO, 2, rho, PHI))
+
+
 @pytest.mark.parametrize("family", ["se4", "gl2"])
 def test_exact_passing_checks_take_no_dense_product(monkeypatch, family):
     theta = F(1, 2)
