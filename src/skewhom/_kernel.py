@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import BackendMismatchError
-from .scalars import QuadExt
+from .scalars import QuadExt, _quad
 
 Pair = Tuple[int, int]
 Sparse = Dict[int, Pair]
@@ -114,16 +114,17 @@ class Kernel:
         """``values`` as integer pairs over one common scale (``None`` for zero)."""
         split: List[Optional[Tuple[Fraction, Fraction]]] = []
         for x in values:
+            # the type first: a float zero is refused, not read as an exact zero
+            if not isinstance(x, (int, Fraction, QuadExt)):
+                raise TypeError(f"not an exact scalar: {x!r}")
             if not x:
                 split.append(None)
             elif isinstance(x, QuadExt):
                 if x.d != self.d:
                     raise BackendMismatchError(f"mixed discriminants {self.d} and {x.d}")
                 split.append((x.a, x.b / self.dd))
-            elif isinstance(x, (int, Fraction)):
-                split.append((Fraction(x), Fraction(0)))
             else:
-                raise TypeError(f"not an exact scalar: {x!r}")
+                split.append((Fraction(x), Fraction(0)))
         scale = math.lcm(*(q.denominator for p in split if p is not None for q in p))
         return [
             None if p is None else ((p[0] * scale).numerator, (p[1] * scale).numerator)
@@ -148,7 +149,7 @@ class Kernel:
         a, b = x
         if self.d is None:
             return Fraction(a, scale)
-        return QuadExt(Fraction(a, scale), Fraction(b * self.dd, scale), self.d)
+        return _quad(Fraction(a, scale), Fraction(b * self.dd, scale), self.d)
 
     def product(self, a: Rows, b: Rows) -> Rows:
         """``a b``, scaled by the product of their scales."""

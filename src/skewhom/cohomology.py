@@ -160,7 +160,9 @@ def _operator(g: HomAlgebra, rep: Representation, k: int, s: int) -> Coboundary:
     every rho(e_t) is over ``L_rho``, so every ``M_t`` is over the positive
     integer ``L_pre * L_rho * L_post``; :class:`skewhom._kernel.Coboundary`,
     which has the entries, takes it into its own scale.  A zero rho gives
-    zero blocks on the algebra's kernel.
+    zero blocks on the algebra's kernel; phi is still compiled, so a float
+    in it raises ``TypeError`` there too, as in
+    :func:`skewhom.representation.check_representation`.
     """
     if s < 0:
         raise ValueError("the operator family is indexed by s >= 0")
@@ -171,6 +173,7 @@ def _operator(g: HomAlgebra, rep: Representation, k: int, s: int) -> Coboundary:
         post = mat_pow(rep.phi, -(k + 2 + s))
         conj, scale = rep.kernel.conjugated(pre, post)
         return Coboundary(rep.kernel.kernel, k, rep.m, conj, scale)
+    rep.kernel  # compiled for its type and discriminant checks only
     return Coboundary(g.kernel, k, rep.m, [[{}] * rep.m] * g.dim, 1)
 
 

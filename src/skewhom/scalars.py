@@ -10,6 +10,7 @@ the file formats.  Floats are refused.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -18,20 +19,41 @@ from .errors import BackendMismatchError, ZeroDivisorError
 
 Rational = Fraction
 
+# The largest decimal exponent ("1e4300") a scalar string may carry, the digit
+# count CPython's int() accepts from a string by default.  Fraction expands an
+# exponent into a power of ten, so "1e2000000000" alone would ask for ~830 MB.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
 
 def as_rational(value: Union[int, str, Fraction]) -> Fraction:
     """Coerce ints, ``"p/q"`` strings, and Fractions to an exact rational.
 
-    A zero denominator raises ``ValueError``, like any other malformed string.
+    A zero denominator raises ``ValueError``, like any other malformed string,
+    and so does a decimal exponent past ``MAX_DECIMAL_EXPONENT`` in absolute
+    value.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        _check_exponent(value)
     if isinstance(value, (int, str)):
         try:
             return Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _check_exponent(text: str) -> None:
+    match = _EXPONENT.search(text)
+    if match is None:
+        return
+    digits = match.group(1).replace("_", "").lstrip("0")
+    if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(
+            f"decimal exponent in {text[:40]!r} exceeds {MAX_DECIMAL_EXPONENT} in absolute value"
+        )
 
 
 def rational_is_square(q: Fraction) -> Optional[Fraction]:
@@ -54,7 +76,6 @@ def _fraction_sign(q: Fraction) -> int:
     return (q > 0) - (q < 0)
 
 
-@dataclass(frozen=True, eq=False)
 class QuadExt:
     """Element ``a + b*s`` of the ring Q[s]/(s**2 - d).
 
@@ -62,57 +83,77 @@ class QuadExt:
     When ``d`` is not a perfect rational square the ring is a field and each
     nonzero element is invertible; otherwise :meth:`inverse` can hit a zero
     divisor and raises.
+
+    Elements are immutable: assigning a field raises ``AttributeError``.
+    ``QuadExt(a, b, d)`` normalises each field with :func:`as_rational`;
+    arithmetic results are built by :func:`_quad` from fields that are
+    already ``Fraction``s.  An ``int`` or ``Fraction`` operand is used as is,
+    not lifted to a ``QuadExt``.
     """
 
-    a: Fraction
-    b: Fraction
-    d: Fraction
+    __slots__ = ("a", "b", "d")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", as_rational(self.a))
-        object.__setattr__(self, "b", as_rational(self.b))
-        object.__setattr__(self, "d", as_rational(self.d))
+    def __init__(self, a, b, d) -> None:
+        _set_a(self, as_rational(a))
+        _set_b(self, as_rational(b))
+        _set_d(self, as_rational(d))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"QuadExt is immutable; cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"QuadExt is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return QuadExt, (self.a, self.b, self.d)
+
+    def _same_d(self, other: "QuadExt") -> Fraction:
+        d = self.d
+        if other.d is not d and other.d != d:
+            raise BackendMismatchError(f"mixed discriminants {d} and {other.d}")
+        return d
 
     def _lift(self, other: object) -> Optional["QuadExt"]:
         if isinstance(other, QuadExt):
-            if other.d != self.d:
-                raise BackendMismatchError(
-                    f"mixed discriminants {self.d} and {other.d}"
-                )
+            self._same_d(other)
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExt(as_rational(other), Fraction(0), self.d)
+            return _quad(as_rational(other), _ZERO, self.d)
         return None
 
     def __add__(self, other: object) -> "QuadExt":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self.d)
+        if isinstance(other, QuadExt):
+            return _quad(self.a + other.a, self.b + other.b, self._same_d(other))
+        if isinstance(other, (int, Fraction)):
+            return _quad(self.a + other, self.b, self.d)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "QuadExt":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b, self.d)
+        if isinstance(other, QuadExt):
+            return _quad(self.a - other.a, self.b - other.b, self._same_d(other))
+        if isinstance(other, (int, Fraction)):
+            return _quad(self.a - other, self.b, self.d)
+        return NotImplemented
 
     def __rsub__(self, other: object) -> "QuadExt":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(o.a - self.a, o.b - self.b, self.d)
+        if isinstance(other, (int, Fraction)):
+            return _quad(other - self.a, -self.b, self.d)
+        return NotImplemented
 
     def __mul__(self, other: object) -> "QuadExt":
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(
-            self.a * o.a + self.b * o.b * self.d,
-            self.a * o.b + self.b * o.a,
-            self.d,
-        )
+        if isinstance(other, QuadExt):
+            d = self._same_d(other)
+            a, b, c, e = self.a, self.b, other.a, other.b
+            if not b:
+                return _quad(a * c, a * e, d)
+            if not e:
+                return _quad(a * c, b * c, d)
+            return _quad(a * c + b * e * d, a * e + b * c, d)
+        if isinstance(other, (int, Fraction)):
+            return _quad(self.a * other, self.b * other, self.d)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -129,14 +170,14 @@ class QuadExt:
         return o * self.inverse()
 
     def __neg__(self) -> "QuadExt":
-        return QuadExt(-self.a, -self.b, self.d)
+        return _quad(-self.a, -self.b, self.d)
 
     def __pow__(self, exponent: int) -> "QuadExt":
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        out = QuadExt(Fraction(1), Fraction(0), self.d)
+        out = _quad(_ONE, _ZERO, self.d)
         base = self
         n = exponent
         while n:
@@ -148,26 +189,23 @@ class QuadExt:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadExt):
-            if other.d != self.d:
-                raise BackendMismatchError(
-                    f"mixed discriminants {self.d} and {other.d}"
-                )
+            self._same_d(other)
             return self.a == other.a and self.b == other.b
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return not self.b and self.a == other
         return NotImplemented
 
     def __hash__(self) -> int:
         # b == 0 elements must hash like the rationals they equal
-        if self.b == 0:
+        if not self.b:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
     def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
+        return bool(self.a) or bool(self.b)
 
     def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
+        return _quad(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
         """Conjugate norm ``a**2 - b**2 * d`` (a plain rational)."""
@@ -177,7 +215,7 @@ class QuadExt:
         n = self.norm()
         if n == 0:
             raise ZeroDivisorError(f"{self} has conjugate norm 0")
-        return QuadExt(self.a / n, -self.b / n, self.d)
+        return _quad(self.a / n, -self.b / n, self.d)
 
     def sign(self) -> int:
         """Sign under the real embedding with ``s`` the positive root of ``d``."""
@@ -209,6 +247,20 @@ class QuadExt:
         return f"{self.a} {op} {abs(self.b)}*s"
 
 
+_set_a, _set_b, _set_d = QuadExt.a.__set__, QuadExt.b.__set__, QuadExt.d.__set__
+_new = object.__new__
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _quad(a: Fraction, b: Fraction, d: Fraction) -> QuadExt:
+    """``QuadExt(a, b, d)`` for fields that are already ``Fraction``s, unnormalised."""
+    q = _new(QuadExt)
+    _set_a(q, a)
+    _set_b(q, b)
+    _set_d(q, d)
+    return q
+
+
 @dataclass(frozen=True)
 class ScalarBackend:
     """Selects the element kind all scalars of one computation share.
@@ -231,38 +283,43 @@ class ScalarBackend:
             if self.theta is None:
                 raise ValueError("quadratic backend requires a rational theta")
             object.__setattr__(self, "theta", as_rational(self.theta))
+            # one discriminant object, shared by every element of this backend
+            d = 1 + self.theta * self.theta
+            root = rational_is_square(d)
+            object.__setattr__(self, "_d", d)
+            object.__setattr__(self, "_root", root if root is not None else _quad(_ZERO, _ONE, d))
+            object.__setattr__(self, "_degenerate", root is not None)
         elif self.theta is not None:
             raise ValueError(f"a {self.kind} backend takes no theta")
+        else:
+            object.__setattr__(self, "_degenerate", False)
 
     @property
     def d(self) -> Fraction:
         """Extension discriminant ``1 + theta**2`` (quadratic backends only)."""
         if self.kind != "quadratic":
             raise ValueError("discriminant exists only for quadratic backends")
-        return 1 + self.theta * self.theta
+        return self._d
 
     @property
     def degenerate(self) -> bool:
         """True when the designated root is itself rational."""
-        return self.kind == "quadratic" and rational_is_square(self.d) is not None
+        return self._degenerate
 
     @property
     def sqrt_d(self) -> Union[Fraction, QuadExt]:
         """The designated square root of ``1 + theta**2`` as a backend scalar."""
         if self.kind != "quadratic":
             raise ValueError("only a quadratic backend carries a designated root")
-        root = rational_is_square(self.d)
-        if root is not None:
-            return root
-        return QuadExt(Fraction(0), Fraction(1), self.d)
+        return self._root
 
     def coerce(self, value: object):
         """Normalize ``value`` into this backend's scalar type; a float raises ``TypeError``."""
         if isinstance(value, QuadExt):
-            if self.kind != "quadratic" or value.d != self.d:
+            if self.kind != "quadratic" or (value.d is not self._d and value.d != self._d):
                 raise BackendMismatchError(f"{value!r} does not belong to this backend")
-            if self.degenerate:
-                return value.a + value.b * self.sqrt_d
+            if self._degenerate:
+                return value.a + value.b * self._root
             return value
         return as_rational(value)
 

@@ -12,17 +12,19 @@ discriminant.
 
 ``REFERENCE`` maps each public checker to its reference here; the
 ``both_paths`` fixture runs a checker and its reference on the same input.
+``DataclassQuadExt`` is the frozen-dataclass ``QuadExt`` that the slotted
+class replaced, kept as the reference for its arithmetic.
 """
 
 import itertools
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 
 from skewhom import algebra, cohomology, constructions, representation
 from skewhom.algebra import CheckReport, TwistSign, Witness
 from skewhom.cohomology import Cochain, _check_size, cochain, d_squared_report
-from skewhom.errors import BackendMismatchError, DimensionError
+from skewhom.errors import BackendMismatchError, DimensionError, ZeroDivisorError
 from skewhom.linalg import (
     basis_vec,
     mat,
@@ -42,6 +44,7 @@ from skewhom.linalg import (
     zero_vec,
 )
 from skewhom.representation import rho_eval
+from skewhom.scalars import _fraction_sign, as_rational
 
 
 def bracket_eval(g, x, y):
@@ -314,3 +317,129 @@ REFERENCE = {
     cohomology.d_squared_failures: d_squared_failures,
     cohomology.check_d_squared: check_d_squared,
 }
+
+
+@dataclass(frozen=True, eq=False)
+class DataclassQuadExt:
+    """``skewhom.scalars.QuadExt`` as a frozen dataclass that normalises every result."""
+
+    a: Fraction
+    b: Fraction
+    d: Fraction
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "a", as_rational(self.a))
+        object.__setattr__(self, "b", as_rational(self.b))
+        object.__setattr__(self, "d", as_rational(self.d))
+
+    def _lift(self, other):
+        if isinstance(other, DataclassQuadExt):
+            if other.d != self.d:
+                raise BackendMismatchError(f"mixed discriminants {self.d} and {other.d}")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return DataclassQuadExt(as_rational(other), Fraction(0), self.d)
+        return None
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return DataclassQuadExt(self.a + o.a, self.b + o.b, self.d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return DataclassQuadExt(self.a - o.a, self.b - o.b, self.d)
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return DataclassQuadExt(o.a - self.a, o.b - self.b, self.d)
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return DataclassQuadExt(
+            self.a * o.a + self.b * o.b * self.d, self.a * o.b + self.b * o.a, self.d
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __neg__(self):
+        return DataclassQuadExt(-self.a, -self.b, self.d)
+
+    def __pow__(self, exponent):
+        if not isinstance(exponent, int):
+            return NotImplemented
+        if exponent < 0:
+            return self.inverse() ** (-exponent)
+        out = DataclassQuadExt(Fraction(1), Fraction(0), self.d)
+        base = self
+        n = exponent
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, DataclassQuadExt):
+            if other.d != self.d:
+                raise BackendMismatchError(f"mixed discriminants {self.d} and {other.d}")
+            return self.a == other.a and self.b == other.b
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        return NotImplemented
+
+    def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.d))
+
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
+
+    def norm(self):
+        return self.a * self.a - self.b * self.b * self.d
+
+    def inverse(self):
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisorError(f"{self} has conjugate norm 0")
+        return DataclassQuadExt(self.a / n, -self.b / n, self.d)
+
+    def sign(self):
+        if self.d <= 0:
+            raise ValueError("sign is defined only for positive discriminants")
+        if self.b == 0:
+            return _fraction_sign(self.a)
+        if self.a == 0:
+            return _fraction_sign(self.b)
+        sa, sb = _fraction_sign(self.a), _fraction_sign(self.b)
+        if sa == sb:
+            return sa
+        t = self.norm()
+        if t > 0:
+            return sa
+        if t < 0:
+            return sb
+        return 0

@@ -522,6 +522,9 @@ def _malformed(kind, path, value, tmp_path):
         pytest.param("rational", ["bracket", 0, "value", 0], float("nan"), "bracket[0]", id="nan-in-bracket"),
         pytest.param("rational", ["twist", 0, 0], float("inf"), "twist[0]", id="infinity-in-twist"),
         pytest.param("rational", ["bracket", 0, "i"], "1e400", "bracket[0]", id="exponent-string-index"),
+        pytest.param("rational", ["bracket", 0, "value", 0], "1e4301", "bracket[0]", id="huge-exponent-scalar"),
+        pytest.param("quadratic", ["twist", 0, 0], {"a": "1", "b": "-1e-4301"}, "twist[0]", id="huge-exponent-surd"),
+        pytest.param("quadratic", ["backend", "theta"], "1e4301", "dim/backend", id="huge-exponent-theta"),
         pytest.param("rational", ["backend", "kind"], "float", "dim/backend", id="float-kind"),
         pytest.param("quadratic", ["backend", "theta"], float("nan"), "dim/backend", id="nan-theta"),
         pytest.param("quadratic", ["backend", "theta"], True, "dim/backend", id="bool-theta"),

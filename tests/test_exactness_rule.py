@@ -4,6 +4,7 @@ All checks run on the integer-pair kernel, which takes exact scalars only.
 So a float stored in an algebra (a pair value or the twist), passed as a
 check's own scalar (an argument, a morphism matrix, rho, a cochain value) or
 given as theta raises ``TypeError``; nothing is computed in floating point.
+A float zero is refused too, and so is a float phi beside a zero rho.
 """
 
 from fractions import Fraction as F
@@ -62,6 +63,7 @@ def on_float_rep(check):
 
 
 FLOAT_IDENTITY = tuple(tuple(float(r == c) for c in range(4)) for r in range(4))
+FLOAT_TWICE = tuple(tuple(2.0 * (r == c) for c in range(4)) for r in range(4))
 
 CHECKS = {
     "jacobi": lambda: check_hom_jacobi(float_stored()),
@@ -71,6 +73,8 @@ CHECKS = {
     "power sign m=2": lambda: check_power_sign_law(float_stored(), 2),
     "bracket_eval": lambda: bracket_eval(float_stored(), (F(1), F(2), F(0)), (F(0), F(1), F(3))),
     "bracket_eval, float argument": lambda: bracket_eval(se4(), (0.5, F(0), F(0), F(0)), basis_vec(4, 1)),
+    "bracket_eval, float zero": lambda: bracket_eval(se4(), (0.0, F(0), F(0), F(0)), basis_vec(4, 1)),
+    "bracket_eval, float -0.0": lambda: bracket_eval(se4(), basis_vec(4, 1), (F(0), -0.0, F(0), F(0))),
     "morphism into itself": lambda: (lambda g: check_morphism(FLOAT_IDENTITY, g, g, 1))(se4()),
     "morphism into a second algebra": lambda: check_morphism(FLOAT_IDENTITY, se4(), se4(), 1),
     "pseudo-adjoint identity": lambda: check_pseudo_adjoint_identity(float_stored()),
@@ -84,6 +88,9 @@ CHECKS = {
     "d squared k=1": lambda: on_float_rep(lambda g, rep: check_d_squared(g, rep, 1, 0)),
     "d squared k=2": lambda: on_float_rep(lambda g, rep: check_d_squared(g, rep, 2, 0)),
     "d squared failures s=1": lambda: on_float_rep(lambda g, rep: list(d_squared_failures(g, rep, 1, 1))),
+    "d squared, zero rho, float phi": lambda: (
+        lambda g: check_d_squared(g, zero_representation(g, 4, FLOAT_TWICE), 1, 0)
+    )(se4()),
     "semi-Euclidean theta": lambda: build_semi_euclidean(0.5),
     "V* closure theta": lambda: check_vstar_closure(0.5),
 }
