@@ -25,7 +25,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Optional, Set, Tuple, Union
 
-from ._kernel import Kernel, Twist
+from ._kernel import Kernel, Twist, _discriminant
 from .errors import BackendMismatchError, DimensionError, FileFormatError
 from .linalg import (
     Mat,
@@ -48,6 +48,10 @@ from .linalg import (
     zero_vec,
 )
 from .scalars import PARSE_ERRORS, QuadExt, ScalarBackend, format_scalar, parse_int, parse_scalar
+
+
+# discriminants whose kernel a rational algebra keeps for kernel_with
+KERNELS_KEPT = 4
 
 
 class Verdict(str, Enum):
@@ -189,10 +193,27 @@ class HomAlgebra:
         """Bracket and twist as sparse integer pairs; a float among them raises ``TypeError``."""
         return Kernel(self.dim, self.pairs, self.twist)
 
+    @cached_property
+    def _quadratic_kernels(self) -> dict:
+        return {}
+
     def kernel_with(self, values: Vec) -> Kernel:
-        """:attr:`kernel`, or one taking the discriminant of ``values`` if ours are rational."""
+        """:attr:`kernel`, or one taking the discriminant of ``values`` if ours are rational.
+
+        Such a kernel differs from :attr:`kernel` only in its discriminant,
+        so it is kept per discriminant; the oldest of ``KERNELS_KEPT`` goes
+        first.  Mixed discriminants among ``values`` raise
+        :class:`BackendMismatchError`.
+        """
         if self.kernel.d is None and any(isinstance(x, QuadExt) and x for x in values):
-            return Kernel(self.dim, self.pairs, self.twist, values)
+            d = _discriminant(values)
+            kernels = self._quadratic_kernels
+            kernel = kernels.get(d)
+            if kernel is None:
+                if len(kernels) >= KERNELS_KEPT:
+                    del kernels[next(iter(kernels))]
+                kernel = kernels[d] = Kernel(self.dim, self.pairs, self.twist, values)
+            return kernel
         return self.kernel
 
 

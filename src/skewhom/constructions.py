@@ -9,8 +9,11 @@
   identically for dim V = 2 (the counterexample scan reports whichever
   holds);
 * the semi-Euclidean family on R^4 with twist ``P(theta)`` and bracket
-  ``[x, y] = wedge3(Px, r, y) - wedge3(Py, r, x)`` built from the null
-  vector ``r(theta)``.
+  defined by ``[x, y] = wedge3(Px, r, y) - wedge3(Py, r, x)`` with the null
+  vector ``r(theta)``, and computed by its closed form
+  :func:`closed_form_bracket`.  P is checked to be ``Ad_alpha(theta)`` and r
+  to be alpha read row by row; with ``alpha**2 = -id`` these give
+  ``P**2 = id`` and ``P r = -r`` (proof in :func:`build_semi_euclidean`).
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .linalg import (
     flatten,
     identity,
     mat,
-    mat_col,
     mat_eq,
     mat_mul,
     mat_neg,
@@ -53,8 +55,6 @@ from .linalg import (
     transpose,
     vec_eq,
     vec_neg,
-    vec_sub,
-    wedge3,
     zero_vec,
 )
 from .scalars import ScalarBackend, as_rational, quadratic_backend, rational_is_square
@@ -313,40 +313,47 @@ def build_semi_euclidean(
 ) -> Tuple[HomAlgebra, SemiEuclideanContext]:
     """The 4-dimensional semi-Euclidean family at a given theta.
 
-    P is written down entrywise and independently re-derived as the matrix
-    of Ad_alpha(theta) on matrix units; any mismatch, or a failure of
-    P**2 = id or P r = -r, aborts with a construction error.  The bracket is
-    ``[e_i, e_j] = wedge3(P e_i, r, e_j) - wedge3(P e_j, r, e_i)`` for i < j.
+    The bracket is defined by ``[x, y] = wedge3(Px, r, y) - wedge3(Py, r, x)``
+    and computed by its expansion :func:`closed_form_bracket` on the six
+    basis pairs i < j; every entry gets the typed zero of r, the type each
+    term of a wedge with r has.
+
+    P is written down entrywise and must equal the matrix of Ad_alpha(theta)
+    on matrix units, with alpha**2 = -id (checked by :class:`GlContext`),
+    and r must be alpha read row by row; any mismatch aborts with a
+    construction error.  With vec the row-major reading, P vec(B) =
+    vec(alpha B alpha) and r = vec(alpha), so the twist's laws follow:
+
+        P**2 vec(B) = vec(alpha**2 B alpha**2) = vec(B), so P**2 = id;
+        P r = vec(alpha alpha alpha) = vec(alpha**3) = vec(-alpha) = -r.
     """
     backend = backend or quadratic_backend(theta)
     P = p_matrix(theta, backend)
     r = r_vector(theta, backend)
 
     alpha, _ = alpha_theta(theta, backend)
-    derived = ad_alpha_matrix(GlContext(2, alpha, backend))
-    if not mat_eq(P, derived):
+    if not mat_eq(P, ad_alpha_matrix(GlContext(2, alpha, backend))):
         raise ConstructionError("twist entries disagree with the Ad_alpha derivation")
-    if not mat_eq(mat_mul(P, P), identity(4)):
-        raise ConstructionError("twist is not an involution")
-    if not vec_eq(mat_vec(P, r), vec_neg(r)):
-        raise ConstructionError("P r = -r failed")
+    if not vec_eq(r, flatten(alpha)):
+        raise ConstructionError("null vector is not alpha read row by row")
 
-    p_cols = [mat_col(P, i) for i in range(4)]
-    basis = [basis_vec(4, i) for i in range(4)]
-    pairs = {
-        (i, j): vec_sub(wedge3(p_cols[i], r, basis[j]), wedge3(p_cols[j], r, basis[i]))
-        for i, j in itertools.combinations(range(4), 2)
-    }
-    # every term of a wedge with r carries an entry of r
-    g = HomAlgebra.from_pairs(4, pairs, P, backend, (_typed_zero(r),) * 4)
     ctx = SemiEuclideanContext(
         backend.coerce(theta), _root_one_plus_sq(theta, backend), P, r, backend
     )
+    # every term of a wedge with r carries an entry of r
+    zero = _typed_zero(r)
+    # int units keep the closed form's arithmetic on ctx's two scalars
+    units = [tuple(int(k == i) for k in range(4)) for i in range(4)]
+    pairs = {}
+    for i, j in itertools.combinations(range(4), 2):
+        a = zero + closed_form_bracket(ctx, units[i], units[j])[0]
+        pairs[(i, j)] = (a, zero, zero, a)
+    g = HomAlgebra.from_pairs(4, pairs, P, backend, (zero,) * 4)
     return g, ctx
 
 
 def closed_form_bracket(ctx: SemiEuclideanContext, x: Vec, y: Vec) -> Vec:
-    """Independent closed form of the semi-Euclidean bracket: (a, 0, 0, a).
+    """Closed form of the semi-Euclidean bracket: (a, 0, 0, a).
 
     In 1-based coordinates,
 

@@ -108,13 +108,24 @@ def _plane_basis(plane) -> tuple:
     return (one, zero, s, zero), (zero, one, zero, s)
 
 
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise ValueError("sample count must be non-negative")
+
+
 def vstar_draws(ctx: SemiEuclideanContext, count: int, seed: int = 0) -> Iterator[Vec]:
     """``count`` members of V*, drawn plane by plane, one at a time.
 
     Member t is p b1 + q b2 for the basis (b1, b2) of ``PLANES[t % 4]``,
     with integers p, q in -SPAN..SPAN.  Every draw is a member, and any
-    four consecutive draws visit all four planes.
+    four consecutive draws visit all four planes.  A negative ``count``
+    raises ``ValueError`` when called, before any draw.
     """
+    _check_count(count)
+    return _draws(ctx, count, seed)
+
+
+def _draws(ctx: SemiEuclideanContext, count: int, seed: int) -> Iterator[Vec]:
     rng = Random(seed)
     for t in range(count):
         b1, b2 = _plane_basis(PLANES[t % 4])
@@ -134,8 +145,9 @@ def check_vstar_closure(
 
     (a) bracket values of random integer vector pairs land in V*;
     (b) P images of generated V* members stay in V*.  Exact arithmetic
-    throughout.
+    throughout.  A negative ``samples`` raises ``ValueError``.
     """
+    _check_count(samples)
     g, ctx = build_semi_euclidean(theta)
     backend = ctx.backend
     rng = Random(seed)

@@ -10,7 +10,9 @@ the kernel's.  Their types can differ on tables that mix ``Fraction`` and
 summed no ``QuadExt`` term, while the kernel types every entry by its
 discriminant.
 
-``REFERENCE`` maps each public checker to its reference here; the
+``build_semi_euclidean`` is the se4 build from its ``wedge3`` definition,
+with the dense re-checks of P that the closed-form build proves instead.
+``REFERENCE`` maps each public checker, and the se4 build, to its reference; the
 ``both_paths`` fixture runs a checker and its reference on the same input.
 ``DataclassQuadExt`` is the frozen-dataclass ``QuadExt`` that the slotted
 class replaced, kept as the reference for its arithmetic.
@@ -24,12 +26,19 @@ from functools import cache
 from skewhom import algebra, cohomology, constructions, representation
 from skewhom.algebra import CheckReport, TwistSign, Witness
 from skewhom.cohomology import Cochain, _check_size, cochain, d_squared_report
-from skewhom.errors import BackendMismatchError, DimensionError, ZeroDivisorError
+from skewhom.errors import (
+    BackendMismatchError,
+    ConstructionError,
+    DimensionError,
+    ZeroDivisorError,
+)
 from skewhom.linalg import (
     basis_vec,
+    identity,
     mat,
     mat_add,
     mat_col,
+    mat_eq,
     mat_is_zero,
     mat_mul,
     mat_pow,
@@ -37,14 +46,16 @@ from skewhom.linalg import (
     mat_vec,
     transpose,
     vec_add,
+    vec_eq,
     vec_is_zero,
     vec_neg,
     vec_scale,
     vec_sub,
+    wedge3,
     zero_vec,
 )
 from skewhom.representation import rho_eval
-from skewhom.scalars import _fraction_sign, as_rational
+from skewhom.scalars import _fraction_sign, as_rational, quadratic_backend
 
 
 def bracket_eval(g, x, y):
@@ -304,6 +315,38 @@ def check_d_squared(g, rep, k, s):
     return d_squared_report(d_squared_failures(g, rep, k, s), k, s)
 
 
+def build_semi_euclidean(theta, backend=None):
+    """The semi-Euclidean build from its definition, with P's laws checked densely.
+
+    The bracket is the table ``wedge3(P e_i, r, e_j) - wedge3(P e_j, r, e_i)``
+    for i < j, and P is checked against ``Ad_alpha`` and then, by dense
+    products, for ``P**2 = id`` and ``P r = -r``.  The inputs are read
+    through the ``constructions`` module, so a patched ``p_matrix``,
+    ``r_vector`` or ``alpha_theta`` reaches this build too.
+    """
+    backend = backend or quadratic_backend(theta)
+    P = constructions.p_matrix(theta, backend)
+    r = constructions.r_vector(theta, backend)
+    alpha, _ = constructions.alpha_theta(theta, backend)
+    derived = constructions.ad_alpha_matrix(constructions.GlContext(2, alpha, backend))
+    if not mat_eq(P, derived):
+        raise ConstructionError("twist entries disagree with the Ad_alpha derivation")
+    if not mat_eq(mat_mul(P, P), identity(4)):
+        raise ConstructionError("twist is not an involution")
+    if not vec_eq(mat_vec(P, r), vec_neg(r)):
+        raise ConstructionError("P r = -r failed")
+    p_cols = [mat_col(P, i) for i in range(4)]
+    e = [basis_vec(4, i) for i in range(4)]
+    pairs = {
+        (i, j): vec_sub(wedge3(p_cols[i], r, e[j]), wedge3(p_cols[j], r, e[i]))
+        for i, j in itertools.combinations(range(4), 2)
+    }
+    zero = (constructions._typed_zero(r),) * 4
+    g = algebra.HomAlgebra.from_pairs(4, pairs, P, backend, zero)
+    s = constructions._root_one_plus_sq(theta, backend)
+    return g, constructions.SemiEuclideanContext(backend.coerce(theta), s, P, r, backend)
+
+
 REFERENCE = {
     algebra.bracket_eval: bracket_eval,
     algebra.check_hom_jacobi: check_hom_jacobi,
@@ -316,6 +359,7 @@ REFERENCE = {
     cohomology.coboundary: coboundary,
     cohomology.d_squared_failures: d_squared_failures,
     cohomology.check_d_squared: check_d_squared,
+    constructions.build_semi_euclidean: build_semi_euclidean,
 }
 
 

@@ -352,6 +352,10 @@ SE4_CASES = {theta: build_semi_euclidean(theta) for theta in (0, 1, F(1, 2), F(3
     int_vectors(4),
 )
 def test_bracket_paths_agree(theta, x, y):
+    # the build reads its pairs off closed_form_bracket, so this checks the
+    # pair table and bracket_eval, not the closed form; the independent
+    # paths are the wedge3 reference build (test_se4_build), acceptance
+    # criterion 02 and _dense_se4 below
     g, ctx = SE4_CASES[theta]
     assert bracket_eval(g, x, y) == closed_form_bracket(ctx, x, y)
 

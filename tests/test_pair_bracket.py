@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from skewhom._kernel import Kernel
 from skewhom.algebra import (
+    KERNELS_KEPT,
     HomAlgebra,
     Verdict,
     bracket_eval,
@@ -189,6 +191,48 @@ def test_mixed_discriminants_raise_or_pass_as_in_the_dense_loop():
     assert outcome(dense_bracket_eval, *cases[0]) != "BackendMismatchError"
     assert outcome(bracket_eval, *cases[0]) == "BackendMismatchError"
     assert outcome(bracket_eval, *cases[2]) == "BackendMismatchError"
+
+
+def quadratic_arguments(d):
+    """A Q(sqrt d) argument and a rational one for gl(R^2) at theta = 0."""
+    return (QuadExt(1, 2, d), F(0), F(-1), F(3)), (F(2), F(1), F(0), F(-1))
+
+
+def test_kernel_with_reuses_its_kernel_for_a_discriminant():
+    g = gl(2, 0)
+    x, y = quadratic_arguments(F(5))
+    kernel = g.kernel_with((*x, *y))
+    assert kernel is not g.kernel and kernel.d == 5
+    # any values with that discriminant get the same kernel
+    assert g.kernel_with((QuadExt(0, 1, 5), F(7))) is kernel
+    assert g.kernel_with(y) is g.kernel
+    assert list(g._quadratic_kernels) == [F(5)]
+
+
+def test_kernel_with_keeps_a_bounded_number_of_discriminants():
+    g = gl(2, 0)
+    ds = [F(p) for p in (2, 3, 5, 6, 7, 10)[: KERNELS_KEPT + 2]]
+    kernels = {d: g.kernel_with(quadratic_arguments(d)[0]) for d in ds}
+    assert len(set(map(id, kernels.values()))) == len(ds)
+    assert all(kernel.d == d for d, kernel in kernels.items())
+    assert list(g._quadratic_kernels) == ds[-KERNELS_KEPT:]
+    # the oldest went first; asking again builds it anew, still within the bound
+    again = g.kernel_with(quadratic_arguments(ds[0])[0])
+    assert again is not kernels[ds[0]] and again.d == ds[0]
+    assert len(g._quadratic_kernels) == KERNELS_KEPT
+
+
+@pytest.mark.parametrize("d", [F(5), F(5, 4), F(2)])
+def test_a_kept_kernel_gives_the_values_and_types_of_a_fresh_one(d):
+    g = gl(4, 0)
+    x, y = quadratic_arguments(d)
+    x, y = x * 4, y * 4
+    fresh = Kernel(g.dim, g.pairs, g.twist, (*x, *y))
+    first = bracket_eval(g, x, y)
+    assert repr(bracket_eval(g, x, y)) == repr(first) == repr(fresh.bracket_eval(x, y))
+    assert all(type(v) is QuadExt for v in first)
+    assert_typed_and_equal(g, x, y)
+    assert_typed_and_equal(g, y, x)
 
 
 @settings(max_examples=40, deadline=None)

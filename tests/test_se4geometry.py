@@ -114,6 +114,21 @@ def test_closure_check_passes():
         assert check_vstar_closure(theta, samples=60, seed=0).passed
 
 
+@pytest.mark.parametrize("count", [-1, -3])
+def test_a_negative_sample_count_raises(count):
+    # a negative count used to check nothing and pass
+    _, ctx = SE4[F(1, 2)]
+    for sample in (
+        lambda: check_vstar_closure(F(1, 2), samples=count),
+        lambda: se4geometry.vstar_draws(ctx, count),
+        lambda: vstar_samples(ctx, count),
+    ):
+        with pytest.raises(ValueError, match="non-negative"):
+            sample()
+    assert check_vstar_closure(F(1, 2), samples=0).passed
+    assert vstar_samples(ctx, 0) == []
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([0, 1, F(1, 2)]), int_vectors(4))
 def test_twist_image_inner_identity(theta, z):
