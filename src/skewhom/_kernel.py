@@ -10,6 +10,15 @@ arithmetic is that of the ring Q[s]/(s**2 - d) written in the generator
 ``R``, so a pair is zero exactly when the scalar it stands for is zero, for
 a perfect-square ``d`` too.
 
+A scalar enters the kernel in integer arithmetic only.  A rational
+``n/q`` in lowest terms has denominator ``q``; a ``QuadExt`` with fields
+``a = an/aq`` and ``b = bn/bq`` has ``A = an/aq`` and ``B = b/dd``, reduced
+as ``(bn/g) / (bq*dd/g)`` with ``g = gcd(bn, dd)``.  A tensor's scale is the
+lcm of those reduced denominators, and each component ``num/den`` becomes
+the integer ``num * (scale // den)``.  A pair comes back as a ``Fraction``
+over the scale, or as a ``QuadExt`` with ``b = B*dd``; a zero component
+comes back as one shared ``Fraction(0)``.
+
 Every identity checked here is homogeneous in each tensor: scaling the
 bracket by ``L_C`` and a twist by ``L_t`` multiplies the twisted Jacobi sum
 by ``L_C**2 * L_t`` and a sign-law residual by ``L_C * L_t**2`` (its left
@@ -42,6 +51,7 @@ Sparse = Dict[int, Pair]
 Rows = List[Sparse]  # a matrix by rows: rows[r][c] is entry (r, c)
 
 _ZERO: Pair = (0, 0)
+_NIL = Fraction(0)  # every zero component that scalar() returns
 
 
 def _discriminant(values: Iterable) -> Optional[Fraction]:
@@ -111,23 +121,36 @@ class Kernel:
         self.twist = Twist(self, twist)
 
     def pairs(self, values: Iterable) -> Tuple[List[Optional[Pair]], int]:
-        """``values`` as integer pairs over one common scale (``None`` for zero)."""
-        split: List[Optional[Tuple[Fraction, Fraction]]] = []
+        """``values`` as integer pairs over one common scale (``None`` for zero).
+
+        Each value is read as numerators and denominators, and the scale is
+        the lcm of the reduced denominators (module docstring); no
+        ``Fraction`` is built.
+        """
+        d, dd = self.d, self.dd
+        # (A numerator, A denominator, B numerator, B denominator) per value
+        split: List[Optional[Tuple[int, int, int, int]]] = []
+        scale = 1
         for x in values:
             # the type first: a float zero is refused, not read as an exact zero
             if not isinstance(x, (int, Fraction, QuadExt)):
                 raise TypeError(f"not an exact scalar: {x!r}")
             if not x:
                 split.append(None)
-            elif isinstance(x, QuadExt):
-                if x.d != self.d:
-                    raise BackendMismatchError(f"mixed discriminants {self.d} and {x.d}")
-                split.append((x.a, x.b / self.dd))
+                continue
+            if isinstance(x, QuadExt):
+                if x.d is not d and x.d != d:
+                    raise BackendMismatchError(f"mixed discriminants {d} and {x.d}")
+                a, bn = x.a, x.b.numerator
+                g = math.gcd(bn, dd)
+                p = (a.numerator, a.denominator, bn // g, x.b.denominator * dd // g)
             else:
-                split.append((Fraction(x), Fraction(0)))
-        scale = math.lcm(*(q.denominator for p in split if p is not None for q in p))
+                p = (x.numerator, x.denominator, 0, 1)
+            split.append(p)
+            if scale % p[1] or scale % p[3]:
+                scale = math.lcm(scale, p[1], p[3])
         return [
-            None if p is None else ((p[0] * scale).numerator, (p[1] * scale).numerator)
+            None if p is None else (p[0] * (scale // p[1]), p[2] * (scale // p[3]))
             for p in split
         ], scale
 
@@ -147,9 +170,10 @@ class Kernel:
         ``Fraction`` otherwise, zero included.
         """
         a, b = x
+        a = Fraction(a, scale) if a else _NIL
         if self.d is None:
-            return Fraction(a, scale)
-        return _quad(Fraction(a, scale), Fraction(b * self.dd, scale), self.d)
+            return a
+        return _quad(a, Fraction(b * self.dd, scale) if b else _NIL, self.d)
 
     def product(self, a: Rows, b: Rows) -> Rows:
         """``a b``, scaled by the product of their scales."""

@@ -130,9 +130,10 @@ class HomAlgebra:
             for i, j in itertools.product(range(n), repeat=2):
                 if len(table[i][j]) != n:
                     raise DimensionError(f"bracket[{i}][{j}] must have length {n}")
-            # (j, i) fails exactly when (i, j) does, so i <= j finds the first failure
+            # (j, i) fails exactly when (i, j) does, so i <= j finds the first
+            # failure; two zeros sum to zero, so only a nonzero side is added
             for i, j in itertools.combinations_with_replacement(range(n), 2):
-                if not vec_is_zero(vec_add(table[i][j], table[j][i])):
+                if any(a + b for a, b in zip(table[i][j], table[j][i]) if a or b):
                     raise ValueError(f"bracket is not antisymmetric at ({i}, {j})")
             upper = itertools.combinations(range(n), 2)
             pairs = {(i, j): table[i][j] for i, j in upper if not vec_is_zero(table[i][j])}

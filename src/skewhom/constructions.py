@@ -368,7 +368,8 @@ def closed_form_bracket(ctx: SemiEuclideanContext, x: Vec, y: Vec) -> Vec:
     """
     a = -ctx.s * ((x[0] - x[3]) * (y[1] + y[2]) - (x[1] + x[2]) * (y[0] - y[3]))
     a = a + 2 * ctx.theta * (x[2] * y[1] - x[1] * y[2])
-    zero = ctx.backend.coerce(0)
+    # the zero components take a's type, as bracket_eval gives them
+    zero = a - a
     return (a, zero, zero, a)
 
 

@@ -58,7 +58,8 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
 
 
 def vec_neg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
+    """``-u``; a zero entry is returned as is."""
+    return tuple(-a if a else a for a in u)
 
 
 def vec_scale(c: Scalar, u: Vec) -> Vec:

@@ -12,6 +12,10 @@ discriminant.
 
 ``build_semi_euclidean`` is the se4 build from its ``wedge3`` definition,
 with the dense re-checks of P that the closed-form build proves instead.
+``kernel_pairs`` is the ``Fraction``-based conversion of scalars into a
+kernel's integer pairs that ``Kernel.pairs`` replaced with integer
+arithmetic, and ``antisymmetry_failure`` is the dense table check that
+added every ``(i, j)`` and ``(j, i)`` entry, zeros included.
 ``REFERENCE`` maps each public checker, and the se4 build, to its reference; the
 ``both_paths`` fixture runs a checker and its reference on the same input.
 ``DataclassQuadExt`` is the frozen-dataclass ``QuadExt`` that the slotted
@@ -19,6 +23,7 @@ class replaced, kept as the reference for its arithmetic.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
@@ -55,7 +60,7 @@ from skewhom.linalg import (
     zero_vec,
 )
 from skewhom.representation import rho_eval
-from skewhom.scalars import _fraction_sign, as_rational, quadratic_backend
+from skewhom.scalars import QuadExt, _fraction_sign, as_rational, quadratic_backend
 
 
 def bracket_eval(g, x, y):
@@ -345,6 +350,37 @@ def build_semi_euclidean(theta, backend=None):
     g = algebra.HomAlgebra.from_pairs(4, pairs, P, backend, zero)
     s = constructions._root_one_plus_sq(theta, backend)
     return g, constructions.SemiEuclideanContext(backend.coerce(theta), s, P, r, backend)
+
+
+def kernel_pairs(kernel, values):
+    """``kernel.pairs(values)`` computed with ``Fraction`` arithmetic."""
+    split = []
+    for x in values:
+        # the type first: a float zero is refused, not read as an exact zero
+        if not isinstance(x, (int, Fraction, QuadExt)):
+            raise TypeError(f"not an exact scalar: {x!r}")
+        if not x:
+            split.append(None)
+        elif isinstance(x, QuadExt):
+            if x.d != kernel.d:
+                raise BackendMismatchError(f"mixed discriminants {kernel.d} and {x.d}")
+            split.append((x.a, x.b / kernel.dd))
+        else:
+            split.append((Fraction(x), Fraction(0)))
+    scale = math.lcm(*(q.denominator for p in split if p is not None for q in p))
+    return [
+        None if p is None else ((p[0] * scale).numerator, (p[1] * scale).numerator)
+        for p in split
+    ], scale
+
+
+def antisymmetry_failure(table):
+    """The first ``(i, j)``, ``i <= j``, where ``table[i][j] + table[j][i]`` is nonzero."""
+    n = len(table)
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        if not vec_is_zero(vec_add(table[i][j], table[j][i])):
+            return i, j
+    return None
 
 
 REFERENCE = {

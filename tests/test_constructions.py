@@ -360,6 +360,23 @@ def test_bracket_paths_agree(theta, x, y):
     assert bracket_eval(g, x, y) == closed_form_bracket(ctx, x, y)
 
 
+def test_closed_form_zeros_take_the_type_of_a():
+    # over Q(sqrt 5) all four components are QuadExts, as bracket_eval's are
+    g, ctx = SE4_CASES[F(1, 2)]
+    x, y = (1, 2, 0, 1), (0, 1, 3, -1)
+    value = closed_form_bracket(ctx, x, y)
+    assert all(type(c) is QuadExt for c in value)
+    assert repr(value) == repr(bracket_eval(g, x, y))
+    assert repr(value[1]) == "QuadExt(0, 0, d=5/4)"
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([F(0), F(1, 2), F(1)]), int_vectors(4), int_vectors(4))
+def test_closed_form_prints_like_bracket_eval(theta, x, y):
+    g, ctx = SE4_CASES[theta]
+    assert repr(closed_form_bracket(ctx, x, y)) == repr(bracket_eval(g, x, y))
+
+
 @given(int_vectors(4), int_vectors(4))
 def test_pure_root_coefficient_needs_theta_correction(x, y):
     # dropping the 2*theta*(x3 y2 - x2 y3) term from the closed form leaves
