@@ -11,13 +11,13 @@ arithmetic is that of the ring Q[s]/(s**2 - d) written in the generator
 a perfect-square ``d`` too.
 
 A scalar enters the kernel in integer arithmetic only.  A rational
-``n/q`` in lowest terms has denominator ``q``; a ``QuadExt`` with fields
-``a = an/aq`` and ``b = bn/bq`` has ``A = an/aq`` and ``B = b/dd``, reduced
-as ``(bn/g) / (bq*dd/g)`` with ``g = gcd(bn, dd)``.  A tensor's scale is the
-lcm of those reduced denominators, and each component ``num/den`` becomes
-the integer ``num * (scale // den)``.  A pair comes back as a ``Fraction``
-over the scale, or as a ``QuadExt`` with ``b = B*dd``; a zero component
-comes back as one shared ``Fraction(0)``.
+``n/q`` in lowest terms has denominator ``q``; a ``QuadExt`` stored as
+``(p + q*s) / r`` has ``A = p/r`` and ``B = q/(r*dd)``, each reduced by
+the gcd of its numerator and denominator.  A tensor's scale is the lcm of
+those reduced denominators, and each component ``num/den`` becomes the
+integer ``num * (scale // den)``.  A pair comes back as a ``Fraction`` over
+the scale, or as the ``QuadExt`` ``(A + B*dd*s) / scale`` in canonical
+form; a rational zero component comes back as one shared ``Fraction(0)``.
 
 Every identity checked here is homogeneous in each tensor: scaling the
 bracket by ``L_C`` and a twist by ``L_t`` multiplies the twisted Jacobi sum
@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import BackendMismatchError
-from .scalars import QuadExt, _quad
+from .scalars import QuadExt, _reduced
 
 Pair = Tuple[int, int]
 Sparse = Dict[int, Pair]
@@ -110,6 +110,7 @@ class Kernel:
                 extra,
             )
         )
+        self.disc = None if self.d is None else (self.d, self.d.numerator, self.d.denominator)
         self.dd = self.d.denominator if self.d is not None else 1
         self.rr = self.d.numerator * self.d.denominator if self.d is not None else 0
         pairs, self.scale = self.pairs(x for value in bracket.values() for x in value)
@@ -127,7 +128,7 @@ class Kernel:
         the lcm of the reduced denominators (module docstring); no
         ``Fraction`` is built.
         """
-        d, dd = self.d, self.dd
+        disc, dd = self.disc, self.dd
         # (A numerator, A denominator, B numerator, B denominator) per value
         split: List[Optional[Tuple[int, int, int, int]]] = []
         scale = 1
@@ -139,11 +140,11 @@ class Kernel:
                 split.append(None)
                 continue
             if isinstance(x, QuadExt):
-                if x.d is not d and x.d != d:
-                    raise BackendMismatchError(f"mixed discriminants {d} and {x.d}")
-                a, bn = x.a, x.b.numerator
-                g = math.gcd(bn, dd)
-                p = (a.numerator, a.denominator, bn // g, x.b.denominator * dd // g)
+                if x.disc is not disc and x.disc != disc:
+                    raise BackendMismatchError(f"mixed discriminants {self.d} and {x.d}")
+                r, rd = x.r, x.r * dd
+                g, h = math.gcd(x.p, r), math.gcd(x.q, rd)
+                p = (x.p // g, r // g, x.q // h, rd // h)
             else:
                 p = (x.numerator, x.denominator, 0, 1)
             split.append(p)
@@ -170,10 +171,9 @@ class Kernel:
         ``Fraction`` otherwise, zero included.
         """
         a, b = x
-        a = Fraction(a, scale) if a else _NIL
-        if self.d is None:
-            return a
-        return _quad(a, Fraction(b * self.dd, scale) if b else _NIL, self.d)
+        if self.disc is None:
+            return Fraction(a, scale) if a else _NIL
+        return _reduced(a, b * self.dd, scale, self.disc)
 
     def product(self, a: Rows, b: Rows) -> Rows:
         """``a b``, scaled by the product of their scales."""

@@ -313,9 +313,10 @@ def _bracket_failure(f: Mat, g: HomAlgebra, h: HomAlgebra, signs: Set[int]):
     for the first eps in ``signs``, +1 before -1, where that is nonzero.  A
     pair whose two sides are both zero admits every sign.
 
-    When ``h`` is ``g`` the sparse kernel scans i<j pairs, which finds the
-    same pair since both sides are antisymmetric (see
-    ``Kernel.first_sign_failure``); into a second algebra the scan is dense.
+    Both sides are antisymmetric, so scanning the i<j pairs finds the same
+    pair with the same signs (see ``Kernel.first_sign_failure``).  When ``h``
+    is ``g`` the sparse kernel scans them; into a second algebra each pair
+    is evaluated densely.
     """
     cols = [mat_col(f, i) for i in range(g.dim)]
 
@@ -332,7 +333,7 @@ def _bracket_failure(f: Mat, g: HomAlgebra, h: HomAlgebra, signs: Set[int]):
         )
     else:
         left, at = signs, None
-        for i, j in itertools.product(range(g.dim), repeat=2):
+        for i, j in itertools.combinations(range(g.dim), 2):
             lhs, rhs = sides(i, j)
             if vec_is_zero(lhs) and vec_is_zero(rhs):
                 continue

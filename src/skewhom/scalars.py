@@ -5,6 +5,10 @@ Two element kinds share one calling convention: exact rationals
 a square root of a positive rational.  All scalars of one computation live in
 a single backend; the backend object owns coercion and the text forms used by
 the file formats.  Floats are refused.
+
+A :class:`QuadExt` is held as the integers ``(p + q*s) / r`` in canonical
+form (``r > 0``, ``gcd(p, q, r) == 1``), so its arithmetic needs no
+``Fraction``; its ``Fraction`` fields ``a`` and ``b`` are computed on read.
 """
 
 from __future__ import annotations
@@ -72,12 +76,19 @@ def rational_is_square(q: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _fraction_sign(q: Fraction) -> int:
+def _fraction_sign(q: Union[int, Fraction]) -> int:
     return (q > 0) - (q < 0)
 
 
 class QuadExt:
     """Element ``a + b*s`` of the ring Q[s]/(s**2 - d).
+
+    An element is stored as three integers, ``(p + q*s) / r`` with
+    ``r > 0`` and ``gcd(p, q, r) == 1``.  The form is canonical, so equal
+    elements have equal ``p``, ``q`` and ``r``.  The discriminant is carried
+    as the triple ``disc = (d, dn, dd)``, with ``d = dn/dd`` in lowest terms,
+    and each result takes its triple from its operands.  ``a = p/r``,
+    ``b = q/r`` and ``d`` are read-only ``Fraction`` properties.
 
     Every operand of one expression must carry the same discriminant ``d``.
     When ``d`` is not a perfect rational square the ring is a field and each
@@ -85,18 +96,33 @@ class QuadExt:
     divisor and raises.
 
     Elements are immutable: assigning a field raises ``AttributeError``.
-    ``QuadExt(a, b, d)`` normalises each field with :func:`as_rational`;
-    arithmetic results are built by :func:`_quad` from fields that are
-    already ``Fraction``s.  An ``int`` or ``Fraction`` operand is used as is,
-    not lifted to a ``QuadExt``.
+    ``QuadExt(a, b, d)`` normalises ``a``, ``b`` and ``d`` with
+    :func:`as_rational`.  Arithmetic runs on the integers, with one
+    three-way ``gcd`` per result, and an ``int`` or ``Fraction`` operand is
+    used as is, not lifted to a ``QuadExt``.
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("p", "q", "r", "disc")
 
     def __init__(self, a, b, d) -> None:
-        _set_a(self, as_rational(a))
-        _set_b(self, as_rational(b))
-        _set_d(self, as_rational(d))
+        a, b, d = as_rational(a), as_rational(b), as_rational(d)
+        r = math.lcm(a.denominator, b.denominator)
+        _set_p(self, a.numerator * (r // a.denominator))
+        _set_q(self, b.numerator * (r // b.denominator))
+        _set_r(self, r)
+        _set_disc(self, (d, d.numerator, d.denominator))
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.r)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.r)
+
+    @property
+    def d(self) -> Fraction:
+        return self.disc[0]
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"QuadExt is immutable; cannot assign {name!r}")
@@ -107,52 +133,67 @@ class QuadExt:
     def __reduce__(self):
         return QuadExt, (self.a, self.b, self.d)
 
-    def _same_d(self, other: "QuadExt") -> Fraction:
-        d = self.d
-        if other.d is not d and other.d != d:
-            raise BackendMismatchError(f"mixed discriminants {d} and {other.d}")
-        return d
+    def _same_d(self, other: "QuadExt") -> tuple:
+        disc = self.disc
+        if other.disc is not disc and other.disc != disc:
+            raise BackendMismatchError(f"mixed discriminants {disc[0]} and {other.disc[0]}")
+        return disc
 
     def _lift(self, other: object) -> Optional["QuadExt"]:
         if isinstance(other, QuadExt):
             self._same_d(other)
             return other
         if isinstance(other, (int, Fraction)):
-            return _quad(as_rational(other), _ZERO, self.d)
+            return _reduced(other.numerator, 0, other.denominator, self.disc)
         return None
 
     def __add__(self, other: object) -> "QuadExt":
+        p, q, r = self.p, self.q, self.r
         if isinstance(other, QuadExt):
-            return _quad(self.a + other.a, self.b + other.b, self._same_d(other))
+            disc = self._same_d(other)
+            w = other.r
+            if r == w:
+                return _reduced(p + other.p, q + other.q, r, disc)
+            return _reduced(p * w + other.p * r, q * w + other.q * r, r * w, disc)
         if isinstance(other, (int, Fraction)):
-            return _quad(self.a + other, self.b, self.d)
+            m = other.denominator
+            return _reduced(p * m + other.numerator * r, q * m, r * m, self.disc)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "QuadExt":
+        p, q, r = self.p, self.q, self.r
         if isinstance(other, QuadExt):
-            return _quad(self.a - other.a, self.b - other.b, self._same_d(other))
+            disc = self._same_d(other)
+            w = other.r
+            if r == w:
+                return _reduced(p - other.p, q - other.q, r, disc)
+            return _reduced(p * w - other.p * r, q * w - other.q * r, r * w, disc)
         if isinstance(other, (int, Fraction)):
-            return _quad(self.a - other, self.b, self.d)
+            m = other.denominator
+            return _reduced(p * m - other.numerator * r, q * m, r * m, self.disc)
         return NotImplemented
 
     def __rsub__(self, other: object) -> "QuadExt":
         if isinstance(other, (int, Fraction)):
-            return _quad(other - self.a, -self.b, self.d)
+            return -self + other
         return NotImplemented
 
     def __mul__(self, other: object) -> "QuadExt":
+        p, q, r = self.p, self.q, self.r
         if isinstance(other, QuadExt):
-            d = self._same_d(other)
-            a, b, c, e = self.a, self.b, other.a, other.b
-            if not b:
-                return _quad(a * c, a * e, d)
-            if not e:
-                return _quad(a * c, b * c, d)
-            return _quad(a * c + b * e * d, a * e + b * c, d)
+            disc = self._same_d(other)
+            u, v, w = other.p, other.q, other.r
+            if not q:
+                return _reduced(p * u, p * v, r * w, disc)
+            if not v:
+                return _reduced(p * u, q * u, r * w, disc)
+            _, dn, dd = disc
+            return _reduced(p * u * dd + q * v * dn, (p * v + q * u) * dd, r * w * dd, disc)
         if isinstance(other, (int, Fraction)):
-            return _quad(self.a * other, self.b * other, self.d)
+            n = other.numerator
+            return _reduced(p * n, q * n, r * other.denominator, self.disc)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -170,14 +211,14 @@ class QuadExt:
         return o * self.inverse()
 
     def __neg__(self) -> "QuadExt":
-        return _quad(-self.a, -self.b, self.d)
+        return _reduced(-self.p, -self.q, self.r, self.disc)
 
     def __pow__(self, exponent: int) -> "QuadExt":
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        out = _quad(_ONE, _ZERO, self.d)
+        out = _reduced(1, 0, 1, self.disc)
         base = self
         n = exponent
         while n:
@@ -190,45 +231,52 @@ class QuadExt:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadExt):
             self._same_d(other)
-            return self.a == other.a and self.b == other.b
+            return self.p == other.p and self.q == other.q and self.r == other.r
         if isinstance(other, (int, Fraction)):
-            return not self.b and self.a == other
+            return not self.q and self.p == other.numerator and self.r == other.denominator
         return NotImplemented
 
     def __hash__(self) -> int:
-        # b == 0 elements must hash like the rationals they equal
-        if not self.b:
+        # q == 0 elements must hash like the rationals they equal
+        if not self.q:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
     def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
+        return bool(self.p or self.q)
 
     def conjugate(self) -> "QuadExt":
-        return _quad(self.a, -self.b, self.d)
+        return _reduced(self.p, -self.q, self.r, self.disc)
+
+    def _norm_numerator(self) -> int:
+        """``norm() * r**2 * dd``, an integer with the sign of the norm."""
+        _, dn, dd = self.disc
+        return self.p * self.p * dd - self.q * self.q * dn
 
     def norm(self) -> Fraction:
         """Conjugate norm ``a**2 - b**2 * d`` (a plain rational)."""
-        return self.a * self.a - self.b * self.b * self.d
+        return Fraction(self._norm_numerator(), self.r * self.r * self.disc[2])
 
     def inverse(self) -> "QuadExt":
-        n = self.norm()
-        if n == 0:
+        n = self._norm_numerator()
+        if not n:
             raise ZeroDivisorError(f"{self} has conjugate norm 0")
-        return _quad(self.a / n, -self.b / n, self.d)
+        # 1/x = r*dd*(p - q*s) / n, and the denominator must stay positive
+        f = self.r * self.disc[2] if n > 0 else -self.r * self.disc[2]
+        return _reduced(f * self.p, -f * self.q, abs(n), self.disc)
 
     def sign(self) -> int:
         """Sign under the real embedding with ``s`` the positive root of ``d``."""
-        if self.d <= 0:
+        if self.disc[1] <= 0:
             raise ValueError("sign is defined only for positive discriminants")
-        if self.b == 0:
-            return _fraction_sign(self.a)
-        if self.a == 0:
-            return _fraction_sign(self.b)
-        sa, sb = _fraction_sign(self.a), _fraction_sign(self.b)
-        if sa == sb:
+        # r > 0, so p + q*s has the sign of the element
+        p, q = self.p, self.q
+        sa, sb = _fraction_sign(p), _fraction_sign(q)
+        if not q or sa == sb:
             return sa
-        t = self.norm()
+        if not p:
+            return sb
+        t = self._norm_numerator()
         if t > 0:
             return sa
         if t < 0:
@@ -239,26 +287,32 @@ class QuadExt:
         return f"QuadExt({self.a}, {self.b}, d={self.d})"
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*s"
-        op = "+" if self.b > 0 else "-"
-        return f"{self.a} {op} {abs(self.b)}*s"
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        if a == 0:
+            return f"{b}*s"
+        op = "+" if b > 0 else "-"
+        return f"{a} {op} {abs(b)}*s"
 
 
-_set_a, _set_b, _set_d = QuadExt.a.__set__, QuadExt.b.__set__, QuadExt.d.__set__
+_set_p, _set_q, _set_r, _set_disc = (
+    QuadExt.p.__set__, QuadExt.q.__set__, QuadExt.r.__set__, QuadExt.disc.__set__
+)
 _new = object.__new__
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def _quad(a: Fraction, b: Fraction, d: Fraction) -> QuadExt:
-    """``QuadExt(a, b, d)`` for fields that are already ``Fraction``s, unnormalised."""
-    q = _new(QuadExt)
-    _set_a(q, a)
-    _set_b(q, b)
-    _set_d(q, d)
-    return q
+def _reduced(p: int, q: int, r: int, disc: tuple) -> QuadExt:
+    """The element ``(p + q*s) / r`` for ``r > 0``, divided by ``gcd(p, q, r)``."""
+    g = math.gcd(p, q, r)
+    if g != 1:
+        p, q, r = p // g, q // g, r // g
+    x = _new(QuadExt)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_r(x, r)
+    _set_disc(x, disc)
+    return x
 
 
 @dataclass(frozen=True)
@@ -287,7 +341,7 @@ class ScalarBackend:
             d = 1 + self.theta * self.theta
             root = rational_is_square(d)
             object.__setattr__(self, "_d", d)
-            object.__setattr__(self, "_root", root if root is not None else _quad(_ZERO, _ONE, d))
+            object.__setattr__(self, "_root", root if root is not None else QuadExt(0, 1, d))
             object.__setattr__(self, "_degenerate", root is not None)
         elif self.theta is not None:
             raise ValueError(f"a {self.kind} backend takes no theta")

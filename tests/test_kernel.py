@@ -235,6 +235,59 @@ def test_power_sign_law_is_the_bracket_law_of_check_morphism(family, pair, k, de
         assert power == morphism
 
 
+def bracket_laws(f, g, h):
+    """``_bracket_failure`` into the second algebra ``h`` and its ordered-pair
+    reference, for each set of signs.
+
+    Residuals are compared by value: the reference's dense ``bracket_eval``
+    types a component by its own terms, the kernel's by its discriminant.
+    """
+
+    def run(scan, signs):
+        left, failure = scan(f, g, h, set(signs))
+        return left, None if failure is None else (failure[0], tuple(failure[1]))
+
+    assert h is not g
+    sign_sets = ({1}, {-1}, {1, -1})
+    return [run(algebra._bracket_failure, s) for s in sign_sets], [
+        run(reference.bracket_failure, s) for s in sign_sets
+    ]
+
+
+@pytest.mark.parametrize("kind", ["rational", "half", "degenerate"])
+def test_bracket_law_into_a_second_algebra_matches_the_ordered_scan_on_random_maps(kind):
+    @settings(max_examples=40, deadline=None)
+    @given(algebras(kind), algebras(kind), st.data())
+    def check(g, h, data):
+        entry = st.one_of(st.just(F(0)), scalars(kind))
+        f = tuple(tuple(data.draw(entry) for _ in range(g.dim)) for _ in range(h.dim))
+        got, want = bracket_laws(f, g, h)
+        assert got == want
+
+    check()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(FAMILIES, key=str)),
+    st.sampled_from(("twist", "identity")),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.sampled_from((0, -1, 1, 2, F(1, 3))),
+)
+def test_bracket_law_into_a_second_algebra_matches_the_ordered_scan_on_mutated_maps(
+    family, base, at, delta
+):
+    # h is a second copy of g, so f = beta keeps -1 and f = id keeps +1 until mutated
+    g = FAMILIES[family]
+    h = HomAlgebra.from_pairs(g.dim, g.pairs, g.twist, g.backend, g.zero)
+    f = [list(row) for row in (g.twist if base == "twist" else identity(g.dim))]
+    f[at[0]][at[1]] += delta
+    got, want = bracket_laws(tuple(map(tuple, f)), g, h)
+    assert got == want
+    if not delta:
+        assert got[0 if base == "identity" else 1] == ({1} if base == "identity" else {-1}, None)
+
+
 def test_kernel_matches_dense_on_the_paper_families():
     for g in FAMILIES.values():
         assert outcomes(g, powers=(1, 2, 3)) == dense_outcomes(g, powers=(1, 2, 3))

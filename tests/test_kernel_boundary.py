@@ -1,15 +1,18 @@
 """Scalars into and out of the integer-pair kernel, and the zeros on the way.
 
 ``Kernel.pairs`` converts scalars to integer pairs over one scale with
-integer arithmetic; ``tests/reference.py`` keeps the ``Fraction``-based
-conversion it replaced, and the two must give the same pairs, the same
-scale and the same exceptions.  The dense ``HomAlgebra`` table check adds
+integer arithmetic, reading a ``QuadExt``'s ``p``, ``q`` and ``r``;
+``tests/reference.py`` keeps the ``Fraction``-based conversion it replaced,
+and the two must give the same pairs, the same scale and the same
+exceptions, on constructed elements and on arithmetic results alike.
+``Kernel.scalar`` must bring each pair back to the element it came from.  The dense ``HomAlgebra`` table check adds
 only the entries where a side is nonzero; ``reference.antisymmetry_failure``
 adds every entry.  Zeros coming out of the kernel and out of ``vec_neg``
 keep their type, so reports print them as before.
 """
 
 import fractions
+import operator
 import sys
 from fractions import Fraction as F
 
@@ -17,12 +20,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
+from reference import DataclassQuadExt
 
 from skewhom._kernel import Kernel
 from skewhom.algebra import HomAlgebra, bracket_eval
 from skewhom.cohomology import cochain, coboundary
 from skewhom.constructions import build_semi_euclidean
-from skewhom.errors import BackendMismatchError
+from skewhom.errors import BackendMismatchError, ZeroDivisorError
 from skewhom.linalg import identity, vec_neg
 from skewhom.representation import Representation
 from skewhom.scalars import QuadExt, quadratic_backend
@@ -46,6 +50,23 @@ def rationals():
     return st.one_of(small, large)
 
 
+def results(d):
+    """Arithmetic results over ``d``: their ``r`` has been reduced, not built from two fields."""
+
+    def apply(op, x, y):
+        try:
+            return op(x, y)
+        except ZeroDivisorError:
+            return x
+
+    small = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+    quads = st.builds(lambda a, b: QuadExt(a, b, d), small, small)
+    ops = st.sampled_from(
+        [operator.add, operator.sub, operator.mul, operator.truediv, lambda x, y: x.inverse()]
+    )
+    return st.builds(apply, ops, quads, st.one_of(quads, small, st.integers(-9, 9)))
+
+
 def values(d):
     """Exact scalars a kernel with discriminant ``d`` converts, zeros of every type included."""
     zeros = [0, False, F(0), QuadExt(0, 0, OTHER)] + ([] if d is None else [QuadExt(0, 0, d)])
@@ -53,6 +74,7 @@ def values(d):
     parts = [zeros, st.integers(min_value=-(10**30), max_value=10**30), st.booleans(), rationals()]
     if d is not None:
         parts.append(st.builds(lambda a, b: QuadExt(a, b, d), rationals(), rationals()))
+        parts.append(results(d))
     return st.one_of(*parts)
 
 
@@ -64,6 +86,25 @@ def test_pairs_match_the_fraction_conversion(d):
     @given(st.lists(values(d), max_size=12))
     def check(xs):
         assert k.pairs(iter(xs)) == reference.kernel_pairs(k, xs)
+
+    check()
+
+
+@pytest.mark.parametrize("d", [F(2), F(5, 4), F(13, 9), F(25, 16)], ids=str)
+def test_pairs_and_scalar_round_trip_arithmetic_results(d):
+    k = kernel(d)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(results(d), min_size=1, max_size=6))
+    def check(xs):
+        pairs, scale = k.pairs(iter(xs))
+        assert (pairs, scale) == reference.kernel_pairs(k, xs)
+        for x, pair in zip(xs, pairs):
+            a, b = pair or (0, 0)
+            back = k.scalar((a, b), scale)
+            want = DataclassQuadExt(F(a, scale), F(b * k.dd, scale), d)
+            assert type(back) is QuadExt and (back.a, back.b) == (want.a, want.b)
+            assert back == x and (back.p, back.q, back.r) == (x.p, x.q, x.r)
 
     check()
 

@@ -1,12 +1,15 @@
-"""The slotted ``QuadExt`` against the frozen-dataclass one it replaced.
+"""The integer-form ``QuadExt`` against the frozen-dataclass one it replaced.
 
-``DataclassQuadExt`` (in ``reference.py``) normalises every result and lifts
-every rational operand; ``QuadExt`` does neither.  For each operation, over
+``DataclassQuadExt`` (in ``reference.py``) stores two ``Fraction`` fields,
+normalises every result and lifts every rational operand; ``QuadExt`` stores
+``(p + q*s) / r`` as integers and does neither.  For each operation, over
 mixed ``int``/``Fraction``/``QuadExt`` operands, both must give the same
-outcome: the same value of the same type, or the same exception.
+outcome: the same value of the same type, or the same exception.  Every
+result, after any chain of operations, must be in canonical form.
 """
 
 import copy
+import math
 import operator
 import pickle
 from fractions import Fraction as F
@@ -16,7 +19,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skewhom import scalars
-from skewhom.errors import BackendMismatchError
+from skewhom.errors import BackendMismatchError, ZeroDivisorError
+from skewhom.linalg import det
 from skewhom.scalars import QuadExt, as_rational, quadratic_backend
 
 from reference import DataclassQuadExt
@@ -172,3 +176,87 @@ def test_a_decimal_exponent_past_the_bound_is_refused_before_expansion(monkeypat
                  f"1e{bound + 1}", "1e99999999999999999999999999999999"):
         with pytest.raises(ValueError, match="decimal exponent"):
             as_rational(text)
+
+
+# --- canonical form: (p + q*s) / r with r > 0 and gcd(p, q, r) == 1
+
+STEPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "r-": lambda x, y: y - x,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "r/": lambda x, y: y / x,
+    "neg": lambda x, y: -x,
+    "conjugate": lambda x, y: x.conjugate(),
+    "inverse": lambda x, y: x.inverse(),
+    "pow": lambda x, y: x ** 3,
+}
+
+
+def assert_canonical(x):
+    """``x`` has integer fields in canonical form, equal to the constructor's for its value."""
+    assert type(x) is QuadExt
+    assert {type(x.p), type(x.q), type(x.r)} == {int}
+    assert x.r > 0 and math.gcd(x.p, x.q, x.r) == 1
+    assert (x.a, x.b) == (F(x.p, x.r), F(x.q, x.r))
+    same = QuadExt(x.a, x.b, x.d)
+    assert (same.p, same.q, same.r) == (x.p, x.q, x.r)
+    assert same == x and hash(same) == hash(x)
+    if not x.q:
+        assert x == x.a and hash(x) == hash(x.a)
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is QuadExt and (y.p, y.q, y.r, y.d) == (x.p, x.q, x.r, x.d)
+        assert hash(y) == hash(x)
+
+
+@st.composite
+def chains(draw):
+    """A start element and up to eight ``(step, operand)`` pairs over one discriminant."""
+    d = draw(st.sampled_from(DISCRIMINANTS))
+    elements = st.builds(lambda a, b: QuadExt(a, b, d), fields, fields)
+    steps = st.tuples(st.sampled_from(sorted(STEPS)), st.one_of(fields, elements, elements))
+    return draw(elements), draw(st.lists(steps, max_size=8))
+
+
+@given(chains())
+def test_every_result_of_a_chain_is_canonical(chain):
+    x, steps = chain
+    assert_canonical(x)
+    ref = DataclassQuadExt(x.a, x.b, x.d)
+    for name, y in steps:
+        ry = DataclassQuadExt(y.a, y.b, y.d) if isinstance(y, QuadExt) else y
+        try:
+            z = STEPS[name](x, y)
+        except ZeroDivisorError:
+            continue
+        ref = STEPS[name](ref, ry) if name != "conjugate" else DataclassQuadExt(ref.a, -ref.b, ref.d)
+        assert_canonical(z)
+        assert (z.a, z.b) == (ref.a, ref.b)
+        x = z
+
+
+@given(chains())
+def test_equal_values_computed_two_ways_have_equal_fields(chain):
+    x, steps = chain
+    for _, y in steps:
+        pairs = [(x * y, y * x), (x + y - y, x), (x - y + y, x), (-(-x), x)]
+        # a nonzero element of the perfect-square ring can have norm 0
+        if y.norm() if isinstance(y, QuadExt) else y:
+            pairs.append((x * y / y, x))
+        if x.norm():
+            pairs.append((x.inverse().inverse(), x))
+        for u, v in pairs:
+            assert (u.p, u.q, u.r) == (v.p, v.q, v.r) and hash(u) == hash(v)
+
+
+def test_an_inverse_with_a_negative_norm_keeps_a_positive_denominator():
+    be = quadratic_backend(1)
+    s = be.sqrt_d
+    assert s.norm() == -2
+    inv = s.inverse()
+    assert (inv.p, inv.q, inv.r) == (0, 1, 2)
+    assert det(((s, 1), (1, s))) == 1
+    x = QuadExt(1, 3, 2)  # norm 1 - 18 < 0
+    assert_canonical(x.inverse())
+    assert x * x.inverse() == 1
