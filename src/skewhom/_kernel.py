@@ -8,7 +8,8 @@ representation's ``rho`` or ``phi``) is multiplied by one positive common
 denominator, its scale, so that all of its pairs are integers.  The
 arithmetic is that of the ring Q[s]/(s**2 - d) written in the generator
 ``R``, so a pair is zero exactly when the scalar it stands for is zero, for
-a perfect-square ``d`` too.
+a perfect-square ``d`` too.  A rational kernel's pairs are the same in
+every ring, so :meth:`Kernel.over` moves it into another without a build.
 
 A scalar enters the kernel in integer arithmetic only.  A rational
 ``n/q`` in lowest terms has denominator ``q``; a ``QuadExt`` stored as
@@ -25,7 +26,9 @@ by ``L_C**2 * L_t`` and a sign-law residual by ``L_C * L_t**2`` (its left
 side is multiplied by ``L_t`` once more to match), positive integers that do
 not change whether a residual is zero.  Where two terms of one equation
 carry different scales, each is multiplied by the positive integer that
-brings it to their common one (see :class:`Rep`).
+brings it to their common one (see :class:`Rep`, and
+:meth:`Kernel.first_sign_failure` for a morphism into a second algebra,
+whose bracket law reads two kernels).
 
 The bracket is stored once, for ``i < j``, and read back through
 ``[e_j, e_i] = -[e_i, e_j]``.  The kernel evaluates exact brackets, decides
@@ -38,6 +41,7 @@ not depend on the scales.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from fractions import Fraction
@@ -80,7 +84,10 @@ def _differs(u: Sparse, v: Sparse, sign: int) -> bool:
 
 
 class Twist:
-    """A twist-like matrix by columns, its scale, and ``ad[j][p] = [e_p, t e_j]``."""
+    """A linear map into the kernel's algebra: columns, scale and ``ad[j][p] = [e_p, t e_j]``.
+
+    Its source is that algebra for a twist, or a second algebra for a morphism.
+    """
 
     def __init__(self, kernel: "Kernel", m) -> None:
         n = kernel.dim
@@ -96,30 +103,45 @@ class Kernel:
 
     ``bracket`` is an algebra's ``{(i, j): [e_i, e_j]}`` table for ``i < j``
     (:attr:`skewhom.algebra.HomAlgebra.pairs`), so antisymmetry holds by
-    construction.  Mixed discriminants raise :class:`BackendMismatchError`;
-    ``extra`` scalars (a representation's, say) take part in that test and
-    can supply the discriminant of a rational algebra.
+    construction.  Mixed discriminants raise :class:`BackendMismatchError`,
+    and :meth:`over` moves a rational kernel into a quadratic ring.
     """
 
-    def __init__(self, dim: int, bracket: dict, twist: tuple, extra: Iterable = ()) -> None:
+    def __init__(self, dim: int, bracket: dict, twist: tuple) -> None:
         self.dim = n = dim
-        self.d = _discriminant(
-            itertools.chain(
-                (x for value in bracket.values() for x in value),
-                (x for row in twist for x in row),
-                extra,
-            )
-        )
-        self.disc = None if self.d is None else (self.d, self.d.numerator, self.d.denominator)
-        self.dd = self.d.denominator if self.d is not None else 1
-        self.rr = self.d.numerator * self.d.denominator if self.d is not None else 0
-        pairs, self.scale = self.pairs(x for value in bracket.values() for x in value)
+        scalars = [x for value in bracket.values() for x in value]
+        self._ring(_discriminant(itertools.chain(scalars, (x for row in twist for x in row))))
+        pairs, self.scale = self.pairs(scalars)
         self.rows: List[Dict[int, Sparse]] = [{} for _ in range(n)]
         for idx, (i, j) in enumerate(bracket):
             self.rows[i][j] = {
                 k: pairs[idx * n + k] for k in range(n) if pairs[idx * n + k] is not None
             }
         self.twist = Twist(self, twist)
+
+    def _ring(self, d: Optional[Fraction]) -> None:
+        """Take the ring Q[s]/(s**2 - d) in the generator ``R = dd*sqrt(d)``, or Q for ``None``."""
+        self.d = d
+        self.disc = None if d is None else (d, d.numerator, d.denominator)
+        self.dd = 1 if d is None else d.denominator
+        self.rr = 0 if d is None else d.numerator * d.denominator
+
+    def over(self, d: Optional[Fraction]) -> "Kernel":
+        """This kernel in the ring of ``d``: itself for ``None`` or its own ``d``.
+
+        A rational kernel gives a view that shares its rows, scale and twist
+        and changes only ``d``, ``disc``, ``dd`` and ``rr``: a rational
+        scalar's pair ``(A, 0)`` and its scale do not depend on ``d``, and
+        products of such pairs never reach ``R*R``.  A quadratic kernel over
+        another ``d`` raises :class:`BackendMismatchError`.
+        """
+        if d is None or d == self.d:
+            return self
+        if self.d is not None:
+            raise BackendMismatchError(f"mixed discriminants {self.d} and {d}")
+        view = copy.copy(self)
+        view._ring(d)
+        return view
 
     def pairs(self, values: Iterable) -> Tuple[List[Optional[Pair]], int]:
         """``values`` as integer pairs over one common scale (``None`` for zero).
@@ -156,13 +178,13 @@ class Kernel:
         ], scale
 
     def matrices(self, ms: List, size: int) -> Tuple[List[Rows], int]:
-        """The ``size x size`` matrices ``ms`` as sparse pair rows over one common scale."""
+        """The matrices ``ms``, rows of ``size`` entries, as sparse pair rows over one scale."""
         values, scale = self.pairs(x for m in ms for row in m for x in row)
-        rows = [
+        rows = (
             {c: x for c, x in enumerate(values[r * size : (r + 1) * size]) if x is not None}
-            for r in range(len(ms) * size)
-        ]
-        return [rows[t * size : (t + 1) * size] for t in range(len(ms))], scale
+            for r in range(sum(map(len, ms)))
+        )
+        return [list(itertools.islice(rows, len(m))) for m in ms], scale
 
     def scalar(self, x: Pair, scale: int):
         """The scalar that the pair ``x`` over ``scale`` stands for.
@@ -250,10 +272,18 @@ class Kernel:
                 return i, j, k
         return None
 
-    def first_sign_failure(self, t: Twist, signs: Set[int]) -> Tuple[Set[int], Optional[tuple]]:
+    def first_sign_failure(
+        self, source: "Kernel", t: Twist, signs: Set[int]
+    ) -> Tuple[Set[int], Optional[tuple]]:
         """The ``signs`` eps with ``t([e_i,e_j]) = eps * [t e_i, t e_j]`` on every
         ordered basis pair so far, and the first pair that leaves none
         (``None`` if the scan ends).
+
+        ``t`` maps the algebra of ``source``, a kernel in this one's ring
+        (:meth:`over`), into this kernel's.  The left side is over
+        ``L_Cs * L_t`` and the right over ``L_t**2 * L_C``, so with
+        ``c = gcd(L_Cs, L_C)`` they are multiplied by ``L_t * L_C / c`` and
+        ``L_Cs / c``: ``L_t`` and 1 when ``source`` is this kernel.
 
         Both sides are antisymmetric in ``(i, j)`` and vanish for ``i = j``,
         so pair ``(j, i)`` admits exactly the signs that ``(i, j)`` admits and
@@ -264,9 +294,11 @@ class Kernel:
         ends with the same signs.  A pair whose two sides vanish admits every
         sign, so it needs no skipping over the integers.
         """
-        for i, j in itertools.combinations(range(self.dim), 2):
-            lhs = self._combine({}, self.bracket(i, j), t.cols, t.scale)
-            rhs = self._combine({}, t.cols[i], t.ad[j], 1)
+        c = math.gcd(source.scale, self.scale)
+        left, right = t.scale * self.scale // c, source.scale // c
+        for i, j in itertools.combinations(range(source.dim), 2):
+            lhs = self._combine({}, source.bracket(i, j), t.cols, left)
+            rhs = self._combine({}, t.cols[i], t.ad[j], right)
             signs = {s for s in signs if not _differs(lhs, rhs, s)}
             if not signs:
                 return signs, (i, j)

@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Optional, Set, Tuple, Union
+from typing import Optional, Set, Union
 
 from ._kernel import Kernel, Twist, _discriminant
 from .errors import BackendMismatchError, DimensionError, FileFormatError
@@ -48,10 +48,6 @@ from .linalg import (
     zero_vec,
 )
 from .scalars import PARSE_ERRORS, QuadExt, ScalarBackend, format_scalar, parse_int, parse_scalar
-
-
-# discriminants whose kernel a rational algebra keeps for kernel_with
-KERNELS_KEPT = 4
 
 
 class Verdict(str, Enum):
@@ -194,27 +190,15 @@ class HomAlgebra:
         """Bracket and twist as sparse integer pairs; a float among them raises ``TypeError``."""
         return Kernel(self.dim, self.pairs, self.twist)
 
-    @cached_property
-    def _quadratic_kernels(self) -> dict:
-        return {}
-
     def kernel_with(self, values: Vec) -> Kernel:
-        """:attr:`kernel`, or one taking the discriminant of ``values`` if ours are rational.
+        """:attr:`kernel`, or its view over the discriminant of ``values`` if ours are rational.
 
-        Such a kernel differs from :attr:`kernel` only in its discriminant,
-        so it is kept per discriminant; the oldest of ``KERNELS_KEPT`` goes
-        first.  Mixed discriminants among ``values`` raise
-        :class:`BackendMismatchError`.
+        The view (:meth:`skewhom._kernel.Kernel.over`) shares the kernel's
+        tables, so it costs no build.  Mixed discriminants among ``values``
+        raise :class:`BackendMismatchError`.
         """
         if self.kernel.d is None and any(isinstance(x, QuadExt) and x for x in values):
-            d = _discriminant(values)
-            kernels = self._quadratic_kernels
-            kernel = kernels.get(d)
-            if kernel is None:
-                if len(kernels) >= KERNELS_KEPT:
-                    del kernels[next(iter(kernels))]
-                kernel = kernels[d] = Kernel(self.dim, self.pairs, self.twist, values)
-            return kernel
+            return self.kernel.over(_discriminant(values))
         return self.kernel
 
 
@@ -314,37 +298,22 @@ def _bracket_failure(f: Mat, g: HomAlgebra, h: HomAlgebra, signs: Set[int]):
     pair whose two sides are both zero admits every sign.
 
     Both sides are antisymmetric, so scanning the i<j pairs finds the same
-    pair with the same signs (see ``Kernel.first_sign_failure``).  When ``h``
-    is ``g`` the sparse kernel scans them; into a second algebra each pair
-    is evaluated densely.
+    pair with the same signs (see ``Kernel.first_sign_failure``).  ``f`` is
+    compiled on ``h``'s kernel, and ``g``'s kernel, in the same ring, gives
+    the brackets it maps.  Mixed discriminants raise
+    :class:`BackendMismatchError`.
     """
-    cols = [mat_col(f, i) for i in range(g.dim)]
-
-    def sides(i: int, j: int) -> Tuple[Vec, Vec]:
-        return mat_vec(f, g.bracket_at(i, j)), bracket_eval(h, cols[i], cols[j])
-
-    def residual(lhs: Vec, rhs: Vec, sign: int) -> Vec:
-        return vec_sub(lhs, vec_scale(Fraction(sign), rhs))
-
-    if h is g:
-        kernel = g.kernel_with(flatten(f))
-        left, at = kernel.first_sign_failure(
-            kernel.twist if f is g.twist else Twist(kernel, f), signs
-        )
-    else:
-        left, at = signs, None
-        for i, j in itertools.combinations(range(g.dim), 2):
-            lhs, rhs = sides(i, j)
-            if vec_is_zero(lhs) and vec_is_zero(rhs):
-                continue
-            left = {s for s in left if vec_is_zero(residual(lhs, rhs, s))}
-            if not left:
-                at = (i, j)
-                break
+    target = h.kernel_with(flatten(f))
+    source = g.kernel.over(target.d)
+    target = target.over(source.d)
+    twist = target.twist if f is h.twist else Twist(target, f)
+    left, at = target.first_sign_failure(source, twist, signs)
     if at is None:
         return left, None
-    lhs, rhs = sides(*at)
-    res = (residual(lhs, rhs, s) for s in sorted(signs, reverse=True))
+    i, j = at
+    lhs = mat_vec(f, g.bracket_at(i, j))
+    rhs = bracket_eval(h, mat_col(f, i), mat_col(f, j))
+    res = (vec_sub(lhs, vec_scale(Fraction(s), rhs)) for s in sorted(signs, reverse=True))
     return left, (at, next(r for r in res if not vec_is_zero(r)))
 
 

@@ -95,22 +95,21 @@ class QuadExt:
     nonzero element is invertible; otherwise :meth:`inverse` can hit a zero
     divisor and raises.
 
-    Elements are immutable: assigning a field raises ``AttributeError``.
-    ``QuadExt(a, b, d)`` normalises ``a``, ``b`` and ``d`` with
-    :func:`as_rational`.  Arithmetic runs on the integers, with one
+    Elements are immutable: assigning a field raises ``AttributeError``,
+    and an element is built in ``__new__``, so calling ``__init__`` again
+    changes nothing.  ``QuadExt(a, b, d)`` normalises ``a``, ``b`` and ``d``
+    with :func:`as_rational`.  Arithmetic runs on the integers, with one
     three-way ``gcd`` per result, and an ``int`` or ``Fraction`` operand is
     used as is, not lifted to a ``QuadExt``.
     """
 
     __slots__ = ("p", "q", "r", "disc")
 
-    def __init__(self, a, b, d) -> None:
+    def __new__(cls, a, b, d) -> "QuadExt":
         a, b, d = as_rational(a), as_rational(b), as_rational(d)
         r = math.lcm(a.denominator, b.denominator)
-        _set_p(self, a.numerator * (r // a.denominator))
-        _set_q(self, b.numerator * (r // b.denominator))
-        _set_r(self, r)
-        _set_disc(self, (d, d.numerator, d.denominator))
+        p, q = a.numerator * (r // a.denominator), b.numerator * (r // b.denominator)
+        return _reduced(p, q, r, (d, d.numerator, d.denominator))
 
     @property
     def a(self) -> Fraction:

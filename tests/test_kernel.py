@@ -38,10 +38,16 @@ from skewhom.constructions import (
 )
 from skewhom.errors import BackendMismatchError, CounterexampleNotFoundError, SkewhomError
 from skewhom.linalg import (
+    flatten,
     identity,
+    mat,
     mat_col,
+    mat_inv,
+    mat_mul,
     mat_pow,
     mat_vec,
+    matrix_unit,
+    transpose,
     vec_add,
     vec_is_zero,
     vec_neg,
@@ -286,6 +292,127 @@ def test_bracket_law_into_a_second_algebra_matches_the_ordered_scan_on_mutated_m
     assert got == want
     if not delta:
         assert got[0 if base == "identity" else 1] == ({1} if base == "identity" else {-1}, None)
+
+
+def morphism_outcome(report):
+    """Verdict, witness position and residual values of a ``check_morphism`` report.
+
+    Residuals are compared by value, as in :func:`bracket_laws`.
+    """
+    w = report.witness
+    if w is None:
+        return report.passed, None
+    return report.passed, w.at, w.residual if w.at[0] == "twist" else tuple(w.residual)
+
+
+def assert_morphism_matches_the_reference(f, g, h, sign):
+    assert h is not g
+    got = morphism_outcome(check_morphism(f, g, h, sign))
+    assert got == morphism_outcome(reference.check_morphism(f, g, h, sign))
+    return got
+
+
+def ad_g(m, theta, backend):
+    """``Ad_G`` on gl(R^m)'s matrix units, from the theta = 0 member onto the theta member.
+
+    ``G`` has one block ``[[1, theta], [0, s]]`` per block of ``alpha_block``,
+    so ``G alpha(0) G^-1 = alpha(theta)``, and ``Ad_G`` is an isomorphism.
+    """
+    zero, one, th = backend.coerce(0), backend.coerce(1), backend.coerce(theta)
+    G = [[zero] * m for _ in range(m)]
+    for b in range(0, m, 2):
+        G[b][b], G[b][b + 1], G[b + 1][b + 1] = one, th, backend.sqrt_d
+    G = mat(G)
+    G_inv = mat_inv(G)
+    units = (matrix_unit(m, p, q) for p in range(m) for q in range(m))
+    return transpose(mat(flatten(mat_mul(mat_mul(G, e), G_inv)) for e in units))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((F(1, 2), F(1), F(3, 4), F(-7, 3))),
+    st.sampled_from((1, -1)),
+    st.booleans(),
+    st.one_of(
+        st.none(),
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from((1, -1, F(1, 3), "s"))),
+    ),
+)
+def test_check_morphism_matches_the_reference_on_the_isomorphism_onto_a_theta_member(
+    theta, sign, backwards, mutation
+):
+    # X(0) on theta's backend is rational-valued and X(theta) is quadratic
+    # (rational at theta = 3/4), so the scan runs on a view of X(0)'s kernel
+    backend = quadratic_backend(theta)
+    source, target = build_gl_alpha(GlContext(2, *alpha_block(2, 0, backend))), gl2(theta)
+    f = [list(row) for row in ad_g(2, theta, backend)]
+    if mutation is not None:
+        r, c, delta = mutation
+        f[r][c] += backend.sqrt_d if delta == "s" else delta
+    f = mat(f)
+    if backwards:
+        source, target = target, source
+    got = assert_morphism_matches_the_reference(f, source, target, sign)
+    assert got[0] == (mutation is None and sign == 1 and not backwards)
+
+
+@pytest.mark.parametrize("theta", [F(1, 2), F(-7, 3)])
+def test_check_morphism_passes_the_isomorphism_onto_a_gl4_theta_member(theta):
+    backend = quadratic_backend(theta)
+    source = build_gl_alpha(GlContext(4, *alpha_block(4, 0, backend)))
+    target = build_gl_alpha(GlContext(4, *alpha_block(4, theta)))
+    assert assert_morphism_matches_the_reference(ad_g(4, theta, backend), source, target, 1) == (
+        True,
+        None,
+    )
+
+
+@pytest.mark.parametrize("kind", ["rational", "half", "degenerate"])
+def test_check_morphism_into_gl_v_matches_the_reference_on_non_square_maps(kind):
+    # f = rho as an m**2 x n matrix into gl(R^m), as theorem_equivalence builds it
+    theta = {"rational": F(0), "half": F(1, 2), "degenerate": F(3, 4)}[kind]
+
+    @settings(max_examples=30, deadline=None)
+    @given(algebras(kind), st.data())
+    def check(g, data):
+        m = 2
+        backend = g.backend if g.backend.kind == "quadratic" else None
+        h = build_gl_alpha(GlContext(m, *alpha_block(m, theta, backend)))
+        h = HomAlgebra.from_pairs(h.dim, h.pairs, h.twist, g.backend, h.zero)
+        entry = st.one_of(st.just(F(0)), st.just(F(0)), scalars(kind))
+        zero = data.draw(st.booleans())
+        f = tuple(
+            tuple(F(0) if zero else data.draw(entry) for _ in range(g.dim)) for _ in range(m * m)
+        )
+        got = assert_morphism_matches_the_reference(f, g, h, data.draw(st.sampled_from((1, -1))))
+        assert got[0] or not zero
+
+    check()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted({t for _, t in FAMILIES})),
+    st.sampled_from((("se4", "gl2"), ("gl2", "se4"), ("se4", "se4"), ("gl2", "gl2"))),
+    st.sampled_from(("twist", "identity")),
+    st.sampled_from((1, -1)),
+    st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from((1, -1, 2)))),
+)
+def test_check_morphism_matches_the_reference_between_family_members(
+    theta, names, base, sign, mutation
+):
+    # a member into a copy of itself keeps its own identity and twist as
+    # passing maps, until they are mutated
+    g = FAMILIES[(names[0], theta)]
+    h = FAMILIES[(names[1], theta)]
+    h = HomAlgebra.from_pairs(h.dim, h.pairs, h.twist, h.backend, h.zero)
+    f = [list(row) for row in (g.twist if base == "twist" else identity(g.dim))]
+    if mutation is not None:
+        r, c, delta = mutation
+        f[r][c] += delta
+    got = assert_morphism_matches_the_reference(mat(f), g, h, sign)
+    if names[0] == names[1] and mutation is None and base == "identity":
+        assert got[0] == (sign == 1)
 
 
 def test_kernel_matches_dense_on_the_paper_families():

@@ -38,8 +38,7 @@ OTHER = F(7, 3)  # a discriminant no kernel below has
 
 def kernel(d):
     """A one-dimensional kernel whose discriminant is ``d``."""
-    extra = () if d is None else (QuadExt(0, 0, d),)
-    return Kernel(1, {}, ((F(1),),), extra)
+    return Kernel(1, {}, ((F(1),),)).over(d)
 
 
 def rationals():

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 import reference
 from skewhom._kernel import Kernel
 from skewhom.algebra import (
-    KERNELS_KEPT,
     HomAlgebra,
     Verdict,
     bracket_eval,
@@ -198,28 +197,41 @@ def quadratic_arguments(d):
     return (QuadExt(1, 2, d), F(0), F(-1), F(3)), (F(2), F(1), F(0), F(-1))
 
 
-def test_kernel_with_reuses_its_kernel_for_a_discriminant():
-    g = gl(2, 0)
-    x, y = quadratic_arguments(F(5))
-    kernel = g.kernel_with((*x, *y))
-    assert kernel is not g.kernel and kernel.d == 5
-    # any values with that discriminant get the same kernel
-    assert g.kernel_with((QuadExt(0, 1, 5), F(7))) is kernel
+def lifted(g, d):
+    """A kernel built from ``g``'s table and twist with each scalar lifted into Q(sqrt d)."""
+
+    def lift(v):
+        return tuple(QuadExt(x, 0, d) for x in v)
+
+    return Kernel(g.dim, {key: lift(v) for key, v in g.pairs.items()}, tuple(map(lift, g.twist)))
+
+
+RATIONAL_FAMILIES = sorted((k for k, g in FAMILIES.items() if g.kernel.d is None), key=str)
+
+
+@pytest.mark.parametrize("d", [F(5), F(5, 4), F(25, 16), F(2)])
+@pytest.mark.parametrize("family", RATIONAL_FAMILIES, ids=lambda k: f"{k[0]}-{k[1]}")
+def test_kernel_with_is_a_view_equal_to_a_kernel_built_over_the_arguments_ring(family, d):
+    g = FAMILIES[family]
+    x = tuple(QuadExt(k - 1, k % 3, d) for k in range(g.dim))
+    y = tuple(F(k % 4 - 1, 2) for k in range(g.dim))
+    view = g.kernel_with((*x, *y))
+    assert view is not g.kernel and view.d == d and g.kernel.d is None
+    assert view.rows is g.kernel.rows and view.twist is g.kernel.twist
     assert g.kernel_with(y) is g.kernel
-    assert list(g._quadratic_kernels) == [F(5)]
-
-
-def test_kernel_with_keeps_a_bounded_number_of_discriminants():
-    g = gl(2, 0)
-    ds = [F(p) for p in (2, 3, 5, 6, 7, 10)[: KERNELS_KEPT + 2]]
-    kernels = {d: g.kernel_with(quadratic_arguments(d)[0]) for d in ds}
-    assert len(set(map(id, kernels.values()))) == len(ds)
-    assert all(kernel.d == d for d, kernel in kernels.items())
-    assert list(g._quadratic_kernels) == ds[-KERNELS_KEPT:]
-    # the oldest went first; asking again builds it anew, still within the bound
-    again = g.kernel_with(quadratic_arguments(ds[0])[0])
-    assert again is not kernels[ds[0]] and again.d == ds[0]
-    assert len(g._quadratic_kernels) == KERNELS_KEPT
+    fresh = lifted(g, d)
+    assert fresh.d == d
+    assert (view.rows, view.scale) == (fresh.rows, fresh.scale)
+    assert (view.twist.cols, view.twist.ad, view.twist.scale) == (
+        fresh.twist.cols, fresh.twist.ad, fresh.twist.scale
+    )
+    assert repr(view.bracket_eval(x, y)) == repr(fresh.bracket_eval(x, y))
+    # a quadratic kernel stays in its own ring
+    assert view.over(d) is view and view.over(None) is view
+    with pytest.raises(BackendMismatchError, match="mixed discriminants"):
+        view.over(F(7))
+    with pytest.raises(BackendMismatchError, match="mixed discriminants"):
+        fresh.over(F(7))
 
 
 @pytest.mark.parametrize("d", [F(5), F(5, 4), F(2)])
@@ -227,7 +239,7 @@ def test_a_kept_kernel_gives_the_values_and_types_of_a_fresh_one(d):
     g = gl(4, 0)
     x, y = quadratic_arguments(d)
     x, y = x * 4, y * 4
-    fresh = Kernel(g.dim, g.pairs, g.twist, (*x, *y))
+    fresh = lifted(g, d)
     first = bracket_eval(g, x, y)
     assert repr(bracket_eval(g, x, y)) == repr(first) == repr(fresh.bracket_eval(x, y))
     assert all(type(v) is QuadExt for v in first)

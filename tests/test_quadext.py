@@ -127,6 +127,10 @@ def test_results_are_immutable(x, y):
                 delattr(value, name)
         with pytest.raises(AttributeError):
             value.extra = 1
+        # an element is built in __new__, so __init__ has nothing to rewrite
+        fields = (value.p, value.q, value.r, value.disc, hash(value))
+        value.__init__(7, 0, 3)
+        assert (value.p, value.q, value.r, value.disc, hash(value)) == fields
 
 
 def test_the_public_constructor_normalises_its_fields():
@@ -141,6 +145,14 @@ def test_copies_and_pickles_are_equal_elements():
     x = QuadExt(F(1, 2), F(-3), F(5, 4))
     for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert type(y) is QuadExt and y == x and y.d == x.d
+
+
+def test_calling_init_again_leaves_a_dict_key_in_place():
+    x = QuadExt(1, 2, 5)
+    table = {x: "kept"}
+    x.__init__(7, 0, 3)
+    assert repr(x) == "QuadExt(1, 2, d=5)" and table[x] == "kept"
+    assert table[QuadExt(1, 2, 5)] == "kept"
 
 
 def test_a_backend_shares_one_discriminant_and_decides_degeneracy_once(monkeypatch):
