@@ -304,6 +304,21 @@ class Kernel:
                 return signs, (i, j)
         return signs, None
 
+    def first_twist_failure(self, source: "Kernel", t: Twist) -> Optional[Tuple[int, int]]:
+        """The first ``(r, c)``, row-major, where ``t beta_s != beta t`` (else ``None``).
+
+        ``t`` maps ``source``'s algebra, twisted by ``beta_s``, into this one's as in
+        :meth:`first_sign_failure`.  The sides, over ``L_t L_s`` and ``L_beta L_t``, are
+        multiplied by ``L_beta / g`` and ``L_s / g`` with ``g = gcd(L_s, L_beta)``.
+        """
+        beta_s, beta = source.twist, self.twist
+        g, failures = math.gcd(beta_s.scale, beta.scale), []
+        for c, column in enumerate(beta_s.cols):
+            diff = self._combine({}, column, t.cols, beta.scale // g)
+            self._combine(diff, t.cols[c], beta.cols, -(beta_s.scale // g))
+            failures += [(r, c) for r, x in diff.items() if x != _ZERO]
+        return min(failures, default=None)
+
 
 class Rep:
     """A representation ``(rho, phi)`` of the kernel's algebra as sparse pair rows.
@@ -381,65 +396,76 @@ class Coboundary:
     ``L_M = conj_scale``, the bracket by ``L_C`` and the twist by ``L_t``;
     the first sum is multiplied by ``L_C`` and the second by ``L_M * L_t``,
     so every entry is ``scale = L_C * L_M * L_t**k`` times its true value.
+
+    A column is built from its nonzero terms, index sets being bitmasks: each
+    nonzero ``det beta[K; v]``, expanded along the rows of ``K``, at ``u = v + {t}``
+    for each ``M_t != 0``, and (expanding along the bracket column) each nonzero
+    ``det beta[K - K_r; rest]`` at ``u = rest + {p, q}`` for the ``p < q`` whose
+    bracket has a nonzero ``K_r`` component.  So the cost follows the nonzeros
+    of the minors, the bracket and the ``M_t``; builds may share ``minors``.
     """
 
-    def __init__(self, kernel: Kernel, k: int, m: int, conj: List[Rows], conj_scale: int) -> None:
-        n = kernel.dim
+    def __init__(self, kernel: Kernel, k: int, m: int, conj: List[Rows], conj_scale: int,
+                 minors: Optional[Dict[tuple, Sparse]] = None) -> None:
+        n, mul, rr = kernel.dim, kernel._mul, kernel.rr
         self.kernel, self.m = kernel, m
         self.sources = list(itertools.combinations(range(n), k))
         self.targets = list(itertools.combinations(range(n), k + 1))
-        blocks: List[Dict[Tuple[int, int], Pair]] = [
-            {(a, b): x for a, row in enumerate(mt) for b, x in row.items() if x != _ZERO}
-            for mt in conj
-        ]
         t_scale = kernel.twist.scale
         self.scale = kernel.scale * conj_scale * t_scale**k
-        minors: Dict[Tuple[tuple, tuple], Pair] = {}
+        offset = {sum(1 << t for t in u): uu * m for uu, u in enumerate(self.targets)}
+        beta = [[(c, col[r]) for c, col in enumerate(kernel.twist.cols) if r in col]
+                for r in range(n)]
+        # action[t][b] is column b of M_t, and hits[c] the brackets with a component c
+        action = [[[(a, row[b]) for a, row in enumerate(mt) if row.get(b, _ZERO) != _ZERO]
+                   for b in range(m)] for mt in conj]
+        acting = [t for t in range(n) if any(action[t])]
+        hits = [[(1 << p, 1 << q, v[c]) for p, row in enumerate(kernel.rows)
+                 for q, v in row.items() if c in v] for c in range(n)]
+        table = {} if minors is None else minors
+        table[()] = {0: (1, 0)}
 
-        def minor(rows: tuple, cols: tuple) -> Pair:
-            """``det beta[rows; cols]`` times ``L_t**len(rows)``, by its first column."""
-            if not rows:
-                return (1, 0)
-            got = minors.get((rows, cols))
-            if got is None:
-                x = y = 0
-                column = kernel.twist.cols[cols[0]]
-                for r, row in enumerate(rows):
-                    if row in column:
-                        a, b = kernel._mul(column[row], minor(rows[:r] + rows[r + 1 :], cols[1:]))
-                        x, y = (x + a, y + b) if r % 2 == 0 else (x - a, y - b)
-                got = minors[(rows, cols)] = (x, y)
-            return got
+        def add(acc: Sparse, at: int, x: Pair, odd: int) -> None:
+            (a, b), (c, e) = x, acc.get(at, _ZERO)
+            acc[at] = (c - a, e - b) if odd else (c + a, e + b)
 
-        self.cols: List[Sparse] = [{} for _ in range(len(self.sources) * m)]
-        for kk, K in enumerate(self.sources):
-            for uu, u in enumerate(self.targets):
-                entries: Dict[Tuple[int, int], Pair] = {}
-                for i, t in enumerate(u):
-                    det = minor(K, u[:i] + u[i + 1 :])
-                    if blocks[t] and det != _ZERO:
-                        factor = kernel.scale if i % 2 == 0 else -kernel.scale
-                        c, e = det[0] * factor, det[1] * factor
-                        for ab, value in blocks[t].items():
-                            a, b = kernel._mul(value, (c, e))
-                            x, y = entries.get(ab, _ZERO)
-                            entries[ab] = (x + a, y + b)
-                x = y = 0
-                for i, j in itertools.combinations(range(k + 1), 2):
-                    head = kernel.bracket(u[i], u[j])
-                    rest = tuple(u[p] for p in range(k + 1) if p not in (i, j))
-                    for r, row in enumerate(K):
-                        if row in head:
-                            a, b = kernel._mul(head[row], minor(K[:r] + K[r + 1 :], rest))
-                            x, y = (x + a, y + b) if (i + j + r) % 2 == 0 else (x - a, y - b)
-                if x or y:
-                    x, y = x * conj_scale * t_scale, y * conj_scale * t_scale
-                    for a in range(m):
-                        c, e = entries.get((a, a), _ZERO)
-                        entries[(a, a)] = (c + x, e + y)
-                for (a, b), value in entries.items():
-                    if value != _ZERO:
-                        self.cols[kk * m + b][uu * m + a] = value
+        def nonzero_minors(rows: tuple) -> Sparse:
+            """``{v: det beta[rows; v] * L_t**len(rows)}`` for the nonzero minors."""
+            if rows not in table:
+                acc: Sparse = {}
+                for v, det in nonzero_minors(rows[1:]).items():
+                    for c, x in beta[rows[0]]:
+                        if not v & 1 << c:
+                            add(acc, v | 1 << c, mul(x, det), (v & ((1 << c) - 1)).bit_count() % 2)
+                table[rows] = {v: x for v, x in acc.items() if x != _ZERO}
+            return table[rows]
+
+        self.cols: List[Sparse] = []
+        for K in self.sources:
+            cols: List[Sparse] = [{} for _ in range(m)]
+            for v, (c, e) in nonzero_minors(K).items():
+                c, e = c * kernel.scale, e * kernel.scale
+                for t in acting:
+                    if not v & 1 << t:
+                        at = offset[v | 1 << t]
+                        sc, se = (-c, -e) if (v & ((1 << t) - 1)).bit_count() % 2 else (c, e)
+                        for col, entries in zip(cols, action[t]):
+                            for a, (x, y) in entries:
+                                p, q = col.get(at + a, _ZERO)
+                                col[at + a] = (p + x * sc + y * se * rr, q + x * se + y * sc)
+            bracket: Sparse = {}
+            for r, row in enumerate(K):
+                for rest, det in nonzero_minors(K[:r] + K[r + 1 :]).items():
+                    for p, q, x in hits[row]:
+                        if not rest & (p | q):
+                            u = rest | p | q
+                            odd = ((u & (p - 1)).bit_count() + (u & (q - 1)).bit_count() + r) % 2
+                            add(bracket, u, mul(x, det), odd)
+            factor = conj_scale * t_scale
+            for u, (x, y) in bracket.items():
+                for b, col in enumerate(cols):
+                    add(col, offset[u] + b, (x * factor, y * factor), 0)
+            self.cols += ({at: x for at, x in col.items() if x != _ZERO} for col in cols)
 
     def apply(self, column: Sparse) -> Sparse:
         """``self . column`` for a cochain's pairs indexed like the columns.

@@ -288,7 +288,15 @@ def classify(
     return Classification(Verdict.HOM_LIE, regular)
 
 
-def _bracket_failure(f: Mat, g: HomAlgebra, h: HomAlgebra, signs: Set[int]):
+def _compiled(f: Mat, g: HomAlgebra, h: HomAlgebra) -> tuple:
+    """``g``'s and ``h``'s kernels in one ring, and ``f`` compiled on ``h``'s."""
+    target = h.kernel_with(flatten(f))
+    source = g.kernel.over(target.d)
+    target = target.over(source.d)
+    return source, target, target.twist if f is h.twist else Twist(target, f)
+
+
+def _bracket_failure(f: Mat, g: HomAlgebra, h: HomAlgebra, signs: Set[int], compiled=None):
     """The bracket law ``f([e_i,e_j]_g) = eps * [f e_i, f e_j]_h`` over basis pairs.
 
     Returns the ``signs`` eps that hold on every ordered pair up to the
@@ -300,13 +308,10 @@ def _bracket_failure(f: Mat, g: HomAlgebra, h: HomAlgebra, signs: Set[int]):
     Both sides are antisymmetric, so scanning the i<j pairs finds the same
     pair with the same signs (see ``Kernel.first_sign_failure``).  ``f`` is
     compiled on ``h``'s kernel, and ``g``'s kernel, in the same ring, gives
-    the brackets it maps.  Mixed discriminants raise
-    :class:`BackendMismatchError`.
+    the brackets it maps (``compiled``, by default :func:`_compiled`).
+    Mixed discriminants raise :class:`BackendMismatchError`.
     """
-    target = h.kernel_with(flatten(f))
-    source = g.kernel.over(target.d)
-    target = target.over(source.d)
-    twist = target.twist if f is h.twist else Twist(target, f)
+    source, target, twist = compiled or _compiled(f, g, h)
     left, at = target.first_sign_failure(source, twist, signs)
     if at is None:
         return left, None
@@ -338,7 +343,8 @@ def check_morphism(f: Mat, g: HomAlgebra, h: HomAlgebra, sign: int) -> CheckRepo
     Verifies ``f([e_i, e_j]_g) = sign * [f e_i, f e_j]_h`` on all basis pairs
     and the intertwining law ``f . twist_g = twist_h . f`` as matrices.
     ``sign`` is +1 for morphisms of Hom-Lie algebras and -1 for morphisms of
-    skew-Hom-Lie algebras.
+    skew-Hom-Lie algebras.  Both are decided on the kernels, and a witness
+    residual is recomputed densely.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -346,18 +352,17 @@ def check_morphism(f: Mat, g: HomAlgebra, h: HomAlgebra, sign: int) -> CheckRepo
         raise BackendMismatchError("source and target use different backends")
     if len(f) != h.dim or any(len(row) != g.dim for row in f):
         raise DimensionError(f"morphism matrix must be {h.dim}x{g.dim}")
-    _, failure = _bracket_failure(f, g, h, {sign})
+    source, target, t = compiled = _compiled(f, g, h)
+    _, failure = _bracket_failure(f, g, h, {sign}, compiled)
     if failure is not None:
         (i, j), res = failure
         return CheckReport(False, Witness(("bracket", i, j), res))
-    intertwine = mat_mul(f, g.twist)
-    other = mat_mul(h.twist, f)
-    for r in range(h.dim):
-        for c in range(g.dim):
-            diff = intertwine[r][c] - other[r][c]
-            if diff:
-                return CheckReport(False, Witness(("twist", r, c), diff))
-    return CheckReport(True)
+    at = target.first_twist_failure(source, t)
+    if at is None:
+        return CheckReport(True)
+    r, c = at
+    diff = mat_mul((f[r],), g.twist)[0][c] - mat_mul((h.twist[r],), f)[0][c]
+    return CheckReport(False, Witness(("twist", r, c), diff))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,14 @@ with 1-based positions, hats marking removed arguments, and the bracket
 argument placed first.  Whenever rho satisfies the representation equations
 and the algebra is skew-Hom-Lie, d^s . d^s = 0; ``check_d_squared`` verifies
 this exactly on a spanning set of basis cochains.
+
+Lemma: d^s = Phi^s d^0 Phi^(-s) in every degree, with Phi = id (x) phi
+applying phi to every value.  Proof: let eta' = Phi^(-s) eta, so that
+eta(y) = phi^s eta'(y).  A term of the first sum is then
+phi^(k+1+s) rho(x_i) phi^(-k-2-s) phi^s eta'(...), phi^s times the same
+term of d^0 eta', and so is a signed value eta(...) = phi^s eta'(...) of
+the second.  So d^s eta = Phi^s d^0 eta', and d^s d^s = Phi^s d^0 d^0
+Phi^(-s) is 0 exactly when d^0 d^0 is; H(d^s) is isomorphic to H(d^0).
 """
 
 from __future__ import annotations
@@ -149,7 +157,7 @@ def _vectors(kernel: Kernel, column: Sparse, scale: int, targets: list, m: int, 
     }
 
 
-def _operator(g: HomAlgebra, rep: Representation, k: int, s: int) -> Coboundary:
+def _operator(g: HomAlgebra, rep: Representation, k: int, s: int, minors=None) -> Coboundary:
     """The matrix of ``d^s`` on degree-k cochains.
 
     ``rep`` is a representation of ``g``.  ``M_t = pre rho(e_t) post``, with
@@ -172,9 +180,9 @@ def _operator(g: HomAlgebra, rep: Representation, k: int, s: int) -> Coboundary:
         pre = mat_pow(rep.phi, k + 1 + s)
         post = mat_pow(rep.phi, -(k + 2 + s))
         conj, scale = rep.kernel.conjugated(pre, post)
-        return Coboundary(rep.kernel.kernel, k, rep.m, conj, scale)
+        return Coboundary(rep.kernel.kernel, k, rep.m, conj, scale, minors)
     rep.kernel  # compiled for its type and discriminant checks only
-    return Coboundary(g.kernel, k, rep.m, [[{}] * rep.m] * g.dim, 1)
+    return Coboundary(g.kernel, k, rep.m, [[{}] * rep.m] * g.dim, 1, minors)
 
 
 def d_squared_failures(g: HomAlgebra, rep: Representation, k: int, s: int):
@@ -190,15 +198,16 @@ def d_squared_failures(g: HomAlgebra, rep: Representation, k: int, s: int):
     once each (their entries are in :class:`skewhom._kernel.Coboundary`): a
     basis cochain fails exactly where its column of ``D_{k+1} D_k`` is not
     zero, and that column is its residual, typed as :func:`coboundary` types
-    its entries.  For ``k + 2 > n`` the target degree is empty, so nothing
-    fails for any rho.
+    its entries; the two builds share one table of twist minors.  For
+    ``k + 2 > n`` the target degree is empty, so nothing fails for any rho.
     """
     if rep.g != g:
         rep = replace(rep, g=g)
     n, m = g.dim, rep.m
     for degree in (k, k + 1, k + 2):
         _check_size(n, degree, m)
-    op, after = _operator(g, rep, k, s), _operator(g, rep, k + 1, s)
+    minors: dict = {}
+    op, after = _operator(g, rep, k, s, minors), _operator(g, rep, k + 1, s, minors)
 
     def columns():
         scale = op.scale * after.scale

@@ -16,6 +16,9 @@ with the dense re-checks of P that the closed-form build proves instead.
 kernel's integer pairs that ``Kernel.pairs`` replaced with integer
 arithmetic, and ``antisymmetry_failure`` is the dense table check that
 added every ``(i, j)`` and ``(j, i)`` entry, zeros included.
+``coboundary_cols`` is the build of a coboundary matrix that visits every
+pair of a source and a target index set, which ``Coboundary`` replaced
+with a build from the nonzero minors and bracket outputs.
 ``REFERENCE`` maps each public checker, and the se4 build, to its reference; the
 ``both_paths`` fixture runs a checker and its reference on the same input.
 ``DataclassQuadExt`` is the frozen-dataclass ``QuadExt`` that the slotted
@@ -318,6 +321,73 @@ def d_squared_failures(g, rep, k, s):
 
 def check_d_squared(g, rep, k, s):
     return d_squared_report(d_squared_failures(g, rep, k, s), k, s)
+
+
+def coboundary_cols(kernel, k, m, conj, conj_scale):
+    """``Coboundary``'s sources, targets, columns and scale, from every (source, target) pair.
+
+    Each pair ``(K, u)`` of a k-set and a (k+1)-set forms its k+1 twist
+    minors ``det beta[K; u - u_i]`` and reads its C(k+1, 2) brackets, with
+    the minors memoised by (rows, columns) and expanded along their first
+    column; the entries and their scale are those set out in
+    ``skewhom._kernel.Coboundary``.
+    """
+    n = kernel.dim
+    sources = list(itertools.combinations(range(n), k))
+    targets = list(itertools.combinations(range(n), k + 1))
+    blocks = [
+        {(a, b): x for a, row in enumerate(mt) for b, x in row.items() if x != (0, 0)}
+        for mt in conj
+    ]
+    t_scale = kernel.twist.scale
+    scale = kernel.scale * conj_scale * t_scale**k
+    minors = {}
+
+    def minor(rows, cols):
+        """``det beta[rows; cols]`` times ``L_t**len(rows)``, by its first column."""
+        if not rows:
+            return (1, 0)
+        got = minors.get((rows, cols))
+        if got is None:
+            x = y = 0
+            column = kernel.twist.cols[cols[0]]
+            for r, row in enumerate(rows):
+                if row in column:
+                    a, b = kernel._mul(column[row], minor(rows[:r] + rows[r + 1 :], cols[1:]))
+                    x, y = (x + a, y + b) if r % 2 == 0 else (x - a, y - b)
+            got = minors[(rows, cols)] = (x, y)
+        return got
+
+    cols = [{} for _ in range(len(sources) * m)]
+    for kk, K in enumerate(sources):
+        for uu, u in enumerate(targets):
+            entries = {}
+            for i, t in enumerate(u):
+                det = minor(K, u[:i] + u[i + 1 :])
+                if blocks[t] and det != (0, 0):
+                    factor = kernel.scale if i % 2 == 0 else -kernel.scale
+                    c, e = det[0] * factor, det[1] * factor
+                    for ab, value in blocks[t].items():
+                        a, b = kernel._mul(value, (c, e))
+                        x, y = entries.get(ab, (0, 0))
+                        entries[ab] = (x + a, y + b)
+            x = y = 0
+            for i, j in itertools.combinations(range(k + 1), 2):
+                head = kernel.bracket(u[i], u[j])
+                rest = tuple(u[p] for p in range(k + 1) if p not in (i, j))
+                for r, row in enumerate(K):
+                    if row in head:
+                        a, b = kernel._mul(head[row], minor(K[:r] + K[r + 1 :], rest))
+                        x, y = (x + a, y + b) if (i + j + r) % 2 == 0 else (x - a, y - b)
+            if x or y:
+                x, y = x * conj_scale * t_scale, y * conj_scale * t_scale
+                for a in range(m):
+                    c, e = entries.get((a, a), (0, 0))
+                    entries[(a, a)] = (c + x, e + y)
+            for (a, b), value in entries.items():
+                if value != (0, 0):
+                    cols[kk * m + b][uu * m + a] = value
+    return sources, targets, cols, scale
 
 
 def build_semi_euclidean(theta, backend=None):

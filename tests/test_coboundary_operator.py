@@ -10,6 +10,7 @@ basis cochains with their residuals.
 """
 
 import itertools
+import math
 from dataclasses import replace
 from fractions import Fraction as F
 from random import Random
@@ -28,7 +29,8 @@ from skewhom.cohomology import (
     coboundary,
     d_squared_failures,
 )
-from skewhom.constructions import alpha_block
+from skewhom._kernel import Coboundary, Kernel
+from skewhom.constructions import GlContext, alpha_block, build_gl_alpha
 from skewhom.errors import BackendMismatchError, DimensionError
 from skewhom.linalg import identity, mat, mat_mul, mat_pow, zero_mat
 from skewhom.representation import Representation, zero_representation
@@ -247,6 +249,110 @@ def test_identity_phi_and_zero_rho_give_the_bracket_part_only():
     for c, column in enumerate(op.cols):
         assert all(r % 4 == c % 4 for r in column)
     assert_columns_match(g, rep, 1, 0)
+
+
+# -- the build from nonzeros against the all-pairs build ---------------------
+
+# Q, Q(sqrt 2), Q(sqrt 5/4), and Q[s]/(s**2 - 25/16), where
+# (5/4 + s)(5/4 - s) = 0 makes zero divisors
+RINGS = (None, F(2), F(5, 4), F(25, 16))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random exact table, twist and blocks ``M_t`` on one kernel, with a degree.
+
+    The twist may have a zero row or column, and rho may be zero, as
+    ``_operator`` passes it, or have zero blocks among nonzero ones.
+    """
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(1, 2))
+    d = draw(st.sampled_from(RINGS))
+    pool = [F(1), F(0), F(-1), F(0), F(2), F(0), F(1, 3)]
+    if d is not None:
+        pool += [QuadExt(0, 1, d), QuadExt(F(5, 4), 1, d), QuadExt(F(5, 4), -1, d)]
+    entry = st.sampled_from(pool)
+    pairs = {
+        (i, j): tuple(draw(entry) for _ in range(n))
+        for i, j in itertools.combinations(range(n), 2)
+        if draw(st.booleans())
+    }
+    twist = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    zeroed, at = draw(st.sampled_from(("row", "column", None))), draw(st.integers(0, n - 1))
+    for r, c in itertools.product(range(n), repeat=2):
+        if (zeroed, at) in (("row", r), ("column", c)):
+            twist[r][c] = F(0)
+    kernel = Kernel(n, pairs, tuple(map(tuple, twist))).over(d)
+    if draw(st.booleans()):
+        conj, scale = [[{}] * m] * n, 1
+    else:
+        blocks = [[[draw(entry) for _ in range(m)] for _ in range(m)] for _ in range(n)]
+        conj, scale = kernel.matrices(blocks, m)
+    return kernel, m, conj, scale, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_build_from_nonzeros_matches_the_all_pairs_build(case):
+    kernel, m, conj, scale, k = case
+    # degrees k and k+1, so every degree up to n, share one minors table,
+    # as in d_squared_failures
+    minors = {}
+    for degree in (k, k + 1):
+        op = Coboundary(kernel, degree, m, conj, scale, minors)
+        sources, targets, cols, want_scale = reference.coboundary_cols(
+            kernel, degree, m, conj, scale
+        )
+        assert (op.sources, op.targets, op.scale) == (sources, targets, want_scale)
+        assert op.cols == cols
+
+
+@pytest.mark.parametrize("theta, nonzeros", [(F(0), (708, 3968)), (F(1), (10040, 92128))])
+def test_gl4_operators_with_the_zero_representation(theta, nonzeros):
+    g = build_gl_alpha(GlContext(4, *alpha_block(4, theta)))
+    rep = zero_representation(g, 1)
+    assert tuple(sum(map(len, _operator(g, rep, k, 0).cols)) for k in (2, 3)) == nonzeros
+    assert check_d_squared(g, rep, 1, 0).passed
+    assert check_d_squared(g, rep, 2, 0).passed
+
+
+# -- d^s is d^0 conjugated by phi^s -----------------------------------------
+
+
+def dense(op):
+    """The operator's matrix as exact scalars, by rows."""
+    return tuple(
+        tuple(op.kernel.scalar(column.get(r, (0, 0)), op.scale) for column in op.cols)
+        for r in range(len(op.targets) * op.m)
+    )
+
+
+def phi_power(phi, power, count):
+    """``id (x) phi**power`` on ``count`` value vectors, block diagonal."""
+    p, m = mat_pow(phi, power), len(phi)
+    return tuple(
+        tuple(p[r % m][c % m] if r // m == c // m else F(0) for c in range(count * m))
+        for r in range(count * m)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(sorted(FAMILIES, key=str)).map(lambda key: adjoint(FAMILIES[key])),
+        random_cases().map(lambda case: case[0]),
+    ),
+    st.sampled_from((1, 2)),
+    st.data(),
+)
+def test_d_s_is_d_0_conjugated_by_phi_to_the_s(rep, s, data):
+    n = rep.g.dim
+    k = data.draw(st.integers(0, n - 1))
+    conjugated = mat_mul(
+        mat_mul(phi_power(rep.phi, s, math.comb(n, k + 1)), dense(_operator(rep.g, rep, k, 0))),
+        phi_power(rep.phi, -s, math.comb(n, k)),
+    )
+    assert dense(_operator(rep.g, rep, k, s)) == conjugated
 
 
 # -- coboundary as the product D_k eta --------------------------------------

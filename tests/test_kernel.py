@@ -356,6 +356,34 @@ def test_check_morphism_matches_the_reference_on_the_isomorphism_onto_a_theta_me
     assert got[0] == (mutation is None and sign == 1 and not backwards)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from((F(1, 2), F(1), F(3, 4), F(-7, 3))),
+    st.sampled_from(("source", "target")),
+    st.one_of(
+        st.none(),
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from((1, -1, F(1, 3), "s"))),
+    ),
+)
+def test_intertwining_law_matches_the_reference_on_mutated_twists(theta, side, mutation):
+    # the bracket law of Ad_G holds whatever the twists are, so a mutated
+    # twist fails the intertwining law, at a witness the kernels locate
+    backend = quadratic_backend(theta)
+    g, h = build_gl_alpha(GlContext(2, *alpha_block(2, 0, backend))), gl2(theta)
+    if mutation is not None:
+        r, c, delta = mutation
+        x = g if side == "source" else h
+        twist = [list(row) for row in x.twist]
+        twist[r][c] += backend.sqrt_d if delta == "s" else delta
+        x = HomAlgebra.from_pairs(x.dim, x.pairs, mat(twist), x.backend, x.zero)
+        g, h = (x, h) if side == "source" else (g, x)
+    f = ad_g(2, theta, backend)
+    got = check_morphism(f, g, h, 1)
+    assert repr(got) == repr(reference.check_morphism(f, g, h, 1))
+    assert got.passed == (mutation is None)
+    assert got.passed or got.witness.at[0] == "twist"
+
+
 @pytest.mark.parametrize("theta", [F(1, 2), F(-7, 3)])
 def test_check_morphism_passes_the_isomorphism_onto_a_gl4_theta_member(theta):
     backend = quadratic_backend(theta)
