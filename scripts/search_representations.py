@@ -10,19 +10,14 @@ families; this script only reports outcomes, it proves nothing negative.
 """
 
 import argparse
-from fractions import Fraction
 
-from skewhom.constructions import GlContext, alpha_theta, build_gl_alpha, build_semi_euclidean
+from skewhom.constructions import resolve_algebra
 from skewhom.representation import check_representation, search_representation
 
 
 def targets():
-    for theta in (0, 1, Fraction(1, 2)):
-        g, _ = build_semi_euclidean(theta)
-        yield f"se4(theta={theta})", g
-    for theta in (0, 1):
-        alpha, backend = alpha_theta(theta)
-        yield f"gl2(theta={theta})", build_gl_alpha(GlContext(2, alpha, backend))
+    for ref in ("se4:theta=0", "se4:theta=1", "se4:theta=1/2", "gl2:theta=0", "gl2:theta=1"):
+        yield ref, resolve_algebra(ref)
 
 
 def main() -> int:

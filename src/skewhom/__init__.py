@@ -37,11 +37,11 @@ from .constructions import (
     build_gl_alpha,
     build_r3_cross,
     build_semi_euclidean,
-    builtin_algebra,
     check_pseudo_adjoint_identity,
     check_pseudo_adjoint_morphism,
     closed_form_bracket,
     pseudo_adjoint,
+    resolve_algebra,
 )
 from .errors import (
     BackendMismatchError,
@@ -62,7 +62,6 @@ from .linalg import (
     mat_inv,
     mat_mul,
     mat_pow,
-    wedge3,
 )
 from .representation import (
     Representation,
@@ -76,7 +75,6 @@ from .representation import (
 )
 from .scalars import (
     QuadExt,
-    Rational,
     ScalarBackend,
     quadratic_backend,
     rational_backend,
@@ -90,7 +88,6 @@ from .se4geometry import (
     in_v_star,
     pseudo_inner,
     vstar_certificate,
-    vstar_samples,
 )
 
 __version__ = "0.1.0"

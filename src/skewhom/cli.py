@@ -52,10 +52,11 @@ from .constructions import (
     build_r3_cross,
     build_semi_euclidean,
     check_pseudo_adjoint_identity,
+    resolve_algebra,
 )
 from .errors import CounterexampleNotFoundError, FileFormatError, SkewhomError
 from .linalg import identity, mat, mat_eq, mat_mul, mat_vec
-from .representation import load_representation, resolve_algebra, zero_representation
+from .representation import load_representation, zero_representation
 from .se4geometry import SPAN, in_v_star, vstar_certificate, vstar_defect, vstar_draws
 from .scalars import as_rational
 

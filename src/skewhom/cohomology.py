@@ -35,7 +35,7 @@ from typing import Dict, Optional, Tuple, Union
 from ._kernel import Coboundary, Kernel, Sparse
 from .algebra import CheckReport, HomAlgebra, Witness, read_json, write_json
 from .errors import DimensionError, FileFormatError
-from .linalg import Vec, basis_vec, mat_pow, vec, vec_add, vec_is_zero, vec_scale, zero_vec
+from .linalg import Vec, basis_vec, mat_pow, vec, vec_is_zero, zero_vec
 from .representation import Representation
 from .scalars import PARSE_ERRORS, format_scalar, parse_int, parse_scalar
 
@@ -96,16 +96,6 @@ def basis_cochains(n: int, m: int, k: int):
     for key in itertools.combinations(range(n), k):
         for axis in range(m):
             yield key, axis, cochain(k, n, m, {key: basis_vec(m, axis)})
-
-
-def cochain_add(x: Cochain, y: Cochain) -> Cochain:
-    if (x.k, x.n, x.m) != (y.k, y.n, y.m):
-        raise DimensionError("cochain shapes differ")
-    return Cochain(x.k, x.n, x.m, {key: vec_add(v, y.table[key]) for key, v in x.table.items()})
-
-
-def cochain_scale(c, x: Cochain) -> Cochain:
-    return Cochain(x.k, x.n, x.m, {key: vec_scale(c, v) for key, v in x.table.items()})
 
 
 def coboundary(eta: Cochain, rep: Representation, s: int) -> Cochain:

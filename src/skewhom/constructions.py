@@ -1,4 +1,6 @@
-"""Builders for the three concrete families and the pseudo-adjoint map.
+"""Builders for the three concrete families, the pseudo-adjoint map, and
+:func:`resolve_algebra`, which turns a file path or a builtin name into an
+algebra.
 
 * the cross-product algebra on R^3 twisted by an orthogonal matrix A, which
   is Hom-Lie for det A = +1 and skew-Hom-Lie for det A = -1;
@@ -9,11 +11,13 @@
   identically for dim V = 2 (the counterexample scan reports whichever
   holds);
 * the semi-Euclidean family on R^4 with twist ``P(theta)`` and bracket
-  defined by ``[x, y] = wedge3(Px, r, y) - wedge3(Py, r, x)`` with the null
-  vector ``r(theta)``, and computed by its closed form
-  :func:`closed_form_bracket`.  P is checked to be ``Ad_alpha(theta)`` and r
-  to be alpha read row by row; with ``alpha**2 = -id`` these give
-  ``P**2 = id`` and ``P r = -r`` (proof in :func:`build_semi_euclidean`).
+  defined by ``[x, y] = Px ^ r ^ y - Py ^ r ^ x`` with the null vector
+  ``r(theta)``, and computed by its closed form :func:`closed_form_bracket`.
+  ``u ^ v ^ w`` is the paper's ternary wedge, the formal 4x4 determinant
+  with symbolic first row ``(e1, -e2, e3, e4)`` and data rows u, v, w.  P
+  is checked to be ``Ad_alpha(theta)`` and r to be alpha read row by row;
+  with ``alpha**2 = -id`` these give ``P**2 = id`` and ``P r = -r`` (proof
+  in :func:`build_semi_euclidean`).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable, Optional, Tuple, Union
 
 from .algebra import (
@@ -31,6 +36,7 @@ from .algebra import (
     bracket_eval,
     check_hom_jacobi,
     check_morphism,
+    load_algebra,
 )
 from .errors import (
     BackendMismatchError,
@@ -51,13 +57,19 @@ from .linalg import (
     mat_neg,
     mat_sub,
     mat_vec,
-    matrix_unit,
     transpose,
     vec_eq,
     vec_neg,
     zero_vec,
 )
-from .scalars import ScalarBackend, as_rational, quadratic_backend, rational_is_square
+from .scalars import (
+    PARSE_ERRORS,
+    ScalarBackend,
+    as_rational,
+    parse_scalar,
+    quadratic_backend,
+    rational_is_square,
+)
 
 
 def _root_one_plus_sq(theta, backend: ScalarBackend):
@@ -129,26 +141,6 @@ class GlContext:
         minus_id = mat_neg(identity(self.m))
         if not mat_eq(mat_mul(self.alpha, self.alpha), minus_id):
             raise PreconditionError("alpha**2 must equal minus the identity")
-
-    @property
-    def basis(self) -> Tuple[Mat, ...]:
-        return tuple(
-            matrix_unit(self.m, p, q)
-            for p in range(self.m)
-            for q in range(self.m)
-        )
-
-
-def gl_bracket(ctx: GlContext, a: Mat, b: Mat) -> Mat:
-    """The twisted commutator aAaBa - aBaAa on matrices."""
-    al = ctx.alpha
-    left = mat_mul(mat_mul(mat_mul(mat_mul(al, a), al), b), al)
-    right = mat_mul(mat_mul(mat_mul(mat_mul(al, b), al), a), al)
-    return mat_sub(left, right)
-
-
-def ad_alpha(ctx: GlContext, b: Mat) -> Mat:
-    return mat_mul(mat_mul(ctx.alpha, b), ctx.alpha)
 
 
 def _typed_zero(entries) -> object:
@@ -313,7 +305,7 @@ def build_semi_euclidean(
 ) -> Tuple[HomAlgebra, SemiEuclideanContext]:
     """The 4-dimensional semi-Euclidean family at a given theta.
 
-    The bracket is defined by ``[x, y] = wedge3(Px, r, y) - wedge3(Py, r, x)``
+    The bracket is defined by the wedge ``[x, y] = Px ^ r ^ y - Py ^ r ^ x``
     and computed by its expansion :func:`closed_form_bracket` on the six
     basis pairs i < j; every entry gets the typed zero of r, the type each
     term of a wedge with r has.
@@ -360,7 +352,7 @@ def closed_form_bracket(ctx: SemiEuclideanContext, x: Vec, y: Vec) -> Vec:
         a = -s * [(x1 - x4)(y2 + y3) - (x2 + x3)(y1 - y4)]
             + 2 * theta * (x3 y2 - x2 y3),
 
-    the direct polynomial expansion of wedge3(Px, r, y) - wedge3(Py, r, x):
+    the direct polynomial expansion of Px ^ r ^ y - Py ^ r ^ x:
     the s-part is the antisymmetrization of the wedge's s-terms, while the
     theta-term is already antisymmetric in (x, y) and therefore doubles
     rather than cancels.  It vanishes at theta = 0, where the pure-s formula
@@ -444,38 +436,47 @@ def check_pseudo_adjoint_morphism(g: HomAlgebra) -> CheckReport:
     return check_morphism(f, g, target, sign=-1)
 
 
-BUILTIN_FAMILIES = ("se4", "gl2", "r3")
+# The one key each builtin family takes, and its value when the key is left out.
+BUILTIN_KEYS = {"se4": ("theta", "0"), "gl2": ("theta", "0"), "r3": ("A", None)}
 
 
-def builtin_algebra(name: str):
-    """Resolve a builtin family name to (label, algebra, context-or-None).
+def resolve_algebra(ref: str) -> HomAlgebra:
+    """The algebra that ``ref`` names: an algebra file, else a builtin family.
 
-    Accepted forms: ``se4:theta=<p/q>``, ``gl2:theta=<p/q>``, and
-    ``r3:A=<JSON matrix literal>`` whose entries are numbers or "p/q"
-    strings.
+    ``ref`` loads as an algebra file when that path exists.  Otherwise it
+    is ``family`` or ``family:key=value``, with one key per family:
+    ``se4:theta=<p/q>`` and ``gl2:theta=<p/q>`` (theta defaults to 0), and
+    ``r3:A=<JSON 3x3 matrix>``, whose entries are integers or ``"p/q"``
+    strings and which must be orthogonal.  Any other family or key, and any
+    malformed value, raises ``ValueError``.
     """
-    family, _, argtext = name.partition(":")
-    args = {}
+    if Path(ref).exists():
+        return load_algebra(ref)
+    family, _, argtext = ref.partition(":")
+    if family not in BUILTIN_KEYS:
+        raise ValueError(
+            f"{ref!r} is neither an existing algebra file nor a builtin family"
+            f" ({', '.join(BUILTIN_KEYS)})"
+        )
+    key, raw = BUILTIN_KEYS[family]
     if argtext:
-        key, _, raw = argtext.partition("=")
+        given, _, raw = argtext.partition("=")
+        if given != key:
+            raise ValueError(f"unknown key {given!r} in builtin name {ref!r}; {family} takes {key}")
         if not raw:
-            raise ValueError(f"missing value in builtin name {name!r}")
-        args[key] = raw
+            raise ValueError(f"missing value in builtin name {ref!r}")
     if family == "se4":
-        theta = as_rational(args.get("theta", "0"))
-        g, ctx = build_semi_euclidean(theta)
-        return f"se4(theta={theta})", g, ctx
+        return build_semi_euclidean(as_rational(raw))[0]
     if family == "gl2":
-        theta = as_rational(args.get("theta", "0"))
-        alpha, backend = alpha_theta(theta)
-        ctx = GlContext(2, alpha, backend)
-        return f"gl2(theta={theta})", build_gl_alpha(ctx), ctx
-    if family == "r3":
-        raw = args.get("A")
-        if raw is None:
-            raise ValueError("r3 needs A=<matrix literal>")
+        return build_gl_alpha(GlContext(2, *alpha_theta(as_rational(raw))))
+    if raw is None:
+        raise ValueError("r3 needs A=<matrix literal>")
+    backend = ScalarBackend("rational")
+    try:
         rows = json.loads(raw)
-        backend = ScalarBackend("rational")
-        A = mat(tuple(backend.coerce(x) for x in row) for row in rows)
-        return "r3", build_r3_cross(A, backend), None
-    raise ValueError(f"unknown builtin family {family!r}")
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ValueError(f"not a list of rows: {raw}")
+        A = mat(tuple(parse_scalar(x, backend) for x in row) for row in rows)
+        return build_r3_cross(A, backend)
+    except (*PARSE_ERRORS, PreconditionError) as exc:
+        raise ValueError(f"bad matrix in builtin name {ref!r}: {exc}") from exc

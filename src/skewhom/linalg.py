@@ -6,17 +6,14 @@ checked at call time.  Elimination uses exact division with first-nonzero
 pivoting: exact backends need no stability pivoting, and a zero-divisor pivot
 in a degenerate quadratic ring surfaces as the underlying backend error.
 
-Also home to the two wedge products used by the concrete constructions: the
-ordinary 3D cross product and the rank-3 wedge on R^4 defined by the formal
-determinant whose symbolic first row carries the sign pattern
-``(e1, -e2, e3, e4)``.
+Also home to the 3D cross product of the cross-product construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import DimensionError, SingularMatrixError
 from .scalars import QuadExt
@@ -82,12 +79,6 @@ def zero_mat(rows: int, cols: int) -> Mat:
     return (zero_vec(cols),) * rows
 
 
-def matrix_unit(n: int, p: int, q: int) -> Mat:
-    return tuple(
-        tuple(_ONE if (i, j) == (p, q) else _ZERO for j in range(n)) for i in range(n)
-    )
-
-
 def transpose(a: Mat) -> Mat:
     return tuple(zip(*a)) if a else ()
 
@@ -144,12 +135,6 @@ def mat_eq(a: Mat, b: Mat) -> bool:
 def flatten(a: Mat) -> Vec:
     """Row-major entries of a matrix as one vector."""
     return tuple(x for row in a for x in row)
-
-
-def unflatten(v: Vec, rows: int, cols: int) -> Mat:
-    if len(v) != rows * cols:
-        raise DimensionError(f"cannot reshape length {len(v)} into {rows}x{cols}")
-    return tuple(tuple(v[i * cols + j] for j in range(cols)) for i in range(rows))
 
 
 def _shape(a: Mat) -> tuple:
@@ -254,56 +239,3 @@ def cross3(u: Vec, v: Vec) -> Vec:
         u[0] * v[1] - u[1] * v[0],
     )
 
-
-def _det3(rows: Sequence[Sequence[Scalar]]) -> Scalar:
-    """3x3 determinant with the value and type of the full expansion.
-
-    The full expansion multiplies every entry, so it is a ``QuadExt`` when
-    one of the nine entries is, else a ``Fraction`` when one is, else an
-    ``int``.  Rows are expanded along the row with the most zero entries,
-    skipping zero products, and the result is given that type; mixed
-    discriminants keep the full expansion, which raises.
-    """
-    entries = [x for row in rows for x in row]
-    ds = [x.d for x in entries if isinstance(x, QuadExt)]
-    if any(d is not ds[0] and d != ds[0] for d in ds):
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    zeros = [sum(1 for x in row if not x) for row in rows]
-    r = zeros.index(max(zeros))
-    others = [row for k, row in enumerate(rows) if k != r]
-    out = 0
-    for c, x in enumerate(rows[r]):
-        if not x:
-            continue
-        (p, q), (u, v) = ([e for k, e in enumerate(row) if k != c] for row in others)
-        minor = (p * v if p and v else 0) - (q * u if q and u else 0)
-        if minor:
-            # the type is fixed below, so a unit factor need not be multiplied
-            term = minor if x == 1 else x * minor
-            out = out + term if (r + c) % 2 == 0 else out - term
-    if ds:
-        return out if isinstance(out, QuadExt) else QuadExt(out, 0, ds[0])
-    return Fraction(out) if any(isinstance(x, Fraction) for x in entries) else out
-
-
-def wedge3(u: Vec, v: Vec, w: Vec) -> Vec:
-    """Ternary wedge of three vectors in R^4.
-
-    Formal expansion of the 4x4 determinant with symbolic first row
-    ``(e1, -e2, e3, e4)`` and data rows ``u, v, w``; the sign pattern of that
-    row is part of the product's definition, so this is NOT the Euclidean 4D
-    cross product.  Each component is a 3x3 minor with the value and scalar
-    type of its full expansion (see ``_det3``); a basis vector among the
-    rows, as in the semi-Euclidean build, makes each one a single 2x2
-    product.
-    """
-    for x in (u, v, w):
-        if len(x) != 4:
-            raise DimensionError("ternary wedge needs three vectors of length 4")
-
-    def minor(col: int) -> Scalar:
-        cols = [c for c in range(4) if c != col]
-        return _det3(tuple(tuple(row[c] for c in cols) for row in (u, v, w)))
-
-    return (minor(0), minor(1), minor(2), -minor(3))

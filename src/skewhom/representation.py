@@ -26,18 +26,11 @@ from .algebra import (
     HomAlgebra,
     Witness,
     check_morphism,
-    load_algebra,
     read_json,
     write_json,
 )
-from .constructions import (
-    BUILTIN_FAMILIES,
-    GlContext,
-    alpha_block,
-    build_gl_alpha,
-    builtin_algebra,
-)
-from .errors import DimensionError, FileFormatError, PreconditionError
+from .constructions import GlContext, alpha_block, build_gl_alpha, resolve_algebra
+from .errors import DimensionError, FileFormatError, PreconditionError, SkewhomError
 from .linalg import (
     Mat,
     Vec,
@@ -231,7 +224,8 @@ def search_representation(
 
 # ---------------------------------------------------------------------------
 # Representation file format: {"algebra", "m", "rho", "phi"}; "algebra" is a
-# path to an algebra file or a builtin family name.
+# path to an algebra file or a builtin family name, read by resolve_algebra,
+# and any error in resolving it is located at "algebra".
 
 
 def representation_to_dict(rep: Representation, algebra_ref: str) -> dict:
@@ -250,7 +244,10 @@ def representation_from_dict(obj: dict, g: Optional[HomAlgebra] = None) -> Repre
         ref = obj.get("algebra")
         if not isinstance(ref, str):
             raise FileFormatError("missing algebra reference", location="algebra")
-        g = resolve_algebra(ref)
+        try:
+            g = resolve_algebra(ref)
+        except (OSError, SkewhomError, ValueError) as exc:
+            raise FileFormatError(str(exc), location="algebra") from exc
     backend = g.backend
     try:
         m = parse_int(obj["m"])
@@ -267,18 +264,6 @@ def representation_from_dict(obj: dict, g: Optional[HomAlgebra] = None) -> Repre
         return Representation(g, m, rho, phi)
     except (DimensionError, PreconditionError) as exc:
         raise FileFormatError(str(exc), location="document") from exc
-
-
-def resolve_algebra(ref: str) -> HomAlgebra:
-    """Load ``ref`` as an algebra file if that path exists, else as a builtin family name."""
-    if Path(ref).exists():
-        return load_algebra(ref)
-    if ref.partition(":")[0] not in BUILTIN_FAMILIES:
-        raise ValueError(
-            f"{ref!r} is neither an existing algebra file nor a builtin family"
-            f" ({', '.join(BUILTIN_FAMILIES)})"
-        )
-    return builtin_algebra(ref)[1]
 
 
 def save_representation(rep: Representation, algebra_ref: str, path: Union[str, Path]) -> None:

@@ -21,8 +21,6 @@ from typing import Optional, Union
 
 from .errors import BackendMismatchError, ZeroDivisorError
 
-Rational = Fraction
-
 # The largest decimal exponent ("1e4300") a scalar string may carry, the digit
 # count CPython's int() accepts from a string by default.  Fraction expands an
 # exponent into a power of ten, so "1e2000000000" alone would ask for ~830 MB.

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from random import Random
-from typing import Iterator, List, Union
+from typing import Iterator, Union
 
 from .algebra import CheckReport, HomAlgebra, Witness, bracket_eval
 from .constructions import SemiEuclideanContext, build_semi_euclidean
@@ -131,11 +131,6 @@ def _draws(ctx: SemiEuclideanContext, count: int, seed: int) -> Iterator[Vec]:
         b1, b2 = _plane_basis(PLANES[t % 4])
         p, q = rng.randint(-SPAN, SPAN), rng.randint(-SPAN, SPAN)
         yield tuple(ctx.backend.coerce(p * a + q * b) for a, b in zip(b1, b2))
-
-
-def vstar_samples(ctx: SemiEuclideanContext, count: int, seed: int = 0) -> List[Vec]:
-    """The members :func:`vstar_draws` draws, as a list."""
-    return list(vstar_draws(ctx, count, seed))
 
 
 def check_vstar_closure(

@@ -12,6 +12,11 @@ discriminant.
 
 ``build_semi_euclidean`` is the se4 build from its ``wedge3`` definition,
 with the dense re-checks of P that the closed-form build proves instead.
+``wedge3`` is the paper's ternary wedge, with minors by the full cofactor
+expansion ``det3``.  ``gl_bracket`` and ``ad_alpha`` are gl(V)'s bracket
+and twist as dense matrix products on the ``matrix_units``, which the
+closed-form gl build replaced, and ``cochain_add`` and ``cochain_scale``
+make linear combinations of cochains.
 ``kernel_pairs`` is the ``Fraction``-based conversion of scalars into a
 kernel's integer pairs that ``Kernel.pairs`` replaced with integer
 arithmetic, and ``antisymmetry_failure`` is the dense table check that
@@ -59,7 +64,6 @@ from skewhom.linalg import (
     vec_neg,
     vec_scale,
     vec_sub,
-    wedge3,
     zero_vec,
 )
 from skewhom.representation import rho_eval
@@ -323,6 +327,16 @@ def check_d_squared(g, rep, k, s):
     return d_squared_report(d_squared_failures(g, rep, k, s), k, s)
 
 
+def cochain_add(x, y):
+    if (x.k, x.n, x.m) != (y.k, y.n, y.m):
+        raise DimensionError("cochain shapes differ")
+    return Cochain(x.k, x.n, x.m, {key: vec_add(v, y.table[key]) for key, v in x.table.items()})
+
+
+def cochain_scale(c, x):
+    return Cochain(x.k, x.n, x.m, {key: vec_scale(c, v) for key, v in x.table.items()})
+
+
 def coboundary_cols(kernel, k, m, conj, conj_scale):
     """``Coboundary``'s sources, targets, columns and scale, from every (source, target) pair.
 
@@ -388,6 +402,58 @@ def coboundary_cols(kernel, k, m, conj, conj_scale):
                 if value != (0, 0):
                     cols[kk * m + b][uu * m + a] = value
     return sources, targets, cols, scale
+
+
+def det3(rows):
+    """A 3x3 determinant by its full cofactor expansion along the first row."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def wedge3(u, v, w):
+    """The ternary wedge of three vectors in R^4.
+
+    The formal expansion of the 4x4 determinant with symbolic first row
+    ``(e1, -e2, e3, e4)`` and data rows ``u, v, w``.  The sign pattern of
+    that row is part of the definition, so this is not the Euclidean 4D
+    cross product.
+    """
+    for x in (u, v, w):
+        if len(x) != 4:
+            raise DimensionError("ternary wedge needs three vectors of length 4")
+
+    def minor(col):
+        cols = [c for c in range(4) if c != col]
+        return det3([[row[c] for c in cols] for row in (u, v, w)])
+
+    return (minor(0), minor(1), minor(2), -minor(3))
+
+
+def matrix_unit(n, p, q):
+    return tuple(
+        tuple(Fraction(int((i, j) == (p, q))) for j in range(n)) for i in range(n)
+    )
+
+
+def matrix_units(m):
+    """The m**2 matrix units in the row-major order of gl(R^m)'s basis."""
+    return tuple(matrix_unit(m, p, q) for p in range(m) for q in range(m))
+
+
+def unflatten(v, rows, cols):
+    return tuple(tuple(v[i * cols + j] for j in range(cols)) for i in range(rows))
+
+
+def gl_bracket(ctx, a, b):
+    """The twisted commutator aAaBa - aBaAa on matrices."""
+    al = ctx.alpha
+    left = mat_mul(mat_mul(mat_mul(mat_mul(al, a), al), b), al)
+    right = mat_mul(mat_mul(mat_mul(mat_mul(al, b), al), a), al)
+    return mat_sub(left, right)
+
+
+def ad_alpha(ctx, b):
+    return mat_mul(mat_mul(ctx.alpha, b), ctx.alpha)
 
 
 def build_semi_euclidean(theta, backend=None):

@@ -50,7 +50,6 @@ from skewhom.linalg import (
     vec_is_zero,
     vec_neg,
     vec_sub,
-    wedge3,
 )
 from skewhom.algebra import bracket_eval
 from skewhom.representation import (
@@ -58,7 +57,9 @@ from skewhom.representation import (
     theorem_equivalence,
     zero_representation,
 )
-from skewhom.se4geometry import in_v_star, vstar_certificate, vstar_samples
+from skewhom.se4geometry import in_v_star, vstar_certificate, vstar_draws
+
+from reference import wedge3
 
 
 def _criterion(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -157,7 +158,7 @@ def test_criterion_04_null_subset_closure():
             y = tuple(F(rng.randint(-9, 9)) for _ in range(4))
             if not in_v_star(bracket_eval(g, x, y)).member:
                 ok = False
-        for z in vstar_samples(ctx, 200, seed=41):
+        for z in vstar_draws(ctx, 200, seed=41):
             if not in_v_star(mat_vec(ctx.P, z)).member:
                 ok = False
     _criterion(

@@ -24,7 +24,9 @@ from skewhom.constructions import (
     build_r3_cross,
     build_semi_euclidean,
 )
+from skewhom.errors import FileFormatError
 from skewhom.linalg import identity
+from skewhom.representation import load_representation
 
 
 FAST = ["--k", "1", "--s", "0", "--theta", "0,1"]
@@ -246,7 +248,7 @@ def test_cohomology_with_cochain_file(tmp_path, capsys):
 
 
 def test_algebra_reference_is_a_file_when_the_path_exists(tmp_path, capsys, monkeypatch):
-    from skewhom.representation import resolve_algebra
+    from skewhom.constructions import resolve_algebra
 
     # a file named like a builtin loads as the file: r3 has 3 generators, se4 has 4
     monkeypatch.chdir(tmp_path)
@@ -273,6 +275,41 @@ def test_missing_algebra_file_is_not_called_an_unknown_family(capsys):
     # a mistyped file name must not read as a request for a builtin family
     assert main(["cohomology", "missing.json", "--k", "1", "--s", "0"]) == 2
     assert capsys.readouterr().err == usage_error("missing.json")
+
+
+# Each reference names a builtin family with a wrong key or a malformed value,
+# with a fragment its one error line must hold.
+MALFORMED_REFERENCES = [
+    pytest.param("se4:tehta=1/2", "unknown key 'tehta'", id="se4-misspelt-key"),
+    pytest.param("gl2:A=1", "unknown key 'A'", id="gl2-foreign-key"),
+    pytest.param("r3:theta=1", "r3 takes A", id="r3-foreign-key"),
+    pytest.param("r3:A=[[1.0,0,0],[0,1,0],[0,0,1]]", "not a scalar: 1.0", id="r3-float-entry"),
+    pytest.param("r3:A=[[true,0,0],[0,1,0],[0,0,1]]", "not a scalar: True", id="r3-boolean-entry"),
+    pytest.param("r3:A=5", "not a list of rows", id="r3-not-a-list"),
+    pytest.param("r3:A=[[1,0],[0,1]]", "3x3", id="r3-2x2-matrix"),
+    pytest.param("r3:A=[[1,1,0],[0,1,0],[0,0,1]]", "orthogonal", id="r3-not-orthogonal"),
+]
+
+
+@pytest.mark.parametrize("ref, reason", MALFORMED_REFERENCES)
+def test_a_malformed_builtin_reference_is_a_usage_error(capsys, ref, reason):
+    assert main(["cohomology", ref, "--k", "1", "--s", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and reason in line
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("ref, reason", MALFORMED_REFERENCES)
+def test_a_malformed_reference_in_a_representation_file_is_located(tmp_path, ref, reason):
+    # rho and phi make a zero representation of se4 and gl2, so only the reference can fail
+    doc = {"algebra": ref, "m": 1, "rho": [[["0"]]] * 4, "phi": [["1"]]}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(FileFormatError) as info:
+        load_representation(path)
+    assert info.value.location == "algebra" and reason in str(info.value)
 
 
 def test_cohomology_negative_degree_is_usage_error(capsys):

@@ -9,9 +9,7 @@ from skewhom.cohomology import (
     check_d_squared,
     coboundary,
     cochain,
-    cochain_add,
     cochain_from_dict,
-    cochain_scale,
     load_cochain,
     save_cochain,
 )
@@ -37,7 +35,7 @@ from skewhom.linalg import (
 )
 from skewhom.representation import Representation, zero_representation
 
-from reference import coboundary_at, cochain_eval
+from reference import coboundary_at, cochain_add, cochain_eval, cochain_scale
 from strategies import int_vectors
 
 

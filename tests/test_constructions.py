@@ -2,12 +2,11 @@ import itertools
 import json
 from dataclasses import replace
 from fractions import Fraction as F
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from skewhom import constructions, linalg
+from skewhom import constructions
 from skewhom.algebra import (
     CheckReport,
     HomAlgebra,
@@ -24,7 +23,6 @@ from skewhom.algebra import (
 )
 from skewhom.constructions import (
     GlContext,
-    ad_alpha,
     ad_alpha_matrix,
     ad_alpha_squared_counterexample,
     ad_alpha_squared_matrix,
@@ -33,13 +31,12 @@ from skewhom.constructions import (
     build_gl_alpha,
     build_r3_cross,
     build_semi_euclidean,
-    builtin_algebra,
     check_pseudo_adjoint_identity,
     check_pseudo_adjoint_morphism,
     closed_form_bracket,
-    gl_bracket,
     p_matrix,
     pseudo_adjoint,
+    resolve_algebra,
 )
 from skewhom.errors import (
     BackendMismatchError,
@@ -60,13 +57,10 @@ from skewhom.linalg import (
     mat_neg,
     mat_sub,
     mat_vec,
-    matrix_unit,
     transpose,
-    unflatten,
     vec_add,
     vec_neg,
     vec_sub,
-    wedge3,
     zero_vec,
 )
 from skewhom.scalars import (
@@ -80,7 +74,6 @@ from strategies import int_vectors, rationals
 import reference
 from test_kernel import FAMILIES as KERNEL_FAMILIES, mutated
 from test_kernel import algebras as kernel_algebras
-from test_linalg import full_det3
 
 
 # --- cross-product family on R^3
@@ -166,13 +159,14 @@ def test_gl_context_rejects_bad_alpha():
 
 def test_ad_alpha_on_first_unit(gl2_zero):
     ctx, _ = gl2_zero
-    assert ad_alpha(ctx, matrix_unit(2, 0, 0)) == mat_neg(matrix_unit(2, 1, 1))
+    e11, e22 = reference.matrix_unit(2, 0, 0), reference.matrix_unit(2, 1, 1)
+    assert reference.ad_alpha(ctx, e11) == mat_neg(e22)
 
 
 def test_gl_bracket_of_diagonal_units(gl2_zero):
     ctx, g = gl2_zero
     # [e11, e22] = e12 + e21, read back from the structure constants
-    value = unflatten(g.bracket[0][3], 2, 2)
+    value = reference.unflatten(g.bracket[0][3], 2, 2)
     expected = mat([[0, 1], [1, 0]])
     assert value == expected
 
@@ -192,13 +186,13 @@ def test_ad_alpha_is_involutive(gl2_zero):
 
 def _dense_gl(ctx):
     """Bracket table, twist and squared twist of gl(V) by dense matrix products."""
-    units = ctx.basis
+    units = reference.matrix_units(ctx.m)
     n = len(units)
     table = tuple(
-        tuple(flatten(gl_bracket(ctx, units[i], units[j])) for j in range(n))
+        tuple(flatten(reference.gl_bracket(ctx, units[i], units[j])) for j in range(n))
         for i in range(n)
     )
-    twist = transpose(mat(flatten(ad_alpha(ctx, unit)) for unit in units))
+    twist = transpose(mat(flatten(reference.ad_alpha(ctx, unit)) for unit in units))
     a2 = mat_mul(ctx.alpha, ctx.alpha)
     squared = transpose(mat(flatten(mat_mul(mat_mul(a2, unit), a2)) for unit in units))
     return table, twist, squared
@@ -284,7 +278,7 @@ def test_gl2_squared_twist_scan_finds_nothing(gl2_zero):
     with pytest.raises(CounterexampleNotFoundError):
         ad_alpha_squared_counterexample(ctx)
     # independent oracle: the direct cyclic sum vanishes on every unit triple
-    units = ctx.basis
+    units = reference.matrix_units(ctx.m)
     for a in units:
         for b in units:
             for c in units:
@@ -297,7 +291,7 @@ def test_gl4_squared_twist_counterexample():
     ctx = GlContext(4, alpha, backend)
     triple, residual = ad_alpha_squared_counterexample(ctx)
     assert triple == (0, 1, 2)
-    units = ctx.basis
+    units = reference.matrix_units(ctx.m)
     direct = _direct_cyclic_residual(units[0], units[1], units[2], alpha)
     assert flatten(direct) == residual
     assert any(x != 0 for x in residual)
@@ -409,15 +403,14 @@ THETAS = [0, F(1, 2), F(3, 4), 1, "0.5", "0.3"]
 
 
 def _dense_se4(theta):
-    # the wedge minors by their full expansion, not the row expansion
-    with mock.patch.object(linalg, "_det3", full_det3):
-        _, ctx = build_semi_euclidean(theta)
-        cols = [mat_col(ctx.P, i) for i in range(4)]
-        e = [basis_vec(4, i) for i in range(4)]
-        return tuple(
-            tuple(vec_sub(wedge3(cols[i], ctx.r, e[j]), wedge3(cols[j], ctx.r, e[i])) for j in range(4))
-            for i in range(4)
-        )
+    _, ctx = build_semi_euclidean(theta)
+    cols = [mat_col(ctx.P, i) for i in range(4)]
+    e = [basis_vec(4, i) for i in range(4)]
+    wedge3 = reference.wedge3
+    return tuple(
+        tuple(vec_sub(wedge3(cols[i], ctx.r, e[j]), wedge3(cols[j], ctx.r, e[i])) for j in range(4))
+        for i in range(4)
+    )
 
 
 def _dense_r3(A):
@@ -800,11 +793,11 @@ def test_twist_sign_minus_one_with_square_minus_id_forces_a_zero_bracket(g):
 
 
 def test_builtin_names():
-    label, g, ctx = builtin_algebra("se4:theta=1/2")
-    assert "1/2" in label and g.dim == 4 and ctx is not None
-    label, g, ctx = builtin_algebra("gl2:theta=0")
+    g = resolve_algebra("se4:theta=1/2")
+    assert g.dim == 4 and g.twist == build_semi_euclidean(F(1, 2))[0].twist
+    g = resolve_algebra("gl2:theta=0")
     assert g.dim == 4 and classify(g).verdict == Verdict.SKEW_HOM_LIE
-    label, g, _ = builtin_algebra('r3:A=[[1,0,0],[0,1,0],[0,0,-1]]')
+    g = resolve_algebra('r3:A=[[1,0,0],[0,1,0],[0,0,-1]]')
     assert classify(g).verdict == Verdict.SKEW_HOM_LIE
     with pytest.raises(ValueError):
-        builtin_algebra("nope:theta=1")
+        resolve_algebra("nope:theta=1")

