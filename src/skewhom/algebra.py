@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -454,9 +457,30 @@ def algebra_from_dict(obj: dict) -> HomAlgebra:
         raise FileFormatError(str(exc), location="document") from exc
 
 
+@contextmanager
+def open_output(path: Union[str, Path]):
+    """Yield a UTF-8 text handle that overwrites ``path`` in place.
+
+    ``O_TRUNC`` is never issued: on ext4 a truncate to zero and a close force a
+    flush of the file's data.  Leaving, also on an error, cuts the file to the
+    length written if ``fstat`` calls it regular (not ``/dev/null`` or a pipe).
+    A new file gets 0o666 less the umask, and an old one keeps its inode, links
+    and mode, as with ``O_TRUNC``; as with it, the write is not atomic.  Newlines
+    are translated as by ``Path.write_text``.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as handle:
+        try:
+            yield handle
+        finally:
+            handle.flush()
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                os.ftruncate(handle.fileno(), handle.tell())
+
+
 def write_json(doc: dict, path: Union[str, Path]) -> None:
     """Write one of the package's file documents: indented UTF-8 JSON."""
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    with open_output(path) as handle:
+        handle.write(json.dumps(doc, indent=2) + "\n")
 
 
 def read_json(path: Union[str, Path]):

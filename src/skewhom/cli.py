@@ -21,7 +21,6 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from random import Random
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -35,6 +34,7 @@ from .algebra import (
     check_twist_sign,
     classify,
     load_algebra,
+    open_output,
 )
 from .cohomology import (
     check_d_squared,
@@ -343,7 +343,7 @@ def cmd_cohomology(
     """
     g = resolve_algebra(algebra_ref)
     if rep_path:
-        rep = load_representation(rep_path, g)
+        rep = load_representation(rep_path, g, algebra_ref)
     else:
         rep = zero_representation(g, g.dim, identity(g.dim))
     if cochain_path:
@@ -486,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        with open_output(output) as handle:
+            handle.write(text)
     else:
         sys.stdout.write(text)
 
@@ -541,7 +542,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return 2
             theta = as_rational(args.theta)
             if args.output:
-                with open(args.output, "w", encoding="utf-8") as handle:
+                with open_output(args.output) as handle:
                     return cmd_nullspace(theta, args.samples, args.seed, out=handle)
             return cmd_nullspace(theta, args.samples, args.seed)
 

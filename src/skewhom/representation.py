@@ -225,7 +225,8 @@ def search_representation(
 # ---------------------------------------------------------------------------
 # Representation file format: {"algebra", "m", "rho", "phi"}; "algebra" is a
 # path to an algebra file or a builtin family name, read by resolve_algebra,
-# and any error in resolving it is located at "algebra".
+# and any error in resolving it is located at "algebra".  Given g, the field
+# must be the string g_ref, read no further, or resolve to an algebra == g.
 
 
 def representation_to_dict(rep: Representation, algebra_ref: str) -> dict:
@@ -237,17 +238,22 @@ def representation_to_dict(rep: Representation, algebra_ref: str) -> dict:
     }
 
 
-def representation_from_dict(obj: dict, g: Optional[HomAlgebra] = None) -> Representation:
+def representation_from_dict(
+    obj: dict, g: Optional[HomAlgebra] = None, g_ref: Optional[str] = None
+) -> Representation:
     if not isinstance(obj, dict):
         raise FileFormatError("representation document must be a JSON object")
-    if g is None:
-        ref = obj.get("algebra")
-        if not isinstance(ref, str):
-            raise FileFormatError("missing algebra reference", location="algebra")
+    ref = obj.get("algebra")
+    if not isinstance(ref, str):
+        raise FileFormatError("missing algebra reference", location="algebra")
+    if ref != g_ref:
         try:
-            g = resolve_algebra(ref)
+            named = resolve_algebra(ref)
         except (OSError, SkewhomError, ValueError) as exc:
             raise FileFormatError(str(exc), location="algebra") from exc
+        if g is not None and named != g:
+            raise FileFormatError(f"{ref!r} is not the algebra {g_ref!r}", location="algebra")
+        g = named
     backend = g.backend
     try:
         m = parse_int(obj["m"])
@@ -270,5 +276,7 @@ def save_representation(rep: Representation, algebra_ref: str, path: Union[str, 
     write_json(representation_to_dict(rep, algebra_ref), path)
 
 
-def load_representation(path: Union[str, Path], g: Optional[HomAlgebra] = None) -> Representation:
-    return representation_from_dict(read_json(path), g)
+def load_representation(
+    path: Union[str, Path], g: Optional[HomAlgebra] = None, g_ref: Optional[str] = None
+) -> Representation:
+    return representation_from_dict(read_json(path), g, g_ref)

@@ -312,6 +312,59 @@ def test_a_malformed_reference_in_a_representation_file_is_located(tmp_path, ref
     assert info.value.location == "algebra" and reason in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "algebra, ref, reason",
+    [
+        pytest.param("se4:theta=0", "se4:tehta=1/2", "unknown key 'tehta'", id="malformed"),
+        pytest.param("se4:theta=0", "r3:A=[[1,0,0],[0,1,0],[0,0,1]]", "is not the algebra",
+                     id="r3-for-se4"),
+        pytest.param("gl2:theta=1", "r3:A=[[1,0,0],[0,1,0],[0,0,1]]", "is not the algebra",
+                     id="r3-for-gl2"),
+        pytest.param("se4:theta=0", "se4:theta=1", "is not the algebra", id="other-theta"),
+        pytest.param("se4:theta=0", None, "missing algebra reference", id="missing"),
+    ],
+)
+def test_cohomology_refuses_a_representation_of_another_algebra(
+    tmp_path, capsys, algebra, ref, reason
+):
+    # a zero representation of se4 and gl2, so only the "algebra" field can fail
+    doc = {"algebra": ref, "m": 1, "rho": [[["0"]]] * 4, "phi": [["1"]]}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["cohomology", algebra, "--rep", str(path), "--k", "1", "--s", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and reason in line and line.endswith("(algebra)")
+
+
+def test_cohomology_takes_a_representation_naming_its_algebra_another_way(
+    tmp_path, capsys, monkeypatch
+):
+    from skewhom import representation
+
+    monkeypatch.chdir(tmp_path)
+    save_algebra(build_semi_euclidean(0)[0], tmp_path / "se4z.json")
+    resolved = []
+    original = representation.resolve_algebra
+    monkeypatch.setattr(
+        representation, "resolve_algebra", lambda ref: resolved.append(ref) or original(ref)
+    )
+    rep = tmp_path / "rep.json"
+    for field, algebra, reads in (
+        ("se4z.json", "se4z.json", []),
+        (str(tmp_path / "se4z.json"), "se4z.json", [str(tmp_path / "se4z.json")]),
+        ("./se4z.json", "se4:theta=0", ["./se4z.json"]),
+    ):
+        doc = {"algebra": field, "m": 1, "rho": [[["0"]]] * 4, "phi": [["1"]]}
+        rep.write_text(json.dumps(doc), encoding="utf-8")
+        resolved.clear()
+        assert main(["cohomology", algebra, "--rep", str(rep), "--k", "1", "--s", "0"]) == 0
+        assert "PASS" in capsys.readouterr().out
+        # the field is resolved only when it is not the command line's string
+        assert resolved == reads
+
+
 def test_cohomology_negative_degree_is_usage_error(capsys):
     assert main(["cohomology", "se4:theta=1", "--k", "-1", "--s", "0"]) == 2
     assert capsys.readouterr().err == "error: --k must be non-negative\n"
