@@ -459,22 +459,19 @@ def algebra_from_dict(obj: dict) -> HomAlgebra:
 
 @contextmanager
 def open_output(path: Union[str, Path]):
-    """Yield a UTF-8 text handle that overwrites ``path`` in place.
+    """Yield a UTF-8 handle overwriting ``path`` in place: ext4 flushes on close after ``O_TRUNC``.
 
-    ``O_TRUNC`` is never issued: on ext4 a truncate to zero and a close force a
-    flush of the file's data.  Leaving, also on an error, cuts the file to the
-    length written if ``fstat`` calls it regular (not ``/dev/null`` or a pipe).
-    A new file gets 0o666 less the umask, and an old one keeps its inode, links
-    and mode, as with ``O_TRUNC``; as with it, the write is not atomic.  Newlines
-    are translated as by ``Path.write_text``.
+    Leaving, also on an error, cuts a regular file (not ``/dev/null``, a pipe) to the length written.
+    New files get 0o666 less the umask; old ones keep inode, links and mode.  Newlines are as with
+    ``Path.write_text``.  Not atomic or crash-safe: a kill or crash before the cut leaves old bytes.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as handle:
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    with open(os.open(path, flags, 0o666), "w", encoding="utf-8") as handle:
         try:
             yield handle
         finally:
-            handle.flush()
             if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-                os.ftruncate(handle.fileno(), handle.tell())
+                os.ftruncate(handle.fileno(), handle.tell())  # tell() flushes the text first
 
 
 def write_json(doc: dict, path: Union[str, Path]) -> None:

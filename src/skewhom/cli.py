@@ -343,7 +343,7 @@ def cmd_cohomology(
     """
     g = resolve_algebra(algebra_ref)
     if rep_path:
-        rep = load_representation(rep_path, g, algebra_ref)
+        rep = load_representation(rep_path, g)
     else:
         rep = zero_representation(g, g.dim, identity(g.dim))
     if cochain_path:

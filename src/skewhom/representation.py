@@ -225,8 +225,7 @@ def search_representation(
 # ---------------------------------------------------------------------------
 # Representation file format: {"algebra", "m", "rho", "phi"}; "algebra" is a
 # path to an algebra file or a builtin family name, read by resolve_algebra,
-# and any error in resolving it is located at "algebra".  Given g, the field
-# must be the string g_ref, read no further, or resolve to an algebra == g.
+# that must be == g when g is given; an error in it is located at "algebra".
 
 
 def representation_to_dict(rep: Representation, algebra_ref: str) -> dict:
@@ -238,22 +237,19 @@ def representation_to_dict(rep: Representation, algebra_ref: str) -> dict:
     }
 
 
-def representation_from_dict(
-    obj: dict, g: Optional[HomAlgebra] = None, g_ref: Optional[str] = None
-) -> Representation:
+def representation_from_dict(obj: dict, g: Optional[HomAlgebra] = None) -> Representation:
     if not isinstance(obj, dict):
         raise FileFormatError("representation document must be a JSON object")
     ref = obj.get("algebra")
     if not isinstance(ref, str):
         raise FileFormatError("missing algebra reference", location="algebra")
-    if ref != g_ref:
-        try:
-            named = resolve_algebra(ref)
-        except (OSError, SkewhomError, ValueError) as exc:
-            raise FileFormatError(str(exc), location="algebra") from exc
-        if g is not None and named != g:
-            raise FileFormatError(f"{ref!r} is not the algebra {g_ref!r}", location="algebra")
-        g = named
+    try:
+        named = resolve_algebra(ref)
+    except (OSError, SkewhomError, ValueError) as exc:
+        raise FileFormatError(str(exc), location="algebra") from exc
+    if g is not None and named != g:
+        raise FileFormatError(f"{ref!r} is not the algebra given", location="algebra")
+    g = named
     backend = g.backend
     try:
         m = parse_int(obj["m"])
@@ -276,7 +272,5 @@ def save_representation(rep: Representation, algebra_ref: str, path: Union[str, 
     write_json(representation_to_dict(rep, algebra_ref), path)
 
 
-def load_representation(
-    path: Union[str, Path], g: Optional[HomAlgebra] = None, g_ref: Optional[str] = None
-) -> Representation:
-    return representation_from_dict(read_json(path), g, g_ref)
+def load_representation(path: Union[str, Path], g: Optional[HomAlgebra] = None) -> Representation:
+    return representation_from_dict(read_json(path), g)
