@@ -67,7 +67,6 @@ from .representation import (
     Representation,
     check_representation,
     load_representation,
-    rho_eval,
     save_representation,
     search_representation,
     theorem_equivalence,

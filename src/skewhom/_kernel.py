@@ -34,9 +34,10 @@ The bracket is stored once, for ``i < j``, and read back through
 ``[e_j, e_i] = -[e_i, e_j]``.  The kernel evaluates exact brackets, decides
 where an identity (the twisted Jacobi identity, a sign law, a
 representation equation) first fails, and builds and applies the matrices
-of the coboundary operators; the identity checkers recompute a witness
-residual at the first failure with their dense expression, so witnesses do
-not depend on the scales.
+of the coboundary operators.  Each scan returns the residual it summed at
+its first failure through :meth:`Kernel.scalar` over the scale it is summed
+over, so a witness is the identity's true residual, whatever the scales,
+and each identity is written once.
 """
 
 from __future__ import annotations
@@ -201,6 +202,10 @@ class Kernel:
         """``a b``, scaled by the product of their scales."""
         return [self._combine({}, row, b, 1) for row in a]
 
+    def vector(self, v: Sparse, scale: int, size: int) -> tuple:
+        """The ``size`` scalars that the pairs ``v`` over ``scale`` stand for, zeros included."""
+        return tuple(self.scalar(v.get(k, _ZERO), scale) for k in range(size))
+
     def bracket(self, i: int, j: int) -> Sparse:
         """``[e_i, e_j]`` for ``i < j`` (empty when it is zero)."""
         return self.rows[i].get(j, {})
@@ -247,10 +252,21 @@ class Kernel:
         for i, p in enumerate(values[:n]):
             if p is not None:
                 self._add(acc, p, self.basis_bracket(i, ys), 1)
-        return tuple(self.scalar(acc.get(k, _ZERO), self.scale * scale * scale) for k in range(n))
+        return self.vector(acc, self.scale * scale * scale, n)
 
-    def first_jacobi_failure(self) -> Optional[Tuple[int, int, int]]:
-        """Lexicographically first ordered basis triple whose twisted Jacobi sum is nonzero.
+    def jacobi(self, i: int, j: int, k: int) -> Sparse:
+        """The twisted Jacobi sum ``J(e_i, e_j, e_k)`` for ``i < j < k``, over ``L_C**2 * L_t``.
+
+        Its middle term ``[[e_k, e_i], b e_j]`` is read as ``-[[e_i, e_k], b e_j]``.
+        """
+        ad = self.twist.ad
+        acc = self._combine({}, self.bracket(j, k), ad[i], 1)
+        self._combine(acc, self.bracket(i, k), ad[j], -1)
+        return self._combine(acc, self.bracket(i, j), ad[k], 1)
+
+    def first_jacobi_failure(self) -> Optional[Tuple[Tuple[int, int, int], tuple]]:
+        """The lexicographically first ordered basis triple whose twisted Jacobi
+        sum is nonzero, and that sum (``None`` if there is none).
 
         ``J(x, y, z) = [[y,z], b x] + [[z,x], b y] + [[x,y], b z]`` is
         invariant under cyclic shifts by its form, and swapping ``x`` and
@@ -263,21 +279,20 @@ class Kernel:
         the first failing ordered triple is the first failing ``i < j < k``
         triple, which is what this scan returns.
         """
-        ad = self.twist.ad
-        for i, j, k in itertools.combinations(range(self.dim), 3):
-            acc = self._combine({}, self.bracket(j, k), ad[i], 1)
-            self._combine(acc, self.bracket(i, k), ad[j], -1)
-            self._combine(acc, self.bracket(i, j), ad[k], 1)
+        for at in itertools.combinations(range(self.dim), 3):
+            acc = self.jacobi(*at)
             if _nonzero(acc):
-                return i, j, k
+                return at, self.vector(acc, self.scale**2 * self.twist.scale, self.dim)
         return None
 
     def first_sign_failure(
         self, source: "Kernel", t: Twist, signs: Set[int]
     ) -> Tuple[Set[int], Optional[tuple]]:
         """The ``signs`` eps with ``t([e_i,e_j]) = eps * [t e_i, t e_j]`` on every
-        ordered basis pair so far, and the first pair that leaves none
-        (``None`` if the scan ends).
+        ordered basis pair so far, and ``((i, j), residual)`` at the first pair
+        that leaves none (``None`` if the scan ends).  The residual is
+        ``t([e_i,e_j]) - eps * [t e_i, t e_j]`` for the first eps of ``signs``,
+        +1 before -1, for which it is nonzero there.
 
         ``t`` maps the algebra of ``source``, a kernel in this one's ring
         (:meth:`over`), into this kernel's.  The left side is over
@@ -296,16 +311,20 @@ class Kernel:
         """
         c = math.gcd(source.scale, self.scale)
         left, right = t.scale * self.scale // c, source.scale // c
+        given = sorted(signs, reverse=True)
         for i, j in itertools.combinations(range(source.dim), 2):
             lhs = self._combine({}, source.bracket(i, j), t.cols, left)
             rhs = self._combine({}, t.cols[i], t.ad[j], right)
             signs = {s for s in signs if not _differs(lhs, rhs, s)}
             if not signs:
-                return signs, (i, j)
+                self._add(lhs, (-next(s for s in given if _differs(lhs, rhs, s)), 0), rhs, 1)
+                scale = t.scale**2 * self.scale * source.scale // c
+                return signs, ((i, j), self.vector(lhs, scale, self.dim))
         return signs, None
 
-    def first_twist_failure(self, source: "Kernel", t: Twist) -> Optional[Tuple[int, int]]:
-        """The first ``(r, c)``, row-major, where ``t beta_s != beta t`` (else ``None``).
+    def first_twist_failure(self, source: "Kernel", t: Twist) -> Optional[tuple]:
+        """The first ``(r, c)``, row-major, where ``t beta_s != beta t``, and the
+        entry of ``t beta_s - beta t`` there (``None`` if there is none).
 
         ``t`` maps ``source``'s algebra, twisted by ``beta_s``, into this one's as in
         :meth:`first_sign_failure`.  The sides, over ``L_t L_s`` and ``L_beta L_t``, are
@@ -316,8 +335,11 @@ class Kernel:
         for c, column in enumerate(beta_s.cols):
             diff = self._combine({}, column, t.cols, beta.scale // g)
             self._combine(diff, t.cols[c], beta.cols, -(beta_s.scale // g))
-            failures += [(r, c) for r, x in diff.items() if x != _ZERO]
-        return min(failures, default=None)
+            failures += [((r, c), x) for r, x in diff.items() if x != _ZERO]
+        if not failures:
+            return None
+        at, x = min(failures)
+        return at, self.scalar(x, t.scale * beta_s.scale * beta.scale // g)
 
 
 class Rep:
@@ -340,32 +362,38 @@ class Rep:
         ]
 
     def first_failure(self) -> Optional[tuple]:
-        """``("compat", i)`` for the first ``i`` where the compatibility equation
-        fails, else ``("bracket", i, j)`` for the first ``i < j`` where the
-        bracket equation fails, else ``None``.  Each term is multiplied by
-        the positive integer that brings it to its equation's common scale,
-        as set out in :func:`skewhom.representation.check_representation`.
+        """``(("compat", i), residual)`` for the first ``i`` where the
+        compatibility equation fails, else ``(("bracket", i, j), residual)``
+        for the first ``i < j`` where the bracket equation fails, else
+        ``None``; ``residual`` is the equation's m x m residual there.  Each
+        term is multiplied by the positive integer that brings it to its
+        equation's common scale, as set out in
+        :func:`skewhom.representation.check_representation`.
         """
         kernel, m, rho, rho_beta = self.kernel, self.m, self.rho, self.rho_beta
         t_scale = kernel.twist.scale
+
+        def matrix(rows: Rows, scale: int) -> tuple:
+            return tuple(kernel.vector(row, scale, m) for row in rows)
+
         for i in range(kernel.dim):
             res = kernel.product(rho_beta[i], self.phi)
             for acc, row in zip(res, self.phi):
                 kernel._combine(acc, row, rho[i], t_scale)
             if any(map(_nonzero, res)):
-                return ("compat", i)
+                return ("compat", i), matrix(res, t_scale * self.rho_scale * self.phi_scale)
         rho_phi = [kernel.product(r, self.phi) for r in rho]
         # by_row[a][k] is row a of rho(e_k) phi
         by_row = [[r[a] for r in rho_phi] for a in range(m)]
         left, right = t_scale * self.rho_scale, kernel.scale * self.phi_scale
         for i, j in itertools.combinations(range(kernel.dim), 2):
             c = kernel.bracket(i, j)
-            for a in range(m):
-                acc = kernel._combine({}, c, by_row[a], left)
+            res = [kernel._combine({}, c, row, left) for row in by_row]
+            for a, acc in enumerate(res):
                 kernel._combine(acc, rho_beta[i][a], rho[j], -right)
                 kernel._combine(acc, rho_beta[j][a], rho[i], right)
-                if _nonzero(acc):
-                    return ("bracket", i, j)
+            if any(map(_nonzero, res)):
+                return ("bracket", i, j), matrix(res, left * right * self.rho_scale)
         return None
 
     def conjugated(self, pre, post) -> Tuple[List[Rows], int]:

@@ -23,10 +23,9 @@ import stat
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Optional, Set, Union
+from typing import Optional, Union
 
 from ._kernel import Kernel, Twist, _discriminant
 from .errors import BackendMismatchError, DimensionError, FileFormatError
@@ -37,16 +36,11 @@ from .linalg import (
     flatten,
     identity,
     mat,
-    mat_col,
     mat_eq,
-    mat_mul,
     mat_pow,
-    mat_vec,
     vec,
-    vec_add,
     vec_is_zero,
     vec_neg,
-    vec_scale,
     vec_sub,
     zero_vec,
 )
@@ -184,10 +178,6 @@ class HomAlgebra:
         value = self.pairs.get((j, i))
         return self.zero if value is None else vec_neg(value)
 
-    def twist_col(self, i: int) -> Vec:
-        """Image of the i-th basis vector under the twist."""
-        return mat_col(self.twist, i)
-
     @cached_property
     def kernel(self) -> Kernel:
         """Bracket and twist as sparse integer pairs; a float among them raises ``TypeError``."""
@@ -230,16 +220,11 @@ def check_hom_jacobi(g: HomAlgebra) -> CheckReport:
     since the bracket is antisymmetric, so it vanishes on repeated indices
     and the sorted rearrangement of a failing triple fails too and comes
     first (the proof is in ``Kernel.first_jacobi_failure``).  The residual
-    is the one :func:`bracket_eval` gives.
+    is the sum that scan found nonzero, typed as :func:`bracket_eval` types
+    its entries.
     """
-    at = g.kernel.first_jacobi_failure()
-    if at is None:
-        return CheckReport(True)
-    i, j, k = at
-    res = bracket_eval(g, g.bracket_at(j, k), g.twist_col(i))
-    res = vec_add(res, bracket_eval(g, g.bracket_at(k, i), g.twist_col(j)))
-    res = vec_add(res, bracket_eval(g, g.bracket_at(i, j), g.twist_col(k)))
-    return CheckReport(False, Witness(at, res))
+    failure = g.kernel.first_jacobi_failure()
+    return CheckReport(True) if failure is None else CheckReport(False, Witness(*failure))
 
 
 def check_twist_sign(g: HomAlgebra) -> TwistSign:
@@ -251,10 +236,11 @@ def check_twist_sign(g: HomAlgebra) -> TwistSign:
     bracket, on which every constant is consistent (a zero twist keeps both
     signs on any bracket).  The witness is the first ordered pair after
     which no constant is left, with the residual for +1 if that is nonzero
-    there and for -1 otherwise.
+    there and for -1 otherwise (``Kernel.first_sign_failure``).
     """
     abelian = all(vec_is_zero(v) for v in g.pairs.values())
-    signs, failure = _bracket_failure(g.twist, g, g, {1, -1})
+    source, target, twist = _compiled(g.twist, g, g)
+    signs, failure = target.first_sign_failure(source, twist, {1, -1})
     if failure is not None:
         return TwistSign(None, Witness(*failure), abelian)
     if abelian or signs == {1, -1}:
@@ -292,37 +278,17 @@ def classify(
 
 
 def _compiled(f: Mat, g: HomAlgebra, h: HomAlgebra) -> tuple:
-    """``g``'s and ``h``'s kernels in one ring, and ``f`` compiled on ``h``'s."""
+    """``g``'s and ``h``'s kernels in one ring, and ``f`` compiled on ``h``'s.
+
+    The bracket law ``f([e_i,e_j]_g) = eps * [f e_i, f e_j]_h`` is then
+    ``Kernel.first_sign_failure`` of ``h``'s kernel; both sides are
+    antisymmetric, so its scan of the i<j pairs finds the first failing
+    ordered pair.  Mixed discriminants raise :class:`BackendMismatchError`.
+    """
     target = h.kernel_with(flatten(f))
     source = g.kernel.over(target.d)
     target = target.over(source.d)
     return source, target, target.twist if f is h.twist else Twist(target, f)
-
-
-def _bracket_failure(f: Mat, g: HomAlgebra, h: HomAlgebra, signs: Set[int], compiled=None):
-    """The bracket law ``f([e_i,e_j]_g) = eps * [f e_i, f e_j]_h`` over basis pairs.
-
-    Returns the ``signs`` eps that hold on every ordered pair up to the
-    first pair where none is left, and ``((i, j), residual)`` at that pair
-    (or ``None``).  The residual is ``f([e_i,e_j]_g) - eps * [f e_i, f e_j]_h``
-    for the first eps in ``signs``, +1 before -1, where that is nonzero.  A
-    pair whose two sides are both zero admits every sign.
-
-    Both sides are antisymmetric, so scanning the i<j pairs finds the same
-    pair with the same signs (see ``Kernel.first_sign_failure``).  ``f`` is
-    compiled on ``h``'s kernel, and ``g``'s kernel, in the same ring, gives
-    the brackets it maps (``compiled``, by default :func:`_compiled`).
-    Mixed discriminants raise :class:`BackendMismatchError`.
-    """
-    source, target, twist = compiled or _compiled(f, g, h)
-    left, at = target.first_sign_failure(source, twist, signs)
-    if at is None:
-        return left, None
-    i, j = at
-    lhs = mat_vec(f, g.bracket_at(i, j))
-    rhs = bracket_eval(h, mat_col(f, i), mat_col(f, j))
-    res = (vec_sub(lhs, vec_scale(Fraction(s), rhs)) for s in sorted(signs, reverse=True))
-    return left, (at, next(r for r in res if not vec_is_zero(r)))
 
 
 def check_power_sign_law(g: HomAlgebra, m: int) -> CheckReport:
@@ -334,7 +300,8 @@ def check_power_sign_law(g: HomAlgebra, m: int) -> CheckReport:
     """
     if m < 1:
         raise ValueError("power must be a positive integer")
-    _, failure = _bracket_failure(mat_pow(g.twist, m), g, g, {(-1) ** m})
+    source, target, twist = _compiled(mat_pow(g.twist, m), g, g)
+    _, failure = target.first_sign_failure(source, twist, {(-1) ** m})
     if failure is None:
         return CheckReport(True)
     return CheckReport(False, Witness(*failure, note=f"m={m}"))
@@ -346,8 +313,10 @@ def check_morphism(f: Mat, g: HomAlgebra, h: HomAlgebra, sign: int) -> CheckRepo
     Verifies ``f([e_i, e_j]_g) = sign * [f e_i, f e_j]_h`` on all basis pairs
     and the intertwining law ``f . twist_g = twist_h . f`` as matrices.
     ``sign`` is +1 for morphisms of Hom-Lie algebras and -1 for morphisms of
-    skew-Hom-Lie algebras.  Both are decided on the kernels, and a witness
-    residual is recomputed densely.
+    skew-Hom-Lie algebras.  Both are decided on the kernels, and the
+    witness residual is the one the failing scan summed: the vector
+    ``f([e_i,e_j]_g) - sign * [f e_i, f e_j]_h``, or the entry of
+    ``f twist_g - twist_h f``.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -355,16 +324,15 @@ def check_morphism(f: Mat, g: HomAlgebra, h: HomAlgebra, sign: int) -> CheckRepo
         raise BackendMismatchError("source and target use different backends")
     if len(f) != h.dim or any(len(row) != g.dim for row in f):
         raise DimensionError(f"morphism matrix must be {h.dim}x{g.dim}")
-    source, target, t = compiled = _compiled(f, g, h)
-    _, failure = _bracket_failure(f, g, h, {sign}, compiled)
+    source, target, t = _compiled(f, g, h)
+    _, failure = target.first_sign_failure(source, t, {sign})
     if failure is not None:
         (i, j), res = failure
         return CheckReport(False, Witness(("bracket", i, j), res))
-    at = target.first_twist_failure(source, t)
-    if at is None:
+    failure = target.first_twist_failure(source, t)
+    if failure is None:
         return CheckReport(True)
-    r, c = at
-    diff = mat_mul((f[r],), g.twist)[0][c] - mat_mul((h.twist[r],), f)[0][c]
+    (r, c), diff = failure
     return CheckReport(False, Witness(("twist", r, c), diff))
 
 

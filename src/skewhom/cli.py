@@ -7,7 +7,10 @@ null-subset membership table as CSV; ``counterexample`` scans for a basis
 triple violating the squared-twist Jacobi identity.
 
 Exit codes: 0 when every check passes, 1 when any check fails (or a
-counterexample scan comes up empty), 2 for usage, IO, or parse errors.
+counterexample scan comes up empty), 2 for usage, IO, or parse errors.  A
+reader that closes stdout early, as ``skewhom nullspace | head -1`` does,
+ends the run with 1 and nothing on stderr: stdout is pointed at
+``os.devnull``, as the note on SIGPIPE in the Python ``signal`` docs does.
 Reports are deterministic for a fixed config and seed;
 per-check timings are opt-in (``--timings``) because they are not.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -141,9 +145,9 @@ class SuiteReport:
     def to_csv(self) -> str:
         lines = ["name,passed,witness,seconds"]
         for c in self.checks:
-            witness = (c.witness or "").replace('"', "'")
+            name, witness = _csv_field(c.name), _csv_field(c.witness or "")
             seconds = "" if c.seconds is None else f"{c.seconds:.6f}"
-            lines.append(f'"{c.name}",{str(c.passed).lower()},"{witness}",{seconds}')
+            lines.append(f"{name},{str(c.passed).lower()},{witness},{seconds}")
         return "\n".join(lines) + "\n"
 
     def render(self, fmt: str) -> str:
@@ -152,6 +156,11 @@ class SuiteReport:
         if fmt == "csv":
             return self.to_csv()
         return self.to_text()
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one quoted CSV field, each embedded quote doubled (RFC 4180)."""
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _witness_str(witness: Optional[Witness]) -> Optional[str]:
@@ -500,57 +509,68 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 2
 
     try:
-        if args.command == "verify":
-            thetas = _fraction_list(args.theta)
-            if not thetas:
-                print("error: --theta list must be nonempty", file=sys.stderr)
-                return 2
-            k_list, s_list = tuple(_int_list(args.k)), tuple(_int_list(args.s))
-            for flag, values in (("--k", k_list), ("--s", s_list)):
-                if min(values, default=0) < 0:
-                    print(f"error: {flag} must be non-negative", file=sys.stderr)
-                    return 2
-            config = SuiteConfig(
-                theta_list=tuple(thetas),
-                k_list=k_list,
-                s_list=s_list,
-                timings=args.timings,
-                inject_mutation=args.inject_mutation,
-            )
-            report = cmd_verify(config)
-            _emit(report.render(args.format), args.output)
-            return 0 if report.all_passed else 1
-
-        if args.command == "check-algebra":
-            report = cmd_check_algebra(args.path)
-            _emit(report.render(args.format), args.output)
-            return 0 if report.all_passed else 1
-
-        if args.command == "cohomology":
-            if args.k < 0:
-                print("error: --k must be non-negative", file=sys.stderr)
-                return 2
-            report = cmd_cohomology(
-                args.algebra, args.k, args.s, rep_path=args.rep, cochain_path=args.cochain
-            )
-            _emit(report.render(args.format), args.output)
-            return 0 if report.all_passed else 1
-
-        if args.command == "nullspace":
-            if args.samples < 0:
-                print("error: --samples must be non-negative", file=sys.stderr)
-                return 2
-            theta = as_rational(args.theta)
-            if args.output:
-                with open_output(args.output) as handle:
-                    return cmd_nullspace(theta, args.samples, args.seed, out=handle)
-            return cmd_nullspace(theta, args.samples, args.seed)
-
-        if args.command == "counterexample":
-            return cmd_counterexample(args.family, as_rational(args.theta))
+        code = _run(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the flush at exit then goes nowhere instead of failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (FileFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the parsed command and return its exit code."""
+    if args.command == "verify":
+        thetas = _fraction_list(args.theta)
+        if not thetas:
+            print("error: --theta list must be nonempty", file=sys.stderr)
+            return 2
+        k_list, s_list = tuple(_int_list(args.k)), tuple(_int_list(args.s))
+        for flag, values in (("--k", k_list), ("--s", s_list)):
+            if min(values, default=0) < 0:
+                print(f"error: {flag} must be non-negative", file=sys.stderr)
+                return 2
+        config = SuiteConfig(
+            theta_list=tuple(thetas),
+            k_list=k_list,
+            s_list=s_list,
+            timings=args.timings,
+            inject_mutation=args.inject_mutation,
+        )
+        report = cmd_verify(config)
+        _emit(report.render(args.format), args.output)
+        return 0 if report.all_passed else 1
+
+    if args.command == "check-algebra":
+        report = cmd_check_algebra(args.path)
+        _emit(report.render(args.format), args.output)
+        return 0 if report.all_passed else 1
+
+    if args.command == "cohomology":
+        if args.k < 0:
+            print("error: --k must be non-negative", file=sys.stderr)
+            return 2
+        report = cmd_cohomology(
+            args.algebra, args.k, args.s, rep_path=args.rep, cochain_path=args.cochain
+        )
+        _emit(report.render(args.format), args.output)
+        return 0 if report.all_passed else 1
+
+    if args.command == "nullspace":
+        if args.samples < 0:
+            print("error: --samples must be non-negative", file=sys.stderr)
+            return 2
+        theta = as_rational(args.theta)
+        if args.output:
+            with open_output(args.output) as handle:
+                return cmd_nullspace(theta, args.samples, args.seed, out=handle)
+        return cmd_nullspace(theta, args.samples, args.seed)
+
+    if args.command == "counterexample":
+        return cmd_counterexample(args.family, as_rational(args.theta))
     raise AssertionError("unreachable command dispatch")
 
 

@@ -55,7 +55,6 @@ from .linalg import (
     mat_eq,
     mat_mul,
     mat_neg,
-    mat_sub,
     mat_vec,
     transpose,
     vec_eq,
@@ -393,19 +392,24 @@ def check_pseudo_adjoint_identity(g: HomAlgebra) -> CheckReport:
     some triple it begins fails, and the first failing ordered pair is the
     ``(i, j)`` prefix of the first failing ordered triple.  The identity
     thus holds on every algebra satisfying the twisted Jacobi identity; the
-    witness is that pair with its residual matrix.
+    witness is that pair with its residual matrix.  ``J`` is alternating,
+    so column z is ``Kernel.jacobi`` of the sorted triple times minus the
+    sign of the sort, and zero when z is i or j.
     """
     jacobi = check_hom_jacobi(g)
     if jacobi.passed:
         return CheckReport(True)
     i, j, _ = jacobi.witness.at
-    ad_star = pseudo_adjoint(g)
-    lhs = mat_mul(ad_star(g.bracket_at(i, j)), g.twist)
-    rhs = mat_sub(
-        mat_mul(ad_star(g.twist_col(j)), ad_star(basis_vec(g.dim, i))),
-        mat_mul(ad_star(g.twist_col(i)), ad_star(basis_vec(g.dim, j))),
-    )
-    return CheckReport(False, Witness((i, j), mat_sub(lhs, rhs)))
+    kernel = g.kernel
+    scale = kernel.scale**2 * kernel.twist.scale
+    cols = []
+    for z in range(g.dim):
+        # minus the sign of the sort: (i, j, z) sorts by a cyclic shift unless i < z < j
+        factor = 0 if z in (i, j) else 1 if i < z < j else -1
+        column = kernel.jacobi(*sorted((i, j, z))) if factor else {}
+        column = {r: (factor * a, factor * b) for r, (a, b) in column.items()}
+        cols.append(kernel.vector(column, scale, g.dim))
+    return CheckReport(False, Witness((i, j), transpose(cols)))
 
 
 def check_pseudo_adjoint_morphism(g: HomAlgebra) -> CheckReport:

@@ -83,11 +83,6 @@ def transpose(a: Mat) -> Mat:
     return tuple(zip(*a)) if a else ()
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    _check_same_shape(a, b)
-    return tuple(vec_add(ra, rb) for ra, rb in zip(a, b))
-
-
 def mat_sub(a: Mat, b: Mat) -> Mat:
     _check_same_shape(a, b)
     return tuple(vec_sub(ra, rb) for ra, rb in zip(a, b))
@@ -95,10 +90,6 @@ def mat_sub(a: Mat, b: Mat) -> Mat:
 
 def mat_neg(a: Mat) -> Mat:
     return tuple(vec_neg(row) for row in a)
-
-
-def mat_scale(c: Scalar, a: Mat) -> Mat:
-    return tuple(vec_scale(c, row) for row in a)
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
@@ -116,10 +107,6 @@ def mat_vec(a: Mat, x: Vec) -> Vec:
     if not a or len(a[0]) != len(x):
         raise DimensionError(f"cannot apply {_shape(a)} to a vector of length {len(x)}")
     return tuple(sum((c * v for c, v in zip(row, x)), _ZERO) for row in a)
-
-
-def mat_col(a: Mat, j: int) -> Vec:
-    return tuple(row[j] for row in a)
 
 
 def mat_is_zero(a: Mat) -> bool:

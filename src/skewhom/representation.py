@@ -33,17 +33,13 @@ from .constructions import GlContext, alpha_block, build_gl_alpha, resolve_algeb
 from .errors import DimensionError, FileFormatError, PreconditionError, SkewhomError
 from .linalg import (
     Mat,
-    Vec,
     det,
     flatten,
     identity,
     mat,
-    mat_add,
     mat_eq,
     mat_mul,
     mat_neg,
-    mat_scale,
-    mat_sub,
     transpose,
     zero_mat,
 )
@@ -95,24 +91,12 @@ def zero_representation(g: HomAlgebra, m: int, phi: Optional[Mat] = None) -> Rep
     return Representation(g, m, (zero_mat(m, m),) * g.dim, phi if phi is not None else identity(m))
 
 
-def rho_eval(rep: Representation, x: Vec) -> Mat:
-    """Linear extension sum_i x_i rho(e_i)."""
-    if len(x) != rep.g.dim:
-        raise DimensionError(f"argument must have length {rep.g.dim}")
-    acc = zero_mat(rep.m, rep.m)
-    for xi, r in zip(x, rep.rho):
-        if xi == 0:
-            continue
-        acc = mat_add(acc, mat_scale(xi, r))
-    return acc
-
-
 def check_representation(rep: Representation) -> CheckReport:
     """Verify both defining equations on all basis vectors and pairs.
 
     The witness is the first failing basis vector of the compatibility
     equation, else the first failing ordered pair of the bracket equation,
-    with its residual computed densely.  The bracket residual
+    with the m x m residual that the scan summed there.  The bracket residual
     ``rho([e_i,e_j]) phi - rho(beta e_i) rho(e_j) + rho(beta e_j) rho(e_i)``
     changes sign when i and j are swapped, because the bracket is
     antisymmetric and the other two terms trade places, and it vanishes for
@@ -134,24 +118,11 @@ def check_representation(rep: Representation) -> CheckReport:
       the two products over ``L_t * L_rho**2``; the first is multiplied by
       ``L_t * L_rho`` and the products by ``L_C * L_phi``.
 
-    A float in rho or phi raises ``TypeError``.
+    Each residual entry is a ``QuadExt`` exactly when the kernel has a
+    discriminant.  A float in rho or phi raises ``TypeError``.
     """
-    at = rep.kernel.first_failure()
-    if at is None:
-        return CheckReport(True)
-    g, phi = rep.g, rep.phi
-    if at[0] == "compat":
-        i = at[1]
-        res = mat_add(mat_mul(rho_eval(rep, g.twist_col(i)), phi), mat_mul(phi, rep.rho[i]))
-    else:
-        _, i, j = at
-        lhs = mat_mul(rho_eval(rep, g.bracket_at(i, j)), phi)
-        rhs = mat_sub(
-            mat_mul(rho_eval(rep, g.twist_col(i)), rep.rho[j]),
-            mat_mul(rho_eval(rep, g.twist_col(j)), rep.rho[i]),
-        )
-        res = mat_sub(lhs, rhs)
-    return CheckReport(False, Witness(at, res))
+    failure = rep.kernel.first_failure()
+    return CheckReport(True) if failure is None else CheckReport(False, Witness(*failure))
 
 
 def representation_as_morphism_matrix(rep: Representation) -> Mat:

@@ -5,10 +5,13 @@ kernel.  The functions here are the dense loops the checkers ran before that,
 kept for the tests only: they scan every ordered position, evaluate brackets
 over the dense view ``g.bracket``, evaluate cochains by their multilinear
 extension, and compute each witness from those values.  Their values equal
-the kernel's.  Their types can differ on tables that mix ``Fraction`` and
-``QuadExt`` scalars: a dense sum leaves a ``Fraction`` component where it
-summed no ``QuadExt`` term, while the kernel types every entry by its
-discriminant.
+the kernel's.  Only the types here follow the dense sums: a sum leaves a
+``Fraction`` entry where it summed no ``QuadExt`` term, so on inputs that
+mix ``Fraction`` and ``QuadExt`` scalars a reference witness can hold a
+``Fraction`` where the checker's, taken from its kernel scan, holds the
+``QuadExt`` that ``Kernel.scalar`` gives for the kernel's discriminant.
+``mat_add``, ``mat_scale``, ``mat_col``, ``twist_col`` and ``rho_eval`` are
+the dense helpers of those loops, which the checkers no longer use.
 
 ``build_semi_euclidean`` is the se4 build from its ``wedge3`` definition,
 with the dense re-checks of P that the closed-form build proves instead.
@@ -49,8 +52,6 @@ from skewhom.linalg import (
     basis_vec,
     identity,
     mat,
-    mat_add,
-    mat_col,
     mat_eq,
     mat_is_zero,
     mat_mul,
@@ -64,10 +65,38 @@ from skewhom.linalg import (
     vec_neg,
     vec_scale,
     vec_sub,
+    zero_mat,
     zero_vec,
 )
-from skewhom.representation import rho_eval
 from skewhom.scalars import QuadExt, _fraction_sign, as_rational, quadratic_backend
+
+
+def mat_add(a, b):
+    return tuple(vec_add(ra, rb) for ra, rb in zip(a, b))
+
+
+def mat_scale(c, a):
+    return tuple(vec_scale(c, row) for row in a)
+
+
+def mat_col(a, j):
+    return tuple(row[j] for row in a)
+
+
+def twist_col(g, i):
+    """The image of the i-th basis vector under the twist of ``g``."""
+    return mat_col(g.twist, i)
+
+
+def rho_eval(rep, x):
+    """The linear extension ``sum_i x_i rho(e_i)``."""
+    if len(x) != rep.g.dim:
+        raise DimensionError(f"argument must have length {rep.g.dim}")
+    acc = zero_mat(rep.m, rep.m)
+    for xi, r in zip(x, rep.rho):
+        if xi:
+            acc = mat_add(acc, mat_scale(xi, r))
+    return acc
 
 
 def bracket_eval(g, x, y):
@@ -87,7 +116,7 @@ def bracket_eval(g, x, y):
 
 def check_hom_jacobi(g):
     """The twisted Jacobi sum on all n**3 ordered basis triples."""
-    beta = [g.twist_col(i) for i in range(g.dim)]
+    beta = [twist_col(g, i) for i in range(g.dim)]
 
     def residual(i, j, k):
         res = bracket_eval(g, g.bracket_at(j, k), beta[i])
@@ -100,7 +129,11 @@ def check_hom_jacobi(g):
 
 
 def bracket_failure(f, g, h, signs):
-    """``algebra._bracket_failure`` as a scan of all ordered pairs, into any ``h``."""
+    """The bracket law ``f([e_i,e_j]_g) = eps * [f e_i, f e_j]_h`` as a scan of all ordered pairs.
+
+    The signs that hold up to the first pair where none is left, and
+    ``((i, j), residual)`` there, as ``Kernel.first_sign_failure`` returns them.
+    """
     cols = [mat_col(f, i) for i in range(g.dim)]
 
     def sides(i, j):
@@ -185,8 +218,8 @@ def check_pseudo_adjoint_identity(g):
     ad_star = pseudo_adjoint(g)
     lhs = mat_mul(ad_star(g.bracket_at(i, j)), g.twist)
     rhs = mat_sub(
-        mat_mul(ad_star(g.twist_col(j)), ad_star(basis_vec(g.dim, i))),
-        mat_mul(ad_star(g.twist_col(i)), ad_star(basis_vec(g.dim, j))),
+        mat_mul(ad_star(twist_col(g, j)), ad_star(basis_vec(g.dim, i))),
+        mat_mul(ad_star(twist_col(g, i)), ad_star(basis_vec(g.dim, j))),
     )
     return CheckReport(False, Witness((i, j), mat_sub(lhs, rhs)))
 
@@ -198,7 +231,7 @@ def check_representation(rep):
 
     @cache
     def rho_beta(i):
-        return rho_eval(rep, g.twist_col(i))
+        return rho_eval(rep, twist_col(g, i))
 
     def residual(at):
         if at[0] == "compat":

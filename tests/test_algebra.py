@@ -31,13 +31,13 @@ from skewhom.linalg import (
     basis_vec,
     identity,
     mat,
-    mat_scale,
     mat_vec,
     vec_add,
     vec_neg,
     zero_vec,
 )
 
+from reference import mat_scale
 from strategies import int_vectors
 
 

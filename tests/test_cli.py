@@ -1,6 +1,10 @@
 import argparse
+import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -157,6 +161,20 @@ def test_check_algebra_se4_file(tmp_path, capsys):
     assert main(["check-algebra", str(path)]) == 0
     out = capsys.readouterr().out
     assert "SkewHomLie" in out and "sign -1" in out
+
+
+def test_csv_fields_double_their_quotes(tmp_path, capsys):
+    # a quote and a comma in the path, which names every check
+    path = tmp_path / 'a"b,c.json'
+    save_algebra(build_r3_cross(identity(3)), path)
+    assert main(["check-algebra", str(path), "--format", "csv"]) == 0
+    header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+    assert header == ["name", "passed", "witness", "seconds"]
+    assert rows and all(len(row) == 4 and row[0].startswith(f"{path}: ") for row in rows)
+    report = SuiteReport((CheckResult('say "x"', False, 'at (0, 1): "y", z'),))
+    assert list(csv.reader(report.to_csv().splitlines()))[1] == [
+        'say "x"', "false", 'at (0, 1): "y", z', ""
+    ]
 
 
 def test_check_algebra_cross_file(tmp_path, capsys):
@@ -470,6 +488,22 @@ def test_nullspace_csv(capsys):
     assert lines[0] == "theta,z,inner,cross_diff,Pz,z_in_vstar,Pz_in_vstar"
     assert len(lines) == 1 + 2 * 6
     assert any(line.endswith("true,true") for line in lines[1:])
+
+
+def test_a_reader_that_leaves_early_ends_the_run_quietly():
+    # as in `skewhom nullspace ... | head -1`: the rows outgrow the pipe, so
+    # the run is still writing when the reader closes it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    argv = [sys.executable, "-m", "skewhom", "nullspace", "--theta", "1/2", "--samples", "2000"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path}
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"theta,z,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, err) == (1, b"")
 
 
 def test_nullspace_memory_does_not_grow_with_samples():

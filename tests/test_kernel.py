@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reference
+from reference import mat_col
 
 from skewhom import algebra
 from skewhom.algebra import (
@@ -41,7 +42,6 @@ from skewhom.linalg import (
     flatten,
     identity,
     mat,
-    mat_col,
     mat_inv,
     mat_mul,
     mat_pow,
@@ -240,9 +240,15 @@ def test_power_sign_law_is_the_bracket_law_of_check_morphism(family, pair, k, de
         assert power == morphism
 
 
+def kernel_bracket_failure(f, g, h, signs):
+    """The bracket law of ``f`` from ``g`` into ``h`` as the checkers run it."""
+    source, target, t = algebra._compiled(f, g, h)
+    return target.first_sign_failure(source, t, signs)
+
+
 def bracket_laws(f, g, h):
-    """``_bracket_failure`` into the second algebra ``h`` and its ordered-pair
-    reference, for each set of signs.
+    """The kernel's bracket-law scan into the second algebra ``h`` and its
+    ordered-pair reference, for each set of signs.
 
     Residuals are compared by value: the reference's dense ``bracket_eval``
     types a component by its own terms, the kernel's by its discriminant.
@@ -254,7 +260,7 @@ def bracket_laws(f, g, h):
 
     assert h is not g
     sign_sets = ({1}, {-1}, {1, -1})
-    return [run(algebra._bracket_failure, s) for s in sign_sets], [
+    return [run(kernel_bracket_failure, s) for s in sign_sets], [
         run(reference.bracket_failure, s) for s in sign_sets
     ]
 

@@ -31,7 +31,6 @@ from skewhom.representation import (
     load_representation,
     representation_from_dict,
     representation_to_dict,
-    rho_eval,
     save_representation,
     search_representation,
     theorem_equivalence,
@@ -41,6 +40,7 @@ from skewhom.algebra import HomAlgebra
 from skewhom.linalg import zero_vec
 from skewhom.scalars import QuadExt, quadratic_backend, rational_backend
 
+from reference import rho_eval, twist_col
 from strategies import rationals
 from test_coboundary_operator import adjoint
 
@@ -142,7 +142,7 @@ def test_iterated_compat_law():
     g = rep.g
     phi2 = mat_mul(PHI, PHI)
     for i in range(4):
-        beta2 = mat_vec(g.twist, g.twist_col(i))
+        beta2 = mat_vec(g.twist, twist_col(g, i))
         lhs = mat_mul(rho_eval(rep, beta2), phi2)
         rhs = mat_mul(phi2, rep.rho[i])
         assert lhs == rhs
@@ -153,7 +153,7 @@ def test_rho_intertwines_with_conjugation():
     rep = spin_representation(F(1), F(4))
     g = rep.g
     for i in range(4):
-        lhs = rho_eval(rep, g.twist_col(i))
+        lhs = rho_eval(rep, twist_col(g, i))
         rhs = mat_mul(mat_mul(PHI, rep.rho[i]), PHI)
         assert lhs == rhs
 
@@ -219,14 +219,41 @@ def _corrupted(rep, t, r, c, delta):
 
 
 def _both_scans(rep):
-    """``check_representation`` on the i<j scan and its reference's ordered scan, comparably."""
+    """``check_representation`` on the i<j scan and its reference's ordered scan, comparably.
+
+    Residuals compare by value.  Every entry of the kernel's residual is a
+    ``QuadExt`` exactly when the kernel has a discriminant, as ``Kernel.scalar``
+    types it, while the reference's dense sums leave a ``Fraction`` wherever
+    they summed no ``QuadExt``; this asserts the kernel's rule.
+    """
 
     def outcome(check):
         report = check(rep)
         w = report.witness
-        return report.passed, None if w is None else (w.at, repr(w.residual))
+        return report.passed, None if w is None else (w.at, w.residual)
 
-    return outcome(check_representation), outcome(reference.check_representation)
+    fast = outcome(check_representation)
+    if fast[1] is not None:
+        expected = F if rep.kernel.kernel.d is None else QuadExt
+        assert all(type(x) is expected for row in fast[1][1] for x in row)
+    return fast, outcome(reference.check_representation)
+
+
+def test_witness_entries_take_the_kernel_type():
+    # a rational algebra with no pairs and a rho holding sqrt(5)/2: compat
+    # holds, and rho(e_0) and rho(e_1) do not commute; the residual sums no
+    # QuadExt, and its entries are QuadExt because the kernel is over Q(sqrt 5/4)
+    g = HomAlgebra.from_pairs(4, {}, identity(4), rational_backend())
+    s = QuadExt(0, 1, F(5, 4))
+    rho = (mat([[1, 0], [0, -1]]), mat([[0, 1], [1, 0]]), zero_mat(2, 2), mat([[0, s], [s, 0]]))
+    report = check_representation(Representation(g, 2, rho, PHI))
+    assert report.witness.at == ("bracket", 0, 1)
+    d = F(5, 4)
+    assert report.witness.residual == (
+        (QuadExt(0, 0, d), QuadExt(-2, 0, d)), (QuadExt(2, 0, d), QuadExt(0, 0, d))
+    )
+    assert "QuadExt(-2, 0, d=5/4)" in repr(report.witness.residual)
+    assert all(type(x) is QuadExt for row in report.witness.residual for x in row)
 
 
 PAIR_SCAN_FAMILIES = [
@@ -481,7 +508,6 @@ def test_exact_passing_checks_take_no_dense_product(monkeypatch, family):
     # cohomology needs no dense product at all; patch it there too if it has one
     for module in (representation, cohomology):
         monkeypatch.setattr(module, "mat_mul", dense, raising=False)
-        monkeypatch.setattr(module, "rho_eval", dense, raising=False)
     for rep in reps:
         assert check_representation(rep).passed
     if family == "se4":
