@@ -21,7 +21,7 @@ import json
 import os
 import stat
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -97,27 +97,26 @@ class Classification:
 
 @dataclass(frozen=True)
 class HomAlgebra:
-    """Dimension, bracket pairs, twist matrix, the scalar backend, and a zero vector.
+    """Dimension, bracket pairs, twist matrix and the scalar backend.
 
-    ``pairs`` maps ``(i, j)`` with ``i < j`` to ``[e_i, e_j]`` and holds
-    nonzero values only; every other ``[e_i, e_j]`` follows from
-    antisymmetry, which therefore holds by construction.  ``zero`` is the
-    vector that stands for a missing pair and the diagonal.
-    :meth:`from_pairs` checks and filters a pair table.  A dense n x n
-    table in place of ``pairs`` is checked for antisymmetry and read
-    through its i<j half, with its ``[0][0]`` entry as the zero vector.
+    ``pairs`` maps ``(i, j)`` with ``i < j`` to ``[e_i, e_j]``; every other
+    ``[e_i, e_j]`` follows from antisymmetry, which therefore holds by
+    construction.  The constructor checks that each key is an i<j pair in
+    range and each value has length ``dim``, drops all-zero values and
+    keeps the pairs in sorted order.  A dense n x n table in place of
+    ``pairs`` is checked for antisymmetry and read through its i<j half.
     """
 
     dim: int
     pairs: dict
     twist: Mat
     backend: ScalarBackend
-    zero: Optional[Vec] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.dim
-        if not isinstance(self.pairs, dict):
-            table = tuple(tuple(vec(v) for v in row) for row in self.pairs)
+        pairs = self.pairs
+        if not isinstance(pairs, dict):
+            table = tuple(tuple(vec(v) for v in row) for row in pairs)
             if len(table) != n or any(len(row) != n for row in table):
                 raise DimensionError(f"bracket table must be {n}x{n}")
             for i, j in itertools.product(range(n), repeat=2):
@@ -128,35 +127,20 @@ class HomAlgebra:
             for i, j in itertools.combinations_with_replacement(range(n), 2):
                 if any(a + b for a, b in zip(table[i][j], table[j][i]) if a or b):
                     raise ValueError(f"bracket is not antisymmetric at ({i}, {j})")
-            upper = itertools.combinations(range(n), 2)
-            pairs = {(i, j): table[i][j] for i, j in upper if not vec_is_zero(table[i][j])}
-            object.__setattr__(self, "pairs", pairs)
-            object.__setattr__(self, "zero", table[0][0] if n else ())
-        if self.zero is None:
-            object.__setattr__(self, "zero", zero_vec(n))
+            pairs = {(i, j): table[i][j] for i, j in itertools.combinations(range(n), 2)}
+        kept = {}
+        for (i, j), value in sorted(pairs.items()):
+            if not 0 <= i < j < n:
+                raise ValueError(f"pair ({i}, {j}) is not an i<j pair in range")
+            value = vec(value)
+            if len(value) != n:
+                raise DimensionError(f"bracket[{i}][{j}] must have length {n}")
+            if not vec_is_zero(value):
+                kept[(i, j)] = value
+        object.__setattr__(self, "pairs", kept)
         object.__setattr__(self, "twist", mat(self.twist))
         if len(self.twist) != n or any(len(row) != n for row in self.twist):
             raise DimensionError(f"twist must be {n}x{n}")
-
-    @classmethod
-    def from_pairs(
-        cls, dim: int, pairs: dict, twist: Mat, backend: ScalarBackend, zero: Optional[Vec] = None
-    ) -> "HomAlgebra":
-        """Build from ``{(i, j): [e_i, e_j]}`` entries with ``i < j``.
-
-        Missing pairs are ``zero`` (rational zeros by default); all-zero
-        values are dropped.
-        """
-        kept = {}
-        for (i, j), value in sorted(pairs.items()):
-            if not 0 <= i < j < dim:
-                raise ValueError(f"pair ({i}, {j}) is not an i<j pair in range")
-            value = vec(value)
-            if len(value) != dim:
-                raise DimensionError(f"bracket[{i}][{j}] must have length {dim}")
-            if not vec_is_zero(value):
-                kept[(i, j)] = value
-        return cls(dim, kept, twist, backend, zero)
 
     @cached_property
     def bracket(self) -> tuple:
@@ -170,13 +154,14 @@ class HomAlgebra:
     def bracket_at(self, i: int, j: int) -> Vec:
         """``[e_i, e_j]`` as :attr:`bracket` holds it, without building that table.
 
-        The stored value for i < j, ``zero`` on the diagonal and for a
-        missing pair, and ``[e_j, e_i] = -[e_i, e_j]``.
+        The stored value for i < j, ``[e_j, e_i] = -[e_i, e_j]`` for i > j,
+        and a vector of ``Fraction`` zeros on the diagonal and for a missing
+        pair.
         """
-        if i < j:
-            return self.pairs.get((i, j), self.zero)
-        value = self.pairs.get((j, i))
-        return self.zero if value is None else vec_neg(value)
+        value = self.pairs.get((min(i, j), max(i, j)))
+        if value is None:
+            return zero_vec(self.dim)
+        return value if i < j else vec_neg(value)
 
     @cached_property
     def kernel(self) -> Kernel:
@@ -238,7 +223,7 @@ def check_twist_sign(g: HomAlgebra) -> TwistSign:
     which no constant is left, with the residual for +1 if that is nonzero
     there and for -1 otherwise (``Kernel.first_sign_failure``).
     """
-    abelian = all(vec_is_zero(v) for v in g.pairs.values())
+    abelian = not g.pairs
     source, target, twist = _compiled(g.twist, g, g)
     signs, failure = target.first_sign_failure(source, twist, {1, -1})
     if failure is not None:
@@ -353,7 +338,6 @@ def algebra_to_dict(g: HomAlgebra) -> dict:
         "bracket": [
             {"i": i, "j": j, "value": [format_scalar(x) for x in value]}
             for (i, j), value in g.pairs.items()
-            if not vec_is_zero(value)
         ],
         "twist": [[format_scalar(x) for x in row] for row in g.twist],
     }
@@ -420,7 +404,7 @@ def algebra_from_dict(obj: dict) -> HomAlgebra:
         except PARSE_ERRORS as exc:
             raise FileFormatError(f"bad twist row: {exc}", location=f"twist[{r}]") from exc
     try:
-        return HomAlgebra.from_pairs(dim, pairs, mat(parsed_twist), backend)
+        return HomAlgebra(dim, pairs, mat(parsed_twist), backend)
     except (ValueError, DimensionError) as exc:
         raise FileFormatError(str(exc), location="document") from exc
 

@@ -198,10 +198,9 @@ def _from_report(report: CheckReport) -> Tuple[bool, Optional[str]]:
 
 def _mutate_bracket(g: HomAlgebra) -> HomAlgebra:
     """Failure-path hook: corrupt one structure constant, keeping antisymmetry."""
-    value = list(g.pairs.get((0, 1), g.zero))
+    value = list(g.bracket_at(0, 1))
     value[1] = value[1] + 1
-    pairs = {**g.pairs, (0, 1): value}
-    return HomAlgebra.from_pairs(g.dim, pairs, g.twist, g.backend, g.zero)
+    return HomAlgebra(g.dim, {**g.pairs, (0, 1): value}, g.twist, g.backend)
 
 
 def cmd_verify(config: SuiteConfig) -> SuiteReport:
@@ -526,13 +525,13 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "verify":
         thetas = _fraction_list(args.theta)
         if not thetas:
-            print("error: --theta list must be nonempty", file=sys.stderr)
-            return 2
+            raise ValueError("--theta list must be nonempty")
         k_list, s_list = tuple(_int_list(args.k)), tuple(_int_list(args.s))
         for flag, values in (("--k", k_list), ("--s", s_list)):
-            if min(values, default=0) < 0:
-                print(f"error: {flag} must be non-negative", file=sys.stderr)
-                return 2
+            if not values:
+                raise ValueError(f"{flag} list must be nonempty")
+            if min(values) < 0:
+                raise ValueError(f"{flag} must be non-negative")
         config = SuiteConfig(
             theta_list=tuple(thetas),
             k_list=k_list,
@@ -550,9 +549,9 @@ def _run(args: argparse.Namespace) -> int:
         return 0 if report.all_passed else 1
 
     if args.command == "cohomology":
-        if args.k < 0:
-            print("error: --k must be non-negative", file=sys.stderr)
-            return 2
+        for flag, value in (("--k", args.k), ("--s", args.s)):
+            if value < 0:
+                raise ValueError(f"{flag} must be non-negative")
         report = cmd_cohomology(
             args.algebra, args.k, args.s, rep_path=args.rep, cochain_path=args.cochain
         )
@@ -561,8 +560,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "nullspace":
         if args.samples < 0:
-            print("error: --samples must be non-negative", file=sys.stderr)
-            return 2
+            raise ValueError("--samples must be non-negative")
         theta = as_rational(args.theta)
         if args.output:
             with open_output(args.output) as handle:

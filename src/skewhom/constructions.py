@@ -142,38 +142,17 @@ class GlContext:
             raise PreconditionError("alpha**2 must equal minus the identity")
 
 
-def _typed_zero(entries) -> object:
-    """The zero a dense product over ``entries`` comes out as.
-
-    ``mat_mul`` starts every sum at ``Fraction(0)``, so one ``QuadExt``
-    factor turns a whole sum into that type.  Adding this zero to a
-    closed-form value gives it the type and the text form the dense products
-    would have given it.
-    """
-    return sum((x * 0 for x in entries), Fraction(0))
-
-
 def _conjugation_matrix(a: Mat) -> Mat:
     """Matrix of B -> aBa in the row-major matrix-unit basis, read off ``a``.
 
-    Entry ((r, s), (p, q)) is ``a_rp * a_qs``.  In the dense product
-    ``(a E_pq) a`` that entry is a ``QuadExt`` exactly when row r
-    or column s of ``a`` holds one, so its zero is the sum of the typed
-    zeros of that row and that column.
+    Entry ((r, s), (p, q)) is ``a_rp * a_qs``.
     """
     m = len(a)
-    row_zero = [_typed_zero(row) for row in a]
-    col_zero = [_typed_zero(col) for col in transpose(a)]
-    rows = []
-    for r in range(m):
-        for s in range(m):
-            z = row_zero[r] + col_zero[s]
-            rows.append(tuple(
-                z + a[r][p] * a[q][s] if a[r][p] and a[q][s] else z
-                for p in range(m)
-                for q in range(m)
-            ))
-    return tuple(rows)
+    return tuple(
+        tuple(a[r][p] * a[q][s] for p in range(m) for q in range(m))
+        for r in range(m)
+        for s in range(m)
+    )
 
 
 def ad_alpha_matrix(ctx: GlContext) -> Mat:
@@ -189,13 +168,10 @@ def build_gl_alpha(ctx: GlContext) -> HomAlgebra:
         [E_pq, E_uv]_rs = a_qu a_rp a_vs - a_vp a_ru a_qs,
 
     visiting only the nonzero entries of column p (or u) and row v (or q),
-    for i < j.  Every entry gets the type of the dense result, which is also
-    the algebra's zero vector, so it has the same text form.
+    for i < j.
     """
     m, a = ctx.m, ctx.alpha
     n = m * m
-    # the dense bracket has a QuadExt in every entry once a does
-    zero = _typed_zero(flatten(a))
     col_nz = [[(r, a[r][p]) for r in range(m) if a[r][p]] for p in range(m)]
     row_nz = [[(s, a[v][s]) for s in range(m) if a[v][s]] for v in range(m)]
     pairs = {}
@@ -216,13 +192,12 @@ def build_gl_alpha(ctx: GlContext) -> HomAlgebra:
                     xc = x * c
                     for s, y in row_nz[q]:
                         acc[r * m + s] = acc.get(r * m + s, 0) - xc * y
-            if not acc:
-                continue
-            value = [zero] * n
-            for at, x in acc.items():
-                value[at] = zero + x
-            pairs[(i, j)] = value
-    return HomAlgebra.from_pairs(n, pairs, ad_alpha_matrix(ctx), ctx.backend, (zero,) * n)
+            if acc:
+                value = list(zero_vec(n))
+                for at, x in acc.items():
+                    value[at] = x
+                pairs[(i, j)] = value
+    return HomAlgebra(n, pairs, ad_alpha_matrix(ctx), ctx.backend)
 
 
 def ad_alpha_squared_matrix(ctx: GlContext) -> Mat:
@@ -264,7 +239,7 @@ def build_r3_cross(A: Mat, backend: Optional[ScalarBackend] = None) -> HomAlgebr
         (i, j): mat_vec(A, cross3(basis_vec(3, i), basis_vec(3, j)))
         for i, j in itertools.combinations(range(3), 2)
     }
-    return HomAlgebra.from_pairs(3, pairs, A, backend, mat_vec(A, zero_vec(3)))
+    return HomAlgebra(3, pairs, A, backend)
 
 
 @dataclass(frozen=True)
@@ -306,8 +281,7 @@ def build_semi_euclidean(
 
     The bracket is defined by the wedge ``[x, y] = Px ^ r ^ y - Py ^ r ^ x``
     and computed by its expansion :func:`closed_form_bracket` on the six
-    basis pairs i < j; every entry gets the typed zero of r, the type each
-    term of a wedge with r has.
+    basis pairs i < j.
 
     P is written down entrywise and must equal the matrix of Ad_alpha(theta)
     on matrix units, with alpha**2 = -id (checked by :class:`GlContext`),
@@ -331,16 +305,13 @@ def build_semi_euclidean(
     ctx = SemiEuclideanContext(
         backend.coerce(theta), _root_one_plus_sq(theta, backend), P, r, backend
     )
-    # every term of a wedge with r carries an entry of r
-    zero = _typed_zero(r)
     # int units keep the closed form's arithmetic on ctx's two scalars
     units = [tuple(int(k == i) for k in range(4)) for i in range(4)]
-    pairs = {}
-    for i, j in itertools.combinations(range(4), 2):
-        a = zero + closed_form_bracket(ctx, units[i], units[j])[0]
-        pairs[(i, j)] = (a, zero, zero, a)
-    g = HomAlgebra.from_pairs(4, pairs, P, backend, (zero,) * 4)
-    return g, ctx
+    pairs = {
+        (i, j): closed_form_bracket(ctx, units[i], units[j])
+        for i, j in itertools.combinations(range(4), 2)
+    }
+    return HomAlgebra(4, pairs, P, backend), ctx
 
 
 def closed_form_bracket(ctx: SemiEuclideanContext, x: Vec, y: Vec) -> Vec:

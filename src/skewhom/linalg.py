@@ -55,8 +55,7 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
 
 
 def vec_neg(u: Vec) -> Vec:
-    """``-u``; a zero entry is returned as is."""
-    return tuple(-a if a else a for a in u)
+    return tuple(-a for a in u)
 
 
 def vec_scale(c: Scalar, u: Vec) -> Vec:

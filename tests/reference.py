@@ -515,8 +515,7 @@ def build_semi_euclidean(theta, backend=None):
         (i, j): vec_sub(wedge3(p_cols[i], r, e[j]), wedge3(p_cols[j], r, e[i]))
         for i, j in itertools.combinations(range(4), 2)
     }
-    zero = (constructions._typed_zero(r),) * 4
-    g = algebra.HomAlgebra.from_pairs(4, pairs, P, backend, zero)
+    g = algebra.HomAlgebra(4, pairs, P, backend)
     s = constructions._root_one_plus_sq(theta, backend)
     return g, constructions.SemiEuclideanContext(backend.coerce(theta), s, P, r, backend)
 

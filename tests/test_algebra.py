@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -26,7 +27,7 @@ from skewhom.constructions import (
     build_r3_cross,
     build_semi_euclidean,
 )
-from skewhom.errors import FileFormatError
+from skewhom.errors import DimensionError, FileFormatError
 from skewhom.linalg import (
     basis_vec,
     identity,
@@ -36,6 +37,7 @@ from skewhom.linalg import (
     vec_neg,
     zero_vec,
 )
+from skewhom.scalars import QuadExt, quadratic_backend, rational_backend
 
 from reference import mat_scale
 from strategies import int_vectors
@@ -268,6 +270,49 @@ def test_constructor_rejects_asymmetric_table(cross_id):
     table[0][1] = (F(1), F(0), F(0))  # no matching negation at (1, 0)
     with pytest.raises(ValueError, match="antisymmetric"):
         HomAlgebra(3, tuple(tuple(r) for r in table), identity(3), cross_id.backend)
+
+
+def test_constructor_rejects_pairs_keyed_j_i():
+    # read unchecked, the reflection's table keyed (j, i) classified as HomLie
+    g = build_r3_cross(mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]]))
+    assert classify(g).verdict == Verdict.SKEW_HOM_LIE
+    mirrored = {(j, i): vec_neg(value) for (i, j), value in g.pairs.items()}
+    with pytest.raises(ValueError, match=r"pair \(1, 0\) is not an i<j pair in range"):
+        HomAlgebra(3, mirrored, g.twist, g.backend)
+
+
+def test_constructor_rejects_a_pair_out_of_range():
+    with pytest.raises(ValueError, match=r"pair \(0, 5\) is not an i<j pair in range"):
+        HomAlgebra(3, {(0, 5): basis_vec(3, 1)}, identity(3), rational_backend())
+
+
+def test_constructor_rejects_a_short_value():
+    with pytest.raises(DimensionError, match=r"bracket\[0\]\[1\] must have length 3"):
+        HomAlgebra(3, {(0, 1): (F(1), F(0))}, identity(3), rational_backend())
+
+
+def test_constructor_drops_all_zero_values_and_sorts_the_pairs():
+    backend = quadratic_backend(F(1, 2))
+    zero = (0, F(0), QuadExt(0, 0, F(5, 4)))
+    g = HomAlgebra(3, {(1, 2): zero, (0, 2): basis_vec(3, 1), (0, 1): zero}, identity(3), backend)
+    assert list(g.pairs) == [(0, 2)]
+    assert HomAlgebra(3, {(0, 1): zero_vec(3)}, identity(3), backend) == HomAlgebra(
+        3, {}, identity(3), backend
+    )
+
+
+def test_saved_gl4_writes_rational_entries_as_fraction_strings(tmp_path):
+    g = build_gl_alpha(GlContext(4, *alpha_block(4, F(1, 2))))
+    path = tmp_path / "gl4.json"
+    save_algebra(g, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    stored = [*(x for value in g.pairs.values() for x in value), *(x for row in g.twist for x in row)]
+    written = [*(x for e in doc["bracket"] for x in e["value"]), *(x for row in doc["twist"] for x in row)]
+    assert len(written) == len(stored)
+    for x, text in zip(stored, written):
+        assert isinstance(text, str) == isinstance(x, F)
+    assert written.count("0") > len(written) // 2
+    assert load_algebra(path) == g
 
 
 # --- property tests

@@ -82,6 +82,7 @@ def test_verify_rejects_samples(capsys):
         (["verify", "--k", "-1"], "--k"),
         (["verify", "--s", "0,-2"], "--s"),
         (["nullspace", "--theta", "1", "--samples", "-3"], "--samples"),
+        (["cohomology", "se4:theta=1", "--k", "1", "--s", "-1"], "--s"),
     ],
 )
 def test_negative_counts_are_usage_errors(capsys, argv, flag):
@@ -89,6 +90,16 @@ def test_negative_counts_are_usage_errors(capsys, argv, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {flag} must be non-negative\n"
+
+
+@pytest.mark.parametrize("flag", ["--k", "--s"])
+@pytest.mark.parametrize("text", ["", ",,"])
+def test_verify_empty_degree_lists_are_usage_errors(capsys, flag, text):
+    # an empty list would drop every d^2 row and still pass
+    assert main(["verify", flag, text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} list must be nonempty\n"
 
 
 @pytest.mark.parametrize(
@@ -191,8 +202,8 @@ def test_check_algebra_zero_twist_keeps_both_signs_without_calling_the_bracket_a
     g = build_gl_alpha(GlContext(2, alpha, backend))
     zero = tuple(tuple(backend.coerce(0) for _ in range(4)) for _ in range(4))
     cases = {
-        "zero-twist.json": (HomAlgebra.from_pairs(4, g.pairs, zero, backend), "(both signs hold)"),
-        "abelian.json": (HomAlgebra.from_pairs(4, {}, g.twist, backend), "(abelian)"),
+        "zero-twist.json": (HomAlgebra(4, g.pairs, zero, backend), "(both signs hold)"),
+        "abelian.json": (HomAlgebra(4, {}, g.twist, backend), "(abelian)"),
     }
     for name, (alg, note) in cases.items():
         path = tmp_path / name
@@ -382,7 +393,7 @@ def test_cohomology_refuses_oversized_cochains(tmp_path, capsys):
     from skewhom.scalars import rational_backend
 
     n = 20
-    g = HomAlgebra.from_pairs(n, {}, identity(n), rational_backend())
+    g = HomAlgebra(n, {}, identity(n), rational_backend())
     path = tmp_path / "big.json"
     save_algebra(g, path)
     # C(20, 10) * 20 = 3,695,120 entries, over the limit of 65,536

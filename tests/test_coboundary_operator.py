@@ -184,7 +184,7 @@ def random_cases(draw):
         if draw(st.booleans())
     }
     twist = tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n))
-    g = HomAlgebra.from_pairs(n, pairs, twist, backend)
+    g = HomAlgebra(n, pairs, twist, backend)
     rho = tuple(tuple(tuple(draw(entry) for _ in range(m)) for _ in range(m)) for _ in range(n))
     scale = draw(st.sampled_from((F(1), F(2), F(-1, 3))))
     phi = tuple(

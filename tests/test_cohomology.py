@@ -262,7 +262,7 @@ def test_cochain_loader_accepts_top_and_bottom_degree():
 def _large_algebra(n):
     from skewhom.scalars import rational_backend
 
-    return HomAlgebra.from_pairs(n, {(0, 1): basis_vec(n, 2)}, identity(n), rational_backend())
+    return HomAlgebra(n, {(0, 1): basis_vec(n, 2)}, identity(n), rational_backend())
 
 
 def test_cochain_size_is_refused_before_allocating():

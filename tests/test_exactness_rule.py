@@ -30,13 +30,13 @@ from skewhom.se4geometry import check_vstar_closure
 
 def float_stored():
     """A rational-backend algebra with one float in a stored pair."""
-    return HomAlgebra.from_pairs(3, {(0, 1): (0.5, F(0), F(0))}, identity(3), rational_backend())
+    return HomAlgebra(3, {(0, 1): (0.5, F(0), F(0))}, identity(3), rational_backend())
 
 
 def float_twist():
     """A rational-backend algebra with one float in its twist."""
     twist = identity(3)[:2] + ((F(0), F(0), 0.5),)
-    return HomAlgebra.from_pairs(3, {(0, 1): (F(0), F(0), F(1))}, twist, rational_backend())
+    return HomAlgebra(3, {(0, 1): (F(0), F(0), F(1))}, twist, rational_backend())
 
 
 def se4():

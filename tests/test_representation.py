@@ -243,7 +243,7 @@ def test_witness_entries_take_the_kernel_type():
     # a rational algebra with no pairs and a rho holding sqrt(5)/2: compat
     # holds, and rho(e_0) and rho(e_1) do not commute; the residual sums no
     # QuadExt, and its entries are QuadExt because the kernel is over Q(sqrt 5/4)
-    g = HomAlgebra.from_pairs(4, {}, identity(4), rational_backend())
+    g = HomAlgebra(4, {}, identity(4), rational_backend())
     s = QuadExt(0, 1, F(5, 4))
     rho = (mat([[1, 0], [0, -1]]), mat([[0, 1], [1, 0]]), zero_mat(2, 2), mat([[0, s], [s, 0]]))
     report = check_representation(Representation(g, 2, rho, PHI))
@@ -310,7 +310,7 @@ def compatible_reps(draw):
     }
     signs = [draw(st.sampled_from((1, -1))) for _ in range(n)]
     twist = tuple(tuple(F(signs[r]) if r == c else F(0) for c in range(n)) for r in range(n))
-    g = HomAlgebra.from_pairs(n, pairs, twist, backend)
+    g = HomAlgebra(n, pairs, twist, backend)
     rho = []
     for sign in signs:
         p, q = draw(entry), draw(entry)
@@ -336,7 +336,7 @@ def test_bracket_equation_witness_is_an_increasing_pair():
     # rho(e_i) anticommuting with phi passes compat, and the bracket equation
     # asks rho(e_0) and rho(e_1) to commute; these two do not.  Padded, the
     # residual is zero in its first row.
-    g = HomAlgebra.from_pairs(2, {}, identity(2), SE4_ZERO.backend)
+    g = HomAlgebra(2, {}, identity(2), SE4_ZERO.backend)
     rho = (anticommuting(F(1), F(0)), anticommuting(F(0), F(1)))
     padded = Representation(g, 3, tuple(_pad(x, 0) for x in rho), _pad(PHI, 1))
     for rep in (Representation(g, 2, rho, PHI), padded):
@@ -472,7 +472,7 @@ def test_mixed_discriminants_raise_on_both_paths():
 
 def test_exact_bracket_witness_reads_the_pairs_not_the_dense_view():
     built = build_gl_alpha(GlContext(2, *alpha_block(2, F(1, 2))))
-    g = HomAlgebra.from_pairs(built.dim, dict(built.pairs), built.twist, built.backend)
+    g = HomAlgebra(built.dim, dict(built.pairs), built.twist, built.backend)
     # twice the adjoint passes compat and fails the bracket equation at (0, 1)
     rep = _scaled(adjoint(built), 2)
     rep = Representation(g, rep.m, rep.rho, rep.phi)

@@ -42,7 +42,7 @@ def built(build, theta, backend):
         g, ctx = build(theta, backend)
     except SkewhomError as exc:
         return type(exc).__name__
-    return repr((g.dim, g.pairs, g.zero, g.twist, g.backend, ctx))
+    return repr((g.dim, g.pairs, g.twist, g.backend, ctx))
 
 
 thetas = st.one_of(

@@ -239,7 +239,7 @@ def se4_variants(draw):
     change = draw(st.sampled_from(("none", "entry", "plane member")))
     if change != "none":
         i, j = draw(st.sampled_from([(i, j) for i in range(4) for j in range(i + 1, 4)]))
-        value = list(pairs.get((i, j), g.zero))
+        value = list(g.bracket_at(i, j))
         if change == "entry":
             k = draw(st.integers(0, 3))
             value[k] = value[k] + draw(st.sampled_from((1, -1, F(1, 2)))) * draw(
@@ -258,7 +258,7 @@ def se4_variants(draw):
         P = mat([[signs[r] if c == order[r] else 0 for c in range(4)] for r in range(4)])
     else:
         P = ctx.P
-    g = HomAlgebra.from_pairs(4, pairs, g.twist, backend, g.zero)
+    g = HomAlgebra(4, pairs, g.twist, backend)
     return g, dataclasses.replace(ctx, P=P)
 
 
@@ -295,7 +295,7 @@ def test_certificate_agrees_with_the_sampled_check(variant, seed):
 def test_certificate_names_the_first_structure_constant_outside_vstar():
     g, ctx = build_semi_euclidean(1)
     pairs = {**g.pairs, (1, 3): (F(1), F(0), F(0), F(0))}
-    mutated = HomAlgebra.from_pairs(4, pairs, g.twist, g.backend, g.zero)
+    mutated = HomAlgebra(4, pairs, g.twist, g.backend)
     report = vstar_certificate(mutated, ctx)
     assert report.witness.at == ("bracket", basis_vec(4, 1), basis_vec(4, 3))
     assert report.witness.residual == (-1, 0)
@@ -306,7 +306,7 @@ def test_certificate_searches_the_moment_curve_when_no_plane_holds_every_constan
     # witness is a pair of moment-curve points
     backend = rational_backend()
     first, second = plane_member(PLANES[0], F(1), F(0)), plane_member(PLANES[1], F(1), F(0))
-    g = HomAlgebra.from_pairs(4, {(0, 1): first, (0, 2): second}, identity(4), backend)
+    g = HomAlgebra(4, {(0, 1): first, (0, 2): second}, identity(4), backend)
     assert all(in_v_star(v).member for v in g.pairs.values())
     _, ctx = build_semi_euclidean(0)
     ctx = dataclasses.replace(ctx, P=identity(4), backend=backend)
