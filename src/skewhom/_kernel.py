@@ -60,10 +60,12 @@ _NIL = Fraction(0)  # every zero component that scalar() returns
 
 
 def _discriminant(values: Iterable) -> Optional[Fraction]:
-    """The one discriminant of the ``QuadExt`` scalars among ``values``, if any."""
+    """The one discriminant of the nonzero ``QuadExt`` scalars among ``values``, if any.
+
+    A zero is skipped, as in :meth:`Kernel.pairs`, so its type never picks the ring."""
     d = None
     for x in values:
-        if isinstance(x, QuadExt) and x.d != d:
+        if isinstance(x, QuadExt) and x and x.d != d:
             if d is not None:
                 raise BackendMismatchError(f"mixed discriminants {d} and {x.d}")
             d = x.d

@@ -44,6 +44,17 @@ from .scalars import PARSE_ERRORS, format_scalar, parse_int, parse_scalar
 # k-tuple, so a larger degree is refused before anything is allocated.
 MAX_COCHAIN_ENTRIES = 1 << 16
 
+# Largest operator index s that d^s is built for: phi^(k+1+s) is formed first, so
+# a huge s would exhaust memory, and H(d^s) is isomorphic to H(d^0) (lemma above).
+MAX_OPERATOR_INDEX = 64
+
+
+def _check_index(s: int) -> None:
+    if s < 0:
+        raise ValueError("the operator family is indexed by s >= 0")
+    if s > MAX_OPERATOR_INDEX:
+        raise ValueError(f"operator index {s} is over the limit of {MAX_OPERATOR_INDEX}")
+
 
 def _check_size(n: int, k: int, m: int) -> None:
     if k >= 0 and math.comb(n, k) * m > MAX_COCHAIN_ENTRIES:
@@ -102,8 +113,8 @@ def coboundary(eta: Cochain, rep: Representation, s: int) -> Cochain:
     """The degree-(k+1) cochain d^s eta; above top degree it is empty.
 
     ``eta`` must have ``rep.g.dim`` generators and values in dimension
-    ``rep.m``; other shapes raise :class:`DimensionError`, and ``s < 0``
-    raises ``ValueError`` in every degree.
+    ``rep.m``; other shapes raise :class:`DimensionError`, and an ``s`` out of
+    0..``MAX_OPERATOR_INDEX`` raises ``ValueError`` in every degree.
 
     This applies the matrix of ``d^s`` on degree k (:func:`_operator`) to
     eta's values as integer pairs.  Its kernel, taken with eta's values too,
@@ -112,8 +123,7 @@ def coboundary(eta: Cochain, rep: Representation, s: int) -> Cochain:
     a ``Fraction`` otherwise.  Mixed discriminants raise
     :class:`BackendMismatchError`, and a float raises ``TypeError``.
     """
-    if s < 0:
-        raise ValueError("the operator family is indexed by s >= 0")
+    _check_index(s)
     g = rep.g
     n, k, m = eta.n, eta.k, eta.m
     if (n, m) != (g.dim, rep.m):
@@ -160,10 +170,10 @@ def _operator(g: HomAlgebra, rep: Representation, k: int, s: int, minors=None) -
     which has the entries, takes it into its own scale.  A zero rho gives
     zero blocks on the algebra's kernel; phi is still compiled, so a float
     in it raises ``TypeError`` there too, as in
-    :func:`skewhom.representation.check_representation`.
+    :func:`skewhom.representation.check_representation`.  An ``s`` out of
+    0..``MAX_OPERATOR_INDEX`` raises ``ValueError`` before any power is formed.
     """
-    if s < 0:
-        raise ValueError("the operator family is indexed by s >= 0")
+    _check_index(s)
     for degree in (k, k + 1):
         _check_size(g.dim, degree, rep.m)
     if any(x != 0 for r in rep.rho for row in r for x in row):
@@ -181,21 +191,24 @@ def d_squared_failures(g: HomAlgebra, rep: Representation, k: int, s: int):
     Failing basis cochains come in ``basis_cochains`` order; ``nonzero``
     maps each output tuple where ``d^s(d^s(eta))`` is not zero to that
     residual, in sorted order.  Cochain sizes over ``MAX_COCHAIN_ENTRIES``
-    raise ``ValueError`` on the call, before anything is built; the scan
-    itself is lazy.
+    and an ``s`` out of 0..``MAX_OPERATOR_INDEX`` raise ``ValueError`` on
+    the call, before anything is built; the scan itself is lazy.
 
     The matrices of ``D_k = d^s`` on degree k and ``D_{k+1}`` are built
     once each (their entries are in :class:`skewhom._kernel.Coboundary`): a
     basis cochain fails exactly where its column of ``D_{k+1} D_k`` is not
     zero, and that column is its residual, typed as :func:`coboundary` types
     its entries; the two builds share one table of twist minors.  For
-    ``k + 2 > n`` the target degree is empty, so nothing fails for any rho.
+    ``k + 2 > n`` the target degree is empty, so nothing is built or fails.
     """
     if rep.g != g:
         rep = replace(rep, g=g)
     n, m = g.dim, rep.m
+    _check_index(s)
     for degree in (k, k + 1, k + 2):
         _check_size(n, degree, m)
+    if k + 2 > n:
+        return iter(())
     minors: dict = {}
     op, after = _operator(g, rep, k, s, minors), _operator(g, rep, k + 1, s, minors)
 

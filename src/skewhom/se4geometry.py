@@ -24,9 +24,9 @@ V* is the union of
 
 for sigma = +1, -1.  The planes are rational, so this holds over Q and over
 every Q(sqrt(1 + theta**2)).  :func:`vstar_certificate` decides closure
-under the bracket and the twist from this description, for every vector;
-:func:`check_vstar_closure` is its sampled counterpart, and
-:func:`vstar_draws` draws its members plane by plane.
+under the bracket and the twist from this description, for every vector,
+and is the module's one closure checker; :func:`vstar_draws` draws V*
+members plane by plane.
 """
 
 from __future__ import annotations
@@ -136,31 +136,13 @@ def _draws(ctx: SemiEuclideanContext, count: int, seed: int) -> Iterator[Vec]:
 def check_vstar_closure(
     theta: Union[int, str, Fraction], samples: int = 200, seed: int = 0
 ) -> CheckReport:
-    """Closure of V* under the bracket (for arbitrary inputs) and under P.
+    """:func:`vstar_certificate` on ``build_semi_euclidean(theta)``.
 
-    (a) bracket values of random integer vector pairs land in V*;
-    (b) P images of generated V* members stay in V*.  Exact arithmetic
-    throughout.  A negative ``samples`` raises ``ValueError``.
-    """
+    ``samples`` and ``seed`` stay only because perfbench passes them; a negative
+    ``samples`` still raises ``ValueError``.  ROADMAP item 4 deletes this wrapper
+    once item 7 lands."""
     _check_count(samples)
-    g, ctx = build_semi_euclidean(theta)
-    backend = ctx.backend
-    rng = Random(seed)
-    for trial in range(samples):
-        x = tuple(backend.coerce(rng.randint(-SPAN, SPAN)) for _ in range(4))
-        y = tuple(backend.coerce(rng.randint(-SPAN, SPAN)) for _ in range(4))
-        value = bracket_eval(g, x, y)
-        verdict = in_v_star(value)
-        if not verdict.member:
-            return CheckReport(
-                False, Witness(("bracket", x, y), vstar_defect(value))
-            )
-    for z in vstar_draws(ctx, samples, seed=seed + 1):
-        image = mat_vec(ctx.P, z)
-        verdict = in_v_star(image)
-        if not verdict.member:
-            return CheckReport(False, Witness(("twist", z), vstar_defect(image)))
-    return CheckReport(True)
+    return vstar_certificate(*build_semi_euclidean(theta))
 
 
 # Moment-curve parameters 0..CURVE-1 and line parameters 0..LINE-1 of the
@@ -193,8 +175,8 @@ def vstar_certificate(g: HomAlgebra, ctx: SemiEuclideanContext) -> CheckReport:
     * Twist.  P is linear, so V* is P-invariant iff, for each plane with
       basis (b1, b2), one plane holds both P b1 and P b2.
 
-    A failure carries a witness in :func:`check_vstar_closure`'s format,
-    with ``vstar_defect`` of the value that leaves V* as the residual:
+    A failure carries a witness naming where a value leaves V*, with
+    ``vstar_defect`` of that value as the residual:
 
     * ``("bracket", e_i, e_j)`` at the first structure constant outside V*;
     * otherwise ``("bracket", x, y)`` with x = m(t), y = m(u) on the moment

@@ -20,6 +20,8 @@ expansion ``det3``.  ``gl_bracket`` and ``ad_alpha`` are gl(V)'s bracket
 and twist as dense matrix products on the ``matrix_units``, which the
 closed-form gl build replaced, and ``cochain_add`` and ``cochain_scale``
 make linear combinations of cochains.
+``check_vstar_closure`` is the sampled V* closure check that the
+four-plane certificate replaced, kept as the reference it is compared with.
 ``kernel_pairs`` is the ``Fraction``-based conversion of scalars into a
 kernel's integer pairs that ``Kernel.pairs`` replaced with integer
 arithmetic, and ``antisymmetry_failure`` is the dense table check that
@@ -38,6 +40,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
+from random import Random
 
 from skewhom import algebra, cohomology, constructions, representation
 from skewhom.algebra import CheckReport, TwistSign, Witness
@@ -69,6 +72,7 @@ from skewhom.linalg import (
     zero_vec,
 )
 from skewhom.scalars import QuadExt, _fraction_sign, as_rational, quadratic_backend
+from skewhom.se4geometry import SPAN, in_v_star, vstar_defect, vstar_draws
 
 
 def mat_add(a, b):
@@ -518,6 +522,29 @@ def build_semi_euclidean(theta, backend=None):
     g = algebra.HomAlgebra(4, pairs, P, backend)
     s = constructions._root_one_plus_sq(theta, backend)
     return g, constructions.SemiEuclideanContext(backend.coerce(theta), s, P, r, backend)
+
+
+def check_vstar_closure(g, ctx, samples, seed):
+    """V* closure by sampling, the reference for ``se4geometry.vstar_certificate``.
+
+    The brackets of ``samples`` pairs of random integer vectors from
+    ``Random(seed)``, then the P-images of ``samples`` members from
+    ``vstar_draws(ctx, samples, seed + 1)``, must lie in V*.  The first
+    that does not gives the witness ``("bracket", x, y)`` or ``("twist", z)``
+    with ``vstar_defect`` of its value.  A pass holds only for the samples.
+    """
+    rng = Random(seed)
+    for _ in range(samples):
+        x = tuple(ctx.backend.coerce(rng.randint(-SPAN, SPAN)) for _ in range(4))
+        y = tuple(ctx.backend.coerce(rng.randint(-SPAN, SPAN)) for _ in range(4))
+        value = bracket_eval(g, x, y)
+        if not in_v_star(value).member:
+            return CheckReport(False, Witness(("bracket", x, y), vstar_defect(value)))
+    for z in vstar_draws(ctx, samples, seed=seed + 1):
+        image = mat_vec(ctx.P, z)
+        if not in_v_star(image).member:
+            return CheckReport(False, Witness(("twist", z), vstar_defect(image)))
+    return CheckReport(True)
 
 
 def kernel_pairs(kernel, values):

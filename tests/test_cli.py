@@ -501,6 +501,71 @@ def test_nullspace_csv(capsys):
     assert any(line.endswith("true,true") for line in lines[1:])
 
 
+def test_nullspace_exit_status_is_the_certificate_on_the_bracket(capsys, monkeypatch):
+    # the bracket of this build leaves V* at (e_0, e_1) while P keeps it: the
+    # rows are unchanged, and the exit status comes from the certificate
+    from skewhom import cli
+
+    g, ctx = build_semi_euclidean(F(1, 2))
+    pairs = {**g.pairs, (0, 1): (F(1), F(0), F(0), F(0))}
+    broken = HomAlgebra(4, pairs, g.twist, g.backend)
+    argv = ["nullspace", "--theta", "1/2", "--samples", "6"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out
+    monkeypatch.setattr(cli, "build_semi_euclidean", lambda theta: (broken, ctx))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (rows, "")
+    # P maps every sampled member into V*, so the rows show no failure
+    assert not any(line.endswith("true,false") for line in rows.splitlines())
+
+
+R3_REFLECTION = "r3:A=[[1,0,0],[0,1,0],[0,0,-1]]"
+
+
+def _r3_line_representation_file(tmp_path, phi):
+    path = tmp_path / "rep.json"
+    rep = {"algebra": R3_REFLECTION, "m": 1, "rho": [[["0"]], [["0"]], [["1"]]], "phi": [[phi]]}
+    path.write_text(json.dumps(rep))
+    return str(path)
+
+
+def test_cohomology_vacuous_degree_forms_no_power_of_phi(tmp_path, capsys, monkeypatch):
+    # k + 2 > n = 3: the check passes without building an operator, whose
+    # phi^(k+1+s) at k = 3,000,000,000 and phi = 2 would exhaust memory
+    from skewhom import cohomology
+
+    def refuse(a, exponent):
+        raise AssertionError(f"phi^{exponent} was formed")
+
+    monkeypatch.setattr(cohomology, "mat_pow", refuse)
+    rep = _r3_line_representation_file(tmp_path, "2")
+    argv = ["cohomology", R3_REFLECTION, "--rep", rep, "--k", "3000000000", "--s", "0"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "squared-coboundary residual table (k=3000000000, s=0):\n"
+        f"PASS  {R3_REFLECTION}: coboundary nilpotency k=3000000000 s=0\n"
+        "1/1 checks passed\n"
+    )
+
+
+def test_cohomology_operator_index_over_the_limit_is_a_usage_error(tmp_path, capsys):
+    from skewhom.cohomology import MAX_OPERATOR_INDEX
+
+    # phi = -1 is an involution, so each power is cheap and only the limit refuses it
+    rep = _r3_line_representation_file(tmp_path, "-1")
+    for s in (MAX_OPERATOR_INDEX + 1, 3_000_000_000):
+        assert main(["cohomology", R3_REFLECTION, "--rep", rep, "--k", "1", "--s", str(s)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: operator index {s} is over the limit of {MAX_OPERATOR_INDEX}\n"
+        )
+    assert main(["cohomology", R3_REFLECTION, "--rep", rep, "--k", "1",
+                 "--s", str(MAX_OPERATOR_INDEX)]) == 1
+    assert "error" not in capsys.readouterr().err
+
+
 def test_a_reader_that_leaves_early_ends_the_run_quietly():
     # as in `skewhom nullspace ... | head -1`: the rows outgrow the pipe, so
     # the run is still writing when the reader closes it

@@ -297,3 +297,52 @@ def test_d_squared_refuses_an_oversized_degree_before_building():
     with pytest.raises(ValueError, match="degree-4 cochains"):
         check_d_squared(g, rep, 2, 0)
     assert check_d_squared(g, rep, 0, 0).passed
+
+
+def _r3_line_representation(phi):
+    """rho(e_2) = 1 on a line, on the r3 table with the reflection twist."""
+    from skewhom.constructions import build_r3_cross
+
+    g = build_r3_cross(mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]]))
+    return Representation(g, 1, (mat([[0]]), mat([[0]]), mat([[1]])), mat([[phi]]))
+
+
+def test_a_vacuous_degree_forms_no_power_of_phi(monkeypatch):
+    # k + 2 > n leaves nothing to fail, so no operator is built: its first
+    # step, phi^(k+1+s), would exhaust memory at k = 3,000,000,000 and phi = 2
+    from skewhom import cohomology
+
+    calls = []
+
+    def record(a, exponent):
+        calls.append(exponent)
+        raise AssertionError(f"phi^{exponent} was formed")
+
+    monkeypatch.setattr(cohomology, "mat_pow", record)
+    rep = _r3_line_representation(2)
+    for k in (2, 3_000_000_000):
+        assert list(cohomology.d_squared_failures(rep.g, rep, k, 0)) == []
+        assert check_d_squared(rep.g, rep, k, 0).passed
+    assert calls == []
+
+
+def test_an_operator_index_over_the_limit_is_refused():
+    # phi = -1 is an involution, so each power is cheap and only the limit refuses it
+    from skewhom.cohomology import MAX_OPERATOR_INDEX, _operator, d_squared_failures
+
+    rep = _r3_line_representation(-1)
+    g = rep.g
+    eta = cochain(1, 3, 1, {(0,): (F(1),)})
+    for s in (MAX_OPERATOR_INDEX + 1, 3_000_000_000):
+        message = f"operator index {s} is over the limit of {MAX_OPERATOR_INDEX}"
+        for call in (
+            lambda: _operator(g, rep, 1, s),
+            lambda: d_squared_failures(g, rep, 1, s),
+            lambda: d_squared_failures(g, rep, 2, s),
+            lambda: check_d_squared(g, rep, 1, s),
+            lambda: coboundary(eta, rep, s),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
+    # the limit itself is built, with the verdict of s = 0 (the module's lemma)
+    assert check_d_squared(g, rep, 1, MAX_OPERATOR_INDEX).passed == check_d_squared(g, rep, 1, 0).passed

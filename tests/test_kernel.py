@@ -578,3 +578,19 @@ def test_mixed_discriminants_raise():
     for check in (check_hom_jacobi, check_twist_sign, lambda g: check_power_sign_law(g, 1)):
         with pytest.raises(BackendMismatchError, match="mixed discriminants"):
             check(g)
+
+
+def test_a_zero_never_picks_the_ring():
+    # the two tables differ only in how the zero twist entry at (0, 1) is
+    # typed, so they compare equal and must give the same witness, typed alike
+    pairs = {(0, 1): (F(1), F(0), F(1)), (0, 2): (F(0), F(-1), F(0)), (1, 2): (F(1), F(0), F(0))}
+    reflection = [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(-1)]]
+    quad_zero = [row[:] for row in reflection]
+    quad_zero[0][1] = QuadExt(0, 0, F(5, 4))
+    g = HomAlgebra(3, pairs, mat(quad_zero), rational_backend())
+    g2 = HomAlgebra(3, pairs, mat(reflection), rational_backend())
+    assert g == g2 and g.kernel.d is None
+    got, want = algebra.classify(g), algebra.classify(g2)
+    assert got.verdict == want.verdict and got.witness is not None
+    assert repr(got.witness) == repr(want.witness)
+    assert all(type(x) is F for x in got.witness.residual)

@@ -1,11 +1,11 @@
 import dataclasses
 from fractions import Fraction as F
 from random import Random
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import reference
 from skewhom import se4geometry
 from skewhom.algebra import HomAlgebra, bracket_eval
 from skewhom.constructions import build_semi_euclidean
@@ -109,9 +109,13 @@ def test_vstar_samples_visit_every_plane(theta, count):
         assert se4geometry._in_plane(z, PLANES[t % 4])
 
 
-def test_closure_check_passes():
+def test_closure_check_is_the_certificate():
+    # samples and seed change nothing: the check is the certificate on the build
     for theta in (0, 1, F(1, 2)):
-        assert check_vstar_closure(theta, samples=60, seed=0).passed
+        g, ctx = SE4[theta]
+        for samples, seed in ((60, 0), (0, 5), (1, 1)):
+            assert check_vstar_closure(theta, samples=samples, seed=seed) == vstar_certificate(g, ctx)
+        assert check_vstar_closure(theta).passed
 
 
 @pytest.mark.parametrize("count", [-1, -3])
@@ -200,7 +204,7 @@ def test_vstar_is_the_union_of_the_four_planes(x):
 @pytest.mark.parametrize("theta", [0, 1, F(1, 2), F(3, 4), F(-7, 3)])
 def test_certificate_passes_on_the_family(theta):
     g, ctx = build_semi_euclidean(theta)
-    assert vstar_certificate(g, ctx) == check_vstar_closure(theta, samples=24, seed=1)
+    assert vstar_certificate(g, ctx) == reference.check_vstar_closure(g, ctx, 24, 1)
     assert vstar_certificate(g, ctx).passed
 
 
@@ -266,10 +270,8 @@ def se4_variants(draw):
 @given(se4_variants(), st.integers(0, 1000))
 def test_certificate_agrees_with_the_sampled_check(variant, seed):
     g, ctx = variant
-    backend = ctx.backend
     report = vstar_certificate(g, ctx)
-    with mock.patch.object(se4geometry, "build_semi_euclidean", lambda theta: (g, ctx)):
-        sampled = check_vstar_closure(ctx.theta, samples=24, seed=seed)
+    sampled = reference.check_vstar_closure(g, ctx, 24, seed)
     if not sampled.passed:
         # a sampled failure is a real one, and a bracket failure is found first
         assert not report.passed
@@ -333,13 +335,12 @@ def test_certificate_twist_witness_lies_on_a_line_of_the_first_bad_plane():
 
 def test_sampled_check_finds_a_twist_that_misses_one_plane():
     # this P maps three of the planes into V* but not {x0 = -x2, x1 = -x3};
-    # the sampled check draws members of that plane too, so it fails with the
-    # certificate
+    # the sampled reference draws members of that plane too, so it fails with
+    # the certificate
     g, ctx = build_semi_euclidean(1)
     P = mat([[1, -1, -1, 1], [0, 1, -1, 0], [1, -1, -1, 1], [0, -1, 1, 0]])
     ctx = dataclasses.replace(ctx, P=P)
-    with mock.patch.object(se4geometry, "build_semi_euclidean", lambda theta: (g, ctx)):
-        report = check_vstar_closure(1, samples=200, seed=0)
+    report = reference.check_vstar_closure(g, ctx, 200, 0)
     assert not report.passed
     assert assert_witness_leaves_vstar(g, ctx, report) == "twist"
     assert not vstar_certificate(g, ctx).passed
