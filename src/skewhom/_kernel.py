@@ -121,6 +121,8 @@ class Kernel:
                 k: pairs[idx * n + k] for k in range(n) if pairs[idx * n + k] is not None
             }
         self.twist = Twist(self, twist)
+        # the m = 1 coboundary matrices of a zero rho, by degree (skewhom.cohomology._operator)
+        self.zero_ops: Dict[int, "Coboundary"] = {}
 
     def _ring(self, d: Optional[Fraction]) -> None:
         """Take the ring Q[s]/(s**2 - d) in the generator ``R = dd*sqrt(d)``, or Q for ``None``."""
@@ -133,10 +135,10 @@ class Kernel:
         """This kernel in the ring of ``d``: itself for ``None`` or its own ``d``.
 
         A rational kernel gives a view that shares its rows, scale and twist
-        and changes only ``d``, ``disc``, ``dd`` and ``rr``: a rational
-        scalar's pair ``(A, 0)`` and its scale do not depend on ``d``, and
-        products of such pairs never reach ``R*R``.  A quadratic kernel over
-        another ``d`` raises :class:`BackendMismatchError`.
+        and changes only ``d``, ``disc``, ``dd`` and ``rr`` (its ``zero_ops``
+        starts empty): a rational scalar's pair ``(A, 0)`` and its scale do
+        not depend on ``d``, and products of such pairs never reach ``R*R``.
+        A quadratic kernel over another ``d`` raises :class:`BackendMismatchError`.
         """
         if d is None or d == self.d:
             return self
@@ -144,6 +146,7 @@ class Kernel:
             raise BackendMismatchError(f"mixed discriminants {self.d} and {d}")
         view = copy.copy(self)
         view._ring(d)
+        view.zero_ops = {}
         return view
 
     def pairs(self, values: Iterable) -> Tuple[List[Optional[Pair]], int]:

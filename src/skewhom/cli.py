@@ -25,6 +25,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from random import Random
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -442,7 +443,9 @@ def _int_list(text: str) -> List[int]:
     return [int(piece) for piece in text.split(",") if piece.strip()]
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: one shared instance, never change it."""
     parser = argparse.ArgumentParser(
         prog="skewhom",
         description="Exact verification of twisted-bracket algebra structures.",

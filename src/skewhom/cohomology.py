@@ -78,7 +78,7 @@ class Cochain:
     table: Dict[Tuple[int, ...], Vec]
 
     def __post_init__(self) -> None:
-        expected = set(itertools.combinations(range(self.n), self.k))
+        expected = set(_tuples(self.n, self.k))
         keys = set(self.table)
         if keys != expected:
             raise DimensionError(
@@ -90,10 +90,15 @@ class Cochain:
                 raise DimensionError(f"value at {key} must have length {self.m}")
 
 
+def _tuples(n: int, k: int):
+    """The increasing k-tuples below n: none above degree n, where combinations() would allocate k slots."""
+    return itertools.combinations(range(n), k) if k <= n else iter(())
+
+
 def cochain(k: int, n: int, m: int, entries: Optional[dict] = None) -> Cochain:
     """Build a cochain; index tuples absent from ``entries`` get zero."""
     _check_size(n, k, m)
-    table = {key: zero_vec(m) for key in itertools.combinations(range(n), k)}
+    table = {key: zero_vec(m) for key in _tuples(n, k)}
     for key, value in (entries or {}).items():
         key = tuple(int(i) for i in key)
         if key not in table:
@@ -104,7 +109,7 @@ def cochain(k: int, n: int, m: int, entries: Optional[dict] = None) -> Cochain:
 
 def basis_cochains(n: int, m: int, k: int):
     """Yield (key, axis, cochain) with a single basis-vector entry set."""
-    for key in itertools.combinations(range(n), k):
+    for key in _tuples(n, k):
         for axis in range(m):
             yield key, axis, cochain(k, n, m, {key: basis_vec(m, axis)})
 
@@ -117,7 +122,8 @@ def coboundary(eta: Cochain, rep: Representation, s: int) -> Cochain:
     0..``MAX_OPERATOR_INDEX`` raises ``ValueError`` in every degree.
 
     This applies the matrix of ``d^s`` on degree k (:func:`_operator`) to
-    eta's values as integer pairs.  Its kernel, taken with eta's values too,
+    eta's values as integer pairs; the m = 1 matrix of a zero rho is applied
+    to each value axis alone.  Its kernel, taken with eta's values too,
     gives the type of every entry: a ``QuadExt`` when that kernel has a
     discriminant (a quadratic cochain on a rational algebra brings its own),
     a ``Fraction`` otherwise.  Mixed discriminants raise
@@ -139,10 +145,13 @@ def coboundary(eta: Cochain, rep: Representation, s: int) -> Cochain:
     # a rational operator takes the discriminant of eta's values
     kernel = op.kernel if op.kernel.d is not None else g.kernel_with(values)
     pairs, scale = kernel.pairs(values)
-    column = {c: x for c, x in enumerate(pairs) if x is not None}
+    axes = m // op.m  # 1, or m for the m = 1 matrix of a zero rho
+    image: Sparse = {}
+    for a in range(axes):
+        column = {c: x for c, x in enumerate(pairs[a::axes]) if x is not None}
+        image.update((r * axes + a, x) for r, x in op.apply(column).items())
     rows = range(len(op.targets))
-    table = _vectors(kernel, op.apply(column), op.scale * scale, op.targets, m, rows)
-    return Cochain(k + 1, n, m, table)
+    return Cochain(k + 1, n, m, _vectors(kernel, image, op.scale * scale, op.targets, m, rows))
 
 
 def _vectors(kernel: Kernel, column: Sparse, scale: int, targets: list, m: int, rows) -> dict:
@@ -168,8 +177,11 @@ def _operator(g: HomAlgebra, rep: Representation, k: int, s: int, minors=None) -
     every rho(e_t) is over ``L_rho``, so every ``M_t`` is over the positive
     integer ``L_pre * L_rho * L_post``; :class:`skewhom._kernel.Coboundary`,
     which has the entries, takes it into its own scale.  A zero rho gives
-    zero blocks on the algebra's kernel; phi is still compiled, so a float
-    in it raises ``TypeError`` there too, as in
+    ``M_t = 0``, so for every s and phi the matrix on m value axes is the
+    m = 1 matrix on each axis alone: that one is returned, built once per
+    degree and kept in ``g.kernel.zero_ops``.  rho and phi are still
+    compiled, so a float raises ``TypeError`` and mixed discriminants
+    :class:`BackendMismatchError` there too, as in
     :func:`skewhom.representation.check_representation`.  An ``s`` out of
     0..``MAX_OPERATOR_INDEX`` raises ``ValueError`` before any power is formed.
     """
@@ -182,7 +194,10 @@ def _operator(g: HomAlgebra, rep: Representation, k: int, s: int, minors=None) -
         conj, scale = rep.kernel.conjugated(pre, post)
         return Coboundary(rep.kernel.kernel, k, rep.m, conj, scale, minors)
     rep.kernel  # compiled for its type and discriminant checks only
-    return Coboundary(g.kernel, k, rep.m, [[{}] * rep.m] * g.dim, 1, minors)
+    ops = g.kernel.zero_ops
+    if k not in ops:
+        ops[k] = Coboundary(g.kernel, k, 1, [[{}]] * g.dim, 1, minors)
+    return ops[k]
 
 
 def d_squared_failures(g: HomAlgebra, rep: Representation, k: int, s: int):
@@ -200,6 +215,9 @@ def d_squared_failures(g: HomAlgebra, rep: Representation, k: int, s: int):
     zero, and that column is its residual, typed as :func:`coboundary` types
     its entries; the two builds share one table of twist minors.  For
     ``k + 2 > n`` the target degree is empty, so nothing is built or fails.
+    A zero rho is decided on :func:`_operator`'s m = 1 matrices: a failing
+    ``key`` is read out as ``(key, axis)`` for axis 0..m-1, with the residual
+    in component ``axis`` and zeros of the same type in the others.
     """
     if rep.g != g:
         rep = replace(rep, g=g)
@@ -215,8 +233,10 @@ def d_squared_failures(g: HomAlgebra, rep: Representation, k: int, s: int):
     def columns():
         scale = op.scale * after.scale
         for key, axis, column in op.squared_failures(after):
-            rows = sorted({r // m for r, (a, b) in column.items() if a or b})
-            yield key, axis, _vectors(op.kernel, column, scale, after.targets, m, rows)
+            rows = sorted({r // op.m for r, (a, b) in column.items() if a or b})
+            for axis in (axis,) if op.m == m else range(m):  # an m = 1 column on each axis
+                at = column if op.m == m else {r * m + axis: x for r, x in column.items()}
+                yield key, axis, _vectors(op.kernel, at, scale, after.targets, m, rows)
 
     return columns()
 

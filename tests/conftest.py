@@ -19,3 +19,19 @@ def both_paths():
         return check(*args), REFERENCE[check](*args)
 
     return run
+
+
+@pytest.fixture
+def coboundary_builds(monkeypatch):
+    """The ``(k, m)`` of every ``Coboundary`` that ``skewhom.cohomology`` builds, in order."""
+    from skewhom import cohomology
+
+    built = []
+
+    class Recorded(cohomology.Coboundary):
+        def __init__(self, kernel, k, m, *args):
+            built.append((k, m))
+            super().__init__(kernel, k, m, *args)
+
+    monkeypatch.setattr(cohomology, "Coboundary", Recorded)
+    return built

@@ -29,6 +29,9 @@ added every ``(i, j)`` and ``(j, i)`` entry, zeros included.
 ``coboundary_cols`` is the build of a coboundary matrix that visits every
 pair of a source and a target index set, which ``Coboundary`` replaced
 with a build from the nonzero minors and bracket outputs.
+``zero_rep_failures`` and ``zero_rep_coboundary`` decide a zero
+representation on its full m-axis matrices from ``coboundary_cols``, as the
+checkers did before they took the m = 1 matrix on each value axis alone.
 ``REFERENCE`` maps each public checker, and the se4 build, to its reference; the
 ``both_paths`` fixture runs a checker and its reference on the same input.
 ``DataclassQuadExt`` is the frozen-dataclass ``QuadExt`` that the slotted
@@ -439,6 +442,55 @@ def coboundary_cols(kernel, k, m, conj, conj_scale):
                 if value != (0, 0):
                     cols[kk * m + b][uu * m + a] = value
     return sources, targets, cols, scale
+
+
+def zero_rep_failures(g, m, k):
+    """``d_squared_failures`` of a zero rho on m value axes, from the m-axis matrices.
+
+    With rho = 0 every block ``M_t`` is zero over scale 1, whatever s and
+    phi.  Each basis cochain ``(key, axis)``, in order, whose column of
+    ``D_{k+1} D_k`` is not zero comes with its residual at each nonzero
+    output tuple, every component taken through ``g.kernel.scalar``.
+    """
+    n, kernel = g.dim, g.kernel
+    if k + 2 > n:
+        return []
+    zero = [[{}] * m] * n
+    sources, _, cols, scale = coboundary_cols(kernel, k, m, zero, 1)
+    _, targets, after, after_scale = coboundary_cols(kernel, k + 1, m, zero, 1)
+    stream = []
+    for c, col in enumerate(cols):
+        product = kernel._combine({}, col, after, 1)
+        rows = sorted({r // m for r, (a, b) in product.items() if a or b})
+        if rows:
+            residual = {
+                targets[u]: tuple(
+                    kernel.scalar(product.get(u * m + a, (0, 0)), scale * after_scale)
+                    for a in range(m)
+                )
+                for u in rows
+            }
+            stream.append((sources[c // m], c % m, residual))
+    return stream
+
+
+def zero_rep_coboundary(eta, g):
+    """``coboundary`` of ``eta`` for a zero rho, from the m-axis matrix of its degree.
+
+    The entries take the type of ``g.kernel_with`` eta's values.
+    """
+    n, k, m = eta.n, eta.k, eta.m
+    if k + 1 > n:
+        return Cochain(k + 1, n, m, {})
+    _, targets, cols, op_scale = coboundary_cols(g.kernel, k, m, [[{}] * m] * n, 1)
+    values = [x for key in itertools.combinations(range(n), k) for x in eta.table[key]]
+    kernel = g.kernel_with(values)
+    pairs, scale = kernel.pairs(values)
+    image = g.kernel._combine({}, {c: x for c, x in enumerate(pairs) if x is not None}, cols, 1)
+    return Cochain(k + 1, n, m, {
+        u: tuple(kernel.scalar(image.get(uu * m + a, (0, 0)), op_scale * scale) for a in range(m))
+        for uu, u in enumerate(targets)
+    })
 
 
 def det3(rows):

@@ -135,6 +135,44 @@ def test_help_exits_cleanly():
     assert main(["--help"]) == 0
 
 
+def test_the_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_back_to_back_calls_match_separate_processes(capsys, monkeypatch):
+    """One shared parser: each in-process run prints and returns what a fresh process does."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+           "COLUMNS": "80"}
+    monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at the terminal width
+    runs = (["verify", "--timings"], ["verify", "--format", "xml"], ["verify", "--format", "csv"])
+
+    def untimed(text):
+        return re.sub(r"\[\d+\.\d{3}s\]", "[timed]", text)
+
+    in_process = []
+    for argv in runs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, untimed(captured.out), captured.err))
+    separate = []
+    for argv in runs:
+        proc = subprocess.run([sys.executable, "-m", "skewhom", *argv], capture_output=True,
+                              text=True, env=env, timeout=300)
+        separate.append((proc.returncode, untimed(proc.stdout), proc.stderr))
+    assert in_process == separate
+    assert [code for code, _, _ in in_process] == [0, 2, 0]
+    assert "[timed]" in in_process[0][1] and "invalid choice" in in_process[1][2]
+
+
+def test_verify_builds_six_m_1_coboundary_matrices(coboundary_builds):
+    """Twelve d^2 rows on two algebras: degrees 1, 2 and 3 of each, once, at m = 1."""
+    report = cmd_verify(SuiteConfig())
+    assert sum("coboundary nilpotency" in c.name for c in report.checks) == 12
+    assert report.all_passed
+    assert sorted(coboundary_builds) == [(1, 1), (1, 1), (2, 1), (2, 1), (3, 1), (3, 1)]
+
+
 def test_verify_output_file_and_formats(tmp_path):
     out = tmp_path / "report.json"
     code = main(["verify", *FAST, "--format", "json", "--output", str(out)])

@@ -73,9 +73,22 @@ def as_pair(x, scale, dd):
     return F(x) * scale, F(0)
 
 
+def axis_cols(op, m):
+    """The operator's columns on m value axes.
+
+    The m = 1 matrix that ``_operator`` returns for a zero rho stands for
+    itself on each axis alone: column ``(K, b)`` has its rows at ``(u, b)``.
+    """
+    if op.m == m:
+        return op.cols
+    return [{u * m + b: x for u, x in col.items()} for col in op.cols for b in range(m)]
+
+
 def assert_columns_match(g, rep, k, s):
     op = _operator(g, rep, k, s)
     m = rep.m
+    cols = axis_cols(op, m)
+    assert len(cols) == len(op.sources) * m
     for c, (key, axis, eta) in enumerate(basis_cochains(g.dim, m, k)):
         assert (op.sources[c // m], c % m) == (key, axis)
         image = reference.coboundary(eta, rep, s)
@@ -85,7 +98,7 @@ def assert_columns_match(g, rep, k, s):
             for a, x in enumerate(image.table[u]):
                 if x != 0:
                     want[uu * m + a] = as_pair(x, op.scale, op.kernel.dd)
-        assert op.cols[c] == want
+        assert cols[c] == want
 
 
 def assert_blocks_match(rep, k, s):
@@ -245,8 +258,9 @@ def test_identity_phi_and_zero_rho_give_the_bracket_part_only():
     g = FAMILIES[("se4", F(1, 2))]
     rep = zero_representation(g, 4, identity(4))
     op = _operator(g, rep, 1, 0)
-    # column (e_0, axis b): only rows (u, b) can be nonzero
-    for c, column in enumerate(op.cols):
+    # one m = 1 matrix stands for every axis: column (e_0, axis b) has rows (u, b) only
+    assert op.m == 1
+    for c, column in enumerate(axis_cols(op, 4)):
         assert all(r % 4 == c % 4 for r in column)
     assert_columns_match(g, rep, 1, 0)
 
@@ -263,7 +277,7 @@ def kernel_cases(draw):
     """A random exact table, twist and blocks ``M_t`` on one kernel, with a degree.
 
     The twist may have a zero row or column, and rho may be zero, as
-    ``_operator`` passes it, or have zero blocks among nonzero ones.
+    ``_operator`` passes it at m = 1, or have zero blocks among nonzero ones.
     """
     n = draw(st.integers(2, 5))
     m = draw(st.integers(1, 2))
@@ -319,11 +333,11 @@ def test_gl4_operators_with_the_zero_representation(theta, nonzeros):
 # -- d^s is d^0 conjugated by phi^s -----------------------------------------
 
 
-def dense(op):
-    """The operator's matrix as exact scalars, by rows."""
+def dense(op, m):
+    """The operator's matrix on m value axes as exact scalars, by rows."""
     return tuple(
-        tuple(op.kernel.scalar(column.get(r, (0, 0)), op.scale) for column in op.cols)
-        for r in range(len(op.targets) * op.m)
+        tuple(op.kernel.scalar(column.get(r, (0, 0)), op.scale) for column in axis_cols(op, m))
+        for r in range(len(op.targets) * m)
     )
 
 
@@ -348,11 +362,12 @@ def phi_power(phi, power, count):
 def test_d_s_is_d_0_conjugated_by_phi_to_the_s(rep, s, data):
     n = rep.g.dim
     k = data.draw(st.integers(0, n - 1))
+    d0 = dense(_operator(rep.g, rep, k, 0), rep.m)
     conjugated = mat_mul(
-        mat_mul(phi_power(rep.phi, s, math.comb(n, k + 1)), dense(_operator(rep.g, rep, k, 0))),
+        mat_mul(phi_power(rep.phi, s, math.comb(n, k + 1)), d0),
         phi_power(rep.phi, -s, math.comb(n, k)),
     )
-    assert dense(_operator(rep.g, rep, k, s)) == conjugated
+    assert dense(_operator(rep.g, rep, k, s), rep.m) == conjugated
 
 
 # -- coboundary as the product D_k eta --------------------------------------

@@ -10,6 +10,7 @@ from skewhom.cohomology import (
     coboundary,
     cochain,
     cochain_from_dict,
+    d_squared_failures,
     load_cochain,
     save_cochain,
 )
@@ -34,9 +35,13 @@ from skewhom.linalg import (
     zero_vec,
 )
 from skewhom.representation import Representation, zero_representation
+from skewhom.scalars import QuadExt
 
+import reference
 from reference import coboundary_at, cochain_add, cochain_eval, cochain_scale
 from strategies import int_vectors
+from test_coboundary_operator import FAMILIES, RATIONALS, SURDS, cochains, random_cases
+from test_kernel import mutated
 
 
 SE4_ZERO, _ = build_semi_euclidean(0)
@@ -346,3 +351,126 @@ def test_an_operator_index_over_the_limit_is_refused():
                 call()
     # the limit itself is built, with the verdict of s = 0 (the module's lemma)
     assert check_d_squared(g, rep, 1, MAX_OPERATOR_INDEX).passed == check_d_squared(g, rep, 1, 0).passed
+
+
+# -- the zero representation on its m = 1 matrices ---------------------------
+
+
+@st.composite
+def zero_rep_cases(draw):
+    """A zero representation on m in {1, 2, 3} axes and an operator index s in {0, 1, 2}.
+
+    The algebra is a family over Q, Q(sqrt 5) or the degenerate ring at
+    theta = 3/4 with one structure constant moved, so that d^2 fails, or a
+    random table; phi is the identity, a triangular rational map, or on a
+    rational algebra a quadratic one.
+    """
+    if draw(st.booleans()):
+        g = FAMILIES[draw(st.sampled_from(sorted(FAMILIES, key=str)))]
+        i, j = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda p: p[0] < p[1]))
+        g = mutated(g, i, j, draw(st.integers(0, 3)), draw(st.sampled_from((-1, 1, F(1, 2)))))
+    else:
+        g = draw(random_cases())[0].g
+    m = draw(st.integers(1, 3))
+    phis = [identity(m), tuple(
+        tuple(F(2) if r == c else F(-1, 3) if c == r + 1 else F(0) for c in range(m))
+        for r in range(m)
+    )]
+    if g.kernel.d is None:
+        surd = QuadExt(1, 1, F(5, 4))
+        phis.append(tuple(tuple(surd if r == c else F(0) for c in range(m)) for r in range(m)))
+    return zero_representation(g, m, draw(st.sampled_from(phis))), draw(st.integers(0, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(zero_rep_cases(), st.data())
+def test_zero_representation_on_m_1_matrices_matches_the_m_axis_build(case, data):
+    """The whole failure stream and every coboundary image, in every degree, by ``repr``."""
+    rep, s = case
+    g, m = rep.g, rep.m
+    pool = [g.backend.coerce(x) for x in RATIONALS]
+    if g.kernel.d in (None, SURDS[0].d):
+        pool += SURDS
+    for k in range(g.dim + 1):
+        stream = list(d_squared_failures(g, rep, k, s))
+        assert repr(stream) == repr(reference.zero_rep_failures(g, m, k))
+        eta = data.draw(cochains(g.dim, m, k, pool))
+        want = reference.zero_rep_coboundary(eta, g)
+        assert repr(coboundary(eta, rep, s)) == repr(want)
+
+
+def test_a_zero_representation_builds_only_m_1_matrices(coboundary_builds):
+    built = coboundary_builds
+    g = build_semi_euclidean(F(1, 2))[0]
+    for m in (1, 3, 4):
+        rep = zero_representation(g, m, alpha_block(4, F(1, 2), g.backend)[0] if m == 4 else identity(m))
+        for k in range(4):
+            for s in (0, 2):
+                list(d_squared_failures(g, rep, k, s))
+                coboundary(cochain(k, 4, m), rep, s)
+    # each degree once, whatever m and s: degree 3 is only reached by coboundary
+    assert built == [(0, 1), (1, 1), (2, 1), (3, 1)]
+    # a nonzero rho builds its m-axis matrices every time
+    x = mat([[1, 0], [0, -1]])
+    rep = Representation(SE4_ZERO, 2, (x, x, x, mat_neg(x)), mat([[0, 1], [-1, 0]]))
+    check_d_squared(SE4_ZERO, rep, 1, 0)
+    assert built[4:] == [(1, 2), (2, 2)]
+
+
+def test_zero_operators_live_on_the_algebra_kernel_alone():
+    from skewhom.cohomology import _operator
+
+    g = build_semi_euclidean(0)[0]
+    early = g.kernel.over(F(5, 4))
+    rep = zero_representation(g, 3, identity(3))
+    assert check_d_squared(g, rep, 1, 0).passed
+    ops = g.kernel.zero_ops
+    assert sorted(ops) == [1, 2]
+    assert all(op.m == 1 and op.kernel is g.kernel for op in ops.values())
+    # s, phi and m leave the matrix alone
+    wide = zero_representation(g, 4, mat([[2, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 3]]))
+    assert _operator(g, wide, 1, 2) is ops[1]
+    # a view made before or after never reads or writes the kernel's matrices
+    late = g.kernel.over(F(5, 4))
+    for view in (early, late):
+        assert view.zero_ops == {} and view.zero_ops is not ops
+        view.zero_ops[1] = "not a matrix"
+    # a quadratic cochain converts its image on a view, with the kernel's matrix
+    eta = cochain(1, 4, 3, {(0,): (QuadExt(1, 1, F(5, 4)), F(0), F(1))})
+    image = coboundary(eta, rep, 0)
+    assert isinstance(image.table[(0, 1)][0], QuadExt)
+    assert _operator(g, rep, 1, 0) is ops[1] and sorted(ops) == [1, 2]
+    # at most one matrix per degree 0..n
+    for k in range(5):
+        check_d_squared(g, rep, k, 0)
+        coboundary(cochain(k, 4, 3), rep, 0)
+    assert sorted(ops) == [0, 1, 2, 3]
+
+
+def test_a_degree_above_n_is_empty_without_combinations(monkeypatch):
+    """k > n has no k-tuple, and combinations() would allocate k slots to find that out."""
+    import itertools
+
+    from skewhom import cohomology
+    from skewhom.cohomology import basis_cochains
+
+    combinations = itertools.combinations
+
+    def guarded(iterable, r):
+        pool = tuple(iterable)
+        if r > len(pool):
+            raise AssertionError(f"combinations of {len(pool)} taken {r} at a time")
+        return combinations(pool, r)
+
+    monkeypatch.setattr(itertools, "combinations", guarded)
+    rep = zero_representation(SE4_ZERO, 2, identity(2))
+    for k in (5, 6, 3_000_000_000):
+        eta = cochain(k, 4, 2)
+        assert eta.table == {} and Cochain(k, 4, 2, {}) == eta
+        assert list(basis_cochains(4, 2, k)) == []
+        assert coboundary(eta, rep, 0) == Cochain(k + 1, 4, 2, {})
+        assert list(cohomology.d_squared_failures(SE4_ZERO, rep, k, 0)) == []
+        with pytest.raises(DimensionError, match="strictly increasing"):
+            cochain(k, 4, 2, {(0,): (F(1), F(0))})
+    # up to degree n the tuples are all there
+    assert len(cochain(4, 4, 2).table) == 1 and len(list(basis_cochains(4, 2, 3))) == 8
