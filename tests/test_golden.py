@@ -4,9 +4,10 @@ Each case runs ``skewhom.cli.main`` in process and compares everything it
 writes to standard output, byte for byte, with ``tests/golden/<name>.txt``,
 and its exit code with the one listed here.  The cases cover the verification
 sweep with and without the mutation hook, a failing-free squared-coboundary
-table, a squared-twist counterexample, the null-subset CSV and a classified
-algebra file, so a change that moves any scalar, witness or type in these
-reports shows here.
+table and a failing one, a squared-twist counterexample, the null-subset CSV
+and a classified algebra file, in each report format the command has, so a
+change that moves any scalar, witness, type or rendered byte in these reports
+shows here.
 
 After a deliberate report change, regenerate the files from the root of the
 checkout with
@@ -44,6 +45,15 @@ CASES = {
     "counterexample-gl4-half": (["counterexample", "gl4", "--theta", "1/2"], 0),
     "nullspace-half": (["nullspace", "--theta", "1/2", "--samples", "40"], 0),
     "check-algebra-mutated": (["check-algebra", MUTATED_FILE, "--format", "json"], 1),
+    "verify-text": (["verify"], 0),
+    "verify-csv": (["verify", "--format", "csv"], 0),
+    "verify-mutation-text": (["verify", "--inject-mutation"], 1),
+    "check-algebra-mutated-text": (["check-algebra", MUTATED_FILE], 1),
+    "check-algebra-mutated-csv": (["check-algebra", MUTATED_FILE, "--format", "csv"], 1),
+    "cohomology-mutated-csv": (
+        ["cohomology", MUTATED_FILE, "--k", "1", "--s", "0", "--format", "csv"],
+        1,
+    ),
 }
 
 
