@@ -66,7 +66,7 @@ class Witness:
 @dataclass(frozen=True)
 class CheckReport:
     passed: bool
-    witness: Optional[Witness] = None
+    witness: Union[Witness, str, None] = None  # text where no basis input is at fault
 
     def __bool__(self) -> bool:
         return self.passed

@@ -25,9 +25,9 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from random import Random
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
     CheckReport,
@@ -60,7 +60,7 @@ from .constructions import (
     resolve_algebra,
 )
 from .errors import CounterexampleNotFoundError, FileFormatError, SkewhomError
-from .linalg import identity, mat, mat_eq, mat_mul, mat_vec
+from .linalg import Vec, identity, mat, mat_eq, mat_mul, mat_vec
 from .representation import load_representation, zero_representation
 from .se4geometry import SPAN, in_v_star, vstar_certificate, vstar_defect, vstar_draws
 from .scalars import as_rational
@@ -104,30 +104,12 @@ class SuiteReport:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> str:
-        payload = {
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "witness": c.witness,
-                    "seconds": c.seconds,
-                }
-                for c in self.checks
-            ]
-        }
-        return json.dumps(payload, indent=2)
+        # vars, not asdict: the fields are flat, and asdict's deep copy doubled this call's time
+        return json.dumps({"checks": [vars(c) for c in self.checks]}, indent=2)
 
     @staticmethod
     def from_json(text: str) -> "SuiteReport":
-        payload = json.loads(text)
-        return SuiteReport(
-            tuple(
-                CheckResult(
-                    entry["name"], entry["passed"], entry["witness"], entry["seconds"]
-                )
-                for entry in payload["checks"]
-            )
-        )
+        return SuiteReport(tuple(CheckResult(**entry) for entry in json.loads(text)["checks"]))
 
     def to_text(self) -> str:
         lines = []
@@ -164,37 +146,46 @@ def _csv_field(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
-def _witness_str(witness: Optional[Witness]) -> Optional[str]:
-    if witness is None:
-        return None
+def _witness_str(witness: Union[Witness, str, None]) -> Optional[str]:
+    if witness is None or isinstance(witness, str):
+        return witness
     text = f"at {witness.at}: residual {witness.residual}"
     if witness.note:
         text += f" ({witness.note})"
     return text
 
 
-class _Suite:
-    """Accumulates named checks, optionally timing each one."""
+def _run_checks(
+    rows: Iterable[Tuple[str, Callable[[], CheckReport]]], timings: bool = False
+) -> SuiteReport:
+    """Run each ``(name, check)`` row in order, timing it under ``timings``.
 
-    def __init__(self, timings: bool):
-        self.timings = timings
-        self.results: List[CheckResult] = []
-
-    def run(self, name: str, fn: Callable[[], Tuple[bool, Optional[str]]]) -> None:
-        start = time.perf_counter() if self.timings else None
+    A check that raises :class:`SkewhomError` fails its own row, with the
+    message as the witness, and the later rows still run.
+    """
+    results = []
+    for name, check in rows:
+        start = time.perf_counter() if timings else None
         try:
-            passed, witness = fn()
+            report = check()
         except SkewhomError as exc:
-            passed, witness = False, str(exc)
-        seconds = (time.perf_counter() - start) if start is not None else None
-        self.results.append(CheckResult(name, passed, witness, seconds))
-
-    def report(self) -> SuiteReport:
-        return SuiteReport(tuple(self.results))
+            report = CheckReport(False, str(exc))
+        seconds = None if start is None else time.perf_counter() - start
+        results.append(CheckResult(name, report.passed, _witness_str(report.witness), seconds))
+    return SuiteReport(tuple(results))
 
 
-def _from_report(report: CheckReport) -> Tuple[bool, Optional[str]]:
-    return report.passed, _witness_str(report.witness)
+def _classifies_as(g: HomAlgebra, expected: Verdict) -> CheckReport:
+    c = classify(g)
+    return CheckReport(c.verdict == expected, c.witness)
+
+
+def _squared_twist_failure(ctx: GlContext) -> Optional[Tuple[tuple, Vec]]:
+    """The first triple failing the squared-twist Jacobi identity and its residual, or None."""
+    try:
+        return ad_alpha_squared_counterexample(ctx)
+    except CounterexampleNotFoundError:
+        return None
 
 
 def _mutate_bracket(g: HomAlgebra) -> HomAlgebra:
@@ -206,67 +197,46 @@ def _mutate_bracket(g: HomAlgebra) -> HomAlgebra:
 
 def cmd_verify(config: SuiteConfig) -> SuiteReport:
     """The full built-in verification sweep."""
-    suite = _Suite(config.timings)
+    rows = []
 
+    def add(name: str, check: Callable[..., CheckReport], *args) -> None:
+        rows.append((name, partial(check, *args)))
+
+    se4 = []
     for theta in config.theta_list:
         g, ctx = build_semi_euclidean(theta)
         if config.inject_mutation:
             g = _mutate_bracket(g)
+        se4.append(g)
         label = f"se4(theta={theta})"
-
-        def classify_check(g=g):
-            c = classify(g)
-            return c.verdict == Verdict.SKEW_HOM_LIE, _witness_str(c.witness)
-
-        suite.run(f"{label}: classifies as SkewHomLie", classify_check)
-        suite.run(
-            f"{label}: bracket and twist preserve the null subset",
-            lambda g=g, ctx=ctx: _from_report(vstar_certificate(g, ctx)),
-        )
+        add(f"{label}: classifies as SkewHomLie", _classifies_as, g, Verdict.SKEW_HOM_LIE)
+        add(f"{label}: bracket and twist preserve the null subset", vstar_certificate, g, ctx)
         for m in (1, 2, 3):
-            suite.run(
-                f"{label}: twist power {m} carries bracket sign {(-1) ** m:+d}",
-                lambda g=g, m=m: _from_report(check_power_sign_law(g, m)),
-            )
+            add(f"{label}: twist power {m} carries bracket sign {(-1) ** m:+d}",
+                check_power_sign_law, g, m)
 
-    gl_algebras = {}
-    for theta in (0, 1):
-        alpha, backend = alpha_theta(theta)
-        gl = build_gl_alpha(GlContext(2, alpha, backend))
-        gl_algebras[theta] = gl
+    gl2_ctx = GlContext(2, *alpha_theta(0))
+    gl2 = build_gl_alpha(gl2_ctx)
+    for theta, gl in ((0, gl2), (1, build_gl_alpha(GlContext(2, *alpha_theta(1))))):
+        add(f"gl2(theta={theta}): classifies as SkewHomLie",
+            _classifies_as, gl, Verdict.SKEW_HOM_LIE)
 
-        def gl_classify(gl=gl):
-            c = classify(gl)
-            return c.verdict == Verdict.SKEW_HOM_LIE, _witness_str(c.witness)
+    def gl2_scan() -> CheckReport:
+        failure = _squared_twist_failure(gl2_ctx)
+        if failure is None:
+            return CheckReport(True)
+        return CheckReport(False, f"unexpected failing triple {failure[0]}: {failure[1]}")
 
-        suite.run(f"gl2(theta={theta}): classifies as SkewHomLie", gl_classify)
-    suite.run(
-        "gl2(theta=0): conjugation twist is an involution",
-        lambda: (mat_eq(mat_mul(gl_algebras[0].twist, gl_algebras[0].twist), identity(4)), None),
-    )
+    def gl4_scan() -> CheckReport:
+        # an empty scan raises, and the runner fails the row with its message
+        triple, _ = ad_alpha_squared_counterexample(GlContext(4, *alpha_block(4, 0)))
+        return CheckReport(True, f"first failing triple {triple}")
 
-    def gl2_scan():
-        alpha, backend = alpha_theta(0)
-        try:
-            triple, residual = ad_alpha_squared_counterexample(GlContext(2, alpha, backend))
-        except CounterexampleNotFoundError:
-            return True, None
-        return False, f"unexpected failing triple {triple}: {residual}"
-
-    suite.run(
-        "gl2(theta=0): squared-twist Jacobi residuals vanish identically (exhaustive scan)",
-        gl2_scan,
-    )
-
-    def gl4_scan():
-        alpha, backend = alpha_block(4, 0)
-        try:
-            triple, _ = ad_alpha_squared_counterexample(GlContext(4, alpha, backend))
-        except CounterexampleNotFoundError as exc:
-            return False, str(exc)
-        return True, f"first failing triple {triple}"
-
-    suite.run("gl4(theta=0): squared-twist Jacobi counterexample exists", gl4_scan)
+    add("gl2(theta=0): conjugation twist is an involution",
+        lambda: CheckReport(mat_eq(mat_mul(gl2.twist, gl2.twist), identity(4))))
+    add("gl2(theta=0): squared-twist Jacobi residuals vanish identically (exhaustive scan)",
+        gl2_scan)
+    add("gl4(theta=0): squared-twist Jacobi counterexample exists", gl4_scan)
 
     r3_cases = (
         ("identity", identity(3), Verdict.LIE),
@@ -274,43 +244,24 @@ def cmd_verify(config: SuiteConfig) -> SuiteReport:
         ("rotation by 90 degrees", mat([[0, -1, 0], [1, 0, 0], [0, 0, 1]]), Verdict.HOM_LIE),
     )
     for name, twist, expected in r3_cases:
-        suite.run(
-            f"r3 with {name} twist: classifies as {expected.value}",
-            lambda twist=twist, expected=expected: (
-                classify(build_r3_cross(twist)).verdict == expected,
-                None,
-            ),
-        )
+        add(f"r3 with {name} twist: classifies as {expected.value}",
+            _classifies_as, build_r3_cross(twist), expected)
 
-    se4_first, _ = build_semi_euclidean(config.theta_list[0])
-    if config.inject_mutation:
-        se4_first = _mutate_bracket(se4_first)
-    suite.run(
-        f"se4(theta={config.theta_list[0]}): pseudo-adjoint composition identity",
-        lambda: _from_report(check_pseudo_adjoint_identity(se4_first)),
+    theta, se4_first = config.theta_list[0], se4[0]
+    label = f"se4(theta={theta})"
+    add(f"{label}: pseudo-adjoint composition identity", check_pseudo_adjoint_identity, se4_first)
+    add("gl2(theta=0): pseudo-adjoint composition identity", check_pseudo_adjoint_identity, gl2)
+    d2_targets = (
+        (label, se4_first, alpha_block(4, theta, se4_first.backend)[0]),
+        ("gl2(theta=0)", gl2, identity(4)),
     )
-    suite.run(
-        "gl2(theta=0): pseudo-adjoint composition identity",
-        lambda: _from_report(check_pseudo_adjoint_identity(gl_algebras[0])),
-    )
-
-    d2_targets = [
-        (f"se4(theta={config.theta_list[0]})", se4_first,
-         alpha_block(4, config.theta_list[0], se4_first.backend)[0]),
-        ("gl2(theta=0)", gl_algebras[0], identity(4)),
-    ]
     for label, g, phi in d2_targets:
         rep = zero_representation(g, 4, phi)
         for k in config.k_list:
             for s in config.s_list:
-                suite.run(
-                    f"{label}: coboundary nilpotency k={k} s={s}",
-                    lambda g=g, rep=rep, k=k, s=s: _from_report(
-                        check_d_squared(g, rep, k, s)
-                    ),
-                )
+                add(f"{label}: coboundary nilpotency k={k} s={s}", check_d_squared, g, rep, k, s)
 
-    return suite.report()
+    return _run_checks(rows, config.timings)
 
 
 def cmd_check_algebra(path: str) -> SuiteReport:
@@ -324,19 +275,19 @@ def cmd_check_algebra(path: str) -> SuiteReport:
     jacobi = check_hom_jacobi(g)
     c = classify(g, sign, jacobi)
     if sign.sign is None:
-        sign_row = (False, _witness_str(sign.witness))
+        sign_row = CheckReport(False, sign.witness)
     else:
         note = " (abelian)" if sign.abelian else " (both signs hold)" if sign.both else ""
-        sign_row = (True, f"sign {sign.sign:+d}{note}")
-    return SuiteReport((
-        CheckResult(
-            f"{path}: verdict {c.verdict.value} (regular={c.regular})",
-            c.verdict != Verdict.NEITHER,
-            _witness_str(c.witness),
-        ),
-        CheckResult(f"{path}: twisted Jacobi identity", *_from_report(jacobi)),
-        CheckResult(f"{path}: bracket/twist sign", *sign_row),
-    ))
+        sign_row = CheckReport(True, f"sign {sign.sign:+d}{note}")
+    rows = (
+        (f"{path}: verdict {c.verdict.value} (regular={c.regular})",
+         CheckReport(c.verdict != Verdict.NEITHER, c.witness)),
+        (f"{path}: twisted Jacobi identity", jacobi),
+        (f"{path}: bracket/twist sign", sign_row),
+    )
+    return SuiteReport(
+        tuple(CheckResult(name, r.passed, _witness_str(r.witness)) for name, r in rows)
+    )
 
 
 def cmd_cohomology(
@@ -367,17 +318,16 @@ def cmd_cohomology(
     def scan():
         nonlocal failures
         failures = list(d_squared_failures(g, rep, k, s))
-        return _from_report(d_squared_report(failures, k, s))
+        return d_squared_report(failures, k, s)
 
-    suite = _Suite(timings=False)
-    suite.run(f"{algebra_ref}: coboundary nilpotency k={k} s={s}", scan)
+    report = _run_checks([(f"{algebra_ref}: coboundary nilpotency k={k} s={s}", scan)])
     print(f"squared-coboundary residual table (k={k}, s={s}):")
     # no k-tuple exists above degree n, and combinations() would allocate k slots
     if failures is not None and k <= g.dim:
         nonzero = {(key, axis): value for key, axis, value in failures}
         for key, axis in itertools.product(itertools.combinations(range(g.dim), k), range(rep.m)):
             print(f"  basis cochain {key} axis {axis}: {nonzero.get((key, axis), 0)}")
-    return suite.report()
+    return report
 
 
 def cmd_nullspace(
@@ -419,16 +369,14 @@ def cmd_counterexample(family: str, theta: Fraction) -> int:
     if family not in ("gl2", "gl4"):
         raise ValueError(f"unknown counterexample target {family!r} (use gl2 or gl4)")
     m = 2 if family == "gl2" else 4
-    alpha, backend = alpha_block(m, theta)
-    ctx = GlContext(m, alpha, backend)
-    try:
-        triple, residual = ad_alpha_squared_counterexample(ctx)
-    except CounterexampleNotFoundError:
+    failure = _squared_twist_failure(GlContext(m, *alpha_block(m, theta)))
+    if failure is None:
         print(
             f"{family}(theta={theta}): no failing basis triple; the squared-twist "
             "Jacobi residual vanishes identically on this family"
         )
         return 1
+    triple, residual = failure
     print(f"{family}(theta={theta}): first failing basis triple {triple}")
     print(f"residual: {residual}")
     return 0
@@ -525,6 +473,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     """Run the parsed command and return its exit code."""
+    if args.command == "nullspace":
+        if args.samples < 0:
+            raise ValueError("--samples must be non-negative")
+        theta = as_rational(args.theta)
+        if args.output:
+            with open_output(args.output) as handle:
+                return cmd_nullspace(theta, args.samples, args.seed, out=handle)
+        return cmd_nullspace(theta, args.samples, args.seed)
+
+    if args.command == "counterexample":
+        return cmd_counterexample(args.family, as_rational(args.theta))
+
     if args.command == "verify":
         thetas = _fraction_list(args.theta)
         if not thetas:
@@ -543,36 +503,17 @@ def _run(args: argparse.Namespace) -> int:
             inject_mutation=args.inject_mutation,
         )
         report = cmd_verify(config)
-        _emit(report.render(args.format), args.output)
-        return 0 if report.all_passed else 1
-
-    if args.command == "check-algebra":
+    elif args.command == "check-algebra":
         report = cmd_check_algebra(args.path)
-        _emit(report.render(args.format), args.output)
-        return 0 if report.all_passed else 1
-
-    if args.command == "cohomology":
+    else:
         for flag, value in (("--k", args.k), ("--s", args.s)):
             if value < 0:
                 raise ValueError(f"{flag} must be non-negative")
         report = cmd_cohomology(
             args.algebra, args.k, args.s, rep_path=args.rep, cochain_path=args.cochain
         )
-        _emit(report.render(args.format), args.output)
-        return 0 if report.all_passed else 1
-
-    if args.command == "nullspace":
-        if args.samples < 0:
-            raise ValueError("--samples must be non-negative")
-        theta = as_rational(args.theta)
-        if args.output:
-            with open_output(args.output) as handle:
-                return cmd_nullspace(theta, args.samples, args.seed, out=handle)
-        return cmd_nullspace(theta, args.samples, args.seed)
-
-    if args.command == "counterexample":
-        return cmd_counterexample(args.family, as_rational(args.theta))
-    raise AssertionError("unreachable command dispatch")
+    _emit(report.render(args.format), args.output)
+    return 0 if report.all_passed else 1
 
 
 if __name__ == "__main__":

@@ -231,6 +231,8 @@ def representation_from_dict(obj: dict, g: Optional[HomAlgebra] = None) -> Repre
         phi = mat(tuple(parse_scalar(x, backend) for x in row) for row in obj["phi"])
     except PARSE_ERRORS as exc:
         raise FileFormatError(f"bad representation: {exc}", location="rho/phi") from exc
+    if m < 1:
+        raise FileFormatError("dimension must be positive", location="m")
     if m > MAX_DIM:
         raise FileFormatError(f"dimension {m} exceeds the limit of {MAX_DIM}", location="m")
     try:

@@ -531,6 +531,35 @@ def test_cohomology_records_a_raising_scan(capsys, monkeypatch):
     assert "basis cochain" not in out
 
 
+def test_verify_records_a_raising_row_and_runs_the_rest(capsys, monkeypatch):
+    from skewhom import cli
+    from skewhom.errors import SingularMatrixError
+
+    want = cmd_verify(SuiteConfig()).checks
+    original = cli.check_power_sign_law
+
+    def broken_at_two(g, m):
+        if m == 2:
+            raise SingularMatrixError("twist power lost its inverse")
+        return original(g, m)
+
+    monkeypatch.setattr(cli, "check_power_sign_law", broken_at_two)
+    got = cmd_verify(SuiteConfig()).checks
+    assert [c.name for c in got] == [c.name for c in want]
+    broken = [i for i, c in enumerate(got) if "twist power 2" in c.name]
+    assert len(broken) == 3  # one row per default theta
+    for i, (g, w) in enumerate(zip(got, want)):
+        if i in broken:
+            assert (g.passed, g.witness) == (False, "twist power lost its inverse")
+        else:
+            assert g == w
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  se4(theta=0): twist power 2 carries bracket sign +1\n" \
+        "      witness: twist power lost its inverse\n" in out
+    assert out.endswith(f"{len(want) - 3}/{len(want)} checks passed\n")
+
+
 def test_nullspace_csv(capsys):
     assert main(["nullspace", "--theta", "1/2", "--samples", "6"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -769,6 +798,8 @@ def _malformed(kind, path, value, tmp_path):
         pytest.param("cochain", ["entries"], None, "entries", id="entries-null"),
         pytest.param("cochain", ["entries"], {"0": [1, 0, 0, 0]}, "entries", id="entries-an-object"),
         pytest.param("rep", ["m"], 4.5, "rho/phi", id="fractional-m"),
+        pytest.param("rep", ["m"], -1, "m", id="negative-m"),
+        pytest.param("rep", ["m"], 0, "m", id="zero-m"),
     ],
 )
 def test_malformed_fields_are_located_file_errors(tmp_path, capsys, kind, path, value, location):
