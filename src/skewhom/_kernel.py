@@ -43,6 +43,7 @@ and each identity is written once.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -87,18 +88,17 @@ def _differs(u: Sparse, v: Sparse, sign: int) -> bool:
 
 
 class Twist:
-    """A linear map into the kernel's algebra: columns, scale and ``ad[j][p] = [e_p, t e_j]``.
+    """A linear map into the kernel's algebra: its columns and their scale.
 
     Its source is that algebra for a twist, or a second algebra for a morphism.
+    ``ad`` is built on first read by :meth:`Kernel.ad`; a twist keeps no
+    reference to its kernel.
     """
 
     def __init__(self, kernel: "Kernel", m) -> None:
-        n = kernel.dim
         # the columns of m are the rows of its transpose
-        (self.cols,), self.scale = kernel.matrices([tuple(zip(*m))], n)
-        self.ad: List[List[Sparse]] = [
-            [kernel.basis_bracket(p, col) for p in range(n)] for col in self.cols
-        ]
+        (self.cols,), self.scale = kernel.matrices([tuple(zip(*m))], kernel.dim)
+        self.ad: Optional[List[List[Sparse]]] = None
 
 
 class Kernel:
@@ -215,6 +215,13 @@ class Kernel:
         """``[e_i, e_j]`` for ``i < j`` (empty when it is zero)."""
         return self.rows[i].get(j, {})
 
+    def ad(self, t: Twist) -> List[List[Sparse]]:
+        """``t.ad``, ``[e_p, t e_j]`` at ``[j][p]`` for a map ``t`` into this algebra, built on
+        first read; a view (:meth:`over`) builds the same table, as its pairs are rational."""
+        if t.ad is None:
+            t.ad = [[self.basis_bracket(p, col) for p in range(self.dim)] for col in t.cols]
+        return t.ad
+
     def _mul(self, x: Pair, y: Pair) -> Pair:
         (a, b), (c, e) = x, y
         return a * c + b * e * self.rr, a * e + b * c
@@ -264,7 +271,7 @@ class Kernel:
 
         Its middle term ``[[e_k, e_i], b e_j]`` is read as ``-[[e_i, e_k], b e_j]``.
         """
-        ad = self.twist.ad
+        ad = self.ad(self.twist)
         acc = self._combine({}, self.bracket(j, k), ad[i], 1)
         self._combine(acc, self.bracket(i, k), ad[j], -1)
         return self._combine(acc, self.bracket(i, j), ad[k], 1)
@@ -316,10 +323,10 @@ class Kernel:
         """
         c = math.gcd(source.scale, self.scale)
         left, right = t.scale * self.scale // c, source.scale // c
-        given = sorted(signs, reverse=True)
+        given, ad = sorted(signs, reverse=True), self.ad(t)
         for i, j in itertools.combinations(range(source.dim), 2):
             lhs = self._combine({}, source.bracket(i, j), t.cols, left)
-            rhs = self._combine({}, t.cols[i], t.ad[j], right)
+            rhs = self._combine({}, t.cols[i], ad[j], right)
             signs = {s for s in signs if not _differs(lhs, rhs, s)}
             if not signs:
                 self._add(lhs, (-next(s for s in given if _differs(lhs, rhs, s)), 0), rhs, 1)
@@ -353,7 +360,8 @@ class Rep:
     ``rho[i]`` is ``rho(e_i)`` over the scale ``L_rho`` shared by all of
     them, ``phi`` is over ``L_phi``, and ``rho_beta[i]`` is
     ``rho(beta e_i) = sum_r beta_ri rho(e_r)``, over ``L_t * L_rho`` since
-    the twist's columns are over ``L_t``.
+    the twist's columns are over ``L_t``; it is built on first read, since
+    the coboundary reads only ``rho``.
     """
 
     def __init__(self, kernel: Kernel, rho: List, phi) -> None:
@@ -361,10 +369,11 @@ class Rep:
         self.kernel, self.m = kernel, m
         self.rho, self.rho_scale = kernel.matrices(rho, m)
         (self.phi,), self.phi_scale = kernel.matrices([phi], m)
-        self.rho_beta: List[Rows] = [
-            [kernel._combine({}, col, [r[a] for r in self.rho], 1) for a in range(m)]
-            for col in kernel.twist.cols
-        ]
+
+    @functools.cached_property
+    def rho_beta(self) -> List[Rows]:
+        rows = [[r[a] for r in self.rho] for a in range(self.m)]
+        return [[self.kernel._combine({}, col, row, 1) for row in rows] for col in self.kernel.twist.cols]
 
     def first_failure(self) -> Optional[tuple]:
         """``(("compat", i), residual)`` for the first ``i`` where the

@@ -47,6 +47,8 @@ from .errors import (
 from .linalg import (
     Mat,
     Vec,
+    _entries,
+    _scalar,
     basis_vec,
     cross3,
     flatten,
@@ -145,14 +147,22 @@ class GlContext:
 def _conjugation_matrix(a: Mat) -> Mat:
     """Matrix of B -> aBa in the row-major matrix-unit basis, read off ``a``.
 
-    Entry ((r, s), (p, q)) is ``a_rp * a_qs``.
+    Entry ((r, s), (p, q)) is ``a_rp * a_qs``, multiplied in integers for the
+    nonzero pairs; every other entry is the zero of that product's type.
     """
     m = len(a)
-    return tuple(
-        tuple(a[r][p] * a[q][s] for p in range(m) for q in range(m))
+    e, den, disc, rr = _entries(a)
+    zeros = (0, Fraction(0), disc and _scalar(2, 0, 0, 1, disc))
+    out = [
+        [zeros[max(e[r * m + p][0], e[q * m + s][0])] for p in range(m) for q in range(m)]
         for r in range(m)
         for s in range(m)
-    )
+    ]
+    nonzero = [(divmod(i, m), k, x, y) for i, (k, x, y) in enumerate(e) if x or y]
+    for (r, p), k, x, y in nonzero:
+        for (q, s), l, u, v in nonzero:
+            out[r * m + s][p * m + q] = _scalar(max(k, l), x * u + y * v * rr, x * v + y * u, den * den, disc)
+    return tuple(map(tuple, out))
 
 
 def ad_alpha_matrix(ctx: GlContext) -> Mat:
@@ -168,34 +178,37 @@ def build_gl_alpha(ctx: GlContext) -> HomAlgebra:
         [E_pq, E_uv]_rs = a_qu a_rp a_vs - a_vp a_ru a_qs,
 
     visiting only the nonzero entries of column p (or u) and row v (or q),
-    for i < j.
+    for i < j.  The products are taken on a's integer numerators
+    (:func:`skewhom.linalg._entries`), and a component is made once, with the
+    type its product terms give it.
     """
     m, a = ctx.m, ctx.alpha
     n = m * m
-    col_nz = [[(r, a[r][p]) for r in range(m) if a[r][p]] for p in range(m)]
-    row_nz = [[(s, a[v][s]) for s in range(m) if a[v][s]] for v in range(m)]
+    e, den, disc, rr = _entries(a)
+    e = [x if x[1] or x[2] else None for x in e]  # entry (r, c) at r*m + c, a zero as None
+    col_nz = [[(r, e[r * m + p]) for r in range(m) if e[r * m + p]] for p in range(m)]
+    row_nz = [[(s, e[v * m + s]) for s in range(m) if e[v * m + s]] for v in range(m)]
     pairs = {}
     for i in range(n):
         p, q = divmod(i, m)
         for j in range(i + 1, n):
             u, v = divmod(j, m)
             acc = {}
-            c = a[q][u]
-            if c:
-                for r, x in col_nz[p]:
-                    xc = x * c
-                    for s, y in row_nz[v]:
-                        acc[r * m + s] = xc * y
-            c = a[v][p]
-            if c:
-                for r, x in col_nz[u]:
-                    xc = x * c
-                    for s, y in row_nz[q]:
-                        acc[r * m + s] = acc.get(r * m + s, 0) - xc * y
+            for c, col, row, sign in ((e[q * m + u], col_nz[p], row_nz[v], 1),
+                                      (e[v * m + p], col_nz[u], row_nz[q], -1)):
+                if c:
+                    kc, cp, cq = c
+                    for r, (k, xp, xq) in col:
+                        # x * c, then times y
+                        k, xp, xq = max(k, kc), xp * cp + xq * cq * rr, xp * cq + xq * cp
+                        for s, (l, yp, yq) in row:
+                            kind, A, B = acc.get(r * m + s, (0, 0, 0))
+                            acc[r * m + s] = (max(kind, k, l), A + sign * (xp * yp + xq * yq * rr),
+                                              B + sign * (xp * yq + xq * yp))
             if acc:
                 value = list(zero_vec(n))
-                for at, x in acc.items():
-                    value[at] = x
+                for at, (kind, A, B) in acc.items():
+                    value[at] = _scalar(kind, A, B, den**3, disc)
                 pairs[(i, j)] = value
     return HomAlgebra(n, pairs, ad_alpha_matrix(ctx), ctx.backend)
 

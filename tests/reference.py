@@ -10,8 +10,15 @@ the kernel's.  Only the types here follow the dense sums: a sum leaves a
 mix ``Fraction`` and ``QuadExt`` scalars a reference witness can hold a
 ``Fraction`` where the checker's, taken from its kernel scan, holds the
 ``QuadExt`` that ``Kernel.scalar`` gives for the kernel's discriminant.
-``mat_add``, ``mat_scale``, ``mat_col``, ``twist_col`` and ``rho_eval`` are
-the dense helpers of those loops, which the checkers no longer use.
+``mat_add``, ``mat_sub``, ``mat_scale``, ``mat_col``, ``mat_is_zero``,
+``twist_col`` and ``rho_eval`` are the dense helpers of those loops, which the
+checkers no longer use.  ``mat_mul`` and ``mat_vec`` are the products as sums
+of ``Fraction``/``QuadExt`` products started at ``Fraction(0)``, which
+``skewhom.linalg`` replaced with dot products on integer numerators; the
+loops here run on them.  ``conjugation_matrix`` and ``build_gl_alpha`` are
+the matrix of Ad_alpha with every product ``a_rp * a_qs`` taken, and the gl
+build with its structure constants summed as ``QuadExt`` products, which
+``skewhom.constructions`` replaced with integer numerators.
 
 ``build_semi_euclidean`` is the se4 build from its ``wedge3`` definition,
 with the dense re-checks of P that the closed-form build proves instead.
@@ -59,11 +66,7 @@ from skewhom.linalg import (
     identity,
     mat,
     mat_eq,
-    mat_is_zero,
-    mat_mul,
     mat_pow,
-    mat_sub,
-    mat_vec,
     transpose,
     vec_add,
     vec_eq,
@@ -80,6 +83,33 @@ from skewhom.se4geometry import SPAN, in_v_star, vstar_defect, vstar_draws
 
 def mat_add(a, b):
     return tuple(vec_add(ra, rb) for ra, rb in zip(a, b))
+
+
+def mat_sub(a, b):
+    if len(a) != len(b):
+        raise DimensionError(f"shapes {len(a)} and {len(b)} rows differ")
+    return tuple(vec_sub(ra, rb) for ra, rb in zip(a, b))
+
+
+def mat_is_zero(a):
+    return all(map(vec_is_zero, a))
+
+
+def mat_mul(a, b):
+    """``a b``, each entry a sum of products started at ``Fraction(0)``."""
+    if not a or not b or len(a[0]) != len(b):
+        raise DimensionError("cannot multiply these shapes")
+    bt = transpose(b)
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt) for row in a
+    )
+
+
+def mat_vec(a, x):
+    """``a x``, each entry a sum of products started at ``Fraction(0)``."""
+    if not a or len(a[0]) != len(x):
+        raise DimensionError("cannot apply this shape")
+    return tuple(sum((c * v for c, v in zip(row, x)), Fraction(0)) for row in a)
 
 
 def mat_scale(c, a):
@@ -543,6 +573,50 @@ def gl_bracket(ctx, a, b):
 
 def ad_alpha(ctx, b):
     return mat_mul(mat_mul(ctx.alpha, b), ctx.alpha)
+
+
+def conjugation_matrix(a):
+    """Matrix of B -> aBa on matrix units: entry ((r, s), (p, q)) is ``a_rp * a_qs``, every product taken."""
+    m = len(a)
+    return tuple(
+        tuple(a[r][p] * a[q][s] for p in range(m) for q in range(m))
+        for r in range(m)
+        for s in range(m)
+    )
+
+
+def build_gl_alpha(ctx):
+    """gl(V)'s closed form ``a_qu a_rp a_vs - a_vp a_ru a_qs`` summed as scalar products.
+
+    Only nonzero entries of a are multiplied, and a component keeps the
+    type of its sum, a cancelled one included.
+    """
+    m, a = ctx.m, ctx.alpha
+    n = m * m
+    col_nz = [[(r, a[r][p]) for r in range(m) if a[r][p]] for p in range(m)]
+    row_nz = [[(s, a[v][s]) for s in range(m) if a[v][s]] for v in range(m)]
+    pairs = {}
+    for i in range(n):
+        p, q = divmod(i, m)
+        for j in range(i + 1, n):
+            u, v = divmod(j, m)
+            acc = {}
+            c = a[q][u]
+            if c:
+                for r, x in col_nz[p]:
+                    for s, y in row_nz[v]:
+                        acc[r * m + s] = x * c * y
+            c = a[v][p]
+            if c:
+                for r, x in col_nz[u]:
+                    for s, y in row_nz[q]:
+                        acc[r * m + s] = acc.get(r * m + s, 0) - x * c * y
+            if acc:
+                value = list(zero_vec(n))
+                for at, x in acc.items():
+                    value[at] = x
+                pairs[(i, j)] = value
+    return algebra.HomAlgebra(n, pairs, conjugation_matrix(a), ctx.backend)
 
 
 def build_semi_euclidean(theta, backend=None):

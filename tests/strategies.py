@@ -28,3 +28,14 @@ def quad_elements(d: Fraction, max_num: int = 9, max_den: int = 5):
 def int_vectors(n: int, bound: int = 9):
     entry = st.integers(min_value=-bound, max_value=bound).map(Fraction)
     return st.tuples(*([entry] * n))
+
+
+def exact_scalars(d: Fraction):
+    """An ``int``, a ``Fraction`` or a ``QuadExt`` over ``d``: typed zeros and rational-valued ``QuadExt`` included."""
+    return st.one_of(
+        st.sampled_from([0, Fraction(0), QuadExt(0, 0, d)]),
+        st.integers(-4, 4),
+        rationals(5, 4),
+        rationals(5, 4).map(lambda a: QuadExt(a, 0, d)),
+        quad_elements(d, 5, 4),
+    )

@@ -30,10 +30,10 @@ from skewhom.cohomology import (
     d_squared_failures,
 )
 from skewhom._kernel import Coboundary, Kernel
-from skewhom.constructions import GlContext, alpha_block, build_gl_alpha
+from skewhom.constructions import GlContext, alpha_block, build_gl_alpha, build_semi_euclidean
 from skewhom.errors import BackendMismatchError, DimensionError
 from skewhom.linalg import identity, mat, mat_mul, mat_pow, zero_mat
-from skewhom.representation import Representation, zero_representation
+from skewhom.representation import Representation, check_representation, zero_representation
 from skewhom.scalars import QuadExt, rational_backend
 
 from test_kernel import FAMILIES as KERNEL_FAMILIES, HALF, mutated
@@ -543,3 +543,17 @@ def test_exact_paths_never_evaluate_the_dense_formula(monkeypatch):
     stream = list(d_squared_failures(g, rep, 2, 0))
     assert len(stream) == 24
     assert repr(stream) == dense_stream
+
+
+@pytest.mark.parametrize("family", ["se4", "gl2"])
+def test_an_adjoint_d_squared_check_leaves_the_twist_and_rho_beta_tables_unbuilt(family):
+    # d^s reads the twist's columns and rho alone; ad and rho(beta e_i) serve
+    # the identity scans and the representation equations
+    half = F(1, 2)
+    g = build_semi_euclidean(half)[0] if family == "se4" else build_gl_alpha(GlContext(2, *alpha_block(2, half)))
+    rep = adjoint(g)
+    assert check_d_squared(g, rep, 1, 1).passed
+    assert rep.kernel.kernel is g.kernel
+    assert g.kernel.twist.ad is None and "rho_beta" not in vars(rep.kernel)
+    assert check_representation(rep).passed and "rho_beta" in vars(rep.kernel)
+    assert algebra.check_hom_jacobi(g).passed and g.kernel.twist.ad is not None

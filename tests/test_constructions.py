@@ -23,6 +23,7 @@ from skewhom.algebra import (
 )
 from skewhom.constructions import (
     GlContext,
+    _conjugation_matrix,
     ad_alpha_matrix,
     ad_alpha_squared_counterexample,
     ad_alpha_squared_matrix,
@@ -51,10 +52,8 @@ from skewhom.linalg import (
     mat,
     mat_eq,
     mat_inv,
-    mat_is_zero,
     mat_mul,
     mat_neg,
-    mat_sub,
     mat_vec,
     transpose,
     vec_add,
@@ -69,9 +68,9 @@ from skewhom.scalars import (
     rational_backend,
 )
 
-from strategies import int_vectors, rationals
+from strategies import exact_scalars, int_vectors, rationals
 import reference
-from reference import mat_col, twist_col
+from reference import mat_col, mat_is_zero, mat_sub, twist_col
 from test_kernel import FAMILIES as KERNEL_FAMILIES, mutated
 from test_kernel import algebras as kernel_algebras
 
@@ -261,6 +260,96 @@ def test_closed_form_gl_keeps_mixed_entry_types():
 def test_closed_form_gl2_matches_dense_at_random_theta(theta):
     alpha, backend = alpha_theta(theta)
     _assert_matches_dense(GlContext(2, alpha, backend))
+
+
+# a discriminant no drawn theta gives (1 + theta**2 for theta in 1/2, 1/3, 1)
+FOREIGN = F(3)
+
+
+def outcome(build, *args):
+    """The ``repr`` of the value, or the type of the exception it raised."""
+    try:
+        return repr(build(*args))
+    except BackendMismatchError as exc:
+        return type(exc)
+
+
+@st.composite
+def square_roots_of_minus_id(draw):
+    """A GlContext at m in {2, 4, 6}: 2x2 blocks of int, Fraction and QuadExt
+    entries (rational-valued QuadExt included) on zeros typed as drawn, and in
+    half the draws conjugated by an integer matrix, so no block is left."""
+    m = draw(st.sampled_from([2, 4, 6]))
+    backend = quadratic_backend(draw(st.sampled_from([F(1, 2), F(1, 3), 1])))
+    d = backend.d
+    quad, _ = alpha_theta(backend.theta, backend)
+    blocks = [
+        ((0, 1), (-1, 0)),
+        ((F(1), F(2)), (F(-1), F(-1))),
+        ((2, F(-5, 2)), (2, -2)),
+        quad,
+        tuple(tuple(x if isinstance(x, QuadExt) else QuadExt(x, 0, d) for x in row) for row in quad),
+    ]
+    a = [[draw(st.sampled_from([0, F(0), QuadExt(0, 0, d)])) for _ in range(m)] for _ in range(m)]
+    for b in range(0, m, 2):
+        block = draw(st.sampled_from(blocks))
+        for i, j in itertools.product(range(2), repeat=2):
+            a[b + i][b + j] = block[i][j]
+    if draw(st.booleans()):
+        # a unit upper times a unit lower triangular integer matrix has determinant 1
+        upper = [[int(i == j) or (j > i) * draw(st.integers(-2, 2)) for j in range(m)] for i in range(m)]
+        lower = [[int(i == j) or (j < i) * draw(st.integers(-2, 2)) for j in range(m)] for i in range(m)]
+        q = reference.mat_mul(upper, lower)
+        a = reference.mat_mul(reference.mat_mul(q, a), mat_inv(q))
+    return GlContext(m, a, backend)
+
+
+@settings(max_examples=40, deadline=None)
+@given(square_roots_of_minus_id())
+def test_gl_build_and_conjugation_match_the_scalar_products(ctx):
+    assert repr(build_gl_alpha(ctx)) == repr(reference.build_gl_alpha(ctx))
+    assert repr(_conjugation_matrix(ctx.alpha)) == repr(reference.conjugation_matrix(ctx.alpha))
+
+
+@settings(max_examples=30, deadline=None)
+@given(square_roots_of_minus_id(), st.data())
+def test_gl_build_with_a_second_discriminant_matches_the_scalar_products(ctx, data):
+    # GlContext refuses such an alpha, so it is set past the check
+    m = ctx.m
+    a = [list(row) for row in ctx.alpha]
+    r, c = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+    a[r][c] = data.draw(exact_scalars(FOREIGN).filter(lambda x: isinstance(x, QuadExt)))
+    object.__setattr__(ctx, "alpha", tuple(map(tuple, a)))
+    assert outcome(build_gl_alpha, ctx) == outcome(reference.build_gl_alpha, ctx)
+
+
+def test_two_discriminants_in_alpha_raise_on_both_sides():
+    alpha, backend = alpha_block(2, F(1, 2))
+    ctx = GlContext(2, alpha, backend)
+    object.__setattr__(ctx, "alpha", ((QuadExt(1, 1, FOREIGN), alpha[0][1]), alpha[1]))
+    for build in (build_gl_alpha, reference.build_gl_alpha):
+        with pytest.raises(BackendMismatchError):
+            build(ctx)
+    for conjugate in (_conjugation_matrix, reference.conjugation_matrix):
+        with pytest.raises(BackendMismatchError):
+            conjugate(ctx.alpha)
+
+
+@st.composite
+def square_matrices(draw):
+    """Any square matrix of exact scalars over 5/4, with one entry over FOREIGN in some draws."""
+    m = draw(st.integers(1, 4))
+    a = [[draw(exact_scalars(F(5, 4))) for _ in range(m)] for _ in range(m)]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, m * m - 1))
+        a[at // m][at % m] = draw(exact_scalars(FOREIGN).filter(lambda x: isinstance(x, QuadExt)))
+    return tuple(map(tuple, a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_matrices())
+def test_conjugation_matrix_matches_every_product(a):
+    assert outcome(_conjugation_matrix, a) == outcome(reference.conjugation_matrix, a)
 
 
 def _direct_cyclic_residual(A, B, C, alpha):

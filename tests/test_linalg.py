@@ -3,27 +3,37 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from skewhom.algebra import HomAlgebra, classify
 from skewhom.constructions import alpha_theta, p_matrix
-from skewhom.errors import DimensionError, SingularMatrixError
+from skewhom.errors import (
+    BackendMismatchError,
+    DimensionError,
+    PreconditionError,
+    SingularMatrixError,
+)
 from skewhom.linalg import (
     basis_vec,
     det,
     identity,
     mat,
+    mat_eq,
     mat_inv,
     mat_mul,
     mat_neg,
     mat_pow,
     mat_vec,
     vec_add,
+    vec_eq,
     vec_scale,
     vec_sub,
     zero_mat,
 )
-from skewhom.scalars import QuadExt, quadratic_backend
+from skewhom.representation import zero_representation
+from skewhom.scalars import QuadExt, quadratic_backend, rational_backend
 
+import reference
 from reference import wedge3
-from strategies import int_vectors
+from strategies import exact_scalars, int_vectors
 
 
 def test_identity_is_neutral():
@@ -174,3 +184,109 @@ def test_mat_pow_cache_keeps_the_scalar_types_of_equal_matrices():
     other = ((QuadExt(1, 0, F(2)), F(0)), (F(0), QuadExt(3, 0, F(2))))
     mat_pow(other, 2)  # unequal discriminants are never compared
     assert repr(mat_pow(quad, 2)) == repr(mat_mul(quad, quad))
+
+
+# a singular int matrix: row 3 is 2 * row 1 + row 2, and float elimination leaves -1.24e-14
+SINGULAR = ((3, 1, 2), (1, 5, 4), (5, 11, 10))
+
+
+def test_det_of_an_int_matrix_is_eliminated_in_fractions():
+    assert repr(det(SINGULAR)) == "Fraction(0, 1)"
+    assert repr(det(((2, 1), (1, 1)))) == "Fraction(1, 1)"
+
+
+def test_mat_inv_of_an_int_matrix_is_exact():
+    assert repr(mat_inv(((2, 1), (1, 1)))) == repr(((F(1), F(-1)), (F(-1), F(2))))
+    with pytest.raises(SingularMatrixError):
+        mat_inv(SINGULAR)
+
+
+def test_classify_calls_a_singular_int_twist_irregular():
+    for twist in (SINGULAR, tuple(tuple(map(F, row)) for row in SINGULAR)):
+        assert classify(HomAlgebra(3, {}, twist, rational_backend())).regular is False
+
+
+def test_a_singular_int_phi_is_refused():
+    g = HomAlgebra(3, {}, identity(3), rational_backend())
+    with pytest.raises(PreconditionError):
+        zero_representation(g, 3, SINGULAR)
+
+
+def test_mat_pow_of_an_int_matrix_inverts_exactly():
+    assert repr(mat_pow(((2, 1), (1, 1)), -1)) == repr(((F(1), F(-1)), (F(-1), F(2))))
+
+
+@pytest.mark.parametrize("product", ["mat_mul", "mat_vec"])
+def test_a_float_entry_raises_type_error(product):
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        if product == "mat_mul":
+            mat_mul(((1, 0.5),), ((1,), (2,)))
+        else:
+            mat_vec(((1, 2),), (F(1), 0.0))
+
+
+def test_mat_eq_and_vec_eq_compare_values_across_types():
+    d = F(5, 4)
+    assert vec_eq((0, F(1, 2), QuadExt(3, 0, d)), (F(0), QuadExt(F(1, 2), 0, d), 3))
+    assert not vec_eq((QuadExt(0, 1, d),), (0,))
+    with pytest.raises(BackendMismatchError):
+        vec_eq((QuadExt(1, 1, d),), (QuadExt(1, 1, 2),))
+    with pytest.raises(DimensionError):
+        vec_eq((1, 2), (1,))
+    assert mat_eq(((1, 2), (3, 4)), ((F(1), F(2)), (F(3), F(4))))
+    assert not mat_eq(((1, 2),), ((1, 2), (3, 4)))
+
+
+D1, D2 = F(5, 4), F(2)
+
+
+def outcome(product, *args):
+    """The ``repr`` of the value, or the type of the exception it raised."""
+    try:
+        return repr(product(*args))
+    except (BackendMismatchError, TypeError) as exc:
+        return type(exc)
+
+
+@st.composite
+def product_cases(draw, vector=False):
+    """Two factors of exact scalars over D1, one entry over D2 in some draws."""
+    rows, inner = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cols = 1 if vector else draw(st.integers(1, 4))
+    entry = exact_scalars(D1)
+    a = [[draw(entry) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(entry) for _ in range(cols)] for _ in range(inner)]
+    if draw(st.booleans()):
+        table, r = draw(st.sampled_from([(a, rows), (b, inner)]))
+        at, c = draw(st.integers(0, r - 1)), draw(st.integers(0, len(table[0]) - 1))
+        table[at][c] = draw(exact_scalars(D2).filter(lambda x: isinstance(x, QuadExt)))
+    a = tuple(map(tuple, a))
+    return (a, tuple(row[0] for row in b)) if vector else (a, tuple(map(tuple, b)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_cases())
+def test_mat_mul_matches_the_dense_sums(case):
+    assert outcome(mat_mul, *case) == outcome(reference.mat_mul, *case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_cases(vector=True))
+def test_mat_vec_matches_the_dense_sums(case):
+    assert outcome(mat_vec, *case) == outcome(reference.mat_vec, *case)
+
+
+def test_the_products_take_the_types_of_the_dense_sums():
+    d = D1
+    q0, qr = QuadExt(0, 0, d), QuadExt(F(1, 2), 0, d)
+    a = ((1, q0), (2, F(1, 3)), (qr, 0))
+    b = ((3, 1), (F(0), 4))
+    want = ((QuadExt(3, 0, d), QuadExt(1, 0, d)), (F(6), F(10, 3)), (QuadExt(F(3, 2), 0, d), QuadExt(F(1, 2), 0, d)))
+    assert repr(mat_mul(a, b)) == repr(want) == repr(reference.mat_mul(a, b))
+    want = (QuadExt(1, 0, d), F(2), QuadExt(F(1, 2), 0, d))
+    assert repr(mat_vec(a, (1, 0))) == repr(want) == repr(reference.mat_vec(a, (1, 0)))
+    mixed = ((QuadExt(0, 1, d),), (QuadExt(0, 1, D2),))
+    assert repr(mat_mul(mixed, ((1,),))) == repr(reference.mat_mul(mixed, ((1,),)))
+    for product in (mat_mul, reference.mat_mul):
+        with pytest.raises(BackendMismatchError):
+            product(((QuadExt(0, 1, d), 1),), ((1,), (QuadExt(0, 0, D2),)))

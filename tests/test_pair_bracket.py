@@ -221,8 +221,8 @@ def test_kernel_with_is_a_view_equal_to_a_kernel_built_over_the_arguments_ring(f
     fresh = lifted(g, d)
     assert fresh.d == d
     assert (view.rows, view.scale) == (fresh.rows, fresh.scale)
-    assert (view.twist.cols, view.twist.ad, view.twist.scale) == (
-        fresh.twist.cols, fresh.twist.ad, fresh.twist.scale
+    assert (view.twist.cols, view.ad(view.twist), view.twist.scale) == (
+        fresh.twist.cols, fresh.ad(fresh.twist), fresh.twist.scale
     )
     assert repr(view.bracket_eval(x, y)) == repr(fresh.bracket_eval(x, y))
     # a quadratic kernel stays in its own ring
