@@ -58,7 +58,6 @@ from .linalg import (
     Mat,
     Vec,
     cross3,
-    det,
     mat_inv,
     mat_mul,
     mat_pow,

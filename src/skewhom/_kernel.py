@@ -33,8 +33,8 @@ whose bracket law reads two kernels).
 The bracket is stored once, for ``i < j``, and read back through
 ``[e_j, e_i] = -[e_i, e_j]``.  The kernel evaluates exact brackets, decides
 where an identity (the twisted Jacobi identity, a sign law, a
-representation equation) first fails, and builds and applies the matrices
-of the coboundary operators.  Each scan returns the residual it summed at
+representation equation) first fails, builds and applies the matrices of
+the coboundary operators, and decides ranks by one exact elimination.  Each scan returns the residual it summed at
 its first failure through :meth:`Kernel.scalar` over the scale it is summed
 over, so a witness is the identity's true residual, whatever the scales,
 and each identity is written once.
@@ -49,7 +49,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .errors import BackendMismatchError
+from .errors import BackendMismatchError, SingularMatrixError, ZeroDivisorError
 from .scalars import QuadExt, _reduced
 
 Pair = Tuple[int, int]
@@ -87,6 +87,13 @@ def _differs(u: Sparse, v: Sparse, sign: int) -> bool:
     return False
 
 
+def reading(ms: List, size: int) -> Tuple["Kernel", List[Rows], int]:
+    """A kernel of no algebra in the ring of the first nonzero ``QuadExt`` of the matrices
+    ``ms``, and ``ms`` on it (:meth:`Kernel.matrices`)."""
+    kernel = Kernel(0, {}, ())
+    return (kernel, *kernel.matrices(ms, size, True))
+
+
 class Twist:
     """A linear map into the kernel's algebra: its columns and their scale.
 
@@ -95,9 +102,9 @@ class Twist:
     reference to its kernel.
     """
 
-    def __init__(self, kernel: "Kernel", m) -> None:
+    def __init__(self, kernel: "Kernel", m, adopt: bool = False) -> None:
         # the columns of m are the rows of its transpose
-        (self.cols,), self.scale = kernel.matrices([tuple(zip(*m))], kernel.dim)
+        (self.cols,), self.scale = kernel.matrices([tuple(zip(*m))], kernel.dim, adopt)
         self.ad: Optional[List[List[Sparse]]] = None
 
 
@@ -112,15 +119,14 @@ class Kernel:
 
     def __init__(self, dim: int, bracket: dict, twist: tuple) -> None:
         self.dim = n = dim
-        scalars = [x for value in bracket.values() for x in value]
-        self._ring(_discriminant(itertools.chain(scalars, (x for row in twist for x in row))))
-        pairs, self.scale = self.pairs(scalars)
+        self._ring(None)
+        pairs, self.scale = self.pairs((x for value in bracket.values() for x in value), True)
         self.rows: List[Dict[int, Sparse]] = [{} for _ in range(n)]
         for idx, (i, j) in enumerate(bracket):
             self.rows[i][j] = {
                 k: pairs[idx * n + k] for k in range(n) if pairs[idx * n + k] is not None
             }
-        self.twist = Twist(self, twist)
+        self.twist = Twist(self, twist, True)
         # the m = 1 coboundary matrices of a zero rho, by degree (skewhom.cohomology._operator)
         self.zero_ops: Dict[int, "Coboundary"] = {}
 
@@ -149,12 +155,14 @@ class Kernel:
         view.zero_ops = {}
         return view
 
-    def pairs(self, values: Iterable) -> Tuple[List[Optional[Pair]], int]:
+    def pairs(self, values: Iterable, adopt: bool = False) -> Tuple[List[Optional[Pair]], int]:
         """``values`` as integer pairs over one common scale (``None`` for zero).
 
         Each value is read as numerators and denominators, and the scale is
         the lcm of the reduced denominators (module docstring); no
-        ``Fraction`` is built.
+        ``Fraction`` is built.  With ``adopt``, a rational kernel takes the
+        ring of the first nonzero ``QuadExt`` it meets: the pairs read before
+        it are rational, so they do not depend on ``d``.
         """
         disc, dd = self.disc, self.dd
         # (A numerator, A denominator, B numerator, B denominator) per value
@@ -169,7 +177,10 @@ class Kernel:
                 continue
             if isinstance(x, QuadExt):
                 if x.disc is not disc and x.disc != disc:
-                    raise BackendMismatchError(f"mixed discriminants {self.d} and {x.d}")
+                    if disc is not None or not adopt:
+                        raise BackendMismatchError(f"mixed discriminants {self.d} and {x.d}")
+                    self._ring(x.d)
+                    disc, dd = self.disc, self.dd
                 r, rd = x.r, x.r * dd
                 g, h = math.gcd(x.p, r), math.gcd(x.q, rd)
                 p = (x.p // g, r // g, x.q // h, rd // h)
@@ -183,9 +194,9 @@ class Kernel:
             for p in split
         ], scale
 
-    def matrices(self, ms: List, size: int) -> Tuple[List[Rows], int]:
+    def matrices(self, ms: List, size: int, adopt: bool = False) -> Tuple[List[Rows], int]:
         """The matrices ``ms``, rows of ``size`` entries, as sparse pair rows over one scale."""
-        values, scale = self.pairs(x for m in ms for row in m for x in row)
+        values, scale = self.pairs((x for m in ms for row in m for x in row), adopt)
         rows = (
             {c: x for c, x in enumerate(values[r * size : (r + 1) * size]) if x is not None}
             for r in range(sum(map(len, ms)))
@@ -202,6 +213,70 @@ class Kernel:
         if self.disc is None:
             return Fraction(a, scale) if a else _NIL
         return _reduced(a, b * self.dd, scale, self.disc)
+
+    def eliminate(self, rows: Rows, width: int, jordan: bool = False) -> Tuple[List[Tuple[int, int]], Rows]:
+        """The pivots ``(row, column)`` of a fraction-free (Bareiss) elimination of ``rows`` on
+        columns ``0..width-1``, so their number is the rank, and the eliminated rows.
+
+        In each column the pivot ``p`` is, of the rows with a nonzero there and no pivot yet,
+        the one with the fewest nonzeros.  Those rows (all others, with ``jordan``) with an
+        entry ``a`` there become ``(p * row - a * pivot_row) / t``, ``t`` the pivot of the step
+        where the row last changed (1 at first), once the pivot row is brought up by
+        ``last / t`` to the step before; a skipped row would only gain ``p / last``.  By
+        Sylvester's identity every entry is then a minor of ``rows``, so each division, through
+        the conjugate and the integer norm ``A*A - B*B*rr``, is exact.  A pivot of norm zero,
+        a zero divisor of a perfect-square ring, raises :class:`ZeroDivisorError`.
+        """
+        rr, rows, free, pivots, last = self.rr, list(rows), set(range(len(rows))), [], (1, 0)
+        tags = [last] * len(rows)
+        for c in range(width):
+            hits = [r for r in free if c in rows[r]]
+            if not hits:
+                continue
+            p = min(hits, key=lambda r: (len(rows[r]), r))
+            if tags[p] != last:
+                rows[p] = {k: self._quotient(self._mul(x, last), tags[p]) for k, x in rows[p].items()}
+            prow, (pa, pb) = rows[p], rows[p][c]
+            if pa * pa == pb * pb * rr:
+                raise ZeroDivisorError(f"pivot {self.scalar((pa, pb), 1)} has conjugate norm 0")
+            free.discard(p)
+            pivots.append((p, c))
+            tags[p] = last = pa, pb
+            for i in range(len(rows)) if jordan else free:
+                row = rows[i]
+                if i == p or c not in row:
+                    continue
+                (xa, xb), (ta, tb) = row[c], tags[i]
+                ca, cb, norm = (1, 0, ta) if not tb else (ta, -tb, ta * ta - tb * tb * rr)
+                new = rows[i] = {}
+                tags[i] = last
+                for k in row.keys() | prow.keys():
+                    (ya, yb), (za, zb) = row.get(k, _ZERO), prow.get(k, _ZERO)
+                    ua = pa * ya + (pb * yb - xb * zb) * rr - xa * za
+                    ub = pa * yb + pb * ya - xa * zb - xb * za
+                    if ua or ub:
+                        new[k] = ((ua * ca + ub * cb * rr) // norm, (ub * ca + ua * cb) // norm)
+        return pivots, rows
+
+    def inverse(self, rows: Rows, scale: int) -> tuple:
+        """The inverse of the square matrix that ``rows`` over ``scale`` stand for, as scalars.
+
+        Eliminated with ``jordan``, the pivot row of column ``c`` of ``[rows | 1]`` is its pivot
+        times ``[e_c | row c of the inverse]``; a rank below ``n`` raises SingularMatrixError.
+        """
+        n = len(rows)
+        pivots, rows = self.eliminate([{**row, n + r: (1, 0)} for r, row in enumerate(rows)], n, True)
+        if len(pivots) < n:
+            col = min(set(range(n)) - {c for _, c in pivots})
+            raise SingularMatrixError(f"matrix has no inverse (pivot column {col})")
+        out = [()] * n
+        for r, c in pivots:
+            a, b = rows[r][c]
+            norm = a * a - b * b * self.rr
+            f = scale if norm > 0 else -scale
+            out[c] = tuple(self.scalar(self._mul(rows[r].get(n + j, _ZERO), (f * a, -f * b)), abs(norm))
+                           for j in range(n))
+        return tuple(out)
 
     def product(self, a: Rows, b: Rows) -> Rows:
         """``a b``, scaled by the product of their scales."""
@@ -225,6 +300,12 @@ class Kernel:
     def _mul(self, x: Pair, y: Pair) -> Pair:
         (a, b), (c, e) = x, y
         return a * c + b * e * self.rr, a * e + b * c
+
+    def _quotient(self, x: Pair, y: Pair) -> Pair:
+        """``x / y`` where ``y`` divides ``x``: ``x * conj(y)`` over the norm of ``y``."""
+        (a, b), (c, e), rr = x, y, self.rr
+        norm = c * c - e * e * rr
+        return (a * c - b * e * rr) // norm, (b * c - a * e) // norm
 
     def _add(self, acc: Sparse, coeff: Pair, v: Sparse, factor: int) -> None:
         """``acc += factor * coeff * v`` in the ring with ``R*R = rr``."""

@@ -32,7 +32,6 @@ from .errors import BackendMismatchError, DimensionError, FileFormatError
 from .linalg import (
     Mat,
     Vec,
-    det,
     flatten,
     identity,
     mat,
@@ -243,12 +242,13 @@ def classify(
     SkewHomLie needs twist sign -1 plus the twisted Jacobi identity; HomLie
     needs sign +1 plus the identity; Lie additionally requires the twist to
     be the identity map.  ``regular`` reports whether the twist is a linear
-    automorphism.  A caller that already ran ``check_twist_sign`` or
-    ``check_hom_jacobi`` on ``g`` may pass the result; the Jacobi scan is
-    not run at all when no twist sign exists.
+    automorphism, as full rank of its compiled columns (``Kernel.eliminate``).
+    A caller that already ran ``check_twist_sign`` or ``check_hom_jacobi`` on
+    ``g`` may pass the result; the Jacobi scan is not run at all when no
+    twist sign exists.
     """
     sign = twist_sign if twist_sign is not None else check_twist_sign(g)
-    regular = bool(det(g.twist))
+    regular = len(g.kernel.eliminate(g.kernel.twist.cols, g.dim)[0]) == g.dim
     if sign.sign is None:
         return Classification(Verdict.NEITHER, regular, sign.witness)
     if jacobi is None:
@@ -327,7 +327,8 @@ def check_morphism(f: Mat, g: HomAlgebra, h: HomAlgebra, sign: int) -> CheckRepo
 
 # Largest "dim" a file may declare (gl(R^11) has dimension 121).  The loader
 # keeps only the pairs a file lists, but the twist has dim**2 entries, and the
-# classifier's det and a dense bracket view grow like dim**3.
+# classifier's rank check (an elimination on the twist's columns) and a dense
+# bracket view grow like dim**3.
 MAX_DIM = 128
 
 

@@ -179,8 +179,9 @@ def _operator(g: HomAlgebra, rep: Representation, k: int, s: int, minors=None) -
     which has the entries, takes it into its own scale.  A zero rho gives
     ``M_t = 0``, so for every s and phi the matrix on m value axes is the
     m = 1 matrix on each axis alone: that one is returned, built once per
-    degree and kept in ``g.kernel.zero_ops``.  rho and phi are still
-    compiled, so a float raises ``TypeError`` and mixed discriminants
+    degree and kept in ``g.kernel.zero_ops``.  rho is zero when the compiled
+    rows of ``rep.kernel.rho`` are empty, so rho and phi are compiled in both
+    cases, and a float raises ``TypeError`` and mixed discriminants
     :class:`BackendMismatchError` there too, as in
     :func:`skewhom.representation.check_representation`.  An ``s`` out of
     0..``MAX_OPERATOR_INDEX`` raises ``ValueError`` before any power is formed.
@@ -188,12 +189,11 @@ def _operator(g: HomAlgebra, rep: Representation, k: int, s: int, minors=None) -
     _check_index(s)
     for degree in (k, k + 1):
         _check_size(g.dim, degree, rep.m)
-    if any(x != 0 for r in rep.rho for row in r for x in row):
+    if any(map(any, rep.kernel.rho)):
         pre = mat_pow(rep.phi, k + 1 + s)
         post = mat_pow(rep.phi, -(k + 2 + s))
         conj, scale = rep.kernel.conjugated(pre, post)
         return Coboundary(rep.kernel.kernel, k, rep.m, conj, scale, minors)
-    rep.kernel  # compiled for its type and discriminant checks only
     ops = g.kernel.zero_ops
     if k not in ops:
         ops[k] = Coboundary(g.kernel, k, 1, [[{}]] * g.dim, 1, minors)

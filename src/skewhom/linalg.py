@@ -2,10 +2,9 @@
 
 Vectors are tuples of scalars, matrices are tuples of row tuples; both are
 immutable values and every operation is pure.  Dimensions are dynamic and
-checked at call time.  Elimination lifts ``int`` entries to ``Fraction`` and
-uses exact division with first-nonzero pivoting: exact backends need no
-stability pivoting, and a zero-divisor pivot in a degenerate quadratic ring
-surfaces as the underlying backend error.  Products read each row and column
+checked at call time.  The inverse is the fraction-free elimination of
+:mod:`skewhom._kernel` on integer pairs, where a zero-divisor pivot of a
+perfect-square ring raises ``ZeroDivisorError``.  Products read each row and column
 once as integer numerators (:func:`_numerators`) and make one scalar per
 entry: a ``QuadExt`` exactly when one, a zero included, sits in its row or
 column.  A float raises ``TypeError``, two discriminants
@@ -22,7 +21,8 @@ from functools import lru_cache
 from operator import eq, mul
 from typing import Iterable, Optional, Union
 
-from .errors import BackendMismatchError, DimensionError, SingularMatrixError
+from ._kernel import reading
+from .errors import BackendMismatchError, DimensionError
 from .scalars import QuadExt, _reduced
 
 Scalar = Union[Fraction, QuadExt, int]
@@ -191,53 +191,11 @@ def _square_dim(a: Mat) -> int:
     return n
 
 
-def _exact_row(row: Vec) -> list:
-    """``row`` with each ``int`` lifted to ``Fraction``, so that ``/`` divides exactly."""
-    return [Fraction(x) if isinstance(x, int) else x for x in row]
-
-
-def det(a: Mat) -> Scalar:
-    """Determinant by exact elimination with first-nonzero pivoting."""
-    n = _square_dim(a)
-    rows = [_exact_row(row) for row in a]
-    flip = False
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot_row is None:
-            return _ZERO
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            flip = not flip
-        pivot = rows[col][col]
-        for r in range(col + 1, n):
-            if not rows[r][col]:
-                continue
-            factor = rows[r][col] / pivot
-            rows[r] = [rows[r][c] - factor * rows[col][c] for c in range(n)]
-    out = _ONE
-    for i in range(n):
-        out = out * rows[i][i]
-    return -out if flip else out
-
-
 def mat_inv(a: Mat) -> Mat:
-    """Exact inverse via Gauss-Jordan; raises :class:`SingularMatrixError`."""
-    n = _square_dim(a)
-    rows = [_exact_row(row) + list(basis_vec(n, i)) for i, row in enumerate(a)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot_row is None:
-            raise SingularMatrixError(f"matrix has no inverse (pivot column {col})")
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        pivot = rows[col][col]
-        rows[col] = [x / pivot for x in rows[col]]
-        for r in range(n):
-            if r == col or not rows[r][col]:
-                continue
-            factor = rows[r][col]
-            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return tuple(tuple(row[n:]) for row in rows)
+    """Exact inverse by the kernel's elimination (:meth:`Kernel.inverse`): ``QuadExt``
+    entries when a nonzero entry of ``a`` is one, else ``Fraction``."""
+    kernel, (rows,), scale = reading([a], _square_dim(a))
+    return kernel.inverse(rows, scale)
 
 
 def _scalar_types(a: Mat) -> tuple:

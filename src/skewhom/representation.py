@@ -19,7 +19,7 @@ from pathlib import Path
 from random import Random
 from typing import Optional, Tuple, Union
 
-from ._kernel import Rep
+from ._kernel import Rep, reading
 from .algebra import (
     MAX_DIM,
     CheckReport,
@@ -33,7 +33,6 @@ from .constructions import GlContext, alpha_block, build_gl_alpha, resolve_algeb
 from .errors import DimensionError, FileFormatError, PreconditionError, SkewhomError
 from .linalg import (
     Mat,
-    det,
     flatten,
     identity,
     mat,
@@ -67,7 +66,8 @@ class Representation:
                 raise DimensionError(f"rho[{idx}] must be {self.m}x{self.m}")
         if len(self.phi) != self.m or any(len(row) != self.m for row in self.phi):
             raise DimensionError(f"phi must be {self.m}x{self.m}")
-        if not det(self.phi):
+        ring, (phi,), _ = reading([self.phi], self.m)
+        if len(ring.eliminate(phi, self.m)[0]) < self.m:
             raise PreconditionError("companion map phi must be invertible")
 
     @cached_property

@@ -12,7 +12,10 @@ mix ``Fraction`` and ``QuadExt`` scalars a reference witness can hold a
 ``QuadExt`` that ``Kernel.scalar`` gives for the kernel's discriminant.
 ``mat_add``, ``mat_sub``, ``mat_scale``, ``mat_col``, ``mat_is_zero``,
 ``twist_col`` and ``rho_eval`` are the dense helpers of those loops, which the
-checkers no longer use.  ``mat_mul`` and ``mat_vec`` are the products as sums
+checkers no longer use.  ``det`` and ``mat_inv`` are the dense eliminations
+on ``Fraction``/``QuadExt`` objects, ``int`` entries lifted by ``_exact_row``
+and first-nonzero pivoting, that ``Kernel.eliminate`` replaced with one
+fraction-free elimination on integer pairs.  ``mat_mul`` and ``mat_vec`` are the products as sums
 of ``Fraction``/``QuadExt`` products started at ``Fraction(0)``, which
 ``skewhom.linalg`` replaced with dot products on integer numerators; the
 loops here run on them.  ``conjugation_matrix`` and ``build_gl_alpha`` are
@@ -59,9 +62,11 @@ from skewhom.errors import (
     BackendMismatchError,
     ConstructionError,
     DimensionError,
+    SingularMatrixError,
     ZeroDivisorError,
 )
 from skewhom.linalg import (
+    _square_dim,
     basis_vec,
     identity,
     mat,
@@ -110,6 +115,55 @@ def mat_vec(a, x):
     if not a or len(a[0]) != len(x):
         raise DimensionError("cannot apply this shape")
     return tuple(sum((c * v for c, v in zip(row, x)), Fraction(0)) for row in a)
+
+
+def _exact_row(row):
+    """``row`` with each ``int`` lifted to ``Fraction``, so that ``/`` divides exactly."""
+    return [Fraction(x) if isinstance(x, int) else x for x in row]
+
+
+def det(a):
+    """Determinant by exact elimination with first-nonzero pivoting."""
+    n = _square_dim(a)
+    rows = [_exact_row(row) for row in a]
+    flip = False
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            flip = not flip
+        pivot = rows[col][col]
+        for r in range(col + 1, n):
+            if not rows[r][col]:
+                continue
+            factor = rows[r][col] / pivot
+            rows[r] = [rows[r][c] - factor * rows[col][c] for c in range(n)]
+    out = Fraction(1)
+    for i in range(n):
+        out = out * rows[i][i]
+    return -out if flip else out
+
+
+def mat_inv(a):
+    """Exact inverse via Gauss-Jordan with first-nonzero pivoting."""
+    n = _square_dim(a)
+    rows = [_exact_row(row) + list(basis_vec(n, i)) for i, row in enumerate(a)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot_row is None:
+            raise SingularMatrixError(f"matrix has no inverse (pivot column {col})")
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        pivot = rows[col][col]
+        rows[col] = [x / pivot for x in rows[col]]
+        for r in range(n):
+            if r == col or not rows[r][col]:
+                continue
+            factor = rows[r][col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return tuple(tuple(row[n:]) for row in rows)
 
 
 def mat_scale(c, a):

@@ -1,19 +1,21 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from skewhom._kernel import reading
 from skewhom.algebra import HomAlgebra, classify
-from skewhom.constructions import alpha_theta, p_matrix
+from skewhom.constructions import GlContext, alpha_block, alpha_theta, build_gl_alpha, p_matrix
 from skewhom.errors import (
     BackendMismatchError,
     DimensionError,
     PreconditionError,
     SingularMatrixError,
+    ZeroDivisorError,
 )
 from skewhom.linalg import (
     basis_vec,
-    det,
     identity,
     mat,
     mat_eq,
@@ -33,7 +35,13 @@ from skewhom.scalars import QuadExt, quadratic_backend, rational_backend
 
 import reference
 from reference import wedge3
-from strategies import exact_scalars, int_vectors
+from strategies import exact_scalars, int_vectors, quad_elements, rationals
+
+
+def rank(a):
+    """The rank of the square matrix ``a``, by the kernel's elimination on its integer pairs."""
+    kernel, (rows,), _ = reading([a], len(a))
+    return len(kernel.eliminate(rows, len(a))[0])
 
 
 def test_identity_is_neutral():
@@ -62,19 +70,20 @@ def test_mat_inv_examples():
         mat_inv(zero_mat(2, 2))
 
 
-def test_det_examples():
-    assert det(identity(3)) == 1
-    assert det(mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]])) == -1
+def test_rank_examples():
+    assert rank(identity(3)) == 3
+    assert rank(mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]])) == 3
+    assert rank(zero_mat(3, 3)) == 0
     alpha, be = alpha_theta(1)
     # [[-1, sqrt2], [-sqrt2, 1]] has determinant -1 + 2 = 1
-    assert det(alpha) == 1
+    assert rank(alpha) == 2
 
 
-def test_det_of_quadratic_matrix_stays_exact():
+def test_rank_of_quadratic_matrix_stays_exact():
     be = quadratic_backend(1)
     s = be.sqrt_d
-    m = mat([[s, 1], [1, s]])
-    assert det(m) == 1  # s*s - 1 = 2 - 1
+    assert rank(mat([[s, 1], [1, s]])) == 2  # s*s - 1 = 2 - 1
+    assert rank(mat([[s, 2], [1, s]])) == 1  # s*s - 2 = 0
 
 
 def test_wedge3_basis_example():
@@ -138,14 +147,15 @@ def int_matrices(n=3, bound=4):
 @settings(max_examples=30, deadline=None)
 @given(int_matrices())
 def test_inverse_is_exact(a):
-    assume(det(a) != 0)
+    assume(rank(a) == 3)
     assert mat_mul(mat_inv(a), a) == identity(3)
 
 
 @settings(max_examples=30, deadline=None)
 @given(int_matrices(), int_matrices())
-def test_det_is_multiplicative(a, b):
-    assert det(mat_mul(a, b)) == det(a) * det(b)
+def test_a_product_has_full_rank_exactly_when_both_factors_do(a, b):
+    # det(a b) = det(a) det(b), and Q has no zero divisors
+    assert (rank(mat_mul(a, b)) == 3) == (rank(a) == 3 and rank(b) == 3)
 
 
 def test_mat_pow_negative_exponent():
@@ -190,9 +200,9 @@ def test_mat_pow_cache_keeps_the_scalar_types_of_equal_matrices():
 SINGULAR = ((3, 1, 2), (1, 5, 4), (5, 11, 10))
 
 
-def test_det_of_an_int_matrix_is_eliminated_in_fractions():
-    assert repr(det(SINGULAR)) == "Fraction(0, 1)"
-    assert repr(det(((2, 1), (1, 1)))) == "Fraction(1, 1)"
+def test_the_rank_of_an_int_matrix_is_exact():
+    assert rank(SINGULAR) == 2
+    assert rank(((2, 1), (1, 1))) == 2
 
 
 def test_mat_inv_of_an_int_matrix_is_exact():
@@ -290,3 +300,155 @@ def test_the_products_take_the_types_of_the_dense_sums():
     for product in (mat_mul, reference.mat_mul):
         with pytest.raises(BackendMismatchError):
             product(((QuadExt(0, 1, d), 1),), ((1,), (QuadExt(0, 0, D2),)))
+
+
+# --- the fraction-free elimination against the dense det and mat_inv
+
+SQUARE = F(25, 16)  # rr = 400 is a perfect square: the formal ring has zero divisors
+BACKENDS = {
+    None: rational_backend(),
+    F(2): quadratic_backend(1),
+    F(5, 4): quadratic_backend(F(1, 2)),
+    SQUARE: quadratic_backend(F(3, 4)),
+}
+
+
+@st.composite
+def square_matrices(draw, d):
+    """An n x n matrix over ``d``, n = 1..6, sparse, dense or sparse on a permutation's
+    cells; in half the draws one row is made a combination of two others, so it is singular."""
+    n = draw(st.integers(1, 6))
+    zero = st.sampled_from([0, F(0)] + ([] if d is None else [QuadExt(0, 0, d)]))
+    entry = st.one_of(st.integers(-4, 4), rationals(5, 4))
+    if d is not None:
+        entry = st.one_of(entry, quad_elements(d, 5, 4))
+    shape = draw(st.sampled_from(["sparse", "dense", "permutation"]))
+    cell = entry if shape == "dense" else st.one_of(zero, zero, zero, entry)
+    a = [[draw(cell) for _ in range(n)] for _ in range(n)]
+    if shape == "permutation":
+        for r, c in enumerate(draw(st.permutations(range(n)))):
+            a[r][c] = draw(entry.filter(bool))
+    if n > 1 and draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        if i not in (j, k):
+            x, y = draw(entry), draw(entry)
+            a[i] = [x * u + y * v for u, v in zip(a[j], a[k])]
+    return tuple(map(tuple, a))
+
+
+def dense(fn, a):
+    """``fn(a)``, or ``ZeroDivisorError`` where the dense elimination met a zero divisor."""
+    try:
+        return fn(a)
+    except ZeroDivisorError:
+        return ZeroDivisorError
+
+
+@pytest.mark.parametrize("d", list(BACKENDS), ids=str)
+def test_elimination_matches_the_dense_det_and_mat_inv(d):
+    # full rank is a nonzero dense det, the inverse is the dense one by value with the
+    # kernel's types, and classify's regular flag and the phi check read the same rank;
+    # in the perfect-square ring either side may meet a zero divisor on its own pivots
+    @settings(max_examples=120, deadline=None)
+    @given(square_matrices(d))
+    def check(a):
+        n = len(a)
+        try:
+            full = rank(a) == n
+            inverse = mat_inv(a) if full else None
+        except ZeroDivisorError:
+            assert d == SQUARE
+            return
+        det = dense(reference.det, a)
+        if det is not ZeroDivisorError:
+            assert full == bool(det)
+        if full and det is not ZeroDivisorError:
+            # the last pivot is a minor, det(scale * a) up to sign, not a multiple of one
+            kernel, (rows,), scale = reading([a], n)
+            pivots, out = kernel.eliminate(rows, n)
+            r, c = pivots[-1]
+            assert kernel.scalar(out[r][c], scale**n) in (det, -det)
+        if full:
+            ref = dense(reference.mat_inv, a)
+            assert ref is ZeroDivisorError and d == SQUARE or mat_eq(inverse, ref)
+            assert mat_eq(mat_mul(inverse, a), identity(n))
+            kind = QuadExt if any(isinstance(x, QuadExt) and x for row in a for x in row) else F
+            assert all(type(x) is kind for row in inverse for x in row)
+        else:
+            with pytest.raises(SingularMatrixError) as ours:
+                mat_inv(a)
+            ref = dense(lambda a: pytest.raises(SingularMatrixError, reference.mat_inv, a), a)
+            assert ref is ZeroDivisorError and d == SQUARE or str(ours.value) == str(ref.value)
+        g = HomAlgebra(n, {}, a, BACKENDS[d])
+        # classify eliminates the columns, in another pivot order
+        regular = dense(lambda a: classify(g).regular, a)
+        assert regular is ZeroDivisorError and d == SQUARE or regular == full
+        if full:
+            assert zero_representation(g, n, a).phi == a
+        else:
+            with pytest.raises(PreconditionError):
+                zero_representation(g, n, a)
+
+    check()
+
+
+@pytest.mark.parametrize("d", [None, F(2), F(5, 4)], ids=str)
+def test_rank_matches_sympy(d):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    root = None if d is None else sympy.sqrt(sympy.Rational(d.numerator, d.denominator))
+    domain = sympy.QQ if d is None else sympy.QQ.algebraic_field(root)
+
+    def exact(x):
+        if isinstance(x, QuadExt):
+            return exact(x.a) + exact(x.b) * root
+        x = F(x)
+        return sympy.Rational(x.numerator, x.denominator)
+
+    @settings(max_examples=40, deadline=None)
+    @given(square_matrices(d))
+    def check(a):
+        m = DomainMatrix.from_Matrix(sympy.Matrix([[exact(x) for x in row] for row in a]))
+        assert rank(a) == m.convert_to(domain).rank()
+
+    check()
+
+
+def test_a_zero_divisor_pivot_raises_in_the_perfect_square_ring():
+    # s - 5/4 has norm 25/16 - 25/16 = 0; it is nonzero, and (s - 5/4)(s + 5/4) = 0
+    z = QuadExt(F(-5, 4), 1, SQUARE)
+    a = ((z, 0), (0, 1))
+    for decide in (rank, mat_inv):
+        with pytest.raises(ZeroDivisorError, match="conjugate norm 0"):
+            decide(a)
+    g = HomAlgebra(2, {}, a, BACKENDS[SQUARE])
+    with pytest.raises(ZeroDivisorError):
+        classify(g)
+    with pytest.raises(ZeroDivisorError):
+        zero_representation(HomAlgebra(2, {}, identity(2), BACKENDS[SQUARE]), 2, a)
+    # the dense det never divides by that pivot and returns it: the dense
+    # classify and phi check called this twist and phi invertible
+    assert reference.det(a) == z
+    with pytest.raises(ZeroDivisorError):
+        reference.mat_inv(a)
+    # pivots of nonzero norm eliminate in the same ring: det = (s + 1) - 1 = s
+    s = QuadExt(0, 1, SQUARE)
+    b = ((s + 1, 1), (1, 1))
+    assert rank(b) == 2 and mat_inv(b) == reference.mat_inv(b)
+
+
+def test_entry_growth_on_the_gl8_twist_is_bounded():
+    # every entry of an eliminated row is a minor of the twist's pairs, of size
+    # k <= 64: under either embedding R -> +-sqrt(rr) it is at most k! M**k for the
+    # largest embedded entry M, so A and B each have at most 64 log2(64 M) + 1 bits
+    g = build_gl_alpha(GlContext(8, *alpha_block(8, 1)))
+    kernel = g.kernel
+    rows = kernel.twist.cols
+    m = max(abs(a) + abs(b) * (math.isqrt(abs(kernel.rr)) + 1) for row in rows for a, b in row.values())
+    bits = 64 * (m * 64).bit_length() + 1
+    for jordan in (False, True):
+        pivots, out = kernel.eliminate(rows, 64, jordan)
+        assert len(pivots) == 64
+        assert max(abs(x).bit_length() for row in out for pair in row.values() for x in pair) <= bits
+    assert classify(g).regular

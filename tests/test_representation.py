@@ -16,7 +16,6 @@ from skewhom.constructions import (
 from skewhom.errors import BackendMismatchError, FileFormatError, PreconditionError
 from skewhom.linalg import (
     basis_vec,
-    det,
     identity,
     mat,
     mat_inv,
@@ -95,6 +94,24 @@ def test_rep_requires_invertible_phi():
         Representation(SE4_ZERO, 2, (zero_mat(2, 2),) * 4, zero_mat(2, 2))
 
 
+def test_a_float_phi_is_refused_when_the_representation_is_built():
+    # phi is read into integer pairs for its rank, and a float is no exact scalar
+    for phi in (((1.0, 0), (0, 1)), ((0, F(1)), (-0.5, 0))):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            Representation(SE4_ZERO, 2, (zero_mat(2, 2),) * 4, phi)
+
+
+def test_the_phi_check_leaves_the_algebra_kernel_unbuilt():
+    g = build_semi_euclidean(F(1, 2))[0]
+    rep = Representation(g, 2, (zero_mat(2, 2),) * 4, PHI)
+    assert "kernel" not in vars(g)
+    with pytest.raises(PreconditionError):
+        Representation(g, 2, (zero_mat(2, 2),) * 4, ((1, 2), (2, 4)))
+    assert "kernel" not in vars(g)
+    rep.kernel  # the check reads the algebra's kernel
+    assert "kernel" in vars(g)
+
+
 def test_theorem_equivalence_zero_rep():
     rep = zero_representation(SE4_ZERO, 2, PHI)
     rep_verdict, morphism_verdict = theorem_equivalence(rep)
@@ -162,7 +179,7 @@ def test_rho_intertwines_with_conjugation():
 @given(st.tuples(*[st.integers(-3, 3).map(F) for _ in range(4)]))
 def test_verdict_invariant_under_simultaneous_conjugation(entries):
     s = mat([[entries[0], entries[1]], [entries[2], entries[3]]])
-    assume(det(s) != 0)
+    assume(reference.det(s) != 0)
     rep = spin_representation(F(1), F(2))
     s_inv = mat_inv(s)
     conj_rho = tuple(mat_mul(mat_mul(s, r), s_inv) for r in rep.rho)
@@ -346,11 +363,11 @@ def test_bracket_equation_witness_is_an_increasing_pair():
         assert fast == ordered
 
 
-def test_representation_loader_refuses_a_large_m_before_det(monkeypatch):
-    def no_det(*args, **kwargs):
-        raise AssertionError("det ran on an oversized representation")
+def test_representation_loader_refuses_a_large_m_before_the_phi_check(monkeypatch):
+    def no_read(*args, **kwargs):
+        raise AssertionError("phi was read for its rank on an oversized representation")
 
-    monkeypatch.setattr(representation, "det", no_det)
+    monkeypatch.setattr(representation, "reading", no_read)
     m = MAX_DIM + 1
     doc = {"algebra": "se4:theta=0", "m": m, "rho": [[["0"] * m] * m] * 4, "phi": [["0"] * m] * m}
     with pytest.raises(FileFormatError, match=f"limit of {MAX_DIM}") as info:
@@ -384,7 +401,7 @@ def _conjugated(rep, s):
 
 def _invertible(draw, size, entries):
     m = mat([[draw(entries) for _ in range(size)] for _ in range(size)])
-    assume(det(m) != 0)
+    assume(reference.det(m) != 0)
     return m
 
 
