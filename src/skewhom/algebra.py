@@ -43,7 +43,7 @@ from .linalg import (
     vec_sub,
     zero_vec,
 )
-from .scalars import PARSE_ERRORS, QuadExt, ScalarBackend, format_scalar, parse_int, parse_scalar
+from .scalars import PARSE_ERRORS, QuadExt, ScalarBackend, format_scalar, parse_int, scalar_reader
 
 
 class Verdict(str, Enum):
@@ -356,6 +356,7 @@ def algebra_from_dict(obj: dict) -> HomAlgebra:
         raise FileFormatError("dimension must be positive", location="dim")
     if dim > MAX_DIM:
         raise FileFormatError(f"dimension {dim} exceeds the limit of {MAX_DIM}", location="dim")
+    read = scalar_reader(backend)
 
     entries = obj.get("bracket", [])
     if not isinstance(entries, list):
@@ -366,7 +367,7 @@ def algebra_from_dict(obj: dict) -> HomAlgebra:
         where = f"bracket[{idx}]"
         try:
             i, j = parse_int(entry["i"]), parse_int(entry["j"])
-            value = vec(parse_scalar(x, backend) for x in entry["value"])
+            value = vec(map(read, entry["value"]))
         except PARSE_ERRORS as exc:
             raise FileFormatError(f"bad bracket entry: {exc}", location=where) from exc
         if not (0 <= i < dim and 0 <= j < dim):
@@ -401,7 +402,7 @@ def algebra_from_dict(obj: dict) -> HomAlgebra:
         if not isinstance(row, list) or len(row) != dim:
             raise FileFormatError(f"twist row must have length {dim}", location=f"twist[{r}]")
         try:
-            parsed_twist.append(vec(parse_scalar(x, backend) for x in row))
+            parsed_twist.append(vec(map(read, row)))
         except PARSE_ERRORS as exc:
             raise FileFormatError(f"bad twist row: {exc}", location=f"twist[{r}]") from exc
     try:

@@ -303,7 +303,7 @@ def cmd_cohomology(
     """
     g = resolve_algebra(algebra_ref)
     if rep_path:
-        rep = load_representation(rep_path, g)
+        rep = load_representation(rep_path, g, algebra_ref)
     else:
         rep = zero_representation(g, g.dim, identity(g.dim))
     if cochain_path:

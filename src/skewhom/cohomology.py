@@ -37,7 +37,7 @@ from .algebra import CheckReport, HomAlgebra, Witness, read_json, write_json
 from .errors import DimensionError, FileFormatError
 from .linalg import Vec, basis_vec, mat_pow, vec, vec_is_zero, zero_vec
 from .representation import Representation
-from .scalars import PARSE_ERRORS, format_scalar, parse_int, parse_scalar
+from .scalars import PARSE_ERRORS, format_scalar, parse_int, scalar_reader
 
 # Largest C(n, k) * m a degree-k cochain on n generators with values in
 # dimension m may have.  A cochain holds one value vector per increasing
@@ -296,11 +296,12 @@ def cochain_from_dict(obj: dict, n: int, m: int, backend) -> Cochain:
     if not isinstance(listed, list):
         raise FileFormatError("entries must be an array of entries", location="entries")
     entries = {}
+    read = scalar_reader(backend)
     for idx, entry in enumerate(listed):
         where = f"entries[{idx}]"
         try:
             key = tuple(parse_int(i) for i in entry["indices"])
-            value = vec(parse_scalar(x, backend) for x in entry["value"])
+            value = vec(map(read, entry["value"]))
         except PARSE_ERRORS as exc:
             raise FileFormatError(f"bad entry: {exc}", location=where) from exc
         if key in entries:

@@ -42,7 +42,7 @@ from .linalg import (
     transpose,
     zero_mat,
 )
-from .scalars import PARSE_ERRORS, format_scalar, parse_int, parse_scalar
+from .scalars import PARSE_ERRORS, format_scalar, parse_int, scalar_reader
 
 
 @dataclass(frozen=True)
@@ -160,6 +160,8 @@ def search_representation(
     or the identity (odd m).  Returns the first candidate passing
     :func:`check_representation`, or ``None`` once the budget is exhausted.
     The all-zero candidate is skipped; :func:`zero_representation` gives it.
+    Candidates are decided on a compiled ``_kernel.Rep``; only the one
+    returned is built as a :class:`Representation`.
     """
     if m < 1:
         raise ValueError("representation space dimension must be positive")
@@ -173,23 +175,21 @@ def search_representation(
             phis.append(alpha_block(m, theta, backend)[0])
     else:
         phis.append(identity(m))
+    # the entries are rational, so phi alone decides the kernel's ring
+    compiled = [(phi, g.kernel_with(flatten(phi))) for phi in phis]
 
     rng = Random(seed)
-    entries = (-1, 0, 0, 0, 1)
-    zero = backend.coerce(0)
+    entries = tuple(backend.coerce(x) for x in (-1, 0, 0, 0, 1))
     for attempt in range(budget):
         rho = tuple(
-            tuple(
-                tuple(backend.coerce(rng.choice(entries)) for _ in range(m))
-                for _ in range(m)
-            )
+            tuple(tuple(rng.choice(entries) for _ in range(m)) for _ in range(m))
             for _ in range(g.dim)
         )
-        if all(all(x == zero for x in flatten(r)) for r in rho):
+        if not any(x for r in rho for row in r for x in row):
             continue
-        candidate = Representation(g, m, rho, phis[attempt % len(phis)])
-        if check_representation(candidate).passed:
-            return candidate
+        phi, kernel = compiled[attempt % len(compiled)]
+        if Rep(kernel, rho, phi).first_failure() is None:
+            return Representation(g, m, rho, phi)
     return None
 
 
@@ -208,27 +208,29 @@ def representation_to_dict(rep: Representation, algebra_ref: str) -> dict:
     }
 
 
-def representation_from_dict(obj: dict, g: Optional[HomAlgebra] = None) -> Representation:
+def representation_from_dict(
+    obj: dict, g: Optional[HomAlgebra] = None, algebra_ref: Optional[str] = None
+) -> Representation:
+    """The representation ``obj`` describes; an ``"algebra"`` equal to
+    ``algebra_ref``, the reference ``g`` was resolved from, is ``g`` as it is."""
     if not isinstance(obj, dict):
         raise FileFormatError("representation document must be a JSON object")
     ref = obj.get("algebra")
     if not isinstance(ref, str):
         raise FileFormatError("missing algebra reference", location="algebra")
-    try:
-        named = resolve_algebra(ref)
-    except (OSError, SkewhomError, ValueError) as exc:
-        raise FileFormatError(str(exc), location="algebra") from exc
-    if g is not None and named != g:
-        raise FileFormatError(f"{ref!r} is not the algebra given", location="algebra")
-    g = named
-    backend = g.backend
+    if g is None or ref != algebra_ref:
+        try:
+            named = resolve_algebra(ref)
+        except (OSError, SkewhomError, ValueError) as exc:
+            raise FileFormatError(str(exc), location="algebra") from exc
+        if g is not None and named != g:
+            raise FileFormatError(f"{ref!r} is not the algebra given", location="algebra")
+        g = named
+    read = scalar_reader(g.backend)
     try:
         m = parse_int(obj["m"])
-        rho = tuple(
-            mat(tuple(parse_scalar(x, backend) for x in row) for row in r)
-            for r in obj["rho"]
-        )
-        phi = mat(tuple(parse_scalar(x, backend) for x in row) for row in obj["phi"])
+        rho = tuple(mat(map(read, row) for row in r) for r in obj["rho"])
+        phi = mat(map(read, row) for row in obj["phi"])
     except PARSE_ERRORS as exc:
         raise FileFormatError(f"bad representation: {exc}", location="rho/phi") from exc
     if m < 1:
@@ -245,5 +247,7 @@ def save_representation(rep: Representation, algebra_ref: str, path: Union[str, 
     write_json(representation_to_dict(rep, algebra_ref), path)
 
 
-def load_representation(path: Union[str, Path], g: Optional[HomAlgebra] = None) -> Representation:
-    return representation_from_dict(read_json(path), g)
+def load_representation(
+    path: Union[str, Path], g: Optional[HomAlgebra] = None, algebra_ref: Optional[str] = None
+) -> Representation:
+    return representation_from_dict(read_json(path), g, algebra_ref)

@@ -446,3 +446,24 @@ def parse_scalar(obj: object, backend: ScalarBackend):
     if isinstance(obj, (str, int)) and not isinstance(obj, bool):
         return backend.coerce(obj)
     raise TypeError(f"not a scalar: {obj!r}")
+
+
+def scalar_reader(backend: ScalarBackend):
+    """:func:`parse_scalar` for one document, each distinct field parsed once and shared.
+
+    Kept are fields of exact type ``str`` or ``int`` and objects of only ``a`` and ``b``
+    with such values, so ``true`` and ``1.0`` never meet ``1``'s entry; others, and
+    fields that raise, are parsed each time.
+    """
+    parsed: dict = {}
+
+    def read(obj: object):
+        key = (obj["a"], obj["b"]) if type(obj) is dict and obj.keys() == {"a", "b"} else (obj,)
+        if any(type(x) not in (str, int) for x in key):
+            return parse_scalar(obj, backend)
+        value = parsed.get(key)
+        if value is None:
+            value = parsed[key] = parse_scalar(obj, backend)
+        return value
+
+    return read

@@ -42,6 +42,8 @@ with a build from the nonzero minors and bracket outputs.
 ``zero_rep_failures`` and ``zero_rep_coboundary`` decide a zero
 representation on its full m-axis matrices from ``coboundary_cols``, as the
 checkers did before they took the m = 1 matrix on each value axis alone.
+``search_representation`` is the seeded representation search that built
+and checked a ``Representation`` for every candidate.
 ``REFERENCE`` maps each public checker, and the se4 build, to its reference; the
 ``both_paths`` fixture runs a checker and its reference on the same input.
 ``DataclassQuadExt`` is the frozen-dataclass ``QuadExt`` that the slotted
@@ -68,6 +70,7 @@ from skewhom.errors import (
 from skewhom.linalg import (
     _square_dim,
     basis_vec,
+    flatten,
     identity,
     mat,
     mat_eq,
@@ -757,6 +760,41 @@ def antisymmetry_failure(table):
             return i, j
     return None
 
+
+
+def search_representation(g, m, budget, seed=0):
+    """``representation.search_representation`` building and checking a
+    ``Representation`` for every candidate, each entry coerced as drawn."""
+    if m < 1:
+        raise ValueError("representation space dimension must be positive")
+    backend = g.backend
+    phis = []
+    if m % 2 == 0:
+        thetas = [0]
+        if backend.kind == "quadratic" and backend.theta != 0:
+            thetas.append(backend.theta)
+        for theta in thetas:
+            phis.append(constructions.alpha_block(m, theta, backend)[0])
+    else:
+        phis.append(identity(m))
+
+    rng = Random(seed)
+    entries = (-1, 0, 0, 0, 1)
+    zero = backend.coerce(0)
+    for attempt in range(budget):
+        rho = tuple(
+            tuple(
+                tuple(backend.coerce(rng.choice(entries)) for _ in range(m))
+                for _ in range(m)
+            )
+            for _ in range(g.dim)
+        )
+        if all(all(x == zero for x in flatten(r)) for r in rho):
+            continue
+        candidate = representation.Representation(g, m, rho, phis[attempt % len(phis)])
+        if representation.check_representation(candidate).passed:
+            return candidate
+    return None
 
 REFERENCE = {
     algebra.bracket_eval: bracket_eval,

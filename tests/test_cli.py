@@ -422,6 +422,33 @@ def test_cohomology_takes_a_representation_naming_its_algebra_another_way(
         assert "PASS" in capsys.readouterr().out
 
 
+def test_cohomology_reads_an_algebra_its_representation_names_the_same_way_once(
+    tmp_path, capsys, monkeypatch
+):
+    from skewhom import algebra, cli
+
+    monkeypatch.chdir(tmp_path)
+    save_algebra(build_semi_euclidean(F(1, 2))[0], tmp_path / "se4h.json")
+    rep = tmp_path / "rep.json"
+    reads, resolved, loaded = [], [], []
+    read_json, resolve, load = algebra.read_json, cli.resolve_algebra, cli.load_representation
+    monkeypatch.setattr(algebra, "read_json", lambda path: reads.append(path) or read_json(path))
+    monkeypatch.setattr(cli, "resolve_algebra", lambda ref: resolved.append(resolve(ref)) or resolved[-1])
+    monkeypatch.setattr(cli, "load_representation", lambda *a: loaded.append(load(*a)) or loaded[-1])
+    runs = []
+    # the same file named another way is read a second time and compared, as before
+    for field in ("se4h.json", "./se4h.json"):
+        doc = {"algebra": field, "m": 2, "rho": [[["0", "1"], ["1", "0"]]] * 4,
+               "phi": [["0", "1"], ["-1", "0"]]}
+        rep.write_text(json.dumps(doc), encoding="utf-8")
+        reads.clear()
+        argv = ["cohomology", "se4h.json", "--rep", str(rep), "--k", "1", "--s", "1"]
+        runs.append((main(argv), *capsys.readouterr()))
+        assert len(reads) == (1 if field == "se4h.json" else 2)
+        assert (loaded[-1].g is resolved[-1]) == (field == "se4h.json")
+    assert runs[0] == runs[1] and runs[0][0] == 1 and runs[0][2] == ""
+
+
 def test_cohomology_negative_degree_is_usage_error(capsys):
     assert main(["cohomology", "se4:theta=1", "--k", "-1", "--s", "0"]) == 2
     assert capsys.readouterr().err == "error: --k must be non-negative\n"

@@ -208,6 +208,42 @@ def test_search_is_deterministic_and_outcome_recorded():
         assert check_representation(first).passed
 
 
+SEARCH_FAMILIES = (
+    SE4_ZERO,
+    build_semi_euclidean(F(1, 2))[0],
+    build_semi_euclidean(F(3, 4))[0],
+    build_gl_alpha(GlContext(2, *alpha_block(2, 1))),
+    build_r3_cross(mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]])),
+    # abelian with twist -id: nonzero representations exist for every m
+    HomAlgebra(2, {}, mat([[-1, 0], [0, -1]]), rational_backend()),
+    HomAlgebra(2, {}, mat([[-1, 0], [0, -1]]), quadratic_backend(F(1, 2))),
+    HomAlgebra(3, {}, mat([[-1, 0, 0], [0, 1, 0], [0, 0, -1]]), quadratic_backend(1)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(SEARCH_FAMILIES),
+    st.sampled_from((1, 2, 3)),
+    st.integers(0, 1000),
+    st.integers(0, 40),
+)
+def test_search_matches_the_per_candidate_reference(g, m, seed, budget):
+    found = search_representation(g, m, budget, seed)
+    assert repr(found) == repr(reference.search_representation(g, m, budget, seed))
+    assert found is None or check_representation(found).passed
+
+
+@pytest.mark.parametrize("g", SEARCH_FAMILIES[5:7])
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_search_finds_what_the_reference_finds_on_abelian_twists(g, m):
+    found = [search_representation(g, m, 60, seed) for seed in range(3)]
+    assert any(rep is not None for rep in found)
+    assert [repr(rep) for rep in found] == [
+        repr(reference.search_representation(g, m, 60, seed)) for seed in range(3)
+    ]
+
+
 # --- file format
 
 
